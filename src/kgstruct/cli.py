@@ -1,5 +1,8 @@
 """Command-line interface: per-stage subcommands plus the full pipeline.
 
+Every subcommand runs the pipeline with only its own stage on and writes a
+checksummed report bundle into ``--out``, which must not exist yet.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (missing or malformed input, unknown relation), 3 internal error.
 """
@@ -7,35 +10,48 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import logging
 import sys
-from pathlib import Path
+from dataclasses import replace
 
-from .embedding import EmbeddingTable, train
+from .embedding import EmbeddingTable
 from .errors import ConfigError, DataError, KgstructError
-from .graph import FORMATS, split_indices
-from .report import (
-    ClusterStage,
-    NegationStage,
-    PipelineConfig,
-    RelsimStage,
-    ValidateStage,
-    ingest,
-    run_pipeline,
-    stage_cluster,
-    stage_negation,
-    stage_relsim,
-    stage_stats,
-    stage_validate,
-)
-
-log = logging.getLogger(__name__)
+from .graph import FORMATS
+from .report import ANALYSIS_STAGES, PipelineConfig, ReportBundle, run_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+# argparse dest -> config field it overrides; a flag left unset keeps the
+# config's value. Top-level fields come first so that a train block filled
+# in for a train flag derives its seed from the overriding --seed.
+FLAG_FIELDS = {
+    "input": "input",
+    "format": "format",
+    "seed": "seed",
+    "out": "out",
+    "exclude": "exclude_relations",
+    "sample": "sample_size",
+    "dim": "train.dimension",
+    "epochs": "train.epochs",
+    "lr": "train.learning_rate",
+    "margin": "train.margin",
+    "negatives": "train.negatives",
+    "batch_size": "train.batch_size",
+    "bins": "validate.bins",
+    "definitions": "relsim.definitions_path",
+    "relations": "cluster.relations",
+    "k": "cluster.k",
+    "k_range": "cluster.k_range",
+    "exemplars": "cluster.exemplars_per_cluster",
+    "relation": "negation.relation",
+    "negation_relation": "negation.negation_relation",
+    "folds": "negation.folds",
+    "classifier": "negation.classifier",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,13 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _k_range(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON pipeline config; flags override it")
     parser.add_argument("--input", help="edge list file")
     parser.add_argument("--format", choices=FORMATS, help="edge list format")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="worker count (1 = reference path)")
+    parser.add_argument("--out", help="output directory; must not exist")
 
 
 def build_parser() -> _Parser:
@@ -87,7 +110,7 @@ def build_parser() -> _Parser:
         "--relation", action="append", default=None, metavar="NAME", dest="relations"
     )
     p_clu.add_argument("--k", type=int, default=None)
-    p_clu.add_argument("--k-range", default=None, metavar="LO:HI")
+    p_clu.add_argument("--k-range", type=_k_range, default=None, metavar="LO:HI")
     p_clu.add_argument("--exemplars", type=int, default=None)
 
     p_neg = sub.add_parser("negation", help="relation/negation pair study")
@@ -104,212 +127,72 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> PipelineConfig:
-    if args.config:
-        config = PipelineConfig.from_json_file(args.config)
-    else:
-        if not args.input:
-            raise ConfigError("either --config or --input is required")
-        config = PipelineConfig(input=args.input)
-    overrides = {}
-    if args.input:
-        overrides["input"] = args.input
-    if args.format:
-        overrides["format"] = args.format
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+def _apply_flags(config: PipelineConfig, args) -> PipelineConfig:
+    for dest, path in FLAG_FIELDS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = tuple(value)
+        section, _, name = path.rpartition(".")
+        if section:
+            # an omitted train block starts from the one run would derive
+            block = getattr(config, section) or getattr(config.resolved(), section)
+            value = replace(block, **{name: value})
+            name = section
+        config = replace(config, **{name: value})
     return config
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _stage_table(args, config: PipelineConfig, graph) -> EmbeddingTable:
-    table_path = getattr(args, "table", None)
-    if table_path:
-        return EmbeddingTable.load(table_path)
-    resolved = config.resolved()
-    train_idx, _, _ = split_indices(graph.n_triples, resolved.split)
-    return train(graph, resolved.train, triple_indices=train_idx)
-
-
-def _merge_stage(config: PipelineConfig, name: str, stage) -> PipelineConfig:
-    return dataclasses.replace(config, **{name: stage})
-
-
-def _cmd_stats(args) -> int:
-    config = _load_config(args)
-    if args.exclude:
-        config = dataclasses.replace(config, exclude_relations=tuple(args.exclude))
-    if args.sample is not None:
-        config = dataclasses.replace(config, sample_size=args.sample)
-    config.validate_fields()
-    graph = ingest(config.resolved())
-    summary = stage_stats(graph, _out_dir(config))
-    print(
-        f"stats: {summary['triples']} triples, {summary['entities']} entities, "
-        f"{len(summary['per_relation'])} relations -> {config.out}"
-    )
-    return EXIT_OK
-
-
-def _cmd_train(args) -> int:
-    config = _load_config(args)
-    tweaks = {
-        "dimension": args.dim,
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "margin": args.margin,
-        "negatives": args.negatives,
-        "batch_size": args.batch_size,
+def _load_config(args) -> PipelineConfig:
+    if args.config:
+        config = PipelineConfig.from_json_file(args.config)
+    elif args.input:
+        config = PipelineConfig(input=args.input)
+    else:
+        raise ConfigError("either --config or --input is required")
+    config = _apply_flags(config, args)
+    if args.command == "run":
+        return config
+    # a per-stage subcommand runs its own stage only
+    stages = {
+        stage: replace(getattr(config, stage), enabled=stage == args.command)
+        for stage in ANALYSIS_STAGES
     }
-    resolved = config.resolved()
-    train_cfg = resolved.train
-    updates = {k: v for k, v in tweaks.items() if v is not None}
-    if updates:
-        train_cfg = dataclasses.replace(train_cfg, **updates)
-    config = dataclasses.replace(config, train=train_cfg)
-    config.validate_fields()
-    graph = ingest(config.resolved())
-    train_idx, _, _ = split_indices(graph.n_triples, config.resolved().split)
-    table = train(graph, train_cfg, triple_indices=train_idx)
-    out = _out_dir(config)
-    table.save(out / "embeddings.kgt")
-    losses = table.epoch_losses or []
-    first = f"{losses[0]:.6f}" if losses else "n/a"
-    last = f"{losses[-1]:.6f}" if losses else "n/a"
-    print(f"train: dim={table.dimension} epochs={len(losses)} loss {first} -> {last}")
-    print(f"train: saved {out / 'embeddings.kgt'}")
-    return EXIT_OK
+    if args.command == "stats":
+        stages["train"] = None
+    elif args.command == "train":
+        stages["train"] = config.resolved().train
+    return replace(config, **stages)
 
 
-def _cmd_validate(args) -> int:
-    config = _load_config(args)
-    stage = dataclasses.replace(config.validate, enabled=True)
-    if args.bins is not None:
-        stage = dataclasses.replace(stage, bins=args.bins)
-    config = _merge_stage(config, "validate", stage)
-    config.validate_fields()
-    graph = ingest(config.resolved())
-    table = _stage_table(args, config, graph)
-    records = stage_validate(table, graph, stage, _out_dir(config))
-    usable = [r for r in records if "error" not in r]
-    print(f"validate: {len(usable)} relations -> {config.out}")
-    return EXIT_OK
-
-
-def _cmd_relsim(args) -> int:
-    config = _load_config(args)
-    stage = dataclasses.replace(config.relsim, enabled=True)
-    if args.definitions:
-        stage = dataclasses.replace(stage, definitions_path=args.definitions)
-    config = _merge_stage(config, "relsim", stage)
-    config.validate_fields()
-    graph = ingest(config.resolved())
-    table = _stage_table(args, config, graph)
-    summary = stage_relsim(table, graph, stage, _out_dir(config))
-    tfidf_note = summary.get("tfidf", {})
-    if "score" in tfidf_note:
-        print(
-            "relsim: reference pair "
-            f"{'/'.join(tfidf_note['reference_pair'])} = {tfidf_note['score']:.3f} "
-            f"(within band: {tfidf_note['within_band']})"
-        )
-    print(f"relsim: matrices -> {config.out}")
-    return EXIT_OK
-
-
-def _parse_k_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise ConfigError(f"--k-range expects LO:HI, got {text!r}") from exc
-
-
-def _cmd_cluster(args) -> int:
-    config = _load_config(args)
-    stage = dataclasses.replace(config.cluster, enabled=True)
-    if args.relations:
-        stage = dataclasses.replace(stage, relations=tuple(args.relations))
-    if args.k is not None:
-        stage = dataclasses.replace(stage, k=args.k)
-    if args.k_range is not None:
-        stage = dataclasses.replace(stage, k_range=_parse_k_range(args.k_range))
-    if args.exemplars is not None:
-        stage = dataclasses.replace(stage, exemplars_per_cluster=args.exemplars)
-    if args.seed is not None:
-        stage = dataclasses.replace(stage, seed=args.seed)
-    config = _merge_stage(config, "cluster", stage)
-    config.validate_fields()
-    resolved = config.resolved()
-    graph = ingest(resolved)
-    table = _stage_table(args, config, graph)
-    notes = stage_cluster(table, graph, resolved.cluster, _out_dir(config))
-    for relation, info in notes.items():
-        print(
-            f"cluster: {relation}: {info['points']} points, k={info['k']}, "
+def _summary(command: str, bundle: ReportBundle) -> list[str]:
+    notes = bundle.manifest["notes"]
+    if command == "stats":
+        stats = json.loads((bundle.out_dir / "stats.json").read_text(encoding="utf-8"))
+        return [
+            f"{stats['triples']} triples, {stats['entities']} entities, "
+            f"{len(stats['per_relation'])} relations"
+        ]
+    if command == "train":
+        note = notes["train"]
+        return [
+            f"loss {note['first_epoch_loss']} -> {note['final_epoch_loss']}, "
+            f"test hits@10 {note.get('test_hits_at_10')}"
+        ]
+    if command == "cluster":
+        return [
+            f"{relation}: {info['points']} points, k={info['k']}, "
             f"inertia={info['inertia']:.3f}"
-        )
-    return EXIT_OK
-
-
-def _cmd_negation(args) -> int:
-    config = _load_config(args)
-    stage = dataclasses.replace(config.negation, enabled=True)
-    updates = {}
-    if args.relation:
-        updates["relation"] = args.relation
-    if args.negation_relation:
-        updates["negation_relation"] = args.negation_relation
-    if args.folds is not None:
-        updates["folds"] = args.folds
-    if args.classifier:
-        updates["classifier"] = args.classifier
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        stage = dataclasses.replace(stage, **updates)
-    config = _merge_stage(config, "negation", stage)
-    config.validate_fields()
-    resolved = config.resolved()
-    graph = ingest(resolved)
-    table = _stage_table(args, config, graph)
-    payload = stage_negation(table, graph, resolved.negation, _out_dir(config))
-    for cv in payload["cross_validation"]:
-        print(
-            f"negation: {cv['classifier']} mean accuracy "
-            f"{cv['mean_accuracy']:.3f} (baseline {cv['baseline_accuracy']:.3f})"
-        )
-    return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    bundle = run_pipeline(config)
-    n_files = len(bundle.manifest["files"])
-    print(f"run: wrote {n_files} files -> {bundle.out_dir}")
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "train": _cmd_train,
-    "validate": _cmd_validate,
-    "relsim": _cmd_relsim,
-    "cluster": _cmd_cluster,
-    "negation": _cmd_negation,
-    "run": _cmd_run,
-}
+            for relation, info in notes["cluster"].items()
+        ]
+    if command == "negation":
+        return [
+            f"{cv['classifier']} mean accuracy {cv['mean_accuracy']:.3f} "
+            f"(baseline {cv['baseline_accuracy']:.3f})"
+            for cv in notes["negation"]["cross_validation"]
+        ]
+    return []
 
 
 def main(argv=None) -> int:
@@ -317,7 +200,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        config = _load_config(args)
+        table_path = getattr(args, "table", None)
+        table = EmbeddingTable.load(table_path) if table_path else None
+        bundle = run_pipeline(config, table)
+        for line in _summary(args.command, bundle):
+            print(f"{args.command}: {line}")
+        print(f"{args.command}: wrote {len(bundle.manifest['files'])} files -> {bundle.out_dir}")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

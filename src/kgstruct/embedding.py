@@ -127,6 +127,22 @@ class EmbeddingTable:
             raise DataError(f"relation id out of range: {row}")
         return self.relation_vectors[row]
 
+    def aligned_to(self, graph: KnowledgeGraph) -> "EmbeddingTable":
+        """This table's rows reordered into ``graph``'s interning, matched by name.
+
+        Raises DataError naming the first graph symbol the table lacks.
+        """
+        ent_rows = [self.entity_row(name) for name in graph.entity_names]
+        rel_rows = [self.relation_row(name) for name in graph.relation_names]
+        return EmbeddingTable(
+            graph.entity_names,
+            graph.relation_names,
+            self.entity_vectors[ent_rows],
+            self.relation_vectors[rel_rows],
+            config=self.config,
+            epoch_losses=self.epoch_losses,
+        )
+
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
@@ -154,26 +170,36 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        with open(path, "rb") as handle:
-            if handle.read(4) != _MAGIC:
-                raise DataError(f"{path}: not an embedding table file")
-            (length,) = struct.unpack("<I", handle.read(4))
-            header = json.loads(handle.read(length).decode("utf-8"))
-            dim = header["dimension"]
-            n_ent = header["entity_count"]
-            n_rel = header["relation_count"]
-            data = np.frombuffer(handle.read(), dtype="<f4")
-        if data.size != (n_ent + n_rel) * dim:
-            raise DataError(f"{path}: truncated embedding matrix")
-        config = TrainConfig(**header["config"]) if header.get("config") else None
-        return cls(
-            header["entity_names"],
-            header["relation_names"],
-            data[: n_ent * dim].reshape(n_ent, dim).copy(),
-            data[n_ent * dim :].reshape(n_rel, dim).copy(),
-            config=config,
-            epoch_losses=header.get("epoch_losses"),
-        )
+        """Read a table written by :meth:`save`; a damaged file is a DataError."""
+        try:
+            with open(path, "rb") as handle:
+                if handle.read(4) != _MAGIC:
+                    raise DataError(f"{path}: not an embedding table file")
+                (length,) = struct.unpack("<I", handle.read(4))
+                blob = handle.read(length)
+                if len(blob) != length:
+                    raise DataError(f"{path}: truncated embedding table header")
+                header = json.loads(blob.decode("utf-8"))
+                dim = header["dimension"]
+                n_ent = header["entity_count"]
+                n_rel = header["relation_count"]
+                raw = handle.read()
+            if len(raw) != 4 * (n_ent + n_rel) * dim:
+                raise DataError(f"{path}: truncated embedding matrix")
+            data = np.frombuffer(raw, dtype="<f4")
+            config = TrainConfig(**header["config"]) if header.get("config") else None
+            return cls(
+                header["entity_names"],
+                header["relation_names"],
+                data[: n_ent * dim].reshape(n_ent, dim).copy(),
+                data[n_ent * dim :].reshape(n_rel, dim).copy(),
+                config=config,
+                epoch_losses=header.get("epoch_losses"),
+            )
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: malformed embedding table: {exc!r}") from exc
 
     def write_csv(self, path: str | Path) -> None:
         """Human-inspectable export: kind,name,v0,...,v{d-1}."""

@@ -8,7 +8,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -262,13 +262,13 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-    ent_ids: dict[str, int] = {}
-    rel_ids: dict[str, int] = {}
-    hs = array.array("q")
-    rs = array.array("q")
-    ts = array.array("q")
     with handle:
+        return KnowledgeGraph.from_labeled_triples(_edge_rows(handle, path, format))
+
+
+def _edge_rows(handle, path: Path, format: str) -> Iterator[tuple[str, str, str]]:
+    """Checked (head, relation, tail) name rows of an open edge file."""
+    try:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -292,17 +292,20 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
                 tail = _concept_label(cols[3])
             if not head or not relation or not tail:
                 raise ParseError(path, lineno, "empty head, relation, or tail")
-            hs.append(ent_ids.setdefault(head, len(ent_ids)))
-            rs.append(rel_ids.setdefault(relation, len(rel_ids)))
-            ts.append(ent_ids.setdefault(tail, len(ent_ids)))
+            yield head, relation, tail
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, _undecodable_line(path), f"not valid UTF-8 ({exc.reason})") from exc
 
-    if hs:
-        triples = np.column_stack(
-            [np.frombuffer(a, dtype=np.int64) for a in (hs, rs, ts)]
-        )
-    else:
-        triples = np.empty((0, 3), dtype=np.int64)
-    return KnowledgeGraph.from_id_triples(list(ent_ids), list(rel_ids), triples)
+
+def _undecodable_line(path: Path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
 
 
 def write_generic_3col(

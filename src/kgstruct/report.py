@@ -14,7 +14,9 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, replace
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +121,6 @@ class PipelineConfig:
     relsim: RelsimStage = RelsimStage()
     cluster: ClusterStage = ClusterStage()
     negation: NegationStage = NegationStage()
-    workers: int = 1
 
     def resolved(self) -> "PipelineConfig":
         """Fill every omitted seed deterministically from the master seed."""
@@ -147,8 +148,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"analysis_scope must be 'full' or 'train', got {self.analysis_scope!r}"
             )
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.sample_size is not None and self.sample_size < 0:
             raise ConfigError(f"sample_size must be >= 0, got {self.sample_size}")
         if self.split:
@@ -173,59 +172,18 @@ class PipelineConfig:
                 )
             if self.negation.folds < 2:
                 raise ConfigError("negation.folds must be >= 2")
-            try:
-                if self.negation.linear:
-                    LogisticConfig(**self.negation.linear)
-                if self.negation.forest:
-                    ForestConfig(**self.negation.forest)
-            except TypeError as exc:
-                raise ConfigError(f"bad classifier hyperparameters: {exc}") from exc
+            for name, klass in (("linear", LogisticConfig), ("forest", ForestConfig)):
+                try:
+                    _load(klass, getattr(self.negation, name), f"negation.{name}")
+                except ConfigError as exc:
+                    raise ConfigError(f"bad classifier hyperparameters: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return _jsonable(asdict(self))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-
-        def take(klass, key, **extra):
-            raw = data.pop(key, None)
-            if raw is None:
-                return None
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config field {key!r} must be an object")
-            allowed = {f.name for f in klass.__dataclass_fields__.values()}
-            unknown = set(raw) - allowed
-            if unknown:
-                raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-            merged = {**raw, **extra}
-            for key_name in ("relations", "exclude_relations"):
-                if key_name in merged and isinstance(merged[key_name], list):
-                    merged[key_name] = tuple(merged[key_name])
-            if "k_range" in merged and isinstance(merged["k_range"], list):
-                merged["k_range"] = tuple(merged["k_range"])
-            return klass(**merged)
-
-        try:
-            split = take(SplitSpec, "split")
-            train_cfg = take(TrainConfig, "train")
-            stages = {
-                "validate": take(ValidateStage, "validate") or ValidateStage(),
-                "relsim": take(RelsimStage, "relsim") or RelsimStage(),
-                "cluster": take(ClusterStage, "cluster") or ClusterStage(),
-                "negation": take(NegationStage, "negation") or NegationStage(),
-            }
-            if "exclude_relations" in data:
-                data["exclude_relations"] = tuple(data["exclude_relations"])
-            if "input" not in data:
-                raise ConfigError("config is missing required field 'input'")
-            allowed = {f.name for f in cls.__dataclass_fields__.values()}
-            unknown = set(data) - allowed
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            return cls(split=split, train=train_cfg, **stages, **data)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
+        return _load(cls, data, "")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
@@ -239,6 +197,63 @@ class PipelineConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_json_dict(data)
+
+
+def _load(cls, data, where: str):
+    """Build dataclass ``cls`` from parsed JSON, checking every field's type.
+
+    ``where`` is the dotted path of ``data`` within the config ("" at the
+    top). An unknown key, a missing required field or a value of the wrong
+    type raises ConfigError naming the dotted field.
+    """
+    label = where or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label}: expected an object, got {type(data).__name__} {data!r}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(declared))
+    if unknown:
+        raise ConfigError(f"{label}: unknown keys {unknown}")
+    for name, spec in declared.items():
+        if name not in data and spec.default is MISSING and spec.default_factory is MISSING:
+            raise ConfigError(f"{label}: missing required field {name!r}")
+    hints = typing.get_type_hints(cls)
+    prefix = f"{where}." if where else ""
+    return cls(**{name: _check(hints[name], value, prefix + name) for name, value in data.items()})
+
+
+def _check(hint, value, where: str):
+    """``value`` checked against the field type ``hint``; JSON lists become tuples."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        return _load(hint, value, where)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        options = [a for a in args if a is not type(None)]
+        if len(options) == 1:
+            return _check(options[0], value, where)
+        for option in options:
+            try:
+                return _check(option, value, where)
+            except ConfigError:
+                pass
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            kinds = (args[0],) * len(value) if args[1:] == (Ellipsis,) else args
+            if len(kinds) == len(value):
+                return tuple(
+                    _check(kind, item, f"{where}[{i}]")
+                    for i, (kind, item) in enumerate(zip(kinds, value))
+                )
+    elif hint is float:
+        # kept as given: embeddings.kgt echoes the train config, so turning
+        # 1 into 1.0 would change its bytes
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return value
+    elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
+        return value
+    expected = str(hint) if origin else hint.__name__
+    raise ConfigError(f"{where}: expected {expected}, got {type(value).__name__} {value!r}")
 
 
 # -- small IO helpers ---------------------------------------------------------
@@ -622,14 +637,25 @@ def _check_referenced_relations(graph: KnowledgeGraph, config: PipelineConfig) -
         raise DataError(f"configured relations are absent from the graph: {missing}")
 
 
-def run_pipeline(config: PipelineConfig) -> ReportBundle:
+ANALYSIS_STAGES = ("validate", "relsim", "cluster", "negation")
+
+
+def run_pipeline(
+    config: PipelineConfig, table: EmbeddingTable | None = None
+) -> ReportBundle:
     """Execute the selected stages in dependency order, atomically.
 
-    Everything is written to a temporary sibling of the output directory,
-    which is renamed into place only after the manifest lands; a failing
-    stage therefore leaves no partial bundle behind.
+    Embeddings are trained when the config has a ``train`` block or enables
+    an analysis stage. A given ``table`` replaces training: its rows are
+    matched to the graph by name, and every stage reads it. Everything is
+    written to a temporary sibling of the output directory, which is renamed
+    into place only after the manifest lands; a failing stage therefore
+    leaves no partial bundle behind.
     """
     config.validate_fields()
+    wants_table = config.train is not None or any(
+        getattr(config, stage).enabled for stage in ANALYSIS_STAGES
+    )
     config = config.resolved()
     out_dir = Path(config.out)
     if out_dir.exists():
@@ -653,32 +679,27 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         _check_referenced_relations(graph, config)
         timed("stats", lambda: stage_stats(graph, tmp_dir))
 
-        needs_table = (
-            config.validate.enabled
-            or config.relsim.enabled
-            or config.cluster.enabled
-            or config.negation.enabled
-        )
-        table = None
-        profiles = None
         analysis_graph = graph
-        if needs_table:
+        if table is not None or wants_table:
             train_idx, _val_idx, test_idx = split_indices(graph.n_triples, config.split)
-            table = timed(
-                "train", lambda: train(graph, config.train, triple_indices=train_idx)
-            )
-            table.save(tmp_dir / "embeddings.kgt")
-            losses = table.epoch_losses or []
-            notes["train"] = {
-                "triples": int(len(train_idx)),
-                "first_epoch_loss": losses[0] if losses else None,
-                "final_epoch_loss": losses[-1] if losses else None,
-            }
-            if len(test_idx):
-                notes["train"]["test_hits_at_10"] = timed(
-                    "hits",
-                    lambda: hits_at_k(table, graph.subset(test_idx, recompact=False), k=10),
+            if table is not None:
+                table = table.aligned_to(graph)
+            else:
+                table = timed(
+                    "train", lambda: train(graph, config.train, triple_indices=train_idx)
                 )
+                losses = table.epoch_losses or []
+                notes["train"] = {
+                    "triples": int(len(train_idx)),
+                    "first_epoch_loss": losses[0] if losses else None,
+                    "final_epoch_loss": losses[-1] if losses else None,
+                }
+                if len(test_idx):
+                    notes["train"]["test_hits_at_10"] = timed(
+                        "hits",
+                        lambda: hits_at_k(table, graph.subset(test_idx, recompact=False), k=10),
+                    )
+            table.save(tmp_dir / "embeddings.kgt")
             if config.analysis_scope == "train":
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows

@@ -1,9 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from kgstruct.cli import main
+from kgstruct.embedding import EmbeddingTable
 from kgstruct.graph import write_generic_3col
 from kgstruct.synth import demo_plan, synthetic_graph
 
@@ -35,6 +37,9 @@ def test_stats_subcommand(demo_kg, tmp_path, capsys):
     stats = json.loads((out / "stats.json").read_text())
     assert stats["triples"] == 500
     assert (out / "relation_stats.csv").exists()
+    # an existing --out is refused rather than written into
+    assert main(["stats", "--input", str(demo_kg), "--out", str(out)]) == 2
+    assert "already exists" in capsys.readouterr().err
 
 
 def test_stats_exclude_flag(demo_kg, tmp_path):
@@ -161,11 +166,135 @@ def test_subcommand_keeps_configured_stage_params(demo_kg, tmp_path):
     assert len(rows) == 3  # header + HasContext (160) + Desires (100)
 
 
-def test_workers_flag_accepted(demo_kg, tmp_path):
-    out = tmp_path / "w"
+@pytest.fixture(scope="module")
+def shuffled_kg(demo_kg, tmp_path_factory) -> Path:
+    """The demo graph's lines in another order, so its interning differs."""
+    lines = demo_kg.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    path = tmp_path_factory.mktemp("shuffled") / "shuffled.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def shuffled_table(shuffled_kg, tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("shuffledtable") / "trained"
     assert main(
-        ["stats", "--input", str(demo_kg), "--out", str(out), "--workers", "4"]
+        ["train", "--input", str(shuffled_kg), "--out", str(out),
+         "--dim", "12", "--epochs", "4", "--seed", "5"]
     ) == 0
+    return out / "embeddings.kgt"
+
+
+def _validation_values(out: Path) -> dict[str, list[float]]:
+    rows = (out / "validation.csv").read_text().strip().splitlines()[1:]
+    return {
+        row.split(",")[0]: [float(v) for v in row.split(",")[1:]] for row in rows
+    }
+
+
+def test_table_is_matched_to_the_graph_by_name(demo_kg, shuffled_kg, shuffled_table, tmp_path):
+    for name, graph in (("original", demo_kg), ("shuffled", shuffled_kg)):
+        assert main(
+            ["validate", "--input", str(graph), "--table", str(shuffled_table),
+             "--out", str(tmp_path / name)]
+        ) == 0
+    original = _validation_values(tmp_path / "original")
+    shuffled = _validation_values(tmp_path / "shuffled")
+    assert original.keys() == shuffled.keys() and len(original) == 5
+    for relation, values in original.items():
+        assert values == pytest.approx(shuffled[relation], abs=1e-9), relation
+
+
+def test_table_missing_an_entity_exit_2(demo_kg, shuffled_table, tmp_path, capsys):
+    table = EmbeddingTable.load(shuffled_table)
+    dropped = table.entity_names[-1]
+    EmbeddingTable(
+        table.entity_names[:-1],
+        table.relation_names,
+        table.entity_vectors[:-1],
+        table.relation_vectors,
+    ).save(tmp_path / "partial.kgt")
     assert main(
-        ["stats", "--input", str(demo_kg), "--out", str(out), "--workers", "0"]
-    ) == 1
+        ["validate", "--input", str(demo_kg), "--table", str(tmp_path / "partial.kgt"),
+         "--out", str(tmp_path / "o")]
+    ) == 2
+    assert repr(dropped) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _non_utf8_edges(tmp_path, demo_kg, table):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"cat\tIsA\tanimal\ncaf\xe9\tIsA\tplace\n")
+    return ["stats", "--input", str(path)]
+
+
+def _truncated_table(tmp_path, demo_kg, table):
+    path = tmp_path / "short.kgt"
+    path.write_bytes(table.read_bytes()[:-7])
+    return ["validate", "--input", str(demo_kg), "--table", str(path)]
+
+
+def _garbled_table_header(tmp_path, demo_kg, table):
+    data = bytearray(table.read_bytes())
+    data[8:12] = b"\xff{[}"
+    path = tmp_path / "garbled.kgt"
+    path.write_bytes(bytes(data))
+    return ["validate", "--input", str(demo_kg), "--table", str(path)]
+
+
+def _config(command, **fields):
+    def argv(tmp_path, demo_kg, table):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"input": str(demo_kg), **fields}), encoding="utf-8")
+        return [command, "--config", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, named",
+    [
+        (_non_utf8_edges, 2, "latin1.tsv:2"),
+        (_truncated_table, 2, "short.kgt"),
+        (_garbled_table_header, 2, "garbled.kgt"),
+        (_config("cluster", cluster={"relations": ["HasContext"], "k": "4"}), 1, "cluster.k"),
+        (_config("stats", validate={"enabled": "yes"}), 1, "validate.enabled"),
+        (_config("negation", negation={"forest": {"n_trees": "10"}}), 1, "negation.forest.n_trees"),
+    ],
+    ids=["non-utf8-edges", "truncated-table", "garbled-table", "k-as-string",
+         "enabled-as-string", "n-trees-as-string"],
+)
+def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
+    argv = make_argv(tmp_path, demo_kg, shuffled_table)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+ONE_PATH_CONFIG = {
+    "seed": 9,
+    "train": {"dimension": 8, "epochs": 3, "seed": 3},
+    "cluster": {"relations": ["HasContext"], "k": 4},
+    "negation": {"folds": 3, "forest": {"n_trees": 5, "max_depth": 4}},
+}
+
+
+@pytest.mark.parametrize("stage", ["validate", "relsim", "cluster", "negation"])
+def test_subcommand_bundle_equals_run_with_one_stage(stage, demo_kg, tmp_path):
+    config = {**ONE_PATH_CONFIG, "input": str(demo_kg)}
+    sub_config = tmp_path / "sub.json"
+    sub_config.write_text(json.dumps(config), encoding="utf-8")
+    assert main([stage, "--config", str(sub_config), "--out", str(tmp_path / "sub")]) == 0
+
+    config[stage] = {**config.get(stage, {}), "enabled": True}
+    config["out"] = str(tmp_path / "run")
+    run_config = tmp_path / "run.json"
+    run_config.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(run_config)]) == 0
+
+    def checksums(out):
+        files = json.loads((tmp_path / out / "manifest.json").read_text())["files"]
+        return {name: entry["sha256"] for name, entry in files.items()}
+
+    assert checksums("sub") == checksums("run")
+    assert "embeddings.kgt" in checksums("sub")

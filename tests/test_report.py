@@ -215,6 +215,44 @@ def test_pipeline_no_stages_gives_stats_only(demo_kg, tmp_path):
     assert set(bundle.manifest["files"]) == {"stats.json", "relation_stats.csv"}
 
 
+def test_pipeline_train_block_alone_trains(demo_kg, tmp_path):
+    config = PipelineConfig.from_json_dict(
+        {
+            "input": str(demo_kg),
+            "out": str(tmp_path / "trained"),
+            "train": {"dimension": 4, "epochs": 2, "seed": 1},
+        }
+    )
+    bundle = run_pipeline(config)
+    assert set(bundle.manifest["files"]) == {
+        "stats.json", "relation_stats.csv", "embeddings.kgt",
+    }
+    assert bundle.manifest["notes"]["train"]["triples"] == 376
+
+
+def test_config_type_errors_name_the_field():
+    with pytest.raises(ConfigError, match=r"cluster\.k: expected int, got str '4'"):
+        PipelineConfig.from_json_dict({"input": "x", "cluster": {"k": "4"}})
+    with pytest.raises(ConfigError, match=r"validate\.enabled: expected bool"):
+        PipelineConfig.from_json_dict({"input": "x", "validate": {"enabled": "yes"}})
+    with pytest.raises(ConfigError, match=r"train\.epochs: expected int, got bool"):
+        PipelineConfig.from_json_dict({"input": "x", "train": {"epochs": True}})
+    with pytest.raises(ConfigError, match=r"cluster\.k_range\[1\]"):
+        PipelineConfig.from_json_dict({"input": "x", "cluster": {"k_range": [2, "9"]}})
+    config = PipelineConfig.from_json_dict(
+        {
+            "input": "x",
+            "exclude_relations": ["A"],
+            "train": {"learning_rate": 1},
+            "cluster": {"relations": ["B"], "k_range": [2, 9]},
+            "negation": {"forest": {"max_features": 3}},
+        }
+    )
+    assert config.exclude_relations == ("A",)
+    assert config.cluster.relations == ("B",) and config.cluster.k_range == (2, 9)
+    assert config.train.learning_rate == 1
+
+
 def test_pipeline_missing_input_fails_fast(tmp_path):
     config = PipelineConfig.from_json_dict(
         {"input": str(tmp_path / "missing.tsv"), "out": str(tmp_path / "o")}
