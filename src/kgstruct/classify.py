@@ -36,6 +36,21 @@ class LogisticConfig:
     iterations: int = 500
     l2: float = 1e-3
 
+    def validate(self, where: str = "") -> None:
+        """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
+        prefix = f"{where}." if where else ""
+        if not self.learning_rate > 0:
+            raise ConfigError(f"{prefix}learning_rate: must be > 0, got {self.learning_rate}")
+        if self.iterations < 1:
+            raise ConfigError(f"{prefix}iterations: must be >= 1, got {self.iterations}")
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-z) overflows to inf for z below about -709; 1 / (1 + inf) is
+    # then 0.0, the correct limit, so the warning carries no information
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
 
 class LogisticRegressionClassifier:
     """Logistic regression with L2-penalized full-batch gradient descent.
@@ -50,6 +65,7 @@ class LogisticRegressionClassifier:
         self.bias_: float = 0.0
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "LogisticRegressionClassifier":
+        self.config.validate()
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         _check_binary(y)
@@ -59,8 +75,7 @@ class LogisticRegressionClassifier:
         lr = self.config.learning_rate
         lam = self.config.l2
         for _ in range(self.config.iterations):
-            z = x @ w + b
-            p = 1.0 / (1.0 + np.exp(-z))
+            p = _sigmoid(x @ w + b)
             err = p - y
             w -= lr * (x.T @ err / n + lam * w)
             b -= lr * float(err.mean())
@@ -71,8 +86,7 @@ class LogisticRegressionClassifier:
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         if self.weights_ is None:
             raise DataError("classifier is not fitted")
-        z = np.asarray(features, dtype=np.float64) @ self.weights_ + self.bias_
-        p1 = 1.0 / (1.0 + np.exp(-z))
+        p1 = _sigmoid(np.asarray(features, dtype=np.float64) @ self.weights_ + self.bias_)
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -87,6 +101,14 @@ class ForestConfig:
     max_features: str | int = "sqrt"  # "sqrt", "all", or a fixed count
     bootstrap: bool = True
     seed: int = 0
+
+    def validate(self, where: str = "") -> None:
+        """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
+        prefix = f"{where}." if where else ""
+        if self.n_trees < 1:
+            raise ConfigError(f"{prefix}n_trees: must be >= 1, got {self.n_trees}")
+        if self.max_depth < 1:
+            raise ConfigError(f"{prefix}max_depth: must be >= 1, got {self.max_depth}")
 
 
 class _TreeNode:
@@ -106,36 +128,40 @@ def _gini_best_split(
     """Best (feature, threshold, impurity) over candidate midpoints.
 
     Thresholds sit halfway between consecutive distinct sorted values; the
-    split sends rows with value <= threshold left. Returns None when no
+    split sends rows with value <= threshold left. All candidate features
+    are scanned at once: their columns are sorted together, and positions
+    that are not a boundary between distinct values score +inf. Ties go to
+    the lowest position, then to the earliest feature. Returns None when no
     candidate feature admits a split.
     """
     n = len(y)
-    best: tuple[int, float, float] | None = None
-    for feat in features:
-        col = x[:, feat]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        sorted_y = y[order]
-        distinct = np.flatnonzero(sorted_col[1:] > sorted_col[:-1])
-        if len(distinct) == 0:
-            continue
-        # cumulative positives up to each boundary -> vectorized Gini scan
-        left_n = distinct + 1.0
-        right_n = n - left_n
-        cum_pos = np.cumsum(sorted_y)[distinct].astype(np.float64)
-        total_pos = float(y.sum())
-        p_left = cum_pos / left_n
-        p_right = (total_pos - cum_pos) / right_n
-        gini = (
-            left_n * (2.0 * p_left * (1.0 - p_left))
-            + right_n * (2.0 * p_right * (1.0 - p_right))
-        ) / n
-        at = int(np.argmin(gini))
-        score = float(gini[at])
-        if best is None or score < best[2]:
-            threshold = 0.5 * (sorted_col[distinct[at]] + sorted_col[distinct[at] + 1])
-            best = (int(feat), float(threshold), score)
-    return best
+    if n < 2 or len(features) == 0:
+        return None
+    cols = x[:, features]
+    # the rows left of a boundary are the same set whatever the order of
+    # tied values, so an unstable (faster) sort finds the same split
+    order = np.argsort(cols, axis=0)
+    sorted_cols = np.take_along_axis(cols, order, axis=0)
+    # cumulative positives left of each cut -> vectorized Gini scan
+    cum_pos = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
+    left_n = np.arange(1.0, n)[:, None]
+    right_n = n - left_n
+    total_pos = float(y.sum())
+    p_left = cum_pos / left_n
+    p_right = (total_pos - cum_pos) / right_n
+    gini = (
+        left_n * (2.0 * p_left * (1.0 - p_left))
+        + right_n * (2.0 * p_right * (1.0 - p_right))
+    ) / n
+    gini[~(sorted_cols[1:] > sorted_cols[:-1])] = np.inf
+    at = gini.argmin(axis=0)
+    scores = gini[at, np.arange(len(features))]
+    best = int(scores.argmin())
+    if scores[best] == np.inf:
+        return None
+    cut = at[best]
+    threshold = 0.5 * (sorted_cols[cut, best] + sorted_cols[cut + 1, best])
+    return int(features[best]), float(threshold), float(scores[best])
 
 
 def _build_tree(
@@ -200,6 +226,7 @@ class RandomForestClassifier:
         return min(count, d)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
+        self.config.validate()
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.int64)
         _check_binary(y)

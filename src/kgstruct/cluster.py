@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingTable, translation_matrix
+from .embedding import EmbeddingTable, _scatter_add, translation_matrix
 from .errors import DataError
 from .graph import KnowledgeGraph
 
@@ -108,14 +108,15 @@ def _as_points(points) -> np.ndarray:
     return np.asarray(points, dtype=np.float64)
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return (x * x).sum(axis=1)
+
+
+def _squared_distances(x: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     # |x|^2 + |c|^2 - 2 x.c, clamped: cancellation can dip slightly below 0.
     # Fast (BLAS) but loses ~1e-8 precision; fine for nearest-centroid work.
-    sq = (
-        (x * x).sum(axis=1)[:, None]
-        + (centers * centers).sum(axis=1)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
+    # ``x_sq`` is _squared_norms(x), computed once by the caller.
+    sq = x_sq[:, None] + _squared_norms(centers)[None, :] - 2.0 * (x @ centers.T)
     return np.maximum(sq, 0.0)
 
 
@@ -135,14 +136,16 @@ def _exact_distances(a: np.ndarray, b: np.ndarray, col_chunk: int = 1024) -> np.
 _EXACT_DISTANCE_LIMIT = 2000
 
 
-def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plus_plus(
+    x: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray
+) -> np.ndarray:
     n = len(x)
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
     chosen = np.full(n, False)
     first = int(rng.integers(n))
     centers[0] = x[first]
     chosen[first] = True
-    closest = _squared_distances(x, centers[0:1])[:, 0]
+    closest = _squared_distances(x, centers[0:1], x_sq)[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total > 0.0:
@@ -153,7 +156,7 @@ def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             idx = int(unused[rng.integers(len(unused))]) if len(unused) else int(rng.integers(n))
         centers[j] = x[idx]
         chosen[idx] = True
-        closest = np.minimum(closest, _squared_distances(x, centers[j : j + 1])[:, 0])
+        closest = np.minimum(closest, _squared_distances(x, centers[j : j + 1], x_sq)[:, 0])
     return centers
 
 
@@ -178,6 +181,7 @@ def lloyd_kmeans(
     if not 1 <= k <= n:
         raise DataError(f"k must satisfy 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
+    x_sq = _squared_norms(x)
     if initial_centroids is not None:
         centers = np.array(initial_centroids, dtype=np.float64)
         if centers.shape != (k, x.shape[1]):
@@ -186,14 +190,14 @@ def lloyd_kmeans(
                 f"got {centers.shape}"
             )
     else:
-        centers = _kmeans_plus_plus(x, k, rng)
+        centers = _kmeans_plus_plus(x, k, rng, x_sq)
 
     history: list[float] = []
     assignments = np.zeros(n, dtype=np.int64)
     converged = False
     iteration = 0
     for iteration in range(1, max_iters + 1):
-        dists = _squared_distances(x, centers)
+        dists = _squared_distances(x, centers, x_sq)
         assignments = dists.argmin(axis=1)
         inertia = float(dists[np.arange(n), assignments].sum())
         history.append(inertia)
@@ -201,7 +205,7 @@ def lloyd_kmeans(
         new_centers = centers.copy()
         counts = np.bincount(assignments, minlength=k)
         sums = np.zeros_like(centers)
-        np.add.at(sums, assignments, x)
+        _scatter_add(sums, assignments, x)
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
 
@@ -220,7 +224,7 @@ def lloyd_kmeans(
             break
 
     # final assignment against the final centroids
-    dists = _squared_distances(x, centers)
+    dists = _squared_distances(x, centers, x_sq)
     assignments = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), assignments].sum())
     history.append(inertia)
@@ -243,8 +247,11 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
 
     s(i) = (b - a) / max(a, b) with a the mean distance to the point's own
     cluster (0 for singletons, yielding s = 0) and b the smallest mean
-    distance to another cluster. Needs 2 <= k <= n - 1. Distances come from
-    direct differencing in row chunks, trading speed for exactness.
+    distance to another cluster. Needs 2 <= k <= n - 1. Distances come in
+    row chunks: by direct differencing (exact) up to _EXACT_DISTANCE_LIMIT
+    points, and from the BLAS expansion |x|^2 + |y|^2 - 2 x.y (~1e-8 error)
+    above it. Each chunk's per-cluster distance sums are one product with
+    the n x k cluster indicator matrix.
     """
     x = _as_points(points)
     assignments = np.asarray(assignments)
@@ -255,27 +262,41 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
         raise DataError(f"silhouette needs 2 <= clusters <= {n - 1}, got {k}")
     label_of = np.searchsorted(labels, assignments)
     counts = np.bincount(label_of, minlength=k)
-    member_cols = [np.flatnonzero(label_of == j) for j in range(k)]
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), label_of] = 1.0
 
     exact = n <= _EXACT_DISTANCE_LIMIT
+    if not exact:
+        x_sq = _squared_norms(x)
+        buffer = np.empty((min(chunk, n), n))
+        gram = np.empty_like(buffer)
     scores = np.empty(n, dtype=np.float64)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
+        m = rows.stop - start
         if exact:
             d = _exact_distances(x[rows], x)
         else:
-            d = np.sqrt(_squared_distances(x[rows], x))
-        sums = np.column_stack([d[:, cols].sum(axis=1) for cols in member_cols])
+            # np.sqrt(_squared_distances(x[rows], x, x_sq[rows])) in place:
+            # the same operations in the same order, so the same bits
+            d, g = buffer[:m], gram[:m]
+            np.add(x_sq[rows, None], x_sq[None, :], out=d)
+            np.matmul(x[rows], x.T, out=g)
+            g *= 2.0
+            d -= g
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+        sums = d @ onehot
         own = label_of[rows]
         own_count = counts[own]
         # own-cluster mean excludes the point itself
         a = np.where(
             own_count > 1,
-            sums[np.arange(d.shape[0]), own] / np.maximum(own_count - 1, 1),
+            sums[np.arange(m), own] / np.maximum(own_count - 1, 1),
             0.0,
         )
         means = sums / counts[None, :]
-        means[np.arange(d.shape[0]), own] = np.inf
+        means[np.arange(m), own] = np.inf
         b = means.min(axis=1)
         denom = np.maximum(a, b)
         s = np.where(
@@ -349,17 +370,18 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
             f"k range must lie within [2, {len(x) - 1}], got [{ks[0]}, {ks[-1]}]"
         )
     curve = KSelectionCurve(ks=ks, inertia=[], silhouette=[], davies_bouldin=[], calinski_harabasz=[])
+    x_sq = _squared_norms(x)
     previous: ClusteringResult | None = None
     for k in ks:
         result = lloyd_kmeans(x, k, seed=seed + k)
         if previous is not None and k > previous.k:
             centers = previous.centroids
-            closest = _squared_distances(x, centers).min(axis=1)
+            closest = _squared_distances(x, centers, x_sq).min(axis=1)
             for _ in range(k - previous.k):
                 far = int(closest.argmax())
                 centers = np.vstack([centers, x[far : far + 1]])
                 closest = np.minimum(
-                    closest, _squared_distances(x, centers[-1:])[:, 0]
+                    closest, _squared_distances(x, centers[-1:], x_sq)[:, 0]
                 )
             warm = lloyd_kmeans(x, k, seed=seed + k, initial_centroids=centers)
             if warm.inertia < result.inertia:

@@ -173,8 +173,9 @@ class PipelineConfig:
             if self.negation.folds < 2:
                 raise ConfigError("negation.folds must be >= 2")
             for name, klass in (("linear", LogisticConfig), ("forest", ForestConfig)):
+                where = f"negation.{name}"
                 try:
-                    _load(klass, getattr(self.negation, name), f"negation.{name}")
+                    _load(klass, getattr(self.negation, name), where).validate(where)
                 except ConfigError as exc:
                     raise ConfigError(f"bad classifier hyperparameters: {exc}") from exc
 
@@ -710,10 +711,15 @@ def run_pipeline(
                 lambda: stage_validate(table, analysis_graph, config.validate, tmp_dir),
             )
         if config.relsim.enabled:
-            profiles = _relation_profiles(table, analysis_graph)
             notes["relsim"] = timed(
                 "relsim",
-                lambda: stage_relsim(table, analysis_graph, config.relsim, tmp_dir, profiles),
+                lambda: stage_relsim(
+                    table,
+                    analysis_graph,
+                    config.relsim,
+                    tmp_dir,
+                    _relation_profiles(table, analysis_graph),
+                ),
             )
         if config.cluster.enabled:
             notes["cluster"] = timed(

@@ -107,18 +107,19 @@ def similarity_lists(
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing their average rank."""
+    """1-based ranks with tied values sharing their average rank.
+
+    Values tie when they compare equal, so -0.0 ties with 0.0 and every NaN
+    is a group of its own.
+    """
     values = np.asarray(values, dtype=np.float64)
+    n = len(values)
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], n]  # exclusive
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 

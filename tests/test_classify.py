@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kgstruct.classify import (
     cross_validate,
     stratified_folds,
     train_forest_classifier,
+    _gini_best_split,
     train_linear_classifier,
 )
 from kgstruct.errors import ConfigError, DataError
@@ -66,6 +69,36 @@ def test_linear_rejects_single_class():
         train_linear_classifier(x, np.zeros(10, dtype=int))
 
 
+def test_linear_large_learning_rate_raises_no_overflow_warning():
+    x, y = separable_blobs(gap=20.0, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clf = train_linear_classifier(x, y, LogisticConfig(learning_rate=1e4, iterations=50))
+        proba = clf.predict_proba(x * 100.0)
+    assert np.isfinite(proba).all()
+    assert ((proba == 0.0) | (proba == 1.0)).any()  # saturated, at the correct limit
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (LogisticConfig(learning_rate=0.0), "learning_rate"),
+        (LogisticConfig(learning_rate=-1.0), "learning_rate"),
+        (LogisticConfig(learning_rate=float("nan")), "learning_rate"),
+        (LogisticConfig(iterations=0), "iterations"),
+        (ForestConfig(n_trees=0), "n_trees"),
+        (ForestConfig(max_depth=0), "max_depth"),
+    ],
+)
+def test_classifier_configs_reject_degenerate_values(config, field):
+    with pytest.raises(ConfigError, match=f"^negation.x.{field}: "):
+        config.validate("negation.x")
+    x, y = separable_blobs(n=20)
+    train = train_linear_classifier if isinstance(config, LogisticConfig) else train_forest_classifier
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        train(x, y, config)
+
+
 def test_linear_unfitted_predict():
     from kgstruct.classify import LogisticRegressionClassifier
 
@@ -110,6 +143,57 @@ def test_single_stump_matches_exhaustive_threshold_search():
     got = stump.predict(x)
     assert float((got != y).mean()) == pytest.approx(best_err)
     assert np.array_equal(got, best_pred)
+
+
+def per_feature_best_split(x, y, features):
+    """The split search as one stable argsort and Gini scan per feature."""
+    n = len(y)
+    best = None
+    for feat in features:
+        col = x[:, feat]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        sorted_y = y[order]
+        distinct = np.flatnonzero(sorted_col[1:] > sorted_col[:-1])
+        if len(distinct) == 0:
+            continue
+        left_n = distinct + 1.0
+        right_n = n - left_n
+        cum_pos = np.cumsum(sorted_y)[distinct].astype(np.float64)
+        total_pos = float(y.sum())
+        p_left = cum_pos / left_n
+        p_right = (total_pos - cum_pos) / right_n
+        gini = (
+            left_n * (2.0 * p_left * (1.0 - p_left))
+            + right_n * (2.0 * p_right * (1.0 - p_right))
+        ) / n
+        at = int(np.argmin(gini))
+        score = float(gini[at])
+        if best is None or score < best[2]:
+            threshold = 0.5 * (sorted_col[distinct[at]] + sorted_col[distinct[at] + 1])
+            best = (int(feat), float(threshold), score)
+    return best
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_gini_split_matches_per_feature_scan(trial):
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(2, 400))
+    d = int(rng.integers(1, 12))
+    # few distinct values: duplicates everywhere, and tied impurities
+    x = rng.integers(0, int(rng.integers(1, 6)), size=(n, d)).astype(np.float64)
+    x[:, rng.random(d) < 0.5] += rng.normal(size=n)[:, None]
+    x[:, rng.random(d) < 0.3] = 2.5  # constant columns
+    y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+    features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    assert _gini_best_split(x, y, features) == per_feature_best_split(x, y, features)
+
+
+def test_gini_split_none_without_boundary():
+    x = np.full((10, 3), 4.0)
+    y = np.asarray([0, 1] * 5)
+    assert _gini_best_split(x, y, np.arange(3)) is None
+    assert _gini_best_split(x[:1], y[:1], np.arange(3)) is None
 
 
 def test_forest_duplicated_rows_invariant_without_bootstrap():

@@ -260,9 +260,15 @@ def _config(command, **fields):
         (_config("cluster", cluster={"relations": ["HasContext"], "k": "4"}), 1, "cluster.k"),
         (_config("stats", validate={"enabled": "yes"}), 1, "validate.enabled"),
         (_config("negation", negation={"forest": {"n_trees": "10"}}), 1, "negation.forest.n_trees"),
+        (_config("negation", negation={"forest": {"n_trees": 0}}), 1, "negation.forest.n_trees"),
+        (_config("negation", negation={"forest": {"max_depth": 0}}), 1, "negation.forest.max_depth"),
+        (_config("negation", negation={"linear": {"iterations": 0}}), 1, "negation.linear.iterations"),
+        (_config("negation", negation={"linear": {"learning_rate": -0.5}}), 1,
+         "negation.linear.learning_rate"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "k-as-string",
-         "enabled-as-string", "n-trees-as-string"],
+         "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
+         "zero-iterations", "negative-learning-rate"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)

@@ -16,6 +16,7 @@ from kgstruct.cluster import (
     separation_scores,
     silhouette_score,
 )
+from kgstruct import cluster
 from kgstruct.errors import DataError
 from kgstruct.graph import KnowledgeGraph
 
@@ -194,6 +195,26 @@ def test_kmeans_warm_start_initial_centroids():
         lloyd_kmeans(x, 2, seed=0, initial_centroids=np.zeros((3, 2)))
 
 
+def test_kmeans_centroid_sums_match_add_at_reference():
+    # the benchmark's HasContext size: 4,000 points, d = 32, k = 20
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(4000, 32)) + rng.integers(0, 6, size=(4000, 1))
+    start = x[rng.choice(len(x), size=20, replace=False)]
+    start[-1] = 1e6  # far from every point: this cluster stays empty
+    result = lloyd_kmeans(x, 20, initial_centroids=start, max_iters=1)
+
+    assigned = ((x[:, None, :] - start[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    sums = np.zeros_like(start)
+    np.add.at(sums, assigned, x)
+    counts = np.bincount(assigned, minlength=20)
+    assert counts[-1] == 0
+    expected = sums[:-1] / counts[:-1, None]
+    # sorted reduceat sums in another order than np.add.at: equal up to rounding
+    np.testing.assert_allclose(result.centroids[:-1], expected, rtol=1e-12, atol=1e-12)
+    # the empty cluster was reseeded at a data point
+    assert any(np.array_equal(result.centroids[-1], row) for row in x)
+
+
 # -- scores vs brute force -----------------------------------------------------------
 
 
@@ -222,6 +243,40 @@ def test_silhouette_five_point_hand_fixture():
     x = np.asarray([[0.0], [1.0], [10.0], [11.0], [12.0]])
     labels = np.asarray([0, 0, 1, 1, 1])
     assert silhouette_score(x, labels) == pytest.approx(brute_silhouette(x, labels), abs=1e-12)
+
+
+def test_silhouette_blas_path_matches_bruteforce(monkeypatch):
+    # force the BLAS distance path at a size the O(n^2) Python oracle can afford;
+    # chunk=7 leaves a partial last chunk
+    monkeypatch.setattr(cluster, "_EXACT_DISTANCE_LIMIT", 0)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(150, 4)) + rng.integers(0, 3, size=(150, 1)) * 4.0
+    labels = lloyd_kmeans(x, 5, seed=1).assignments
+    labels[0] = 7  # a singleton cluster scores 0
+    for chunk in (7, 128, 1000):
+        assert silhouette_score(x, labels, chunk=chunk) == pytest.approx(
+            brute_silhouette(x, labels), abs=1e-9
+        )
+
+
+def test_silhouette_blas_path_at_benchmark_size():
+    n = 2500  # above _EXACT_DISTANCE_LIMIT, so distances come from BLAS
+    assert n > cluster._EXACT_DISTANCE_LIMIT
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(n, 8)) + rng.integers(0, 4, size=(n, 1)) * 3.0
+    labels = lloyd_kmeans(x, 6, seed=2).assignments
+    # brute_silhouette's Python loops take ~30 s at this size; this oracle
+    # keeps its direct differencing and per-point means, one row at a time
+    sizes = np.bincount(labels)
+    expected = np.empty(n)
+    for i in range(n):
+        dist = np.linalg.norm(x - x[i], axis=1)
+        means = np.bincount(labels, weights=dist) / sizes
+        own = labels[i]
+        a = dist[labels == own].sum() / (sizes[own] - 1)
+        b = np.delete(means, own).min()
+        expected[i] = (b - a) / max(a, b)
+    assert silhouette_score(x, labels) == pytest.approx(float(expected.mean()), abs=1e-9)
 
 
 def test_silhouette_rejects_single_cluster():

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgstruct import report
 from kgstruct.errors import ConfigError, DataError
 from kgstruct.graph import write_generic_3col
 from kgstruct.relsim import SimilarityMatrix
@@ -213,6 +215,25 @@ def test_pipeline_no_stages_gives_stats_only(demo_kg, tmp_path):
     )
     bundle = run_pipeline(config)
     assert set(bundle.manifest["files"]) == {"stats.json", "relation_stats.csv"}
+
+
+def test_relsim_timing_includes_the_profile_pass(demo_kg, tmp_path, monkeypatch):
+    profiles = report._relation_profiles
+
+    def slow_profiles(*args):
+        time.sleep(0.5)
+        return profiles(*args)
+
+    monkeypatch.setattr(report, "_relation_profiles", slow_profiles)
+    config = PipelineConfig.from_json_dict(
+        {
+            "input": str(demo_kg),
+            "out": str(tmp_path / "relsim"),
+            "train": {"dimension": 4, "epochs": 1, "seed": 1},
+            "relsim": {"enabled": True},
+        }
+    )
+    assert run_pipeline(config).manifest["timings_seconds"]["relsim"] >= 0.5
 
 
 def test_pipeline_train_block_alone_trains(demo_kg, tmp_path):

@@ -52,6 +52,41 @@ def test_average_ranks_ties():
     assert average_ranks(np.asarray([10.0, 20.0, 20.0, 5.0])).tolist() == [2.0, 3.5, 3.5, 1.0]
 
 
+def loop_average_ranks(values):
+    """Average ranks by walking each run of equal sorted values in Python."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_nan_and_signed_zero():
+    values = np.asarray([np.nan, 0.0, -0.0, 1.0, np.nan, 0.0])
+    # the zeros tie; each NaN sorts last and ranks alone
+    assert average_ranks(values).tolist() == [5.0, 2.0, 2.0, 4.0, 6.0, 2.0]
+    assert average_ranks(np.asarray([])).tolist() == []
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_average_ranks_match_loop(trial):
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(1, 5000))
+    values = np.round(rng.normal(size=n), int(rng.integers(0, 4)))  # many ties
+    values[rng.random(n) < 0.05] = np.nan
+    values[rng.random(n) < 0.05] = 0.0
+    values[rng.random(n) < 0.05] = -0.0
+    values[rng.random(n) < 0.02] = np.inf
+    assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
+
+
 @given(
     values=st.lists(
         st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=2, max_size=40
