@@ -31,10 +31,8 @@ from .graph import (  # noqa: F401
 from .embedding import (  # noqa: F401
     EmbeddingTable,
     TrainConfig,
-    centroid_vector,
     hits_at_k,
     train,
-    translation_vector,
 )
 from .validation import (  # noqa: F401
     RelationProfile,

@@ -109,6 +109,13 @@ class ForestConfig:
             raise ConfigError(f"{prefix}n_trees: must be >= 1, got {self.n_trees}")
         if self.max_depth < 1:
             raise ConfigError(f"{prefix}max_depth: must be >= 1, got {self.max_depth}")
+        mf = self.max_features
+        if mf not in ("sqrt", "all") and not (
+            isinstance(mf, int) and not isinstance(mf, bool) and mf >= 1
+        ):
+            raise ConfigError(
+                f"{prefix}max_features: must be 'sqrt', 'all' or an int >= 1, got {mf!r}"
+            )
 
 
 class _TreeNode:
@@ -220,10 +227,7 @@ class RandomForestClassifier:
             return max(1, int(np.sqrt(d)))
         if mf == "all":
             return d
-        count = int(mf)
-        if count < 1:
-            raise ConfigError(f"max_features must be >= 1, got {mf!r}")
-        return min(count, d)
+        return min(mf, d)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
         self.config.validate()

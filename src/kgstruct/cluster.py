@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingTable, _scatter_add, translation_matrix
+from .embedding import EmbeddingTable, _scatter_add, translation_matrix, unit_rows
 from .errors import DataError
 from .graph import KnowledgeGraph
 
@@ -397,14 +397,6 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
 # -- cohesion / separation ---------------------------------------------------
 
 
-def _normalize(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(vectors, axis=1)
-    ok = norms > 0.0
-    unit = np.zeros_like(vectors)
-    unit[ok] = vectors[ok] / norms[ok, None]
-    return unit, ok
-
-
 def cohesion_scores(points, result: ClusteringResult) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster (raw mean normalized distance, 1 - raw).
 
@@ -413,12 +405,12 @@ def cohesion_scores(points, result: ClusteringResult) -> tuple[np.ndarray, np.nd
     that are empty or have a zero-norm centroid get NaN.
     """
     x = _as_points(points)
-    unit_points, point_ok = _normalize(x)
+    unit_points, point_ok = unit_rows(x)
     if not point_ok.all():
         log.warning(
             "cohesion: skipping %d zero-norm points", int((~point_ok).sum())
         )
-    unit_centroids, centroid_ok = _normalize(result.centroids)
+    unit_centroids, centroid_ok = unit_rows(result.centroids)
     raw = np.full(result.k, np.nan)
     for j in range(result.k):
         members = np.flatnonzero((result.assignments == j) & point_ok)
@@ -435,7 +427,7 @@ def separation_scores(result: ClusteringResult) -> np.ndarray:
     """Per-cluster mean distance from its normalized centroid to the others."""
     if result.k < 2:
         raise DataError("separation needs k >= 2")
-    unit, ok = _normalize(result.centroids)
+    unit, ok = unit_rows(result.centroids)
     if not ok.all():
         log.warning(
             "separation: %d zero-norm centroids get NaN", int((~ok).sum())

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
 
@@ -115,25 +115,19 @@ class EmbeddingTable:
         except KeyError:
             raise DataError(f"relation not embedded: {name!r}") from None
 
-    def entity_vector(self, entity: int | str) -> np.ndarray:
-        row = self.entity_row(entity) if isinstance(entity, str) else int(entity)
-        if not 0 <= row < self.n_entities:
-            raise DataError(f"entity id out of range: {row}")
-        return self.entity_vectors[row]
-
-    def relation_vector(self, relation: int | str) -> np.ndarray:
-        row = self.relation_row(relation) if isinstance(relation, str) else int(relation)
-        if not 0 <= row < self.n_relations:
-            raise DataError(f"relation id out of range: {row}")
-        return self.relation_vectors[row]
-
-    def aligned_to(self, graph: KnowledgeGraph) -> "EmbeddingTable":
-        """This table's rows reordered into ``graph``'s interning, matched by name.
+    def rows_of(self, graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
+        """This table's row of every entity and relation of ``graph``, by name.
 
         Raises DataError naming the first graph symbol the table lacks.
         """
-        ent_rows = [self.entity_row(name) for name in graph.entity_names]
-        rel_rows = [self.relation_row(name) for name in graph.relation_names]
+        return (
+            np.asarray([self.entity_row(name) for name in graph.entity_names], dtype=np.int64),
+            np.asarray([self.relation_row(name) for name in graph.relation_names], dtype=np.int64),
+        )
+
+    def aligned_to(self, graph: KnowledgeGraph) -> "EmbeddingTable":
+        """This table's rows reordered into ``graph``'s interning, matched by name."""
+        ent_rows, rel_rows = self.rows_of(graph)
         return EmbeddingTable(
             graph.entity_names,
             graph.relation_names,
@@ -170,7 +164,11 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        """Read a table written by :meth:`save`; a damaged file is a DataError."""
+        """Read a table written by :meth:`save`.
+
+        A damaged file, including one whose matrix holds a NaN or infinity,
+        is a DataError naming the path.
+        """
         try:
             with open(path, "rb") as handle:
                 if handle.read(4) != _MAGIC:
@@ -187,6 +185,8 @@ class EmbeddingTable:
             if len(raw) != 4 * (n_ent + n_rel) * dim:
                 raise DataError(f"{path}: truncated embedding matrix")
             data = np.frombuffer(raw, dtype="<f4")
+            if not np.isfinite(data).all():
+                raise DataError(f"{path}: non-finite value in embedding matrix")
             config = TrainConfig(**header["config"]) if header.get("config") else None
             return cls(
                 header["entity_names"],
@@ -201,24 +201,15 @@ class EmbeddingTable:
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed embedding table: {exc!r}") from exc
 
-    def write_csv(self, path: str | Path) -> None:
-        """Human-inspectable export: kind,name,v0,...,v{d-1}."""
-        with open(path, "w", encoding="utf-8") as out:
-            header = ",".join(f"v{i}" for i in range(self.dimension))
-            out.write(f"kind,name,{header}\n")
-            for names, vecs, kind in (
-                (self.entity_names, self.entity_vectors, "entity"),
-                (self.relation_names, self.relation_vectors, "relation"),
-            ):
-                for name, vec in zip(names, vecs):
-                    quoted = '"%s"' % name.replace('"', '""')
-                    out.write(f"{kind},{quoted}," + ",".join(f"{v:.6f}" for v in vec) + "\n")
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``x`` scaled to unit length, and the mask of nonzero rows.
 
-def _normalize_rows(mat: np.ndarray) -> None:
-    norms = np.sqrt((mat * mat).sum(axis=1, keepdims=True))
-    np.maximum(norms, np.float32(1e-12), out=norms)
-    mat /= norms
+    Zero rows stay zero. The dtype of ``x`` is kept.
+    """
+    norms = np.sqrt((x * x).sum(axis=1))
+    ok = norms > 0
+    return np.divide(x, norms[:, None], out=np.zeros_like(x), where=ok[:, None]), ok
 
 
 def _scatter_add(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
@@ -260,7 +251,7 @@ def train(
     bound = np.float32(6.0 / np.sqrt(dim))
     ent = rng.uniform(-bound, bound, size=(graph.n_entities, dim)).astype(np.float32)
     rel = rng.uniform(-bound, bound, size=(graph.n_relations, dim)).astype(np.float32)
-    _normalize_rows(rel)
+    rel, _ = unit_rows(rel)
 
     triples = graph.triples[triple_indices]
     n = len(triples)
@@ -268,7 +259,7 @@ def train(
     losses: list[float] = []
 
     for epoch in range(config.epochs):
-        _normalize_rows(ent)
+        ent, _ = unit_rows(ent)
         lr = np.float32(config.learning_rate * (1.0 - epoch / config.epochs))
         perm = rng.permutation(n)
         epoch_loss = 0.0
@@ -334,24 +325,6 @@ def train(
     )
 
 
-def translation_vector(table: EmbeddingTable, triple: Triple) -> np.ndarray:
-    """Per-triple relation footprint: tail vector minus head vector."""
-    return table.entity_vector(triple.tail) - table.entity_vector(triple.head)
-
-
-def centroid_vector(
-    table: EmbeddingTable, graph: KnowledgeGraph, relation: int | str
-) -> np.ndarray:
-    """Mean translation vector over all triples of one relation (float64)."""
-    rows = graph.relation_triples(relation)
-    if len(rows) == 0:
-        raise DataError(
-            f"relation has no triples: {relation!r}"
-        )
-    vecs = translation_matrix(table, rows)
-    return vecs.mean(axis=0)
-
-
 def translation_matrix(table: EmbeddingTable, triple_rows: np.ndarray) -> np.ndarray:
     """Stack tail-minus-head vectors for (h, r, t) id rows, as float64."""
     heads = table.entity_vectors[triple_rows[:, 0]].astype(np.float64)
@@ -364,49 +337,22 @@ def hits_at_k(
     graph: KnowledgeGraph,
     k: int,
     batch_size: int = 256,
-    skip_missing: bool = False,
 ) -> float:
     """Fraction of triples whose true tail is ranked in the top k.
 
-    Candidates are ranked by ascending squared distance between
-    head + relation and every embedded entity; rank counts entities
-    strictly closer than the true tail, so ties rank optimistically.
-    Entities or relations absent from the table raise unless
-    ``skip_missing`` is set, in which case those triples are dropped.
+    The graph's symbols are mapped to table rows by name, and candidates
+    are every entity of the table, ranked by ascending squared distance to
+    head + relation; rank counts entities strictly closer than the true
+    tail, so ties rank optimistically. A graph symbol the table lacks
+    raises DataError naming it.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if graph.n_triples == 0:
         raise DataError("empty test set")
-
-    same_interning = (
-        graph.entity_names == table.entity_names
-        and graph.relation_names == table.relation_names
-    )
-    if same_interning:
-        rows = graph.triples
-    else:
-        kept: list[tuple[int, int, int]] = []
-        missing = 0
-        for h, r, t in graph.triples:
-            try:
-                kept.append(
-                    (
-                        table.entity_row(graph.entity_names[h]),
-                        table.relation_row(graph.relation_names[r]),
-                        table.entity_row(graph.entity_names[t]),
-                    )
-                )
-            except DataError:
-                if not skip_missing:
-                    raise
-                missing += 1
-        if missing:
-            log.warning("hits_at_k: skipped %d triples with unembedded symbols", missing)
-        if not kept:
-            raise DataError("no test triples are covered by the embedding table")
-        rows = np.asarray(kept, dtype=np.int64)
-
+    ent_rows, rel_rows = table.rows_of(graph)
+    h, r, t = graph.triples.T
+    rows = np.column_stack([ent_rows[h], rel_rows[r], ent_rows[t]])
     ent = table.entity_vectors.astype(np.float64)
     ent_sq = (ent * ent).sum(axis=1)
     hits = 0

@@ -214,16 +214,8 @@ def assemble_dataset(
         (universe.negative_pairs, LABEL_NEGATIVE),
         (sample.pairs, LABEL_UNKNOWN),
     ]
-    participating = np.unique(
-        np.concatenate([p[:, 0] for p, _ in blocks] + [p[:, 1] for p, _ in blocks])
-    )
-    if len(participating) and int(participating.max()) >= table.n_entities:
-        raise DataError("embedding table does not cover every participating entity")
-    for ent in participating:
-        if table.entity_names[ent] != universe.entity_names[ent]:
-            raise DataError(
-                "embedding table interning does not match the universe's graph"
-            )
+    if table.entity_names != universe.entity_names:
+        raise DataError("embedding table interning does not match the universe's graph")
     features = []
     labels = []
     pairs = []

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .definitions import CONCEPTNET_RELATION_DEFINITIONS
+from .embedding import unit_rows
 from .errors import DataError
 from .graph import KnowledgeGraph
 from .validation import RelationProfile
@@ -51,8 +52,13 @@ class DefinitionCorpus:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DefinitionCorpus":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise DataError(f"cannot read definition corpus {path}: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"definition corpus {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise DataError(f"{path}: definition corpus must be a JSON object")
         return cls({str(k): str(v) for k, v in data.items()})
@@ -125,13 +131,10 @@ def tfidf_vectors(corpus: DefinitionCorpus) -> tuple[list[str], np.ndarray]:
 
 
 def _cosine_matrix(vectors: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1)
-    zero = norms == 0.0
-    if zero.any():
-        bad = [labels[i] for i in np.flatnonzero(zero)]
+    unit, ok = unit_rows(vectors)
+    if not ok.all():
+        bad = [labels[i] for i in np.flatnonzero(~ok)]
         log.warning("zero-norm vectors get similarity 0 to everything: %s", bad)
-    safe = np.where(zero, 1.0, norms)
-    unit = vectors / safe[:, None]
     sims = unit @ unit.T
     sims = 0.5 * (sims + sims.T)  # enforce exact symmetry
     return np.clip(sims, -1.0, 1.0)

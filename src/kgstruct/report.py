@@ -161,6 +161,11 @@ class PipelineConfig:
                 raise ConfigError("cluster stage enabled but no relations listed")
             if self.cluster.k < 1:
                 raise ConfigError("cluster.k must be >= 1")
+            if self.cluster.exemplars_per_cluster < 1:
+                raise ConfigError(
+                    "cluster.exemplars_per_cluster must be >= 1, "
+                    f"got {self.cluster.exemplars_per_cluster}"
+                )
             if self.cluster.k_range is not None:
                 lo, hi = self.cluster.k_range
                 if lo < 2 or hi < lo:
@@ -412,11 +417,10 @@ def tfidf_reference_check(matrix: SimilarityMatrix) -> dict:
 
 
 def stage_relsim(
-    table: EmbeddingTable | None,
     graph: KnowledgeGraph,
     cfg: RelsimStage,
     out_dir: Path,
-    profiles: list[RelationProfile] | None = None,
+    profiles: list[RelationProfile],
 ) -> dict:
     corpus = (
         DefinitionCorpus.from_json(cfg.definitions_path)
@@ -426,14 +430,11 @@ def stage_relsim(
     matrices = {"tfidf": tfidf_similarity_matrix(corpus)}
     matrices["jaccard_head"] = jaccard_overlap_matrix(graph, "head")
     matrices["jaccard_tail"] = jaccard_overlap_matrix(graph, "tail")
-    if table is not None:
-        if profiles is None:
-            profiles = _relation_profiles(table, graph)
-        for kind in ("centroid", "direct"):
-            try:
-                matrices[f"cosine_{kind}"] = embedding_similarity_matrix(profiles, kind)
-            except DataError as exc:
-                log.warning("skipping cosine-%s matrix: %s", kind, exc)
+    for kind in ("centroid", "direct"):
+        try:
+            matrices[f"cosine_{kind}"] = embedding_similarity_matrix(profiles, kind)
+        except DataError as exc:
+            log.warning("skipping cosine-%s matrix: %s", kind, exc)
 
     summary: dict = {"tfidf": tfidf_reference_check(matrices["tfidf"])}
     for label, matrix in matrices.items():
@@ -463,7 +464,7 @@ def stage_cluster(
         if cfg.k_range is not None and len(points) - 1 >= cfg.k_range[0]:
             lo, hi = cfg.k_range
             hi = min(hi, len(points) - 1)
-            curve = k_selection_scores(points, range(lo, hi + 1), seed=cfg.seed or 0)
+            curve = k_selection_scores(points, range(lo, hi + 1), seed=cfg.seed)
             with open(rel_dir / "kselection.csv", "w", encoding="utf-8", newline="") as out:
                 writer = csv.writer(out)
                 writer.writerow(
@@ -480,7 +481,7 @@ def stage_cluster(
                         ]
                     )
         k = min(cfg.k, len(points))
-        result = lloyd_kmeans(points, k, seed=cfg.seed or 0)
+        result = lloyd_kmeans(points, k, seed=cfg.seed)
         report = quality_report(points, result, relation=points.relation)
         with open(rel_dir / "quality.csv", "w", encoding="utf-8", newline="") as out:
             writer = csv.writer(out)
@@ -502,7 +503,7 @@ def stage_cluster(
                 ["std_dev", "", _fmt(report.cohesion_raw_std), "", _fmt(report.separation_std)]
             )
         exemplars = sample_cluster_exemplars(
-            result, graph, relation, per_cluster=cfg.exemplars_per_cluster, seed=cfg.seed or 0
+            result, graph, relation, per_cluster=cfg.exemplars_per_cluster, seed=cfg.seed
         )
         with open(rel_dir / "exemplars.csv", "w", encoding="utf-8", newline="") as out:
             writer = csv.writer(out)
@@ -568,7 +569,7 @@ def stage_negation(
         cfg.relation,
         cfg.negation_relation,
         folds=cfg.folds,
-        seed=cfg.seed or 0,
+        seed=cfg.seed,
         classifier=cfg.classifier,
         linear_config=linear_cfg,
         forest_config=forest_cfg,
@@ -714,7 +715,6 @@ def run_pipeline(
             notes["relsim"] = timed(
                 "relsim",
                 lambda: stage_relsim(
-                    table,
                     analysis_graph,
                     config.relsim,
                     tmp_dir,

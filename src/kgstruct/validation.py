@@ -61,12 +61,6 @@ class ValidationRecord:
     skipped: int
 
 
-def _cosine_to_rows(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
-    vnorm = np.linalg.norm(vector)
-    return (rows @ vector) / (norms * vnorm)
-
-
 def similarity_lists(
     table: EmbeddingTable, graph: KnowledgeGraph, relation: int | str
 ) -> RelationProfile:
@@ -76,22 +70,27 @@ def similarity_lists(
     rows = graph.relation_triples(rid)
     if len(rows) == 0:
         raise DataError(f"relation has no triples: {name!r}")
-    direct = table.relation_vector(table.relation_row(name)).astype(np.float64)
+    direct = table.relation_vectors[table.relation_row(name)].astype(np.float64)
     vecs = translation_matrix(table, rows)
     centroid = vecs.mean(axis=0)
 
-    nonzero = np.linalg.norm(vecs, axis=1) > 0.0
+    # divide by norms, not unit vectors: those round differently (checksummed rho, KL)
+    norms = np.linalg.norm(vecs, axis=1)
+    nonzero = norms > 0.0
     skipped = int(len(vecs) - nonzero.sum())
     if skipped:
         log.warning(
             "relation %s: skipped %d zero translation vectors", name, skipped
         )
     vecs = vecs[nonzero]
+    norms = norms[nonzero]
     if len(vecs) == 0:
         raise DataError(f"relation {name!r}: all translation vectors are zero")
-    if np.linalg.norm(direct) == 0.0:
+    direct_norm = np.linalg.norm(direct)
+    if direct_norm == 0.0:
         raise DataError(f"relation {name!r}: direct vector has zero norm")
-    if np.linalg.norm(centroid) == 0.0:
+    centroid_norm = np.linalg.norm(centroid)
+    if centroid_norm == 0.0:
         raise DataError(f"relation {name!r}: centroid vector has zero norm")
 
     return RelationProfile(
@@ -99,8 +98,8 @@ def similarity_lists(
         relation_id=rid,
         centroid=centroid,
         direct=direct,
-        direct_sims=_cosine_to_rows(direct, vecs),
-        centroid_sims=_cosine_to_rows(centroid, vecs),
+        direct_sims=(vecs @ direct) / (norms * direct_norm),
+        centroid_sims=(vecs @ centroid) / (norms * centroid_norm),
         triple_count=len(rows),
         skipped=skipped,
     )

@@ -1,8 +1,11 @@
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kgstruct.cli import main
 from kgstruct.embedding import EmbeddingTable
@@ -243,11 +246,28 @@ def _garbled_table_header(tmp_path, demo_kg, table):
     return ["validate", "--input", str(demo_kg), "--table", str(path)]
 
 
+def _nan_in_table(tmp_path, demo_kg, table):
+    path = tmp_path / "nan.kgt"
+    path.write_bytes(table.read_bytes()[:-4] + b"\x00\x00\xc0\x7f")  # float32 NaN
+    return ["validate", "--input", str(demo_kg), "--table", str(path)]
+
+
 def _config(command, **fields):
     def argv(tmp_path, demo_kg, table):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"input": str(demo_kg), **fields}), encoding="utf-8")
         return [command, "--config", str(path)]
+    return argv
+
+
+def _definitions(text):
+    """A relsim run whose definitions file holds ``text``, or is absent for None."""
+    def argv(tmp_path, demo_kg, table):
+        path = tmp_path / "defs.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        config = _config("relsim", relsim={"definitions_path": str(path)})
+        return config(tmp_path, demo_kg, table)
     return argv
 
 
@@ -257,6 +277,7 @@ def _config(command, **fields):
         (_non_utf8_edges, 2, "latin1.tsv:2"),
         (_truncated_table, 2, "short.kgt"),
         (_garbled_table_header, 2, "garbled.kgt"),
+        (_nan_in_table, 2, "nan.kgt"),
         (_config("cluster", cluster={"relations": ["HasContext"], "k": "4"}), 1, "cluster.k"),
         (_config("stats", validate={"enabled": "yes"}), 1, "validate.enabled"),
         (_config("negation", negation={"forest": {"n_trees": "10"}}), 1, "negation.forest.n_trees"),
@@ -265,10 +286,17 @@ def _config(command, **fields):
         (_config("negation", negation={"linear": {"iterations": 0}}), 1, "negation.linear.iterations"),
         (_config("negation", negation={"linear": {"learning_rate": -0.5}}), 1,
          "negation.linear.learning_rate"),
+        (_definitions(None), 2, "defs.json"),
+        (_definitions("{'HasA': 1"), 2, "defs.json"),
+        (_config("negation", negation={"forest": {"max_features": "log2"}}), 1,
+         "negation.forest.max_features"),
+        (_config("cluster", cluster={"relations": ["HasContext"], "exemplars_per_cluster": 0}),
+         1, "cluster.exemplars_per_cluster"),
     ],
-    ids=["non-utf8-edges", "truncated-table", "garbled-table", "k-as-string",
+    ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
-         "zero-iterations", "negative-learning-rate"],
+         "zero-iterations", "negative-learning-rate", "missing-definitions",
+         "non-json-definitions", "max-features-log2", "zero-exemplars"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -304,3 +332,99 @@ def test_subcommand_bundle_equals_run_with_one_stage(stage, demo_kg, tmp_path):
 
     assert checksums("sub") == checksums("run")
     assert "embeddings.kgt" in checksums("sub")
+
+
+# -- the exit-code contract under corrupted input ---------------------------------
+
+FUZZ_CONFIG = {
+    "seed": 9,
+    "sample_size": None,
+    "train": {"dimension": 8, "epochs": 2, "seed": 3},
+    "validate": {"enabled": True, "bins": 20},
+    "relsim": {"enabled": True, "definitions_path": None},
+    "cluster": {"enabled": True, "relations": ["HasContext"], "k": 4, "k_range": None},
+    "negation": {
+        "enabled": True,
+        "folds": 3,
+        "classifier": "both",
+        "forest": {"n_trees": 3, "max_depth": 3, "max_features": "sqrt"},
+    },
+}
+
+
+def _leaves(node, path=()):
+    """(path, value) of every non-container value in a parsed JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def _json_type(value) -> str:
+    for kind, name in ((bool, "boolean"), ((int, float), "number"), (str, "string"),
+                       (list, "array"), (dict, "object")):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+# small ints only: a large count or size would make a huge allocation
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 40), max_size=3),
+    st.dictionaries(st.sampled_from(["enabled", "k", "seed"]), st.integers(-3, 40), max_size=2),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_corrupted_input_never_exits_3(
+    data, demo_kg, shuffled_table, tmp_path, monkeypatch, capsys
+):
+    """A damaged table, edge file or config exits 0, 1 or 2, never as an internal error."""
+    # one fresh directory per example; relative paths in a corrupted config land in it
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    kind = data.draw(st.sampled_from(["table", "edges", "config"]), label="kind")
+    if kind == "table":
+        raw = shuffled_table.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+            raw = raw[:at] + bytes([byte]) + raw[at + 1 :]
+        Path("t.kgt").write_bytes(raw)
+        argv = ["validate", "--input", str(demo_kg), "--table", "t.kgt"]
+    elif kind == "edges":
+        raw = demo_kg.read_bytes()
+        at = data.draw(st.integers(0, len(raw)), label="offset")
+        raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8), label="bytes") + raw[at:]
+        Path("e.tsv").write_bytes(raw)
+        argv = ["stats", "--input", "e.tsv"]
+    else:
+        config = json.loads(json.dumps(FUZZ_CONFIG))
+        path, old = data.draw(st.sampled_from(list(_leaves(config))), label="leaf")
+        new = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)), label="new")
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = new
+        Path("c.json").write_text(
+            json.dumps({"input": str(demo_kg), **config}), encoding="utf-8"
+        )
+        argv = ["run", "--config", "c.json"]
+    capsys.readouterr()
+    code = main([*argv, "--out", "o"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err

@@ -7,13 +7,14 @@ from conftest import make_table
 from kgstruct.embedding import (
     EmbeddingTable,
     TrainConfig,
-    centroid_vector,
     hits_at_k,
     train,
-    translation_vector,
+    translation_matrix,
+    unit_rows,
 )
 from kgstruct.errors import ConfigError, DataError, TrainingDivergedError
-from kgstruct.graph import KnowledgeGraph, SplitSpec, Triple, split_indices
+from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices
+from kgstruct.validation import similarity_lists
 
 
 def planted_block_graph(n_heads=300, n_tails=20, n_triples=1000, seed=5):
@@ -70,8 +71,8 @@ def test_train_planted_structure_beats_random_baseline():
     )
     untrained = train(graph, TrainConfig(dimension=32, epochs=0, seed=2))
     test_graph = graph.subset(test_idx)
-    hits_trained = hits_at_k(trained, test_graph, 10, skip_missing=True)
-    hits_untrained = hits_at_k(untrained, test_graph, 10, skip_missing=True)
+    hits_trained = hits_at_k(trained, test_graph, 10)
+    hits_untrained = hits_at_k(untrained, test_graph, 10)
     assert hits_trained >= 5 * max(hits_untrained, 1e-9)
 
 
@@ -100,15 +101,18 @@ def test_train_divergence_detected():
 # -- translation and centroid -----------------------------------------------------
 
 
+def _translation(table, h, t):
+    return translation_matrix(table, np.asarray([[h, 0, t]]))[0]
+
+
 def test_translation_componentwise():
     table = make_table({"h": [0.5, 1.0], "t": [1.0, 2.0]}, {"r": [0.0, 0.0]})
-    vec = translation_vector(table, Triple(0, 0, 1))
-    assert vec.tolist() == [0.5, 1.0]
+    assert _translation(table, 0, 1).tolist() == [0.5, 1.0]
 
 
 def test_translation_zero_for_identical_embeddings():
     table = make_table({"a": [0.3, -0.7], "b": [0.3, -0.7]}, {"r": [0.0, 0.0]})
-    assert translation_vector(table, Triple(0, 0, 1)).tolist() == [0.0, 0.0]
+    assert _translation(table, 0, 1).tolist() == [0.0, 0.0]
 
 
 @given(
@@ -118,21 +122,20 @@ def test_translation_zero_for_identical_embeddings():
 @settings(max_examples=40, deadline=None)
 def test_translation_antisymmetry_exact(h, t):
     table = make_table({"h": h, "t": t}, {"r": [0.0, 0.0, 0.0]})
-    forward = translation_vector(table, Triple(0, 0, 1))
-    backward = translation_vector(table, Triple(1, 0, 0))
-    assert np.array_equal(forward, -backward)
+    assert np.array_equal(_translation(table, 0, 1), -_translation(table, 1, 0))
 
 
 def test_translation_unknown_entity():
+    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.0]}, {"r": [0.0]})
-    with pytest.raises(DataError):
-        translation_vector(table, Triple(0, 0, 5))
+    with pytest.raises(DataError, match="'b'"):
+        table.aligned_to(graph)
 
 
 def test_centroid_single_triple_equals_translation(tiny_graph=None):
     graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
-    table = make_table({"a": [1.0, 2.0], "b": [4.0, 6.0]}, {"r": [0.0, 0.0]})
-    centroid = centroid_vector(table, graph, "r")
+    table = make_table({"a": [1.0, 2.0], "b": [4.0, 6.0]}, {"r": [1.0, 0.0]})
+    centroid = similarity_lists(table, graph, "r").centroid
     assert centroid.tolist() == [3.0, 4.0]
 
 
@@ -140,9 +143,11 @@ def test_centroid_symmetric_cancellation():
     graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
     table = make_table(
         {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 0.0], "d": [-1.0, 0.0]},
-        {"r": [0.0, 0.0]},
+        {"r": [1.0, 0.0]},
     )
-    assert centroid_vector(table, graph, "r").tolist() == [0.0, 0.0]
+    assert translation_matrix(table, graph.triples).mean(axis=0).tolist() == [0.0, 0.0]
+    with pytest.raises(DataError, match="centroid vector has zero norm"):
+        similarity_lists(table, graph, "r")
 
 
 def test_centroid_matches_bruteforce_mean():
@@ -150,8 +155,8 @@ def test_centroid_matches_bruteforce_mean():
     rows = [(f"h{i}", "r", f"t{i}") for i in range(5)]
     graph = KnowledgeGraph.from_labeled_triples(rows)
     vectors = {name: rng.normal(size=4).tolist() for name in graph.entity_names}
-    table = make_table(vectors, {"r": [0.0] * 4})
-    centroid = centroid_vector(table, graph, "r")
+    table = make_table(vectors, {"r": [1.0] * 4})
+    centroid = similarity_lists(table, graph, "r").centroid
     # independent accumulation oracle: plain python sums in float64
     sums = [0.0] * 4
     for h, _, t in graph.triples:
@@ -166,9 +171,9 @@ def test_centroid_matches_bruteforce_mean():
 
 def test_centroid_empty_relation():
     graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
-    table = make_table({"a": [0.0], "b": [1.0]}, {"r": [0.0]})
+    table = make_table({"a": [0.0], "b": [1.0]}, {"r": [1.0]})
     with pytest.raises(DataError):
-        centroid_vector(table, graph, "missing")
+        similarity_lists(table, graph, "missing")
 
 
 # -- hits@k ----------------------------------------------------------------------
@@ -208,14 +213,30 @@ def test_hits_rejects_bad_k_and_empty():
         hits_at_k(table, KnowledgeGraph.from_labeled_triples([]), 1)
 
 
-def test_hits_maps_by_name_and_skips_missing():
+def test_hits_names_a_symbol_missing_from_the_table():
     positions = {f"e{i}": [float(i), 0.0] for i in range(10)}
     table = make_table(positions, {"r": [5.0, 0.0]})
     rows = [("e0", "r", "e5"), ("unseen", "r", "e5")]
     graph = KnowledgeGraph.from_labeled_triples(rows)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="'unseen'"):
         hits_at_k(table, graph, 1)
-    assert hits_at_k(table, graph, 1, skip_missing=True) == 1.0
+
+
+def test_hits_maps_table_rows_by_name():
+    graph = planted_block_graph(n_heads=40, n_tails=8, n_triples=120)
+    table = train(graph, TrainConfig(dimension=8, epochs=5, seed=2))
+    order = np.random.default_rng(4).permutation(table.n_entities)
+    rel_order = np.arange(table.n_relations)[::-1]
+    shuffled = EmbeddingTable(
+        [table.entity_names[i] for i in order],
+        [table.relation_names[i] for i in rel_order],
+        table.entity_vectors[order],
+        table.relation_vectors[rel_order],
+    )
+    test_graph = graph.subset(np.arange(0, graph.n_triples, 3))  # recompacted
+    for k in (1, 3, 10):
+        assert hits_at_k(shuffled, test_graph, k) == hits_at_k(table, test_graph, k)
+        assert hits_at_k(shuffled, graph, k) == hits_at_k(table, graph, k)
 
 
 # -- persistence -------------------------------------------------------------------
@@ -243,16 +264,6 @@ def test_load_rejects_garbage(tmp_path):
         EmbeddingTable.load(path)
 
 
-def test_csv_export(tmp_path):
-    table = make_table({"a": [0.25, -1.0], 'quo"ted': [1.0, 2.0]}, {"r": [0.5, 0.5]})
-    path = tmp_path / "emb.csv"
-    table.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "kind,name,v0,v1"
-    assert len(lines) == 4
-    assert lines[1].startswith('entity,"a",0.250000')
-
-
 def test_load_rejects_truncated_matrix(tmp_path):
     graph = planted_block_graph(n_heads=10, n_tails=3, n_triples=20)
     table = train(graph, TrainConfig(dimension=4, epochs=1, seed=0))
@@ -270,3 +281,47 @@ def test_hits_monotone_in_k():
     values = [hits_at_k(table, graph, k) for k in (1, 3, 10, graph.n_entities)]
     assert values == sorted(values)
     assert values[-1] == 1.0
+
+
+# -- row normalisation ---------------------------------------------------------------
+# The three formulas unit_rows replaced, kept as references.
+
+
+def _old_normalize_rows(mat):  # embedding, float32, in place
+    norms = np.sqrt((mat * mat).sum(axis=1, keepdims=True))
+    np.maximum(norms, np.float32(1e-12), out=norms)
+    mat /= norms
+
+
+def _old_cluster_normalize(vectors):
+    norms = np.linalg.norm(vectors, axis=1)
+    ok = norms > 0.0
+    unit = np.zeros_like(vectors)
+    unit[ok] = vectors[ok] / norms[ok, None]
+    return unit, ok
+
+
+def _old_cosine_unit(vectors):  # the unit step of relsim._cosine_matrix
+    norms = np.linalg.norm(vectors, axis=1)
+    zero = norms == 0.0
+    return vectors / np.where(zero, 1.0, norms)[:, None], ~zero
+
+
+@pytest.mark.parametrize("shape", [(7500, 32), (40, 32), (3, 1)])
+def test_unit_rows_matches_the_replaced_formulas_bitwise(shape):
+    rng = np.random.default_rng(shape[0])
+    x32 = rng.uniform(-0.7, 0.7, size=shape).astype(np.float32)
+    expected = x32.copy()
+    _old_normalize_rows(expected)
+    unit, ok = unit_rows(x32)
+    assert unit.dtype == np.float32 and ok.all()
+    assert unit.tobytes() == expected.tobytes()
+
+    x64 = rng.normal(size=shape) * 3.0
+    x64[shape[0] // 2] = 0.0
+    for old in (_old_cluster_normalize, _old_cosine_unit):
+        old_unit, old_ok = old(x64)
+        unit, ok = unit_rows(x64)
+        assert unit.tobytes() == old_unit.tobytes(), old.__name__
+        assert np.array_equal(ok, old_ok)
+        assert not ok[shape[0] // 2] and not unit[shape[0] // 2].any()
