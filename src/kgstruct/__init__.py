@@ -25,7 +25,6 @@ from .graph import (  # noqa: F401
     filter_relations,
     parse_edge_file,
     sample_triples,
-    split_dataset,
     write_generic_3col,
 )
 from .embedding import (  # noqa: F401
@@ -75,8 +74,6 @@ from .classify import (  # noqa: F401
     ForestConfig,
     LogisticConfig,
     cross_validate,
-    train_forest_classifier,
-    train_linear_classifier,
 )
 from .negation import (  # noqa: F401
     LabeledDataset,
@@ -101,6 +98,5 @@ from .report import (  # noqa: F401
     PipelineConfig,
     ReportBundle,
     emit_matrix_csv,
-    read_matrix_csv,
     run_pipeline,
 )

@@ -13,11 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingDivergedError
 
 log = logging.getLogger(__name__)
-
-CLASSIFIER_KINDS = ("linear", "forest")
 
 
 def _check_binary(labels: np.ndarray) -> None:
@@ -43,6 +41,8 @@ class LogisticConfig:
             raise ConfigError(f"{prefix}learning_rate: must be > 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise ConfigError(f"{prefix}iterations: must be >= 1, got {self.iterations}")
+        if not self.l2 >= 0:
+            raise ConfigError(f"{prefix}l2: must be >= 0, got {self.l2}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -74,11 +74,19 @@ class LogisticRegressionClassifier:
         b = 0.0
         lr = self.config.learning_rate
         lam = self.config.l2
-        for _ in range(self.config.iterations):
-            p = _sigmoid(x @ w + b)
-            err = p - y
-            w -= lr * (x.T @ err / n + lam * w)
-            b -= lr * float(err.mean())
+        # a step too large overflows to inf and then NaN; the check below
+        # reports that, so the intermediate warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.config.iterations):
+                p = _sigmoid(x @ w + b)
+                err = p - y
+                w -= lr * (x.T @ err / n + lam * w)
+                b -= lr * float(err.mean())
+        if not (np.isfinite(w).all() and np.isfinite(b)):
+            raise TrainingDivergedError(
+                "logistic regression diverged to non-finite weights; lower "
+                "negation.linear.learning_rate or negation.linear.l2"
+            )
         self.weights_ = w
         self.bias_ = b
         return self
@@ -263,18 +271,6 @@ class RandomForestClassifier:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return (self.predict_proba(features)[:, 1] > 0.5).astype(np.int64)
-
-
-def train_linear_classifier(
-    features: np.ndarray, labels: np.ndarray, config: LogisticConfig | None = None
-) -> LogisticRegressionClassifier:
-    return LogisticRegressionClassifier(config).fit(features, labels)
-
-
-def train_forest_classifier(
-    features: np.ndarray, labels: np.ndarray, config: ForestConfig | None = None
-) -> RandomForestClassifier:
-    return RandomForestClassifier(config).fit(features, labels)
 
 
 # -- cross-validation ---------------------------------------------------------

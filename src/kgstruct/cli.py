@@ -3,8 +3,9 @@
 Every subcommand runs the pipeline with only its own stage on and writes a
 checksummed report bundle into ``--out``, which must not exist yet.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(missing or malformed input, unknown relation), 3 internal error.
+Exit codes: 0 success, 1 usage or configuration error (including a setting
+that makes training diverge), 2 data error (missing or malformed input,
+unknown relation), 3 internal error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .embedding import EmbeddingTable
-from .errors import ConfigError, DataError, KgstructError
+from .errors import ConfigError, DataError
 from .graph import FORMATS
 from .report import ANALYSIS_STAGES, PipelineConfig, ReportBundle, run_pipeline
 
@@ -166,33 +167,40 @@ def _load_config(args) -> PipelineConfig:
     return replace(config, **stages)
 
 
-def _summary(command: str, bundle: ReportBundle) -> list[str]:
+def _summary(bundle: ReportBundle) -> list[str]:
+    """One line group per stage that ran, read from the manifest notes and the bundle."""
     notes = bundle.manifest["notes"]
-    if command == "stats":
-        stats = json.loads((bundle.out_dir / "stats.json").read_text(encoding="utf-8"))
-        return [
-            f"{stats['triples']} triples, {stats['entities']} entities, "
-            f"{len(stats['per_relation'])} relations"
-        ]
-    if command == "train":
+    stats = json.loads((bundle.out_dir / "stats.json").read_text(encoding="utf-8"))
+    lines = [
+        f"{stats['triples']} triples, {stats['entities']} entities, "
+        f"{len(stats['per_relation'])} relations"
+    ]
+    if "train" in notes:
         note = notes["train"]
-        return [
+        lines.append(
             f"loss {note['first_epoch_loss']} -> {note['final_epoch_loss']}, "
             f"test hits@10 {note.get('test_hits_at_10')}"
-        ]
-    if command == "cluster":
-        return [
-            f"{relation}: {info['points']} points, k={info['k']}, "
-            f"inertia={info['inertia']:.3f}"
-            for relation, info in notes["cluster"].items()
-        ]
-    if command == "negation":
-        return [
-            f"{cv['classifier']} mean accuracy {cv['mean_accuracy']:.3f} "
-            f"(baseline {cv['baseline_accuracy']:.3f})"
-            for cv in notes["negation"]["cross_validation"]
-        ]
-    return []
+        )
+    validation = bundle.out_dir / "validation.json"
+    if validation.exists():
+        records = json.loads(validation.read_text(encoding="utf-8"))
+        usable = [r for r in records if r.get("spearman_abs") is not None]
+        if usable:
+            worst = min(usable, key=lambda r: r["spearman_abs"])
+            lines.append(
+                f"validated {len(usable)} relations; weakest |rho| = "
+                f"{worst['spearman_abs']:.3f} ({worst['relation']})"
+            )
+    lines += [
+        f"{relation}: {info['points']} points, k={info['k']}, inertia={info['inertia']:.3f}"
+        for relation, info in notes.get("cluster", {}).items()
+    ]
+    lines += [
+        f"{cv['classifier']} mean accuracy {cv['mean_accuracy']:.3f} "
+        f"(baseline {cv['baseline_accuracy']:.3f})"
+        for cv in notes.get("negation", {}).get("cross_validation", [])
+    ]
+    return lines
 
 
 def main(argv=None) -> int:
@@ -204,7 +212,7 @@ def main(argv=None) -> int:
         table_path = getattr(args, "table", None)
         table = EmbeddingTable.load(table_path) if table_path else None
         bundle = run_pipeline(config, table)
-        for line in _summary(args.command, bundle):
+        for line in _summary(bundle):
             print(f"{args.command}: {line}")
         print(f"{args.command}: wrote {len(bundle.manifest['files'])} files -> {bundle.out_dir}")
         return EXIT_OK
@@ -214,9 +222,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except KgstructError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -258,62 +258,66 @@ def train(
     n_neg = config.negatives
     losses: list[float] = []
 
-    for epoch in range(config.epochs):
-        ent, _ = unit_rows(ent)
-        lr = np.float32(config.learning_rate * (1.0 - epoch / config.epochs))
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        n_pairs = 0
-        for start in range(0, n, config.batch_size):
-            batch = triples[perm[start : start + config.batch_size]]
-            b = len(batch)
-            h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
+    # a step too large overflows to inf and then NaN; the isfinite checks
+    # report that, so the intermediate warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            ent, _ = unit_rows(ent)
+            lr = np.float32(config.learning_rate * (1.0 - epoch / config.epochs))
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            n_pairs = 0
+            for start in range(0, n, config.batch_size):
+                batch = triples[perm[start : start + config.batch_size]]
+                b = len(batch)
+                h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
 
-            corrupt = rng.integers(0, graph.n_entities, size=b * n_neg)
-            corrupt_head = rng.random(b * n_neg) < 0.5
-            h_neg = np.repeat(h, n_neg)
-            t_neg = np.repeat(t, n_neg)
-            h_neg = np.where(corrupt_head, corrupt, h_neg)
-            t_neg = np.where(corrupt_head, t_neg, corrupt)
-            r_neg = np.repeat(r, n_neg)
+                corrupt = rng.integers(0, graph.n_entities, size=b * n_neg)
+                corrupt_head = rng.random(b * n_neg) < 0.5
+                h_neg = np.repeat(h, n_neg)
+                t_neg = np.repeat(t, n_neg)
+                h_neg = np.where(corrupt_head, corrupt, h_neg)
+                t_neg = np.where(corrupt_head, t_neg, corrupt)
+                r_neg = np.repeat(r, n_neg)
 
-            diff_pos = ent[h] + rel[r] - ent[t]
-            diff_neg = ent[h_neg] + rel[r_neg] - ent[t_neg]
-            d_pos = (diff_pos * diff_pos).sum(axis=1)
-            d_neg = (diff_neg * diff_neg).sum(axis=1)
-            hinge = np.float32(config.margin) + np.repeat(d_pos, n_neg) - d_neg
-            if not np.isfinite(hinge).all():
+                diff_pos = ent[h] + rel[r] - ent[t]
+                diff_neg = ent[h_neg] + rel[r_neg] - ent[t_neg]
+                d_pos = (diff_pos * diff_pos).sum(axis=1)
+                d_neg = (diff_neg * diff_neg).sum(axis=1)
+                hinge = np.float32(config.margin) + np.repeat(d_pos, n_neg) - d_neg
+                if not np.isfinite(hinge).all():
+                    raise TrainingDivergedError(
+                        f"non-finite margin loss at epoch {epoch}; lower train.learning_rate"
+                    )
+                active = hinge > 0
+
+                epoch_loss += float(hinge[active].sum())
+                n_pairs += b * n_neg
+                if not active.any():
+                    continue
+
+                # Per-pair SGD at full learning rate, averaged over each
+                # positive's negatives; summing over the batch then matches a
+                # sequential pass. d(pos)/d(h) = 2*diff_pos, d(pos)/d(t) =
+                # -2*diff_pos; negatives enter with opposite sign.
+                scale = lr / np.float32(n_neg)
+                active_per_pos = active.reshape(b, n_neg).sum(axis=1).astype(np.float32)
+                g_pos = (2.0 * scale) * diff_pos * active_per_pos[:, None]
+                g_neg = (-2.0 * scale) * diff_neg[active]
+
+                rows = np.concatenate([h, t, h_neg[active], t_neg[active]])
+                grads = np.concatenate([-g_pos, g_pos, -g_neg, g_neg])
+                _scatter_add(ent, rows, grads)
+                rel_rows = np.concatenate([r, r_neg[active]])
+                _scatter_add(rel, rel_rows, np.concatenate([-g_pos, -g_neg]))
+
+            mean_loss = epoch_loss / max(n_pairs, 1)
+            if not np.isfinite(mean_loss):
                 raise TrainingDivergedError(
-                    f"non-finite margin loss at epoch {epoch}; lower the learning rate"
+                    f"non-finite loss {mean_loss} at epoch {epoch}; lower train.learning_rate"
                 )
-            active = hinge > 0
-
-            epoch_loss += float(hinge[active].sum())
-            n_pairs += b * n_neg
-            if not active.any():
-                continue
-
-            # Per-pair SGD at full learning rate, averaged over each
-            # positive's negatives; summing over the batch then matches a
-            # sequential pass. d(pos)/d(h) = 2*diff_pos, d(pos)/d(t) =
-            # -2*diff_pos; negatives enter with opposite sign.
-            scale = lr / np.float32(n_neg)
-            active_per_pos = active.reshape(b, n_neg).sum(axis=1).astype(np.float32)
-            g_pos = (2.0 * scale) * diff_pos * active_per_pos[:, None]
-            g_neg = (-2.0 * scale) * diff_neg[active]
-
-            rows = np.concatenate([h, t, h_neg[active], t_neg[active]])
-            grads = np.concatenate([-g_pos, g_pos, -g_neg, g_neg])
-            _scatter_add(ent, rows, grads)
-            _scatter_add(rel, np.concatenate([r, r_neg[active]]), np.concatenate([-g_pos, -g_neg]))
-
-        mean_loss = epoch_loss / max(n_pairs, 1)
-        if not np.isfinite(mean_loss):
-            raise TrainingDivergedError(
-                f"non-finite loss {mean_loss} at epoch {epoch}; lower the learning rate"
-            )
-        losses.append(mean_loss)
-        log.debug("epoch %d: loss=%.6f lr=%.5f", epoch, mean_loss, lr)
+            losses.append(mean_loss)
+            log.debug("epoch %d: loss=%.6f lr=%.5f", epoch, mean_loss, lr)
 
     return EmbeddingTable(
         graph.entity_names,

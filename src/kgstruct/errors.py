@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-anything else -> 3.
+The CLI maps these onto exit codes: ConfigError -> 1 (a diverged trainer or
+classifier included), DataError -> 2, anything else -> 3.
 """
 
 
@@ -26,5 +26,5 @@ class ParseError(DataError):
         self.line_number = line_number
 
 
-class TrainingDivergedError(KgstructError):
-    """Training produced a non-finite loss (learning rate likely too high)."""
+class TrainingDivergedError(ConfigError):
+    """Training produced non-finite values: a setting, such as the learning rate, cannot run."""

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import array
-import csv
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -405,14 +403,6 @@ def split_indices(
     return np.sort(train), np.sort(val), np.sort(test)
 
 
-def split_dataset(
-    graph: KnowledgeGraph, spec: SplitSpec
-) -> tuple[KnowledgeGraph, KnowledgeGraph, KnowledgeGraph]:
-    """Partition the graph into train/validation/test subgraphs."""
-    train, val, test = split_indices(graph.n_triples, spec)
-    return graph.subset(train), graph.subset(val), graph.subset(test)
-
-
 # -- statistics --------------------------------------------------------------
 
 
@@ -437,38 +427,6 @@ class GraphStats:
 
     def inclusion_exclusion_holds(self) -> bool:
         return self.heads + self.tails - self.head_tail_overlap == self.entities
-
-    def to_json_dict(self) -> dict:
-        return {
-            "triples": self.triples,
-            "entities": self.entities,
-            "heads": self.heads,
-            "tails": self.tails,
-            "head_tail_overlap": self.head_tail_overlap,
-            "entity_triple_ratio": self.entity_triple_ratio,
-            "per_relation": {
-                name: {
-                    "triples": rs.triples,
-                    "entities": rs.entities,
-                    "head_tail_ratio": rs.head_tail_ratio,
-                }
-                for name, rs in self.per_relation.items()
-            },
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(self.to_json_dict(), out, indent=2, sort_keys=True)
-            out.write("\n")
-
-    def write_csv(self, path: str | Path) -> None:
-        """Per-relation rows; the global summary is the JSON export's job."""
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(["relation", "triples", "entities", "head_tail_ratio"])
-            for name, rs in self.per_relation.items():
-                ratio = "" if rs.head_tail_ratio is None else f"{rs.head_tail_ratio:.6f}"
-                writer.writerow([name, rs.triples, rs.entities, ratio])
 
 
 def compute_stats(graph: KnowledgeGraph) -> GraphStats:

@@ -26,14 +26,6 @@ log = logging.getLogger(__name__)
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-MATRIX_KINDS = (
-    "tfidf",
-    "jaccard-head",
-    "jaccard-tail",
-    "cosine-centroid",
-    "cosine-direct",
-)
-
 
 @dataclass(frozen=True)
 class DefinitionCorpus:
@@ -220,7 +212,6 @@ def nearest_relations(matrix: SimilarityMatrix) -> NearestRelationTable:
 def mutual_nearest_pairs(table: NearestRelationTable) -> list[tuple[str, str, float]]:
     """Pairs (a, b) where each is the other's closest relation."""
     closest = {name: other for name, other, _ in table.rows}
-    scores = {name: score for name, _, score in table.rows}
     pairs = []
     for name, other, score in table.rows:
         if closest.get(other) == name and name < other:

@@ -47,7 +47,6 @@ from .graph import (
 from .negation import run_negation_study, write_unknown_pairs
 from .relsim import (
     DefinitionCorpus,
-    NearestRelationTable,
     SimilarityMatrix,
     embedding_similarity_matrix,
     jaccard_overlap_matrix,
@@ -287,6 +286,13 @@ def write_json(path: str | Path, payload) -> None:
         out.write("\n")
 
 
+def write_csv(path: str | Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _fmt(value, places: int = 6) -> str:
     if value is None or (isinstance(value, float) and not np.isfinite(value)):
         return ""
@@ -299,40 +305,28 @@ def emit_matrix_csv(matrix: SimilarityMatrix, path: str | Path) -> None:
     Values carry 6 decimal places; names with commas or quotes are escaped
     by the csv module, so a parse-back recovers the matrix within 1e-6.
     """
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(["relation", *matrix.relations])
-        for name, row in zip(matrix.relations, matrix.values):
-            writer.writerow([name, *(_fmt(v) for v in row)])
-
-
-def read_matrix_csv(path: str | Path, kind: str = "unknown") -> SimilarityMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        names = header[1:]
-        rows = []
-        for record in reader:
-            rows.append([float(v) for v in record[1:]])
-    return SimilarityMatrix(names, np.asarray(rows, dtype=np.float64), kind)
-
-
-def write_nearest_csv(table: NearestRelationTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(["relation", "closest_relation", "score"])
-        for name, other, score in table.rows:
-            writer.writerow([name, other, _fmt(score)])
+    write_csv(
+        path,
+        ["relation", *matrix.relations],
+        ([name, *(_fmt(v) for v in row)] for name, row in zip(matrix.relations, matrix.values)),
+    )
 
 
 # -- stage runners ------------------------------------------------------------
 
 
 def stage_stats(graph: KnowledgeGraph, out_dir: Path) -> dict:
-    stats = compute_stats(graph)
-    stats.write_json(out_dir / "stats.json")
-    stats.write_csv(out_dir / "relation_stats.csv")
-    return stats.to_json_dict()
+    stats = asdict(compute_stats(graph))
+    write_json(out_dir / "stats.json", stats)
+    write_csv(
+        out_dir / "relation_stats.csv",
+        ["relation", "triples", "entities", "head_tail_ratio"],
+        (
+            [name, rs["triples"], rs["entities"], _fmt(rs["head_tail_ratio"])]
+            for name, rs in stats["per_relation"].items()
+        ),
+    )
+    return stats
 
 
 def _relation_profiles(
@@ -373,22 +367,16 @@ def stage_validate(
             }
         )
     write_json(out_dir / "validation.json", records)
-    with open(out_dir / "validation.csv", "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(["relation", "triples", "skipped", "spearman", "spearman_abs", "kl"])
-        for rec in records:
-            if "error" in rec:
-                continue
-            writer.writerow(
-                [
-                    rec["relation"],
-                    rec["triples"],
-                    rec["skipped"],
-                    _fmt(rec["spearman"]),
-                    _fmt(rec["spearman_abs"]),
-                    _fmt(rec["kl"]),
-                ]
-            )
+    header = ["relation", "triples", "skipped", "spearman", "spearman_abs", "kl"]
+    write_csv(
+        out_dir / "validation.csv",
+        header,
+        (
+            [*(rec[key] for key in header[:3]), *(_fmt(rec[key]) for key in header[3:])]
+            for rec in records
+            if "error" not in rec
+        ),
+    )
     return records
 
 
@@ -445,7 +433,11 @@ def stage_relsim(
         )
         if len(matrix.relations) >= 2:
             nearest = nearest_relations(matrix)
-            write_nearest_csv(nearest, out_dir / f"nearest_{label}.csv")
+            write_csv(
+                out_dir / f"nearest_{label}.csv",
+                ["relation", "closest_relation", "score"],
+                ([name, other, _fmt(score)] for name, other, score in nearest.rows),
+            )
             summary.setdefault("mutual_nearest", {})[label] = [
                 list(pair) for pair in mutual_nearest_pairs(nearest)
             ]
@@ -457,6 +449,7 @@ def stage_cluster(
     table: EmbeddingTable, graph: KnowledgeGraph, cfg: ClusterStage, out_dir: Path
 ) -> dict:
     notes = {}
+    reports = []
     for relation in cfg.relations:
         points = relation_point_set(table, graph, relation)
         rel_dir = out_dir / f"cluster_{relation.replace('/', '_')}"
@@ -465,56 +458,43 @@ def stage_cluster(
             lo, hi = cfg.k_range
             hi = min(hi, len(points) - 1)
             curve = k_selection_scores(points, range(lo, hi + 1), seed=cfg.seed)
-            with open(rel_dir / "kselection.csv", "w", encoding="utf-8", newline="") as out:
-                writer = csv.writer(out)
-                writer.writerow(
-                    ["k", "inertia", "silhouette", "davies_bouldin", "calinski_harabasz"]
-                )
-                for i, k in enumerate(curve.ks):
-                    writer.writerow(
-                        [
-                            k,
-                            _fmt(curve.inertia[i]),
-                            _fmt(curve.silhouette[i]),
-                            _fmt(curve.davies_bouldin[i]),
-                            _fmt(curve.calinski_harabasz[i]),
-                        ]
-                    )
+            header = ["k", "inertia", "silhouette", "davies_bouldin", "calinski_harabasz"]
+            scores = [getattr(curve, name) for name in header[1:]]
+            write_csv(
+                rel_dir / "kselection.csv",
+                header,
+                ([k, *map(_fmt, row)] for k, *row in zip(curve.ks, *scores)),
+            )
         k = min(cfg.k, len(points))
         result = lloyd_kmeans(points, k, seed=cfg.seed)
         report = quality_report(points, result, relation=points.relation)
-        with open(rel_dir / "quality.csv", "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(["cluster", "size", "cohesion_raw", "cohesion", "separation"])
-            for j in range(result.k):
-                writer.writerow(
-                    [
-                        j,
-                        int(report.sizes[j]),
-                        _fmt(report.cohesion_raw[j]),
-                        _fmt(report.cohesion[j]),
-                        _fmt(report.separation[j]),
-                    ]
-                )
-            writer.writerow(
-                ["mean", "", _fmt(report.cohesion_raw_mean), "", _fmt(report.separation_mean)]
-            )
-            writer.writerow(
-                ["std_dev", "", _fmt(report.cohesion_raw_std), "", _fmt(report.separation_std)]
-            )
+        reports.append(report)
+        per_cluster = (report.cohesion_raw, report.cohesion, report.separation)
+        write_csv(
+            rel_dir / "quality.csv",
+            ["cluster", "size", "cohesion_raw", "cohesion", "separation"],
+            [
+                *(
+                    [j, int(report.sizes[j]), *(_fmt(m[j]) for m in per_cluster)]
+                    for j in range(result.k)
+                ),
+                ["mean", "", _fmt(report.cohesion_raw_mean), "", _fmt(report.separation_mean)],
+                ["std_dev", "", _fmt(report.cohesion_raw_std), "", _fmt(report.separation_std)],
+            ],
+        )
         exemplars = sample_cluster_exemplars(
             result, graph, relation, per_cluster=cfg.exemplars_per_cluster, seed=cfg.seed
         )
-        with open(rel_dir / "exemplars.csv", "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(["cluster", "head", "relation", "tail"])
-            writer.writerows(exemplars)
+        write_csv(rel_dir / "exemplars.csv", ["cluster", "head", "relation", "tail"], exemplars)
         projection = pca_project_2d(points)
-        with open(rel_dir / "pca2d.csv", "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(["x", "y", "cluster"])
-            for (x, y), cluster in zip(projection.coordinates, result.assignments):
-                writer.writerow([_fmt(x), _fmt(y), int(cluster)])
+        write_csv(
+            rel_dir / "pca2d.csv",
+            ["x", "y", "cluster"],
+            (
+                [_fmt(x), _fmt(y), int(cluster)]
+                for (x, y), cluster in zip(projection.coordinates, result.assignments)
+            ),
+        )
         notes[relation] = {
             "points": len(points),
             "k": result.k,
@@ -522,21 +502,17 @@ def stage_cluster(
             "converged": result.converged,
             "explained_variance_2d": projection.explained,
         }
-        notes[relation]["_report"] = report
-    _emit_merged_quality(notes, out_dir)
-    for info in notes.values():
-        info.pop("_report", None)
+    _emit_merged_quality(reports, out_dir)
     return notes
 
 
-def _emit_merged_quality(notes: dict, out_dir: Path) -> None:
+def _emit_merged_quality(reports: list, out_dir: Path) -> None:
     """Cross-relation cohesion/separation tables (cluster id x relation).
 
     Only written when every clustered relation ended with the same k, since
     the rows are cluster ids. Cluster ids are assigned independently per
     relation; columns are not aligned in any semantic sense.
     """
-    reports = [info["_report"] for info in notes.values()]
     if len(reports) < 1 or len({r.k for r in reports}) != 1:
         if len(reports) > 1:
             log.warning("clustered relations have different k; skipping merged tables")
@@ -546,16 +522,15 @@ def _emit_merged_quality(notes: dict, out_dir: Path) -> None:
         ("cohesion_raw", "cohesion_raw_mean", "cohesion_raw_std"),
         ("separation", "separation_mean", "separation_std"),
     ):
-        path = out_dir / f"cluster_{metric}_by_relation.csv"
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(["cluster", *(r.relation for r in reports)])
-            for j in range(k):
-                writer.writerow(
-                    [j, *(_fmt(getattr(r, metric)[j]) for r in reports)]
-                )
-            writer.writerow(["mean", *(_fmt(getattr(r, mean_of)) for r in reports)])
-            writer.writerow(["std_dev", *(_fmt(getattr(r, std_of)) for r in reports)])
+        write_csv(
+            out_dir / f"cluster_{metric}_by_relation.csv",
+            ["cluster", *(r.relation for r in reports)],
+            [
+                *([j, *(_fmt(getattr(r, metric)[j]) for r in reports)] for j in range(k)),
+                ["mean", *(_fmt(getattr(r, mean_of)) for r in reports)],
+                ["std_dev", *(_fmt(getattr(r, std_of)) for r in reports)],
+            ],
+        )
 
 
 def stage_negation(
@@ -582,18 +557,17 @@ def stage_negation(
         "cross_validation": [cv.to_json_dict() for cv in report.cv_reports],
     }
     write_json(out_dir / "negation_report.json", payload)
-    with open(out_dir / "negation_universe.csv", "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out)
-        fields = list(report.universe_summary)
-        writer.writerow(fields)
-        writer.writerow([report.universe_summary[f] for f in fields])
-    with open(out_dir / "negation_cv.csv", "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(["classifier", "fold", "accuracy"])
-        for cv in report.cv_reports:
-            for i, acc in enumerate(cv.accuracies):
-                writer.writerow([cv.classifier, i, _fmt(acc)])
-            writer.writerow([cv.classifier, "mean", _fmt(cv.mean_accuracy)])
+    summary = report.universe_summary
+    write_csv(out_dir / "negation_universe.csv", list(summary), [list(summary.values())])
+    write_csv(
+        out_dir / "negation_cv.csv",
+        ["classifier", "fold", "accuracy"],
+        (
+            [cv.classifier, fold, _fmt(acc)]
+            for cv in report.cv_reports
+            for fold, acc in [*enumerate(cv.accuracies), ("mean", cv.mean_accuracy)]
+        ),
+    )
     write_unknown_pairs(universe, sample, out_dir / "unknown_pairs.tsv")
     return payload
 

@@ -6,14 +6,13 @@ import pytest
 from kgstruct.classify import (
     ForestConfig,
     LogisticConfig,
+    LogisticRegressionClassifier,
     RandomForestClassifier,
     cross_validate,
     stratified_folds,
-    train_forest_classifier,
     _gini_best_split,
-    train_linear_classifier,
 )
-from kgstruct.errors import ConfigError, DataError
+from kgstruct.errors import ConfigError, DataError, TrainingDivergedError
 
 
 def separable_blobs(n=200, gap=6.0, seed=0, d=2):
@@ -40,7 +39,7 @@ def xor_blobs(n=400, seed=1):
 
 def test_linear_separable_high_train_accuracy():
     x, y = separable_blobs()
-    clf = train_linear_classifier(x, y)
+    clf = LogisticRegressionClassifier().fit(x, y)
     accuracy = float((clf.predict(x) == y).mean())
     assert accuracy >= 0.99
     proba = clf.predict_proba(x)
@@ -51,29 +50,30 @@ def test_linear_separable_high_train_accuracy():
 def test_linear_no_signal_is_chance():
     x = np.ones((100, 3))
     y = np.asarray([0, 1] * 50)
-    clf = train_linear_classifier(x, y)
+    clf = LogisticRegressionClassifier().fit(x, y)
     accuracy = float((clf.predict(x) == y).mean())
     assert 0.45 <= accuracy <= 0.55
 
 
 def test_linear_l2_shrinks_weights():
     x, y = separable_blobs(seed=3)
-    weak = train_linear_classifier(x, y, LogisticConfig(l2=1e-4))
-    strong = train_linear_classifier(x, y, LogisticConfig(l2=1.0))
+    weak = LogisticRegressionClassifier(LogisticConfig(l2=1e-4)).fit(x, y)
+    strong = LogisticRegressionClassifier(LogisticConfig(l2=1.0)).fit(x, y)
     assert np.linalg.norm(strong.weights_) < np.linalg.norm(weak.weights_)
 
 
 def test_linear_rejects_single_class():
     x = np.zeros((10, 2))
     with pytest.raises(DataError):
-        train_linear_classifier(x, np.zeros(10, dtype=int))
+        LogisticRegressionClassifier().fit(x, np.zeros(10, dtype=int))
 
 
 def test_linear_large_learning_rate_raises_no_overflow_warning():
     x, y = separable_blobs(gap=20.0, seed=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        clf = train_linear_classifier(x, y, LogisticConfig(learning_rate=1e4, iterations=50))
+        config = LogisticConfig(learning_rate=1e4, iterations=50)
+        clf = LogisticRegressionClassifier(config).fit(x, y)
         proba = clf.predict_proba(x * 100.0)
     assert np.isfinite(proba).all()
     assert ((proba == 0.0) | (proba == 1.0)).any()  # saturated, at the correct limit
@@ -88,20 +88,33 @@ def test_linear_large_learning_rate_raises_no_overflow_warning():
         (LogisticConfig(iterations=0), "iterations"),
         (ForestConfig(n_trees=0), "n_trees"),
         (ForestConfig(max_depth=0), "max_depth"),
+        (LogisticConfig(l2=-1.0), "l2"),
+        (LogisticConfig(l2=float("nan")), "l2"),
     ],
 )
 def test_classifier_configs_reject_degenerate_values(config, field):
     with pytest.raises(ConfigError, match=f"^negation.x.{field}: "):
         config.validate("negation.x")
     x, y = separable_blobs(n=20)
-    train = train_linear_classifier if isinstance(config, LogisticConfig) else train_forest_classifier
+    linear = isinstance(config, LogisticConfig)
+    kind = LogisticRegressionClassifier if linear else RandomForestClassifier
     with pytest.raises(ConfigError, match=f"^{field}: "):
-        train(x, y, config)
+        kind(config).fit(x, y)
+
+
+@pytest.mark.parametrize(
+    "config", [LogisticConfig(learning_rate=1e30), LogisticConfig(l2=1e30)], ids=["lr", "l2"]
+)
+def test_linear_divergence_is_a_config_error_without_warnings(config):
+    x, y = separable_blobs(n=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match="negation.linear.learning_rate"):
+            LogisticRegressionClassifier(config).fit(x, y)
+    assert issubclass(TrainingDivergedError, ConfigError)
 
 
 def test_linear_unfitted_predict():
-    from kgstruct.classify import LogisticRegressionClassifier
-
     with pytest.raises(DataError):
         LogisticRegressionClassifier().predict(np.zeros((2, 2)))
 
@@ -113,10 +126,10 @@ def test_forest_xor_beats_linear():
     x, y = xor_blobs()
     train_x, train_y = x[:300], y[:300]
     test_x, test_y = x[300:], y[300:]
-    forest = train_forest_classifier(
-        train_x, train_y, ForestConfig(n_trees=30, max_depth=8, seed=2)
+    forest = RandomForestClassifier(ForestConfig(n_trees=30, max_depth=8, seed=2)).fit(
+        train_x, train_y
     )
-    linear = train_linear_classifier(train_x, train_y)
+    linear = LogisticRegressionClassifier().fit(train_x, train_y)
     forest_acc = float((forest.predict(test_x) == test_y).mean())
     linear_acc = float((linear.predict(test_x) == test_y).mean())
     assert forest_acc >= 0.9
@@ -127,9 +140,9 @@ def test_single_stump_matches_exhaustive_threshold_search():
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 10, size=(60, 1))
     y = (x[:, 0] > 6.3).astype(np.int64)
-    stump = train_forest_classifier(
-        x, y, ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all", seed=0)
-    )
+    stump = RandomForestClassifier(
+        ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all", seed=0)
+    ).fit(x, y)
     # brute-force stump oracle over all midpoints
     values = np.sort(np.unique(x[:, 0]))
     best_err, best_pred = None, None
@@ -199,27 +212,25 @@ def test_gini_split_none_without_boundary():
 def test_forest_duplicated_rows_invariant_without_bootstrap():
     x, y = separable_blobs(n=60, gap=3.0, seed=5)
     cfg = ForestConfig(n_trees=7, max_depth=6, bootstrap=False, seed=9)
-    base = train_forest_classifier(x, y, cfg)
-    doubled = train_forest_classifier(
-        np.vstack([x, x]), np.concatenate([y, y]), cfg
-    )
+    base = RandomForestClassifier(cfg).fit(x, y)
+    doubled = RandomForestClassifier(cfg).fit(np.vstack([x, x]), np.concatenate([y, y]))
     probe, _ = separable_blobs(n=40, gap=3.0, seed=6)
     assert np.array_equal(base.predict(probe), doubled.predict(probe))
 
 
 def test_forest_deterministic():
     x, y = xor_blobs(n=120, seed=7)
-    a = train_forest_classifier(x, y, ForestConfig(n_trees=10, seed=3))
-    b = train_forest_classifier(x, y, ForestConfig(n_trees=10, seed=3))
+    a = RandomForestClassifier(ForestConfig(n_trees=10, seed=3)).fit(x, y)
+    b = RandomForestClassifier(ForestConfig(n_trees=10, seed=3)).fit(x, y)
     assert np.array_equal(a.predict(x), b.predict(x))
 
 
 def test_forest_label_validation():
     x = np.zeros((10, 2))
     with pytest.raises(DataError):
-        train_forest_classifier(x, np.full(10, 1, dtype=int))
+        RandomForestClassifier().fit(x, np.full(10, 1, dtype=int))
     with pytest.raises(DataError):
-        train_forest_classifier(x, np.asarray([0, 1, 2] * 3 + [0]))
+        RandomForestClassifier().fit(x, np.asarray([0, 1, 2] * 3 + [0]))
 
 
 def test_forest_unfitted_predict():

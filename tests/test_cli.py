@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import random
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -260,6 +263,12 @@ def _config(command, **fields):
     return argv
 
 
+def _train_flags(*flags):
+    def argv(tmp_path, demo_kg, table):
+        return ["train", "--input", str(demo_kg), *flags]
+    return argv
+
+
 def _definitions(text):
     """A relsim run whose definitions file holds ``text``, or is absent for None."""
     def argv(tmp_path, demo_kg, table):
@@ -292,17 +301,26 @@ def _definitions(text):
          "negation.forest.max_features"),
         (_config("cluster", cluster={"relations": ["HasContext"], "exemplars_per_cluster": 0}),
          1, "cluster.exemplars_per_cluster"),
+        (_train_flags("--lr", "1e30"), 1, "train.learning_rate"),
+        (_config("negation", negation={"linear": {"learning_rate": 1e30}}), 1,
+         "negation.linear.learning_rate"),
+        (_config("negation", negation={"linear": {"l2": -1}}), 1, "negation.linear.l2"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
          "zero-iterations", "negative-learning-rate", "missing-definitions",
-         "non-json-definitions", "max-features-log2", "zero-exemplars"],
+         "non-json-definitions", "max-features-log2", "zero-exemplars",
+         "diverging-train-lr", "diverging-linear-lr", "negative-l2"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
-    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+    # a diverging setting is reported once, as the error, not as numpy overflow warnings
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 ONE_PATH_CONFIG = {
@@ -339,7 +357,8 @@ def test_subcommand_bundle_equals_run_with_one_stage(stage, demo_kg, tmp_path):
 FUZZ_CONFIG = {
     "seed": 9,
     "sample_size": None,
-    "train": {"dimension": 8, "epochs": 2, "seed": 3},
+    "split": {"train": 0.75, "validation": 0.125, "test": 0.125},
+    "train": {"dimension": 8, "epochs": 2, "seed": 3, "learning_rate": 0.05, "margin": 1.0},
     "validate": {"enabled": True, "bins": 20},
     "relsim": {"enabled": True, "definitions_path": None},
     "cluster": {"enabled": True, "relations": ["HasContext"], "k": 4, "k_range": None},
@@ -347,6 +366,7 @@ FUZZ_CONFIG = {
         "enabled": True,
         "folds": 3,
         "classifier": "both",
+        "linear": {"learning_rate": 0.5, "l2": 1e-3},
         "forest": {"n_trees": 3, "max_depth": 3, "max_features": "sqrt"},
     },
 }
@@ -370,12 +390,14 @@ def _json_type(value) -> str:
     return "null"
 
 
-# small ints only: a large count or size would make a huge allocation
+# small ints only: a large count or size would make a huge allocation. Floats
+# reach 1e30, where a learning rate or penalty makes training diverge.
+LARGE_FLOATS = st.floats(-1e30, 1e30, allow_nan=False)
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 40),
-    st.floats(-1e3, 1e3, allow_nan=False),
+    LARGE_FLOATS,
     st.text(max_size=6),
     st.lists(st.integers(-3, 40), max_size=3),
     st.dictionaries(st.sampled_from(["enabled", "k", "seed"]), st.integers(-3, 40), max_size=2),
@@ -414,7 +436,11 @@ def test_corrupted_input_never_exits_3(
     else:
         config = json.loads(json.dumps(FUZZ_CONFIG))
         path, old = data.draw(st.sampled_from(list(_leaves(config))), label="leaf")
-        new = data.draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)), label="new")
+        if isinstance(old, float):
+            new = data.draw(LARGE_FLOATS, label="new")
+        else:
+            other_type = JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old))
+            new = data.draw(other_type, label="new")
         node = config
         for key in path[:-1]:
             node = node[key]
@@ -428,3 +454,43 @@ def test_corrupted_input_never_exits_3(
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
     assert "internal error" not in err
+
+
+# -- the demo study ------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_FILES = ROOT / "tests" / "fixtures" / "demo_run_sha256.json"
+
+
+def _demo_config(demo_kg: Path, tmp_path: Path) -> Path:
+    """The demo config that scripts/make_demo_kg.py writes, for ``demo_kg``."""
+    script = ROOT / "scripts" / "make_demo_kg.py"
+    spec = importlib.util.spec_from_file_location("make_demo_kg", script)
+    make_demo_kg = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_demo_kg)
+    path = tmp_path / "demo_config.json"
+    config = make_demo_kg.demo_config(demo_kg, tmp_path / "report")
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
+    """Every artifact of the demo study is byte-identical to the committed SHA-256 map.
+
+    A change that alters artifact bytes on purpose must regenerate the fixture
+    from the ``files`` map of the run's manifest.json, and say in CHANGES.md
+    which files changed and why.
+    """
+    assert main(["run", "--config", str(_demo_config(demo_kg, tmp_path))]) == 0
+    files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
+    golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
+    assert {name: entry["sha256"] for name, entry in files.items()} == golden
+
+
+def test_run_prints_the_study_summary(demo_kg, tmp_path, capsys):
+    assert main(["run", "--config", str(_demo_config(demo_kg, tmp_path))]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^run: validated \d+ relations; weakest \|rho\| = [\d.]+ \(\w+\)$", out, re.M)
+    for kind in ("linear", "forest"):
+        line = rf"^run: {kind} mean accuracy [\d.]+ \(baseline [\d.]+\)$"
+        assert re.search(line, out, re.M), out

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from kgstruct.graph import (
     filter_relations,
     parse_edge_file,
     sample_triples,
-    split_dataset,
+    split_indices,
     write_generic_3col,
 )
+from kgstruct.report import stage_stats
 
 
 def write_lines(path, lines):
@@ -220,14 +223,16 @@ def named_triples(graph):
 def test_split_sizes_floor_with_train_remainder():
     rows = [(f"h{i}", "r", f"t{i}") for i in range(8)]
     graph = KnowledgeGraph.from_labeled_triples(rows)
-    train, val, test = split_dataset(graph, SplitSpec(0.75, 0.125, 0.125, seed=0))
+    spec = SplitSpec(0.75, 0.125, 0.125, seed=0)
+    train, val, test = (graph.subset(i) for i in split_indices(graph.n_triples, spec))
     assert (train.n_triples, val.n_triples, test.n_triples) == (6, 1, 1)
 
 
 def test_split_all_train():
     rows = [(f"h{i}", "r", f"t{i}") for i in range(5)]
     graph = KnowledgeGraph.from_labeled_triples(rows)
-    train, val, test = split_dataset(graph, SplitSpec(1.0, 0.0, 0.0, seed=3))
+    spec = SplitSpec(1.0, 0.0, 0.0, seed=3)
+    train, val, test = (graph.subset(i) for i in split_indices(graph.n_triples, spec))
     assert (train.n_triples, val.n_triples, test.n_triples) == (5, 0, 0)
 
 
@@ -243,7 +248,7 @@ def test_split_invalid_fractions():
 def test_split_partitions(n, seed):
     rows = [(f"h{i}", f"r{i % 3}", f"t{i}") for i in range(n)]
     graph = KnowledgeGraph.from_labeled_triples(rows)
-    parts = split_dataset(graph, SplitSpec(seed=seed))
+    parts = [graph.subset(i) for i in split_indices(graph.n_triples, SplitSpec(seed=seed))]
     sets = [named_triples(g) for g in parts]
     assert sets[0] | sets[1] | sets[2] == named_triples(graph)
     assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
@@ -311,14 +316,10 @@ def test_stats_inclusion_exclusion_property(rows):
 
 
 def test_stats_files_roundtrip(tiny_graph, tmp_path):
-    stats = compute_stats(tiny_graph)
-    stats.write_json(tmp_path / "stats.json")
-    stats.write_csv(tmp_path / "stats.csv")
-    import json
-
+    stage_stats(tiny_graph, tmp_path)
     loaded = json.loads((tmp_path / "stats.json").read_text())
     assert loaded["entities"] == 6
-    lines = (tmp_path / "stats.csv").read_text().strip().splitlines()
+    lines = (tmp_path / "relation_stats.csv").read_text().strip().splitlines()
     assert lines[0] == "relation,triples,entities,head_tail_ratio"
     assert len(lines) == 3
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 from pathlib import Path
@@ -12,7 +13,6 @@ from kgstruct.relsim import SimilarityMatrix
 from kgstruct.report import (
     PipelineConfig,
     emit_matrix_csv,
-    read_matrix_csv,
     run_pipeline,
 )
 from kgstruct.synth import demo_plan, synthetic_graph
@@ -115,6 +115,13 @@ def test_emit_matrix_csv_three_lines(tmp_path):
     assert lines[1] == "a,1.000000,0.250000"
 
 
+def read_matrix_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Relation names and values of a matrix CSV, parsed back with the csv module."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header[1:], np.asarray([[float(v) for v in row[1:]] for row in rows])
+
+
 def test_matrix_csv_roundtrip_within_tolerance(tmp_path):
     rng = np.random.default_rng(2)
     base = rng.uniform(size=(5, 5))
@@ -123,9 +130,9 @@ def test_matrix_csv_roundtrip_within_tolerance(tmp_path):
     matrix = SimilarityMatrix([f"r{i}" for i in range(5)], values, "tfidf")
     path = tmp_path / "m.csv"
     emit_matrix_csv(matrix, path)
-    back = read_matrix_csv(path)
-    assert back.relations == matrix.relations
-    assert np.abs(back.values - matrix.values).max() <= 1e-6
+    names, values = read_matrix_csv(path)
+    assert names == matrix.relations
+    assert np.abs(values - matrix.values).max() <= 1e-6
 
 
 def test_matrix_csv_quotes_commas(tmp_path):
@@ -136,8 +143,9 @@ def test_matrix_csv_quotes_commas(tmp_path):
     emit_matrix_csv(matrix, path)
     text = path.read_text()
     assert '"with, comma"' in text
-    back = read_matrix_csv(path)
-    assert back.relations == ["plain", "with, comma"]
+    names, values = read_matrix_csv(path)
+    assert names == ["plain", "with, comma"]
+    assert values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
 
 # -- full pipeline -----------------------------------------------------------------
