@@ -43,6 +43,11 @@ class LogisticConfig:
             raise ConfigError(f"{prefix}iterations: must be >= 1, got {self.iterations}")
         if not self.l2 >= 0:
             raise ConfigError(f"{prefix}l2: must be >= 0, got {self.l2}")
+        # each step scales w by 1 - learning_rate * l2; at or below 0 the
+        # weights flip sign every iteration instead of converging
+        decay = self.learning_rate * self.l2
+        if decay >= 1:
+            raise ConfigError(f"{prefix}learning_rate * {prefix}l2: must be < 1, got {decay}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

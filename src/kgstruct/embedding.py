@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,19 +37,21 @@ class TrainConfig:
     batch_size: int = 1024
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, where: str = "") -> None:
+        """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
+        prefix = f"{where}." if where else ""
         if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
+            raise ConfigError(f"{prefix}dimension: must be >= 1, got {self.dimension}")
         if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
+            raise ConfigError(f"{prefix}epochs: must be >= 0, got {self.epochs}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConfigError(f"{prefix}margin: must be finite and > 0, got {self.margin}")
         if self.negatives < 1:
-            raise ConfigError(f"negatives must be >= 1, got {self.negatives}")
+            raise ConfigError(f"{prefix}negatives: must be >= 1, got {self.negatives}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"{prefix}batch_size: must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"{prefix}learning_rate: must be > 0, got {self.learning_rate}")
 
 
 class EmbeddingTable:
@@ -214,8 +217,10 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _scatter_add(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     # np.add.at is unbuffered and correct with repeated rows but slow; a
-    # sort + reduceat pass gives the same result much faster.
-    order = np.argsort(rows, kind="stable")
+    # sort + reduceat pass gives the same result much faster. The narrowest
+    # key dtype sorts fastest (radix below 16 bits), and a stable sort's
+    # permutation does not depend on the dtype, so the sums are unchanged.
+    order = np.argsort(rows.astype(np.min_scalar_type(len(target))), kind="stable")
     rows = rows[order]
     grads = grads[order]
     boundaries = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
@@ -287,7 +292,8 @@ def train(
                 hinge = np.float32(config.margin) + np.repeat(d_pos, n_neg) - d_neg
                 if not np.isfinite(hinge).all():
                     raise TrainingDivergedError(
-                        f"non-finite margin loss at epoch {epoch}; lower train.learning_rate"
+                        f"non-finite margin loss at epoch {epoch}; lower "
+                        "train.learning_rate or train.margin"
                     )
                 active = hinge > 0
 
@@ -314,7 +320,8 @@ def train(
             mean_loss = epoch_loss / max(n_pairs, 1)
             if not np.isfinite(mean_loss):
                 raise TrainingDivergedError(
-                    f"non-finite loss {mean_loss} at epoch {epoch}; lower train.learning_rate"
+                    f"non-finite loss {mean_loss} at epoch {epoch}; lower "
+                    "train.learning_rate or train.margin"
                 )
             losses.append(mean_loss)
             log.debug("epoch %d: loss=%.6f lr=%.5f", epoch, mean_loss, lr)

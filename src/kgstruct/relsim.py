@@ -19,7 +19,7 @@ import numpy as np
 from .definitions import CONCEPTNET_RELATION_DEFINITIONS
 from .embedding import unit_rows
 from .errors import DataError
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, _distinct_ids
 from .validation import RelationProfile
 
 log = logging.getLogger(__name__)
@@ -153,18 +153,20 @@ def jaccard_overlap_matrix(graph: KnowledgeGraph, side: str) -> SimilarityMatrix
         raise DataError(f"side must be 'head' or 'tail', got {side!r}")
     col = 0 if side == "head" else 2
     names = list(graph.relation_names)
-    sets = []
-    for rid in range(graph.n_relations):
-        rows = graph.relation_triples(rid)
-        sets.append(frozenset(rows[:, col].tolist()))
+    mark = np.zeros(graph.n_entities, dtype=bool)
+    sets = [
+        _distinct_ids(mark, graph.relation_triples(rid)[:, col])
+        for rid in range(graph.n_relations)
+    ]
     n = len(names)
     sims = np.eye(n, dtype=np.float64)
     for i in range(n):
+        mark[sets[i]] = True
         for j in range(i + 1, n):
-            union = len(sets[i] | sets[j])
-            sims[i, j] = sims[j, i] = (
-                len(sets[i] & sets[j]) / union if union else 0.0
-            )
+            inter = int(np.count_nonzero(mark[sets[j]]))
+            union = len(sets[i]) + len(sets[j]) - inter
+            sims[i, j] = sims[j, i] = inter / union if union else 0.0
+        mark[sets[i]] = False
     return SimilarityMatrix(names, sims, f"jaccard-{side}")
 
 

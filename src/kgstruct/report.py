@@ -152,7 +152,7 @@ class PipelineConfig:
         if self.split:
             self.split.validate()
         if self.train:
-            self.train.validate()
+            self.train.validate("train")
         if self.validate.bins < 1:
             raise ConfigError("validate.bins must be >= 1")
         if self.cluster.enabled:

@@ -72,7 +72,8 @@ def test_linear_large_learning_rate_raises_no_overflow_warning():
     x, y = separable_blobs(gap=20.0, seed=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        config = LogisticConfig(learning_rate=1e4, iterations=50)
+        # l2 well below 1 / learning_rate, so the step can converge
+        config = LogisticConfig(learning_rate=1e4, iterations=50, l2=1e-5)
         clf = LogisticRegressionClassifier(config).fit(x, y)
         proba = clf.predict_proba(x * 100.0)
     assert np.isfinite(proba).all()
@@ -106,12 +107,30 @@ def test_classifier_configs_reject_degenerate_values(config, field):
     "config", [LogisticConfig(learning_rate=1e30), LogisticConfig(l2=1e30)], ids=["lr", "l2"]
 )
 def test_linear_divergence_is_a_config_error_without_warnings(config):
+    # learning_rate * l2 >= 1 cannot converge, so it is rejected before the first step
     x, y = separable_blobs(n=40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TrainingDivergedError, match="negation.linear.learning_rate"):
+        with pytest.raises(ConfigError, match=r"^learning_rate \* l2: must be < 1, got "):
             LogisticRegressionClassifier(config).fit(x, y)
+
+
+def test_linear_overflowing_weights_are_a_config_error_without_warnings():
+    x, y = separable_blobs(n=40)
+    config = LogisticConfig(learning_rate=1e200, l2=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match="negation.linear.learning_rate"):
+            LogisticRegressionClassifier(config).fit(x * 1e200, y)
     assert issubclass(TrainingDivergedError, ConfigError)
+
+
+@pytest.mark.parametrize("learning_rate, l2", [(0.5, 3.0), (0.5, 2.0), (1e30, 1e-3)])
+def test_linear_rejects_a_step_that_flips_the_weights(learning_rate, l2):
+    # each step scales w by 1 - learning_rate * l2; at or below 0 its sign flips
+    with pytest.raises(ConfigError, match=r"^negation\.x\.learning_rate \* negation\.x\.l2: "):
+        LogisticConfig(learning_rate=learning_rate, l2=l2).validate("negation.x")
+    LogisticConfig(learning_rate=learning_rate, l2=0.999 / learning_rate).validate()
 
 
 def test_linear_unfitted_predict():

@@ -305,12 +305,16 @@ def _definitions(text):
         (_config("negation", negation={"linear": {"learning_rate": 1e30}}), 1,
          "negation.linear.learning_rate"),
         (_config("negation", negation={"linear": {"l2": -1}}), 1, "negation.linear.l2"),
+        (_config("negation", negation={"linear": {"l2": 3}}), 1, "negation.linear.l2"),
+        (_config("train", train={"margin": float("nan")}), 1, "train.margin"),
+        (_config("train", train={"margin": 3e38}), 1, "train.margin"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
          "zero-iterations", "negative-learning-rate", "missing-definitions",
          "non-json-definitions", "max-features-log2", "zero-exemplars",
-         "diverging-train-lr", "diverging-linear-lr", "negative-l2"],
+         "diverging-train-lr", "diverging-linear-lr", "negative-l2", "non-converging-l2",
+         "nan-margin", "overflowing-margin"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)

@@ -7,6 +7,7 @@ from conftest import make_table
 from kgstruct.embedding import (
     EmbeddingTable,
     TrainConfig,
+    _scatter_add,
     hits_at_k,
     train,
     translation_matrix,
@@ -89,6 +90,12 @@ def test_train_rejects_bad_config():
         train(graph, TrainConfig(margin=0.0))
     with pytest.raises(ConfigError):
         train(graph, TrainConfig(negatives=0))
+
+
+@pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf")])
+def test_train_config_names_a_bad_margin(margin):
+    with pytest.raises(ConfigError, match=r"^train\.margin: must be finite and > 0"):
+        TrainConfig(margin=margin).validate("train")
 
 
 def test_train_divergence_detected():
@@ -325,3 +332,26 @@ def test_unit_rows_matches_the_replaced_formulas_bitwise(shape):
         assert unit.tobytes() == old_unit.tobytes(), old.__name__
         assert np.array_equal(ok, old_ok)
         assert not ok[shape[0] // 2] and not unit[shape[0] // 2].any()
+
+
+def reference_scatter_add(target, rows, grads):
+    """_scatter_add with the old int64 sort key."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    grads = grads[order]
+    boundaries = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    target[rows[boundaries]] += np.add.reduceat(grads, boundaries, axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_target", [7, 300, 70_000])  # uint8, uint16 and uint32 keys
+def test_scatter_add_matches_the_int64_sort_bitwise(dtype, n_target):
+    rng = np.random.default_rng(n_target)
+    rows = rng.integers(0, n_target, 2_000)
+    rows[rng.permutation(2_000)[:400]] = n_target - 1  # one segment longer than 128 rows
+    grads = rng.standard_normal((2_000, 5)).astype(dtype)
+    start = rng.standard_normal((n_target, 5)).astype(dtype)
+    expected, got = start.copy(), start.copy()
+    reference_scatter_add(expected, rows, grads)
+    _scatter_add(got, rows, grads)
+    assert got.tobytes() == expected.tobytes()

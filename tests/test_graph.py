@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from kgstruct.errors import ConfigError, ParseError
 from kgstruct.graph import (
     GraphStats,
     KnowledgeGraph,
+    RelationStats,
     SplitSpec,
     compute_stats,
     filter_relations,
@@ -315,6 +318,80 @@ def test_stats_inclusion_exclusion_property(rows):
     assert stats.entities == graph.n_entities
 
 
+DUPLICATE_HEAVY_STATS = Path(__file__).parent / "fixtures" / "duplicate_heavy_stats_sha256.json"
+
+
+def write_duplicate_heavy_edges(path, seed=11, lines=200_000):
+    """Seeded edge file whose lines mostly repeat one of 20,000 distinct triples.
+
+    About 2,000 entity ids and 5 relations of unequal size, every 50th pooled
+    triple a self-loop, plus one comment line and one blank line.
+    """
+    rng = np.random.default_rng(seed)
+    pool = np.column_stack(
+        [
+            rng.integers(0, 2_000, 20_000),
+            rng.choice(5, 20_000, p=[0.4, 0.3, 0.15, 0.1, 0.05]),
+            rng.integers(0, 2_000, 20_000),
+        ]
+    )
+    pool[::50, 2] = pool[::50, 0]
+    picks = pool[(rng.zipf(1.2, size=lines) - 1) % len(pool)]
+    text = [f"e{h}\tr{r}\te{t}" for h, r, t in picks.tolist()]
+    text.insert(0, "# duplicate-heavy stats fixture")
+    text.insert(lines // 2, "")
+    write_lines(path, text)
+
+
+def test_duplicate_heavy_stats_reproduce_the_golden_bytes(tmp_path):
+    """stats.json and relation_stats.csv of a 200k-line, duplicate-heavy file.
+
+    The SHA-256 map was written by the code before the dense-id counting
+    kernels, so it locks their counts at a scale where duplicates occur.
+    """
+    edges = tmp_path / "edges.tsv"
+    write_duplicate_heavy_edges(edges)
+    graph = parse_edge_file(edges)
+    assert graph.duplicates_removed > graph.n_triples  # most lines are repeats
+    stage_stats(graph, tmp_path)
+    golden = json.loads(DUPLICATE_HEAVY_STATS.read_text(encoding="utf-8"))
+    sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert sha == golden
+
+
+def reference_stats(graph):
+    """compute_stats as sorted unique / union / intersection passes, the old formulas."""
+    if graph.n_triples == 0:
+        return GraphStats(0, 0, 0, 0, 0, None, {})
+    heads = np.unique(graph.triples[:, 0])
+    tails = np.unique(graph.triples[:, 2])
+    overlap = np.intersect1d(heads, tails, assume_unique=True)
+    used = np.union1d(heads, tails)
+    per_relation = {}
+    for rid in range(graph.n_relations):
+        sub = graph.triples[graph.triples[:, 1] == rid]
+        if not len(sub):
+            continue
+        r_heads = np.unique(sub[:, 0])
+        r_tails = np.unique(sub[:, 2])
+        per_relation[graph.relation_names[rid]] = RelationStats(
+            triples=len(sub),
+            entities=len(np.union1d(r_heads, r_tails)),
+            head_tail_ratio=len(r_heads) / len(r_tails) if len(r_tails) else None,
+        )
+    return GraphStats(
+        graph.n_triples, len(used), len(heads), len(tails), len(overlap),
+        len(used) / graph.n_triples, per_relation,
+    )
+
+
+def test_stats_equal_the_reference_formulas(edge_case_graphs):
+    for graph in edge_case_graphs:
+        stats = compute_stats(graph)
+        assert stats == reference_stats(graph)
+        assert list(stats.per_relation) == list(reference_stats(graph).per_relation)
+
+
 def test_stats_files_roundtrip(tiny_graph, tmp_path):
     stage_stats(tiny_graph, tmp_path)
     loaded = json.loads((tmp_path / "stats.json").read_text())
@@ -333,6 +410,41 @@ def test_dedup_merges_multiplicities():
     assert graph.n_triples == 2
     assert graph.multiplicities.tolist() == [3, 1]
     assert graph.duplicates_removed == 2
+
+
+def reference_dedupe(n_entities, n_relations, triples, multiplicities):
+    """from_id_triples' old collapse: first occurrences ordered by argsort(first)."""
+    codes = (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
+    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    merged = np.bincount(inverse, weights=multiplicities.astype(np.float64))
+    removed = int(multiplicities.sum() - len(uniq))
+    return triples[first[order]], merged[order].astype(np.int64), removed
+
+
+def test_dedupe_equals_the_reference_collapse(edge_case_graphs):
+    rng = np.random.default_rng(5)
+    for graph in edge_case_graphs:
+        rows = graph.triples[rng.integers(0, max(graph.n_triples, 1), 3 * graph.n_triples)]
+        mult = rng.integers(1, 4, len(rows))
+        built = KnowledgeGraph.from_id_triples(
+            graph.entity_names, graph.relation_names, rows, mult
+        )
+        kept, merged, removed = reference_dedupe(graph.n_entities, graph.n_relations, rows, mult)
+        assert np.array_equal(built.triples, kept)
+        assert np.array_equal(built.multiplicities, merged)
+        assert built.duplicates_removed == removed
+
+
+def test_relation_index_rows_ascend_and_partition(edge_case_graphs):
+    for graph in edge_case_graphs:
+        index = graph.relation_index
+        for rid, rows in index.items():
+            assert len(rows) and (np.diff(rows) > 0).all()
+            assert (graph.triples[rows, 1] == rid).all()
+        assert graph.n_relations - 1 not in index  # the empty relation has no key
+        all_rows = np.sort(np.concatenate([np.empty(0, np.int64), *index.values()]))
+        assert np.array_equal(all_rows, np.arange(graph.n_triples))
 
 
 def test_relation_index_partitions(tiny_graph):

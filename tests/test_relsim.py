@@ -164,6 +164,29 @@ def test_jaccard_invariant_under_entity_relabeling(rows, perm_seed):
     assert np.allclose(a.values, b.values, atol=0)
 
 
+def reference_jaccard(graph, col):
+    """jaccard_overlap_matrix's old frozenset formula."""
+    sets = [
+        frozenset(graph.relation_triples(rid)[:, col].tolist())
+        for rid in range(graph.n_relations)
+    ]
+    n = len(sets)
+    sims = np.eye(n, dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            union = len(sets[i] | sets[j])
+            sims[i, j] = sims[j, i] = len(sets[i] & sets[j]) / union if union else 0.0
+    return sims
+
+
+@pytest.mark.parametrize("side, col", [("head", 0), ("tail", 2)])
+def test_jaccard_equals_the_frozenset_formula_bitwise(edge_case_graphs, side, col):
+    for graph in edge_case_graphs:
+        matrix = jaccard_overlap_matrix(graph, side)
+        assert matrix.relations == graph.relation_names
+        assert matrix.values.tobytes() == reference_jaccard(graph, col).tobytes()
+
+
 def test_jaccard_locality_of_added_triple():
     graph = jaccard_fixture()
     before = jaccard_overlap_matrix(graph, "head").score("r1", "r2")
