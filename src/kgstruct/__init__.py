@@ -76,7 +76,6 @@ from .classify import (  # noqa: F401
     cross_validate,
 )
 from .negation import (  # noqa: F401
-    LabeledDataset,
     NegationStudyReport,
     PairUniverse,
     UnknownSample,

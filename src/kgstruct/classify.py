@@ -113,7 +113,6 @@ class ForestConfig:
     min_samples_split: int = 2
     max_features: str | int = "sqrt"  # "sqrt", "all", or a fixed count
     bootstrap: bool = True
-    seed: int = 0
 
     def validate(self, where: str = "") -> None:
         """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
@@ -228,10 +227,14 @@ def _tree_predict(node: _TreeNode, x: np.ndarray, out: np.ndarray, rows: np.ndar
 
 
 class RandomForestClassifier:
-    """Bootstrap-aggregated Gini decision trees with majority voting."""
+    """Bootstrap-aggregated Gini decision trees with majority voting.
 
-    def __init__(self, config: ForestConfig | None = None):
+    ``seed`` fixes the bootstrap rows and per-split feature subsets of every tree.
+    """
+
+    def __init__(self, config: ForestConfig | None = None, seed: int = 0):
         self.config = config or ForestConfig()
+        self.seed = seed
         self.trees_: list[_TreeNode] = []
 
     def _features_per_split(self, d: int) -> int:
@@ -249,7 +252,7 @@ class RandomForestClassifier:
         _check_binary(y)
         n, d = x.shape
         per_split = self._features_per_split(d)
-        seeds = np.random.SeedSequence(self.config.seed).spawn(self.config.n_trees)
+        seeds = np.random.SeedSequence(self.seed).spawn(self.config.n_trees)
         self.trees_ = []
         for seq in seeds:
             rng = np.random.default_rng(seq)
@@ -293,17 +296,6 @@ class CvReport:
     hyperparams: dict = field(default_factory=dict)
     seed: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "folds": self.folds,
-            "accuracies": list(self.accuracies),
-            "mean_accuracy": self.mean_accuracy,
-            "baseline_accuracy": self.baseline_accuracy,
-            "classifier": self.classifier,
-            "hyperparams": self.hyperparams,
-            "seed": self.seed,
-        }
-
 
 def stratified_folds(
     labels: np.ndarray, folds: int, rng: np.random.Generator
@@ -325,17 +317,6 @@ def stratified_folds(
     return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
 
 
-def _make_classifier(kind: str, seed: int, config=None):
-    if kind == "linear":
-        return LogisticRegressionClassifier(config)
-    if kind == "forest":
-        cfg = config or ForestConfig()
-        return RandomForestClassifier(
-            ForestConfig(**{**asdict(cfg), "seed": seed})
-        )
-    raise ConfigError(f"unknown classifier kind: {kind!r}")
-
-
 def cross_validate(
     features: np.ndarray,
     labels: np.ndarray,
@@ -346,9 +327,12 @@ def cross_validate(
 ) -> CvReport:
     """Stratified k-fold accuracy of one classifier kind.
 
-    Each fold is held out once; the classifier is refit on the rest with a
-    fold-specific child seed, keeping the whole run deterministic.
+    Each fold is held out once; the classifier is refit on the rest. Fold
+    ``i`` seeds its forest with ``seed * 1000 + i``, keeping the whole run
+    deterministic.
     """
+    if kind not in ("linear", "forest"):
+        raise ConfigError(f"unknown classifier kind: {kind!r}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if folds < 2:
@@ -362,18 +346,20 @@ def cross_validate(
     for i, held_out in enumerate(fold_indices):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[held_out] = False
-        clf = _make_classifier(kind, seed=seed * 1000 + i, config=config)
+        if kind == "linear":
+            clf = LogisticRegressionClassifier(config)
+        else:
+            clf = RandomForestClassifier(config, seed=seed * 1000 + i)
         clf.fit(x[train_mask], y[train_mask])
         predicted = clf.predict(x[held_out])
         accuracies.append(float((predicted == y[held_out]).mean()))
     counts = np.bincount(y)
-    used = config or (LogisticConfig() if kind == "linear" else ForestConfig())
     return CvReport(
         folds=folds,
         accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
         baseline_accuracy=float(counts.max() / len(y)),
         classifier=kind,
-        hyperparams=asdict(used),
+        hyperparams=asdict(clf.config),
         seed=seed,
     )

@@ -19,7 +19,7 @@ from dataclasses import replace
 from .embedding import EmbeddingTable
 from .errors import ConfigError, DataError
 from .graph import FORMATS
-from .report import ANALYSIS_STAGES, PipelineConfig, ReportBundle, run_pipeline
+from .report import ANALYSIS_STAGES, PipelineConfig, ReportBundle, read_config, run_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -27,8 +27,7 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 # argparse dest -> config field it overrides; a flag left unset keeps the
-# config's value. Top-level fields come first so that a train block filled
-# in for a train flag derives its seed from the overriding --seed.
+# config's value.
 FLAG_FIELDS = {
     "input": "input",
     "format": "format",
@@ -128,31 +127,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_flags(config: PipelineConfig, args) -> PipelineConfig:
+def _apply_flags(data: dict, args) -> dict:
+    """``data`` with each flag that is set written into its field, for the loader to check."""
     for dest, path in FLAG_FIELDS.items():
         value = getattr(args, dest, None)
         if value is None:
             continue
-        if isinstance(value, list):
-            value = tuple(value)
         section, _, name = path.rpartition(".")
+        node = data
         if section:
-            # an omitted train block starts from the one run would derive
-            block = getattr(config, section) or getattr(config.resolved(), section)
-            value = replace(block, **{name: value})
-            name = section
-        config = replace(config, **{name: value})
-    return config
+            if data.get(section) is None:
+                data[section] = {}
+            node = data[section]
+        if isinstance(node, dict):  # else the loader names the malformed block
+            node[name] = value
+    return data
 
 
 def _load_config(args) -> PipelineConfig:
     if args.config:
-        config = PipelineConfig.from_json_file(args.config)
+        data = read_config(args.config)
     elif args.input:
-        config = PipelineConfig(input=args.input)
+        data = {}
     else:
         raise ConfigError("either --config or --input is required")
-    config = _apply_flags(config, args)
+    config = PipelineConfig.from_json_dict(_apply_flags(data, args))
     if args.command == "run":
         return config
     # a per-stage subcommand runs its own stage only

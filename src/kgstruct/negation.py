@@ -13,17 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import CvReport, cross_validate
+from .classify import CvReport, ForestConfig, LogisticConfig, cross_validate
 from .embedding import EmbeddingTable
 from .errors import DataError
 from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
-
-LABEL_NEGATIVE = 0
-LABEL_POSITIVE = 1
-LABEL_UNKNOWN = 2
-LABEL_NAMES = ("negative", "positive", "unknown")
 
 
 @dataclass
@@ -66,9 +61,13 @@ class PairUniverse:
             out[int(known[a, 0])] = known[a:b, 1]
         return out
 
-    def unknown_heads(self) -> np.ndarray:
-        """Heads with at least one unknown tail (empirically usually all)."""
-        by_head = self.known_tails_by_head()
+    def unknown_heads(self, by_head: dict[int, np.ndarray] | None = None) -> np.ndarray:
+        """Heads with at least one unknown tail (empirically usually all).
+
+        ``by_head`` is this universe's ``known_tails_by_head()``, if the caller has it.
+        """
+        if by_head is None:
+            by_head = self.known_tails_by_head()
         n_tails = len(self.tails)
         return np.asarray(
             [h for h in self.heads if n_tails - len(by_head.get(int(h), ())) > 0],
@@ -83,6 +82,7 @@ class UnknownSample:
     pairs: np.ndarray  # (m, 2) head/tail entity ids
     tail_ratio: int
     seed: int
+    unknown_heads: int  # heads with at least one unknown tail; each gets a draw
 
 
 def _relation_pairs(graph: KnowledgeGraph, rid: int) -> tuple[np.ndarray, int]:
@@ -150,7 +150,7 @@ def sample_unknown_pairs(universe: PairUniverse, seed: int = 0) -> UnknownSample
     by_head = universe.known_tails_by_head()
     tails = universe.tails
     n_tails = len(tails)
-    heads_u = universe.unknown_heads()
+    heads_u = universe.unknown_heads(by_head)
     ratio = tail_sampling_ratio(universe, len(heads_u))
     rng = np.random.default_rng(seed)
     chunks = []
@@ -183,55 +183,21 @@ def sample_unknown_pairs(universe: PairUniverse, seed: int = 0) -> UnknownSample
             take = candidates[:take_n]
         chunks.append(np.column_stack([np.full(len(take), h, dtype=np.int64), take]))
     pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return UnknownSample(pairs=pairs, tail_ratio=ratio, seed=seed)
-
-
-@dataclass
-class LabeledDataset:
-    """Translation-vector feature rows labeled positive/negative/unknown."""
-
-    features: np.ndarray  # (n, d) float64
-    labels: np.ndarray  # (n,) ints indexing LABEL_NAMES
-    pairs: np.ndarray  # (n, 2) head/tail entity ids
-
-    @property
-    def label_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.labels, minlength=len(LABEL_NAMES))
-        return {name: int(counts[i]) for i, name in enumerate(LABEL_NAMES)}
-
-    def binary_subset(self) -> tuple[np.ndarray, np.ndarray]:
-        """Features and 0/1 labels of the known (non-unknown) rows."""
-        mask = self.labels != LABEL_UNKNOWN
-        return self.features[mask], self.labels[mask]
+    return UnknownSample(pairs=pairs, tail_ratio=ratio, seed=seed, unknown_heads=len(heads_u))
 
 
 def assemble_dataset(
-    table: EmbeddingTable, universe: PairUniverse, sample: UnknownSample
-) -> LabeledDataset:
-    """One tail-minus-head feature row per known and sampled-unknown pair."""
-    blocks = [
-        (universe.positive_pairs, LABEL_POSITIVE),
-        (universe.negative_pairs, LABEL_NEGATIVE),
-        (sample.pairs, LABEL_UNKNOWN),
-    ]
+    table: EmbeddingTable, universe: PairUniverse
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tail-minus-head feature rows and 1/0 labels: positive pairs, then negative pairs."""
     if table.entity_names != universe.entity_names:
         raise DataError("embedding table interning does not match the universe's graph")
-    features = []
-    labels = []
-    pairs = []
-    for block, label in blocks:
-        if len(block) == 0:
-            continue
-        heads = table.entity_vectors[block[:, 0]].astype(np.float64)
-        tails = table.entity_vectors[block[:, 1]].astype(np.float64)
-        features.append(tails - heads)
-        labels.append(np.full(len(block), label, dtype=np.int64))
-        pairs.append(block)
-    return LabeledDataset(
-        features=np.vstack(features),
-        labels=np.concatenate(labels),
-        pairs=np.vstack(pairs),
-    )
+    pairs = np.vstack([universe.positive_pairs, universe.negative_pairs])
+    heads = table.entity_vectors[pairs[:, 0]].astype(np.float64)
+    tails = table.entity_vectors[pairs[:, 1]].astype(np.float64)
+    labels = np.zeros(len(pairs), dtype=np.int64)
+    labels[: len(universe.positive_pairs)] = 1
+    return tails - heads, labels
 
 
 def write_unknown_pairs(
@@ -250,11 +216,11 @@ def write_unknown_pairs(
 class NegationStudyReport:
     """Everything the negation probe produces for one relation pair."""
 
-    universe_summary: dict
+    universe: dict
     sample_size: int
     tail_ratio: int
     label_counts: dict[str, int]
-    cv_reports: list[CvReport]
+    cross_validation: list[CvReport]
 
 
 def run_negation_study(
@@ -265,20 +231,18 @@ def run_negation_study(
     folds: int = 10,
     seed: int = 0,
     classifier: str = "both",
-    linear_config=None,
-    forest_config=None,
-) -> tuple[NegationStudyReport, PairUniverse, UnknownSample, LabeledDataset]:
-    """Build the pair universe, sample unknowns, and cross-validate."""
+    linear_config: LogisticConfig | None = None,
+    forest_config: ForestConfig | None = None,
+) -> tuple[NegationStudyReport, PairUniverse, UnknownSample]:
+    """Build the pair universe, sample unknowns, and cross-validate on the known pairs."""
     universe = build_pair_universe(graph, relation, negation_relation)
     sample = sample_unknown_pairs(universe, seed=seed)
-    dataset = assemble_dataset(table, universe, sample)
-    x, y = dataset.binary_subset()
+    x, y = assemble_dataset(table, universe)
     kinds = ("linear", "forest") if classifier == "both" else (classifier,)
-    reports = []
-    for kind in kinds:
-        config = linear_config if kind == "linear" else forest_config
-        reports.append(cross_validate(x, y, kind, folds=folds, seed=seed, config=config))
-    heads_u = universe.unknown_heads()
+    configs = {"linear": linear_config, "forest": forest_config}
+    reports = [
+        cross_validate(x, y, kind, folds=folds, seed=seed, config=configs[kind]) for kind in kinds
+    ]
     summary = {
         "relation": universe.relation,
         "negation_relation": universe.negation_relation,
@@ -290,13 +254,17 @@ def run_negation_study(
         "unknown_pairs": universe.unknown_pair_count,
         "contradictions_removed": universe.contradictions_removed,
         "duplicates_removed": universe.duplicates_removed,
-        "unknown_heads_equal_heads": len(heads_u) == len(universe.heads),
+        "unknown_heads_equal_heads": sample.unknown_heads == len(universe.heads),
     }
     report = NegationStudyReport(
-        universe_summary=summary,
+        universe=summary,
         sample_size=len(sample.pairs),
         tail_ratio=sample.tail_ratio,
-        label_counts=dataset.label_counts,
-        cv_reports=reports,
+        label_counts={
+            "negative": len(universe.negative_pairs),
+            "positive": len(universe.positive_pairs),
+            "unknown": len(sample.pairs),
+        },
+        cross_validation=reports,
     )
-    return report, universe, sample, dataset
+    return report, universe, sample

@@ -53,7 +53,10 @@ class DefinitionCorpus:
             raise DataError(f"definition corpus {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise DataError(f"{path}: definition corpus must be a JSON object")
-        return cls({str(k): str(v) for k, v in data.items()})
+        for name, text in data.items():
+            if not isinstance(text, str):
+                raise DataError(f"{path}: definition of {name!r} must be a string, got {text!r}")
+        return cls(data)
 
     @property
     def relations(self) -> list[str]:

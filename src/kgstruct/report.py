@@ -16,7 +16,7 @@ import shutil
 import time
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +98,8 @@ class NegationStage:
     folds: int = 10
     classifier: str = "both"  # "linear", "forest", or "both"
     seed: int | None = None
-    linear: dict = field(default_factory=dict)
-    forest: dict = field(default_factory=dict)
+    linear: LogisticConfig = LogisticConfig()
+    forest: ForestConfig = ForestConfig()
 
 
 @dataclass(frozen=True)
@@ -176,32 +176,41 @@ class PipelineConfig:
                 )
             if self.negation.folds < 2:
                 raise ConfigError("negation.folds must be >= 2")
-            for name, klass in (("linear", LogisticConfig), ("forest", ForestConfig)):
-                where = f"negation.{name}"
-                try:
-                    _load(klass, getattr(self.negation, name), where).validate(where)
-                except ConfigError as exc:
-                    raise ConfigError(f"bad classifier hyperparameters: {exc}") from exc
+            self.negation.linear.validate("negation.linear")
+            self.negation.forest.validate("negation.forest")
 
     def to_json_dict(self) -> dict:
         return _jsonable(asdict(self))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        return _load(cls, data, "")
+        config = _load(cls, data, "")
+        # a split or train block that leaves out its seed derives it from the
+        # master seed, as resolved() does for an omitted block
+        derived = {
+            name: replace(getattr(config, name), seed=config.seed + offset)
+            for name, offset in (("split", 2), ("train", 3))
+            if getattr(config, name) is not None and "seed" not in data[name]
+        }
+        return replace(config, **derived)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_config(path))
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object held by the config file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return data
 
 
 def _load(cls, data, where: str):
@@ -536,9 +545,7 @@ def _emit_merged_quality(reports: list, out_dir: Path) -> None:
 def stage_negation(
     table: EmbeddingTable, graph: KnowledgeGraph, cfg: NegationStage, out_dir: Path
 ) -> dict:
-    linear_cfg = LogisticConfig(**cfg.linear) if cfg.linear else None
-    forest_cfg = ForestConfig(**cfg.forest) if cfg.forest else None
-    report, universe, sample, _dataset = run_negation_study(
+    report, universe, sample = run_negation_study(
         table,
         graph,
         cfg.relation,
@@ -546,25 +553,19 @@ def stage_negation(
         folds=cfg.folds,
         seed=cfg.seed,
         classifier=cfg.classifier,
-        linear_config=linear_cfg,
-        forest_config=forest_cfg,
+        linear_config=cfg.linear,
+        forest_config=cfg.forest,
     )
-    payload = {
-        "universe": report.universe_summary,
-        "sample_size": report.sample_size,
-        "tail_ratio": report.tail_ratio,
-        "label_counts": report.label_counts,
-        "cross_validation": [cv.to_json_dict() for cv in report.cv_reports],
-    }
+    payload = asdict(report)
     write_json(out_dir / "negation_report.json", payload)
-    summary = report.universe_summary
+    summary = report.universe
     write_csv(out_dir / "negation_universe.csv", list(summary), [list(summary.values())])
     write_csv(
         out_dir / "negation_cv.csv",
         ["classifier", "fold", "accuracy"],
         (
             [cv.classifier, fold, _fmt(acc)]
-            for cv in report.cv_reports
+            for cv in report.cross_validation
             for fold, acc in [*enumerate(cv.accuracies), ("mean", cv.mean_accuracy)]
         ),
     )

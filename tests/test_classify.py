@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_forest_xor_beats_linear():
     x, y = xor_blobs()
     train_x, train_y = x[:300], y[:300]
     test_x, test_y = x[300:], y[300:]
-    forest = RandomForestClassifier(ForestConfig(n_trees=30, max_depth=8, seed=2)).fit(
+    forest = RandomForestClassifier(ForestConfig(n_trees=30, max_depth=8), seed=2).fit(
         train_x, train_y
     )
     linear = LogisticRegressionClassifier().fit(train_x, train_y)
@@ -160,7 +161,7 @@ def test_single_stump_matches_exhaustive_threshold_search():
     x = rng.uniform(0, 10, size=(60, 1))
     y = (x[:, 0] > 6.3).astype(np.int64)
     stump = RandomForestClassifier(
-        ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all", seed=0)
+        ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all"), seed=0
     ).fit(x, y)
     # brute-force stump oracle over all midpoints
     values = np.sort(np.unique(x[:, 0]))
@@ -230,17 +231,19 @@ def test_gini_split_none_without_boundary():
 
 def test_forest_duplicated_rows_invariant_without_bootstrap():
     x, y = separable_blobs(n=60, gap=3.0, seed=5)
-    cfg = ForestConfig(n_trees=7, max_depth=6, bootstrap=False, seed=9)
-    base = RandomForestClassifier(cfg).fit(x, y)
-    doubled = RandomForestClassifier(cfg).fit(np.vstack([x, x]), np.concatenate([y, y]))
+    cfg = ForestConfig(n_trees=7, max_depth=6, bootstrap=False)
+    base = RandomForestClassifier(cfg, seed=9).fit(x, y)
+    doubled = RandomForestClassifier(cfg, seed=9).fit(
+        np.vstack([x, x]), np.concatenate([y, y])
+    )
     probe, _ = separable_blobs(n=40, gap=3.0, seed=6)
     assert np.array_equal(base.predict(probe), doubled.predict(probe))
 
 
 def test_forest_deterministic():
     x, y = xor_blobs(n=120, seed=7)
-    a = RandomForestClassifier(ForestConfig(n_trees=10, seed=3)).fit(x, y)
-    b = RandomForestClassifier(ForestConfig(n_trees=10, seed=3)).fit(x, y)
+    a = RandomForestClassifier(ForestConfig(n_trees=10), seed=3).fit(x, y)
+    b = RandomForestClassifier(ForestConfig(n_trees=10), seed=3).fit(x, y)
     assert np.array_equal(a.predict(x), b.predict(x))
 
 
@@ -322,4 +325,21 @@ def test_cv_report_records_hyperparams():
     report = cross_validate(x, y, "forest", folds=3, seed=5, config=cfg)
     assert report.classifier == "forest"
     assert report.hyperparams["n_trees"] == 3
-    assert report.to_json_dict()["folds"] == 3
+    assert asdict(report)["folds"] == 3
+
+
+def test_forest_cv_report_hyperparams_hold_no_seed(monkeypatch):
+    # each fold seeds its own forest from the report's seed and the fold index
+    x, y = separable_blobs(n=60, seed=13)
+    fold_seeds = []
+    original = RandomForestClassifier.__init__
+
+    def recording_init(self, config=None, seed=0):
+        fold_seeds.append(seed)
+        original(self, config, seed)
+
+    monkeypatch.setattr(RandomForestClassifier, "__init__", recording_init)
+    report = cross_validate(x, y, "forest", folds=3, seed=5, config=ForestConfig(n_trees=3))
+    assert report.hyperparams == asdict(ForestConfig(n_trees=3))
+    assert "seed" not in report.hyperparams and report.seed == 5
+    assert fold_seeds == [5000, 5001, 5002]

@@ -308,13 +308,18 @@ def _definitions(text):
         (_config("negation", negation={"linear": {"l2": 3}}), 1, "negation.linear.l2"),
         (_config("train", train={"margin": float("nan")}), 1, "train.margin"),
         (_config("train", train={"margin": 3e38}), 1, "train.margin"),
+        (_config("negation", negation={"forest": {"seed": 3}}), 1, "negation.forest"),
+        (_definitions('{"IsA": "a kind of", "PartOf": ["a", "b"], "HasA": 5}'), 2,
+         "defs.json: definition of 'PartOf' must be a string"),
+        (_definitions('{"IsA": null}'), 2, "'IsA'"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
          "zero-iterations", "negative-learning-rate", "missing-definitions",
          "non-json-definitions", "max-features-log2", "zero-exemplars",
          "diverging-train-lr", "diverging-linear-lr", "negative-l2", "non-converging-l2",
-         "nan-margin", "overflowing-margin"],
+         "nan-margin", "overflowing-margin", "forest-seed", "list-definition",
+         "null-definition"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -370,8 +375,9 @@ FUZZ_CONFIG = {
         "enabled": True,
         "folds": 3,
         "classifier": "both",
-        "linear": {"learning_rate": 0.5, "l2": 1e-3},
-        "forest": {"n_trees": 3, "max_depth": 3, "max_features": "sqrt"},
+        "linear": {"learning_rate": 0.5, "iterations": 50, "l2": 1e-3},
+        "forest": {"n_trees": 3, "max_depth": 3, "min_samples_split": 2, "max_features": "sqrt",
+                   "bootstrap": True},
     },
 }
 

@@ -9,11 +9,10 @@ from conftest import make_table
 from kgstruct.errors import DataError
 from kgstruct.graph import KnowledgeGraph, parse_edge_file
 from kgstruct.negation import (
-    LABEL_NEGATIVE,
-    LABEL_POSITIVE,
-    LABEL_UNKNOWN,
+    PairUniverse,
     assemble_dataset,
     build_pair_universe,
+    run_negation_study,
     sample_unknown_pairs,
     tail_sampling_ratio,
     write_unknown_pairs,
@@ -167,10 +166,13 @@ def test_sampling_deterministic():
 # -- dataset assembly ----------------------------------------------------------------
 
 
-def universe_with_table(n_pos=10, n_neg=10, dim=4, seed=3):
+def universe_with_table(n_pos=10, n_neg=10, dim=4, seed=3, messy=False):
     rng = np.random.default_rng(seed)
     pos = [(i, i % 5) for i in range(n_pos)]
     neg = [(i, (i + 2) % 5 + 5) for i in range(n_neg)]
+    if messy:
+        # pairs repeated under one relation, and pairs asserted under both
+        pos, neg = pos + pos[:3] + neg[:2], neg + neg[1:4] + pos[4:6]
     graph = pair_graph(pos, neg)
     universe = build_pair_universe(graph, "Desires", "NotDesires")
     table = make_table(
@@ -182,27 +184,23 @@ def universe_with_table(n_pos=10, n_neg=10, dim=4, seed=3):
 
 def test_assemble_counts_and_features():
     graph, universe, table = universe_with_table()
-    sample = sample_unknown_pairs(universe, seed=1)
-    dataset = assemble_dataset(table, universe, sample)
-    counts = dataset.label_counts
-    assert counts["positive"] == len(universe.positive_pairs)
-    assert counts["negative"] == len(universe.negative_pairs)
-    assert counts["unknown"] == len(sample.pairs)
-    assert len(dataset.features) == sum(counts.values())
-    # each row is exactly tail vector minus head vector
-    for row, (h, t), label in zip(dataset.features, dataset.pairs, dataset.labels):
+    x, y = assemble_dataset(table, universe)
+    assert int(y.sum()) == len(universe.positive_pairs)
+    assert int((y == 0).sum()) == len(universe.negative_pairs)
+    assert len(x) == len(y) == universe.known_pair_count
+    # each row is exactly tail vector minus head vector, positives first
+    pairs = np.vstack([universe.positive_pairs, universe.negative_pairs])
+    for row, (h, t), label in zip(x, pairs, y):
         expected = table.entity_vectors[t].astype(np.float64) - table.entity_vectors[
             h
         ].astype(np.float64)
-        assert np.allclose(row, expected, atol=0)
-        assert label in (LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_UNKNOWN)
+        assert np.array_equal(row, expected)
+        assert label == int(any((universe.positive_pairs == (h, t)).all(axis=1)))
 
 
 def test_assemble_binary_subset():
     graph, universe, table = universe_with_table()
-    sample = sample_unknown_pairs(universe, seed=1)
-    dataset = assemble_dataset(table, universe, sample)
-    x, y = dataset.binary_subset()
+    x, y = assemble_dataset(table, universe)
     assert set(np.unique(y)) == {0, 1}
     assert len(x) == len(universe.positive_pairs) + len(universe.negative_pairs)
 
@@ -210,21 +208,80 @@ def test_assemble_binary_subset():
 def test_assemble_missing_embedding():
     graph, universe, table = universe_with_table()
     small = make_table({"h0": [0.0] * 4}, {"Desires": [0.0] * 4})
-    sample = sample_unknown_pairs(universe, seed=1)
     with pytest.raises(DataError):
-        assemble_dataset(small, universe, sample)
+        assemble_dataset(small, universe)
 
 
 def test_assemble_mismatched_interning():
     graph, universe, table = universe_with_table()
-    sample = sample_unknown_pairs(universe, seed=1)
     shuffled_names = list(reversed(table.entity_names))
     wrong = make_table(
         {name: [0.0] * 4 for name in shuffled_names},
         {"Desires": [0.0] * 4},
     )
-    with pytest.raises(DataError):
-        assemble_dataset(wrong, universe, sample)
+    with pytest.raises(DataError, match="interning"):
+        assemble_dataset(wrong, universe)
+
+
+def reference_binary_dataset(table, universe, sample):
+    """Features and labels by the earlier two-step formula: a tail-minus-head
+    row for every positive, negative and sampled unknown pair, labelled 1, 0
+    and 2, then a mask that keeps the known rows."""
+    features, labels = [], []
+    for block, label in (
+        (universe.positive_pairs, 1),
+        (universe.negative_pairs, 0),
+        (sample.pairs, 2),
+    ):
+        if len(block) == 0:
+            continue
+        heads = table.entity_vectors[block[:, 0]].astype(np.float64)
+        tails = table.entity_vectors[block[:, 1]].astype(np.float64)
+        features.append(tails - heads)
+        labels.append(np.full(len(block), label, dtype=np.int64))
+    features, labels = np.vstack(features), np.concatenate(labels)
+    known = labels != 2
+    return features[known], labels[known]
+
+
+@pytest.mark.parametrize("messy", [False, True], ids=["clean", "duplicates-contradictions"])
+@pytest.mark.parametrize("seed", [0, 3, 17, 4099])
+def test_assemble_equals_the_reference_bitwise(seed, messy):
+    graph, universe, table = universe_with_table(n_pos=9 + seed % 4, seed=seed, messy=messy)
+    # the graph collapses the repeated rows; contradictory pairs leave both sides
+    assert (universe.contradictions_removed > 0) == messy
+    sample = sample_unknown_pairs(universe, seed=seed)
+    assert len(sample.pairs) > 0
+    ref_x, ref_y = reference_binary_dataset(table, universe, sample)
+    x, y = assemble_dataset(table, universe)
+    assert x.dtype == ref_x.dtype and x.shape == ref_x.shape
+    assert x.tobytes() == ref_x.tobytes()
+    assert y.dtype == ref_y.dtype and y.tobytes() == ref_y.tobytes()
+
+
+def test_study_builds_known_tails_once_and_counts_labels(monkeypatch):
+    graph, _, table = universe_with_table(seed=5)
+    calls = []
+    original = PairUniverse.known_tails_by_head
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PairUniverse, "known_tails_by_head", counting)
+    report, universe, sample = run_negation_study(
+        table, graph, "Desires", "NotDesires", folds=2, seed=1, classifier="linear"
+    )
+    assert len(calls) == 1
+    assert report.label_counts == {
+        "negative": len(universe.negative_pairs),
+        "positive": len(universe.positive_pairs),
+        "unknown": len(sample.pairs),
+    }
+    assert report.sample_size == len(sample.pairs) > 0
+    assert report.universe["unknown_heads_equal_heads"] == (
+        len(universe.unknown_heads()) == len(universe.heads)
+    )
 
 
 def test_unknown_pairs_export_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgstruct import report
+from kgstruct.cli import _load_config, build_parser
 from kgstruct.errors import ConfigError, DataError
 from kgstruct.graph import write_generic_3col
 from kgstruct.relsim import SimilarityMatrix
@@ -66,13 +67,29 @@ def test_config_requires_input():
         PipelineConfig.from_json_dict({"out": "y"})
 
 
-def test_config_resolves_all_seeds():
+def test_config_resolves_all_seeds(tmp_path):
     config = PipelineConfig.from_json_dict({"input": "x", "seed": 40}).resolved()
     assert config.sample_seed == 41
     assert config.split.seed == 42
     assert config.train.seed == 43
     assert config.cluster.seed == 44
     assert config.negation.seed == 45
+    # a split or train block without a seed derives it as an omitted block does
+    blocks = {"split": {"train": 0.5, "validation": 0.25, "test": 0.25}, "train": {"epochs": 2}}
+    for master in (40, 41):
+        config = PipelineConfig.from_json_dict({"input": "x", "seed": master, **blocks})
+        assert (config.split.seed, config.train.seed) == (master + 2, master + 3)
+        assert config.resolved().train.epochs == 2
+    explicit = {"split": {**blocks["split"], "seed": 0}, "train": {"epochs": 2, "seed": 0}}
+    config = PipelineConfig.from_json_dict({"input": "x", "seed": 40, **explicit})
+    assert (config.split.seed, config.train.seed) == (0, 0)
+    # --seed overrides the master seed before the omitted block seeds derive
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"input": "x", "seed": 40, **blocks}), encoding="utf-8")
+    for command in ("train", "run"):
+        args = build_parser().parse_args([command, "--config", str(path), "--seed", "7"])
+        config = _load_config(args).resolved()
+        assert (config.seed, config.split.seed, config.train.seed) == (7, 9, 10)
 
 
 def test_config_validation_catches_bad_stages():
@@ -469,11 +486,15 @@ def test_analysis_scope_train_restricts_analysis_rows(demo_kg, tmp_path):
 
 
 def test_bad_classifier_hyperparams_are_config_errors():
+    # the classifier blocks are typed, so an unknown key fails as the config loads
+    for key in ("n_treez", "seed"):
+        with pytest.raises(ConfigError, match=rf"negation\.forest: unknown keys \['{key}'\]"):
+            PipelineConfig.from_json_dict(
+                {"input": "x", "negation": {"enabled": True, "forest": {key: 5}}}
+            )
     config = PipelineConfig.from_json_dict(
-        {
-            "input": "x",
-            "negation": {"enabled": True, "forest": {"n_treez": 5}},
-        }
+        {"input": "x", "negation": {"enabled": True, "forest": {"n_trees": 0}}}
     )
-    with pytest.raises(ConfigError, match="hyperparameters"):
+    assert config.negation.forest.n_trees == 0
+    with pytest.raises(ConfigError, match=r"negation\.forest\.n_trees: must be >= 1"):
         config.validate_fields()
