@@ -121,6 +121,10 @@ class ForestConfig:
             raise ConfigError(f"{prefix}n_trees: must be >= 1, got {self.n_trees}")
         if self.max_depth < 1:
             raise ConfigError(f"{prefix}max_depth: must be >= 1, got {self.max_depth}")
+        if self.min_samples_split < 2:
+            raise ConfigError(
+                f"{prefix}min_samples_split: must be >= 2, got {self.min_samples_split}"
+            )
         mf = self.max_features
         if mf not in ("sqrt", "all") and not (
             isinstance(mf, int) and not isinstance(mf, bool) and mf >= 1

@@ -96,7 +96,7 @@ def relation_point_set(
     if rows is None or len(rows) == 0:
         raise DataError(f"relation has no triples: {relation!r}")
     return PointSet(
-        points=translation_matrix(table, graph.triples[rows]),
+        points=translation_matrix(table, graph.triples[rows, 0], graph.triples[rows, 2]),
         triple_indices=rows,
         relation=graph.relation_names[rid],
     )

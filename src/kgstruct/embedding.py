@@ -336,11 +336,12 @@ def train(
     )
 
 
-def translation_matrix(table: EmbeddingTable, triple_rows: np.ndarray) -> np.ndarray:
-    """Stack tail-minus-head vectors for (h, r, t) id rows, as float64."""
-    heads = table.entity_vectors[triple_rows[:, 0]].astype(np.float64)
-    tails = table.entity_vectors[triple_rows[:, 2]].astype(np.float64)
-    return tails - heads
+def translation_matrix(
+    table: EmbeddingTable, heads: np.ndarray, tails: np.ndarray
+) -> np.ndarray:
+    """Stack tail-minus-head vectors for aligned head and tail entity ids, as float64."""
+    vectors = table.entity_vectors
+    return vectors[tails].astype(np.float64) - vectors[heads].astype(np.float64)
 
 
 def hits_at_k(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import CvReport, ForestConfig, LogisticConfig, cross_validate
-from .embedding import EmbeddingTable
+from .embedding import EmbeddingTable, translation_matrix
 from .errors import DataError
 from .graph import KnowledgeGraph
 
@@ -193,11 +193,9 @@ def assemble_dataset(
     if table.entity_names != universe.entity_names:
         raise DataError("embedding table interning does not match the universe's graph")
     pairs = np.vstack([universe.positive_pairs, universe.negative_pairs])
-    heads = table.entity_vectors[pairs[:, 0]].astype(np.float64)
-    tails = table.entity_vectors[pairs[:, 1]].astype(np.float64)
     labels = np.zeros(len(pairs), dtype=np.int64)
     labels[: len(universe.positive_pairs)] = 1
-    return tails - heads, labels
+    return translation_matrix(table, pairs[:, 0], pairs[:, 1]), labels
 
 
 def write_unknown_pairs(

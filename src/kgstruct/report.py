@@ -54,7 +54,9 @@ from .relsim import (
     nearest_relations,
     tfidf_similarity_matrix,
 )
-from .validation import RelationProfile, similarity_lists, validate_relation
+from .validation import (
+    Profiles, RelationProfile, ValidationRecord, relation_profiles, validate_relation,
+)
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +157,10 @@ class PipelineConfig:
             self.train.validate("train")
         if self.validate.bins < 1:
             raise ConfigError("validate.bins must be >= 1")
+        if self.validate.min_triples < 1:
+            raise ConfigError(
+                f"validate.min_triples must be >= 1, got {self.validate.min_triples}"
+            )
         if self.cluster.enabled:
             if not self.cluster.relations:
                 raise ConfigError("cluster stage enabled but no relations listed")
@@ -338,45 +344,23 @@ def stage_stats(graph: KnowledgeGraph, out_dir: Path) -> dict:
     return stats
 
 
-def _relation_profiles(
-    table: EmbeddingTable, graph: KnowledgeGraph
-) -> list[RelationProfile]:
-    profiles = []
-    for rid in range(graph.n_relations):
-        try:
-            profiles.append(similarity_lists(table, graph, rid))
-        except DataError as exc:
-            log.warning("skipping relation in profile pass: %s", exc)
-    return profiles
-
-
 def stage_validate(
-    table: EmbeddingTable, graph: KnowledgeGraph, cfg: ValidateStage, out_dir: Path
+    graph: KnowledgeGraph, profiles: Profiles, cfg: ValidateStage, out_dir: Path
 ) -> list[dict]:
     records = []
-    for rid in range(graph.n_relations):
-        rows = graph.relation_index.get(rid)
-        if rows is None or len(rows) < cfg.min_triples:
+    for rid, profile in profiles.items():
+        if len(graph.relation_index[rid]) < cfg.min_triples:
             continue
-        name = graph.relation_names[rid]
-        try:
-            rec = validate_relation(table, graph, rid, bins=cfg.bins)
-        except DataError as exc:
-            log.warning("validation skipped for %s: %s", name, exc)
-            records.append({"relation": name, "error": str(exc)})
-            continue
-        records.append(
-            {
-                "relation": rec.relation,
-                "triples": rec.triple_count,
-                "skipped": rec.skipped,
-                "spearman": rec.spearman,
-                "spearman_abs": rec.spearman_abs,
-                "kl": rec.kl,
-            }
-        )
+        if isinstance(profile, RelationProfile):
+            try:
+                records.append(asdict(validate_relation(profile, bins=cfg.bins)))
+                continue
+            except DataError as exc:
+                log.warning("validation skipped: %s", exc)
+                profile = exc
+        records.append({"relation": graph.relation_names[rid], "error": str(profile)})
     write_json(out_dir / "validation.json", records)
-    header = ["relation", "triples", "skipped", "spearman", "spearman_abs", "kl"]
+    header = [field.name for field in fields(ValidationRecord)]
     write_csv(
         out_dir / "validation.csv",
         header,
@@ -417,8 +401,9 @@ def stage_relsim(
     graph: KnowledgeGraph,
     cfg: RelsimStage,
     out_dir: Path,
-    profiles: list[RelationProfile],
+    profiles: Profiles,
 ) -> dict:
+    usable = [p for p in profiles.values() if isinstance(p, RelationProfile)]
     corpus = (
         DefinitionCorpus.from_json(cfg.definitions_path)
         if cfg.definitions_path
@@ -429,7 +414,7 @@ def stage_relsim(
     matrices["jaccard_tail"] = jaccard_overlap_matrix(graph, "tail")
     for kind in ("centroid", "direct"):
         try:
-            matrices[f"cosine_{kind}"] = embedding_similarity_matrix(profiles, kind)
+            matrices[f"cosine_{kind}"] = embedding_similarity_matrix(usable, kind)
         except DataError as exc:
             log.warning("skipping cosine-%s matrix: %s", kind, exc)
 
@@ -681,20 +666,17 @@ def run_pipeline(
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
+        if config.validate.enabled or config.relsim.enabled:
+            profiles = timed("profiles", lambda: relation_profiles(table, analysis_graph))
         if config.validate.enabled:
             timed(
                 "validate",
-                lambda: stage_validate(table, analysis_graph, config.validate, tmp_dir),
+                lambda: stage_validate(analysis_graph, profiles, config.validate, tmp_dir),
             )
         if config.relsim.enabled:
             notes["relsim"] = timed(
                 "relsim",
-                lambda: stage_relsim(
-                    analysis_graph,
-                    config.relsim,
-                    tmp_dir,
-                    _relation_profiles(table, analysis_graph),
-                ),
+                lambda: stage_relsim(analysis_graph, config.relsim, tmp_dir, profiles),
             )
         if config.cluster.enabled:
             notes["cluster"] = timed(

@@ -34,7 +34,6 @@ class RelationProfile:
     """
 
     relation: str
-    relation_id: int
     centroid: np.ndarray
     direct: np.ndarray
     direct_sims: np.ndarray
@@ -43,22 +42,27 @@ class RelationProfile:
     skipped: int
 
 
+# relation id -> its profile, or the DataError that prevented it
+Profiles = dict[int, RelationProfile | DataError]
+
+
 @dataclass(frozen=True)
 class ValidationRecord:
     """Agreement statistics between the two similarity lists of a relation.
 
-    ``spearman`` is the signed rank correlation (None when a list is
-    constant and the coefficient is undefined); ``spearman_abs`` is its
-    absolute value. ``kl`` is the divergence of the centroid-list histogram
-    from the direct-list histogram.
+    The fields are the keys of a ``validation.json`` record, in the column
+    order of ``validation.csv``. ``spearman`` is the signed rank correlation
+    (None when a list is constant and the coefficient is undefined);
+    ``spearman_abs`` is its absolute value. ``kl`` is the divergence of the
+    centroid-list histogram from the direct-list histogram.
     """
 
     relation: str
+    triples: int
+    skipped: int
     spearman: float | None
     spearman_abs: float | None
     kl: float
-    triple_count: int
-    skipped: int
 
 
 def similarity_lists(
@@ -71,7 +75,7 @@ def similarity_lists(
     if len(rows) == 0:
         raise DataError(f"relation has no triples: {name!r}")
     direct = table.relation_vectors[table.relation_row(name)].astype(np.float64)
-    vecs = translation_matrix(table, rows)
+    vecs = translation_matrix(table, rows[:, 0], rows[:, 2])
     centroid = vecs.mean(axis=0)
 
     # divide by norms, not unit vectors: those round differently (checksummed rho, KL)
@@ -95,7 +99,6 @@ def similarity_lists(
 
     return RelationProfile(
         relation=name,
-        relation_id=rid,
         centroid=centroid,
         direct=direct,
         direct_sims=(vecs @ direct) / (norms * direct_norm),
@@ -179,18 +182,27 @@ def kl_divergence(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
     return max(0.0, float(np.sum(p * (np.log(p) - np.log(q)))))
 
 
-def validate_relation(
-    table: EmbeddingTable,
-    graph: KnowledgeGraph,
-    relation: int | str,
-    bins: int = DEFAULT_BINS,
-) -> ValidationRecord:
+def relation_profiles(table: EmbeddingTable, graph: KnowledgeGraph) -> Profiles:
+    """Every relation's similarity lists, built once for validate and relsim.
+
+    Keyed by relation id in id order; relations without triples are left out.
+    """
+    profiles: Profiles = {}
+    for rid in graph.relation_index:
+        try:
+            profiles[rid] = similarity_lists(table, graph, rid)
+        except DataError as exc:
+            log.warning("no similarity lists: %s", exc)
+            profiles[rid] = exc
+    return profiles
+
+
+def validate_relation(profile: RelationProfile, bins: int = DEFAULT_BINS) -> ValidationRecord:
     """Rank correlation and histogram divergence of a relation's two lists.
 
     The centroid-list histogram is compared against the direct-list
     histogram as the reference distribution.
     """
-    profile = similarity_lists(table, graph, relation)
     if len(profile.direct_sims) < 2:
         raise DataError(
             f"relation {profile.relation!r}: need >= 2 usable triples to validate"
@@ -200,9 +212,9 @@ def validate_relation(
     q = similarity_histogram(profile.direct_sims, bins=bins)
     return ValidationRecord(
         relation=profile.relation,
+        triples=profile.triple_count,
+        skipped=profile.skipped,
         spearman=rho,
         spearman_abs=None if rho is None else abs(rho),
         kl=kl_divergence(p, q),
-        triple_count=profile.triple_count,
-        skipped=profile.skipped,
     )

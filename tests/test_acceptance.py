@@ -40,7 +40,7 @@ from kgstruct.relsim import (
 )
 from kgstruct.report import tfidf_reference_check
 from kgstruct.synth import desk_scale_plan, demo_plan, synthetic_graph
-from kgstruct.validation import kl_divergence, validate_relation
+from kgstruct.validation import kl_divergence, similarity_lists, validate_relation
 
 from test_cluster import (
     adjusted_rand_index,
@@ -176,7 +176,7 @@ def test_criterion_3_desk_scale_validation():
     passed = 0
     worst = []
     for rid in qualifying:
-        record = validate_relation(table, graph, rid)
+        record = validate_relation(similarity_lists(table, graph, rid))
         ok = (
             record.spearman_abs is not None
             and record.spearman_abs >= 0.4

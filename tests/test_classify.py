@@ -92,6 +92,8 @@ def test_linear_large_learning_rate_raises_no_overflow_warning():
         (ForestConfig(max_depth=0), "max_depth"),
         (LogisticConfig(l2=-1.0), "l2"),
         (LogisticConfig(l2=float("nan")), "l2"),
+        (ForestConfig(min_samples_split=1), "min_samples_split"),
+        (ForestConfig(min_samples_split=-3), "min_samples_split"),
     ],
 )
 def test_classifier_configs_reject_degenerate_values(config, field):

@@ -312,6 +312,9 @@ def _definitions(text):
         (_definitions('{"IsA": "a kind of", "PartOf": ["a", "b"], "HasA": 5}'), 2,
          "defs.json: definition of 'PartOf' must be a string"),
         (_definitions('{"IsA": null}'), 2, "'IsA'"),
+        (_config("negation", negation={"forest": {"min_samples_split": 1}}), 1,
+         "negation.forest.min_samples_split"),
+        (_config("validate", validate={"min_triples": 0}), 1, "validate.min_triples"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -319,7 +322,7 @@ def _definitions(text):
          "non-json-definitions", "max-features-log2", "zero-exemplars",
          "diverging-train-lr", "diverging-linear-lr", "negative-l2", "non-converging-l2",
          "nan-margin", "overflowing-margin", "forest-seed", "list-definition",
-         "null-definition"],
+         "null-definition", "min-samples-split-1", "zero-min-triples"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -472,14 +475,19 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_FILES = ROOT / "tests" / "fixtures" / "demo_run_sha256.json"
 
 
-def _demo_config(demo_kg: Path, tmp_path: Path) -> Path:
-    """The demo config that scripts/make_demo_kg.py writes, for ``demo_kg``."""
+def _make_demo_kg():
+    """scripts/make_demo_kg.py, imported as a module."""
     script = ROOT / "scripts" / "make_demo_kg.py"
     spec = importlib.util.spec_from_file_location("make_demo_kg", script)
-    make_demo_kg = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_demo_kg)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _demo_config(demo_kg: Path, tmp_path: Path) -> Path:
+    """The demo config that scripts/make_demo_kg.py writes, for ``demo_kg``."""
     path = tmp_path / "demo_config.json"
-    config = make_demo_kg.demo_config(demo_kg, tmp_path / "report")
+    config = _make_demo_kg().demo_config(demo_kg, tmp_path / "report")
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
 
@@ -495,6 +503,20 @@ def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
     files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
     assert {name: entry["sha256"] for name, entry in files.items()} == golden
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The "Library use" block of README.md runs as written on fresh demo data."""
+    monkeypatch.setattr("sys.argv", ["make_demo_kg.py", "--out", str(tmp_path / "data")])
+    _make_demo_kg().main()
+    readme = ROOT / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(readme), "exec"), {})
+    spearman_abs, kl = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= spearman_abs <= 1.0 and kl >= 0.0
 
 
 def test_run_prints_the_study_summary(demo_kg, tmp_path, capsys):

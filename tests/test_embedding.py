@@ -109,7 +109,7 @@ def test_train_divergence_detected():
 
 
 def _translation(table, h, t):
-    return translation_matrix(table, np.asarray([[h, 0, t]]))[0]
+    return translation_matrix(table, np.asarray([h]), np.asarray([t]))[0]
 
 
 def test_translation_componentwise():
@@ -152,7 +152,8 @@ def test_centroid_symmetric_cancellation():
         {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 0.0], "d": [-1.0, 0.0]},
         {"r": [1.0, 0.0]},
     )
-    assert translation_matrix(table, graph.triples).mean(axis=0).tolist() == [0.0, 0.0]
+    translations = translation_matrix(table, graph.triples[:, 0], graph.triples[:, 2])
+    assert translations.mean(axis=0).tolist() == [0.0, 0.0]
     with pytest.raises(DataError, match="centroid vector has zero norm"):
         similarity_lists(table, graph, "r")
 

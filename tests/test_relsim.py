@@ -21,7 +21,6 @@ from kgstruct.validation import RelationProfile
 def profile(name, centroid, direct):
     return RelationProfile(
         relation=name,
-        relation_id=0,
         centroid=np.asarray(centroid, dtype=np.float64),
         direct=np.asarray(direct, dtype=np.float64),
         direct_sims=np.asarray([1.0]),

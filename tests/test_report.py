@@ -1,15 +1,16 @@
 import csv
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgstruct import report
+from kgstruct import report, validation
 from kgstruct.cli import _load_config, build_parser
 from kgstruct.errors import ConfigError, DataError
-from kgstruct.graph import write_generic_3col
+from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices, write_generic_3col
 from kgstruct.relsim import SimilarityMatrix
 from kgstruct.report import (
     PipelineConfig,
@@ -243,13 +244,13 @@ def test_pipeline_no_stages_gives_stats_only(demo_kg, tmp_path):
 
 
 def test_relsim_timing_includes_the_profile_pass(demo_kg, tmp_path, monkeypatch):
-    profiles = report._relation_profiles
+    profiles = report.relation_profiles
 
     def slow_profiles(*args):
         time.sleep(0.5)
         return profiles(*args)
 
-    monkeypatch.setattr(report, "_relation_profiles", slow_profiles)
+    monkeypatch.setattr(report, "relation_profiles", slow_profiles)
     config = PipelineConfig.from_json_dict(
         {
             "input": str(demo_kg),
@@ -258,7 +259,7 @@ def test_relsim_timing_includes_the_profile_pass(demo_kg, tmp_path, monkeypatch)
             "relsim": {"enabled": True},
         }
     )
-    assert run_pipeline(config).manifest["timings_seconds"]["relsim"] >= 0.5
+    assert run_pipeline(config).manifest["timings_seconds"]["profiles"] >= 0.5
 
 
 def test_pipeline_train_block_alone_trains(demo_kg, tmp_path):
@@ -402,17 +403,107 @@ def test_stage_validate_records_degenerate_relations(tmp_path):
     from kgstruct.embedding import TrainConfig, train
     from kgstruct.graph import KnowledgeGraph
     from kgstruct.report import ValidateStage, stage_validate
+    from kgstruct.validation import relation_profiles
 
     rows = [("a", "self", "a"), ("b", "self", "b"),
             ("a", "ok", "b"), ("b", "ok", "c"), ("a", "ok", "c")]
     graph = KnowledgeGraph.from_labeled_triples(rows)
     table = train(graph, TrainConfig(dimension=4, epochs=2, seed=0))
-    records = stage_validate(table, graph, ValidateStage(enabled=True), tmp_path)
+    profiles = relation_profiles(table, graph)
+    records = stage_validate(graph, profiles, ValidateStage(enabled=True), tmp_path)
     by_relation = {r["relation"]: r for r in records}
     assert "error" in by_relation["self"]  # all-zero translation vectors
     assert "kl" in by_relation["ok"]
     csv_rows = (tmp_path / "validation.csv").read_text().strip().splitlines()
     assert len(csv_rows) == 2  # header + the one healthy relation
+
+
+DEGENERATE_VALIDATION = Path(__file__).parent / "fixtures" / "degenerate_validation_sha256.json"
+DEGENERATE_SPLIT = {"train": 0.5, "validation": 0.25, "test": 0.25, "seed": 7}
+
+
+def write_degenerate_edges(path: Path) -> None:
+    """48 triples whose relations break the similarity lists in each known way.
+
+    - ``loops``: two self-loops, so every translation vector is zero;
+    - ``single``: one triple, below the default ``validate.min_triples``;
+    - ``one_usable``: a self-loop and one ordinary triple;
+    - ``held_out``: two triples off the train split of DEGENERATE_SPLIT, so
+      the relation is absent at ``analysis_scope: "train"``;
+    - ``r0``, ``r1``, ``r2``: ordinary relations on the remaining rows.
+
+    The first three sit on train rows, so both scopes see them.
+    """
+    n = 48
+    train_idx, _, _ = split_indices(n, SplitSpec(**DEGENERATE_SPLIT))
+    held = np.setdiff1d(np.arange(n), train_idx)
+    rows = [(f"e{i}", f"r{i % 3}", f"e{(7 * i + 1) % n}") for i in range(n)]
+    special = [("x0", "loops", "x0"), ("x1", "loops", "x1"), ("x2", "single", "x3"),
+               ("x4", "one_usable", "x4"), ("x5", "one_usable", "x6")]
+    for pos, row in zip(train_idx, special):
+        rows[pos] = row
+    for pos in held[:2]:
+        rows[pos] = (f"h{pos}", "held_out", f"t{pos}")
+    write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), path)
+
+
+def run_degenerate(tmp_path: Path, scope: str):
+    edges = tmp_path / "degenerate.tsv"
+    write_degenerate_edges(edges)
+    config = PipelineConfig.from_json_dict(
+        {
+            "input": str(edges),
+            "out": str(tmp_path / "o"),
+            "seed": 1,
+            "split": DEGENERATE_SPLIT,
+            "train": {"dimension": 4, "epochs": 3, "seed": 2},
+            "analysis_scope": scope,
+            "validate": {"enabled": True},
+            "relsim": {"enabled": True},
+        }
+    )
+    return run_pipeline(config)
+
+
+@pytest.mark.parametrize("scope", ["full", "train"])
+def test_degenerate_relations_reproduce_the_golden_bytes(scope, tmp_path):
+    """validation.* and the cosine tables of a graph with every degenerate relation.
+
+    The SHA-256 map was written by the code that built each relation's
+    similarity lists twice, once for validate and once for relsim.
+    """
+    bundle = run_degenerate(tmp_path, scope)
+    records = json.loads((bundle.out_dir / "validation.json").read_text())
+    assert [r["relation"] for r in records if "error" in r] == ["loops", "one_usable"]
+    validated = {r["relation"] for r in records}
+    assert "single" not in validated and ("held_out" in validated) == (scope == "full")
+    files = bundle.manifest["files"]
+    golden = json.loads(DEGENERATE_VALIDATION.read_text(encoding="utf-8"))[scope]
+    assert set(golden) == {
+        name for name in files if name.startswith(("validation.", "cosine_", "nearest_cosine_"))
+    }
+    assert {name: files[name]["sha256"] for name in golden} == golden
+
+
+def test_similarity_lists_run_once_per_relation(tmp_path, monkeypatch, caplog):
+    original = validation.similarity_lists
+    calls = []
+
+    def counted(table, graph, relation):
+        calls.append(graph.relation_names[graph.resolve_relation(relation)])
+        return original(table, graph, relation)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kgstruct") and getattr(module, "similarity_lists", None) is original:
+            monkeypatch.setattr(module, "similarity_lists", counted)
+    with caplog.at_level("WARNING"):
+        run_degenerate(tmp_path, "full")
+    assert sorted(calls) == ["held_out", "loops", "one_usable", "r0", "r1", "r2", "single"]
+    zero = [r.getMessage() for r in caplog.records if "zero translation vectors" in r.getMessage()]
+    assert zero == [
+        "relation loops: skipped 2 zero translation vectors",
+        "relation one_usable: skipped 1 zero translation vectors",
+    ]
 
 
 def test_pipeline_sample_size_reduces_graph(demo_kg, tmp_path):

@@ -276,7 +276,7 @@ def test_validate_identical_lists_perfect():
     table = make_table(
         {k: v.tolist() for k, v in positions.items()}, {"r": centroid.tolist()}
     )
-    record = validate_relation(table, graph, "r", bins=20)
+    record = validate_relation(similarity_lists(table, graph, "r"), bins=20)
     assert record.spearman_abs == pytest.approx(1.0, abs=1e-9)
     assert record.kl <= 1e-9
 
@@ -288,7 +288,7 @@ def test_validate_matches_independent_recomputation():
     positions = {name: rng.normal(size=5).tolist() for name in graph.entity_names}
     direct = rng.normal(size=5).tolist()
     table = make_table(positions, {"r": direct})
-    record = validate_relation(table, graph, "r", bins=25)
+    record = validate_relation(similarity_lists(table, graph, "r"), bins=25)
 
     # recompute both lists with independent code, then the two statistics
     f32 = {k: np.asarray(v, dtype=np.float32) for k, v in positions.items()}
@@ -321,7 +321,7 @@ def test_validate_requires_two_usable_triples():
     graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.0, 1.0], "b": [1.0, 0.0]}, {"r": [1.0, 1.0]})
     with pytest.raises(DataError):
-        validate_relation(table, graph, "r")
+        validate_relation(similarity_lists(table, graph, "r"))
 
 
 def test_validate_constant_lists_propagate_none():
@@ -331,6 +331,6 @@ def test_validate_constant_lists_propagate_none():
         {"a": [0.0, 0.0], "b": [1.0, 1.0], "c": [2.0, 0.0], "d": [3.0, 1.0]},
         {"r": [0.5, 0.5]},
     )
-    record = validate_relation(table, graph, "r")
+    record = validate_relation(similarity_lists(table, graph, "r"))
     assert record.spearman is None and record.spearman_abs is None
     assert record.kl <= 1e-12
