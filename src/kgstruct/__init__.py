@@ -20,7 +20,6 @@ from .graph import (  # noqa: F401
     GraphStats,
     KnowledgeGraph,
     SplitSpec,
-    Triple,
     compute_stats,
     filter_relations,
     parse_edge_file,
@@ -55,7 +54,6 @@ from .cluster import (  # noqa: F401
     ClusteringResult,
     ClusterQualityReport,
     KSelectionCurve,
-    PointSet,
     Projection2D,
     calinski_harabasz_index,
     cohesion_scores,

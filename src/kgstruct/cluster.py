@@ -13,31 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingTable, _scatter_add, translation_matrix, unit_rows
+from .embedding import EmbeddingTable, _scatter_add, check_aligned, translation_matrix, unit_rows
 from .errors import DataError
 from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class PointSet:
-    """One translation vector per triple of a relation, row-aligned."""
-
-    points: np.ndarray  # (n, d) float64
-    triple_indices: np.ndarray  # row i came from graph triple triple_indices[i]
-    relation: str
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.triple_indices = np.asarray(self.triple_indices, dtype=np.int64)
-        if self.points.ndim != 2:
-            raise ValueError("points must be a 2-D matrix")
-        if len(self.points) != len(self.triple_indices):
-            raise ValueError("points and triple_indices must align")
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass
@@ -89,23 +69,17 @@ class ClusterQualityReport:
 
 def relation_point_set(
     table: EmbeddingTable, graph: KnowledgeGraph, relation: int | str
-) -> PointSet:
-    """Translation vectors of every triple asserting the relation."""
+) -> np.ndarray:
+    """Translation vectors of every triple asserting the relation, as a float64 (n, d) matrix.
+
+    Row i belongs to the relation's i-th triple in ``graph.relation_index`` order.
+    """
+    check_aligned(table, graph)
     rid = graph.resolve_relation(relation)
     rows = graph.relation_index.get(rid)
-    if rows is None or len(rows) == 0:
+    if rows is None:
         raise DataError(f"relation has no triples: {relation!r}")
-    return PointSet(
-        points=translation_matrix(table, graph.triples[rows, 0], graph.triples[rows, 2]),
-        triple_indices=rows,
-        relation=graph.relation_names[rid],
-    )
-
-
-def _as_points(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.points
-    return np.asarray(points, dtype=np.float64)
+    return translation_matrix(table, graph.triples[rows, 0], graph.triples[rows, 2])
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -176,7 +150,7 @@ def lloyd_kmeans(
     The recorded inertia (after each assignment step) never increases.
     ``initial_centroids`` bypasses the k-means++ step (used for warm starts).
     """
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     n = len(x)
     if not 1 <= k <= n:
         raise DataError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -253,7 +227,7 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
     above it. Each chunk's per-cluster distance sums are one product with
     the n x k cluster indicator matrix.
     """
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
     n = len(x)
     labels = np.unique(assignments)
@@ -310,7 +284,7 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
 
 def davies_bouldin_index(points, assignments: np.ndarray) -> float:
     """Mean over clusters of the worst (S_i + S_j) / distance(c_i, c_j)."""
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
     labels = np.unique(assignments)
     k = len(labels)
@@ -332,7 +306,7 @@ def davies_bouldin_index(points, assignments: np.ndarray) -> float:
 
 def calinski_harabasz_index(points, assignments: np.ndarray) -> float:
     """Between-cluster over within-cluster dispersion ratio."""
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
     n = len(x)
     labels = np.unique(assignments)
@@ -361,7 +335,7 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
     the previous k's centroids plus the point farthest from its centroid,
     which guarantees the reported inertia never increases with k.
     """
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     ks = sorted(int(k) for k in k_range)
     if not ks:
         raise DataError("empty k range")
@@ -404,7 +378,7 @@ def cohesion_scores(points, result: ClusteringResult) -> tuple[np.ndarray, np.nd
     distance; zero-norm members are skipped with a warning, and clusters
     that are empty or have a zero-norm centroid get NaN.
     """
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     unit_points, point_ok = unit_rows(x)
     if not point_ok.all():
         log.warning(
@@ -504,7 +478,6 @@ class Projection2D:
 
     coordinates: np.ndarray  # (n, 2)
     explained: np.ndarray  # fraction of variance per component, (2,)
-    components: np.ndarray  # (2, d) unit axes
 
 
 def pca_project_2d(points) -> Projection2D:
@@ -515,7 +488,7 @@ def pca_project_2d(points) -> Projection2D:
     points (rank 0) are an error; rank-1 data yields a second coordinate
     of (numerically) zero and an explained fraction of 0.
     """
-    x = _as_points(points)
+    x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or len(x) < 2 or x.shape[1] < 2:
         raise DataError("projection needs >= 2 points of dimension >= 2")
     centered = x - x.mean(axis=0)
@@ -532,4 +505,4 @@ def pca_project_2d(points) -> Projection2D:
     explained = (singular[:2] ** 2) / total
     if len(explained) < 2:  # d >= 2 guarantees two singular values, but be safe
         explained = np.pad(explained, (0, 2 - len(explained)))
-    return Projection2D(coordinates=coords, explained=explained, components=components)
+    return Projection2D(coordinates=coords, explained=explained)

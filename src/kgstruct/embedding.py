@@ -87,8 +87,6 @@ class EmbeddingTable:
             raise ValueError("entity and relation dimensions differ")
         self.config = config
         self.epoch_losses = epoch_losses
-        self._entity_ids: dict[str, int] | None = None
-        self._relation_ids: dict[str, int] | None = None
 
     @property
     def dimension(self) -> int:
@@ -102,35 +100,21 @@ class EmbeddingTable:
     def n_relations(self) -> int:
         return len(self.relation_names)
 
-    def entity_row(self, name: str) -> int:
-        if self._entity_ids is None:
-            self._entity_ids = {n: i for i, n in enumerate(self.entity_names)}
-        try:
-            return self._entity_ids[name]
-        except KeyError:
-            raise DataError(f"entity not embedded: {name!r}") from None
-
-    def relation_row(self, name: str) -> int:
-        if self._relation_ids is None:
-            self._relation_ids = {n: i for i, n in enumerate(self.relation_names)}
-        try:
-            return self._relation_ids[name]
-        except KeyError:
-            raise DataError(f"relation not embedded: {name!r}") from None
-
-    def rows_of(self, graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
-        """This table's row of every entity and relation of ``graph``, by name.
+    def aligned_to(self, graph: KnowledgeGraph) -> "EmbeddingTable":
+        """This table's rows reordered into ``graph``'s interning, matched by name.
 
         Raises DataError naming the first graph symbol the table lacks.
         """
-        return (
-            np.asarray([self.entity_row(name) for name in graph.entity_names], dtype=np.int64),
-            np.asarray([self.relation_row(name) for name in graph.relation_names], dtype=np.int64),
-        )
 
-    def aligned_to(self, graph: KnowledgeGraph) -> "EmbeddingTable":
-        """This table's rows reordered into ``graph``'s interning, matched by name."""
-        ent_rows, rel_rows = self.rows_of(graph)
+        def rows(kind: str, table_names: list[str], graph_names: list[str]) -> np.ndarray:
+            index = {name: i for i, name in enumerate(table_names)}
+            try:
+                return np.asarray([index[name] for name in graph_names], dtype=np.int64)
+            except KeyError as exc:
+                raise DataError(f"{kind} not embedded: {exc.args[0]!r}") from None
+
+        ent_rows = rows("entity", self.entity_names, graph.entity_names)
+        rel_rows = rows("relation", self.relation_names, graph.relation_names)
         return EmbeddingTable(
             graph.entity_names,
             graph.relation_names,
@@ -336,6 +320,20 @@ def train(
     )
 
 
+def check_aligned(table: EmbeddingTable, graph: KnowledgeGraph) -> None:
+    """Raise DataError unless ``table``'s rows follow ``graph``'s interning.
+
+    Every analysis indexes the table by graph id; a table trained on another
+    graph, or loaded from a file, goes through :meth:`EmbeddingTable.aligned_to`
+    first.
+    """
+    if table.entity_names != graph.entity_names or table.relation_names != graph.relation_names:
+        raise DataError(
+            "embedding table interning does not match the graph's; "
+            "call table.aligned_to(graph) first"
+        )
+
+
 def translation_matrix(
     table: EmbeddingTable, heads: np.ndarray, tails: np.ndarray
 ) -> np.ndarray:
@@ -352,19 +350,17 @@ def hits_at_k(
 ) -> float:
     """Fraction of triples whose true tail is ranked in the top k.
 
-    The graph's symbols are mapped to table rows by name, and candidates
-    are every entity of the table, ranked by ascending squared distance to
-    head + relation; rank counts entities strictly closer than the true
-    tail, so ties rank optimistically. A graph symbol the table lacks
-    raises DataError naming it.
+    The table must follow the graph's interning (:func:`check_aligned`).
+    Candidates are every entity of the table, ranked by ascending squared
+    distance to head + relation; rank counts entities strictly closer than
+    the true tail, so ties rank optimistically.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if graph.n_triples == 0:
         raise DataError("empty test set")
-    ent_rows, rel_rows = table.rows_of(graph)
-    h, r, t = graph.triples.T
-    rows = np.column_stack([ent_rows[h], rel_rows[r], ent_rows[t]])
+    check_aligned(table, graph)
+    rows = graph.triples
     ent = table.entity_vectors.astype(np.float64)
     ent_sq = (ent * ent).sum(axis=1)
     hits = 0

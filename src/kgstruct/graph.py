@@ -6,7 +6,7 @@ import array
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,14 +17,6 @@ log = logging.getLogger(__name__)
 GENERIC_3COL = "generic-3col"
 CONCEPTNET_DUMP = "conceptnet-dump"
 FORMATS = (GENERIC_3COL, CONCEPTNET_DUMP)
-
-
-class Triple(NamedTuple):
-    """One directed assertion, as interned integer ids."""
-
-    head: int
-    relation: int
-    tail: int
 
 
 def _concept_label(uri: str) -> str:
@@ -70,7 +62,6 @@ class KnowledgeGraph:
         if len(self.multiplicities) != len(self.triples):
             raise ValueError("multiplicities must align with triples")
         self.duplicates_removed = int(duplicates_removed)
-        self._entity_ids: dict[str, int] | None = None
         self._relation_ids: dict[str, int] | None = None
         self._relation_index: dict[int, np.ndarray] | None = None
 
@@ -140,14 +131,6 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relation_names)
 
-    def entity_id(self, name: str) -> int:
-        if self._entity_ids is None:
-            self._entity_ids = {n: i for i, n in enumerate(self.entity_names)}
-        try:
-            return self._entity_ids[name]
-        except KeyError:
-            raise DataError(f"unknown entity: {name!r}") from None
-
     def relation_id(self, name: str) -> int:
         if self._relation_ids is None:
             self._relation_ids = {n: i for i, n in enumerate(self.relation_names)}
@@ -164,10 +147,6 @@ class KnowledgeGraph:
         if not 0 <= rid < self.n_relations:
             raise DataError(f"relation id out of range: {rid}")
         return rid
-
-    def triple(self, i: int) -> Triple:
-        h, r, t = self.triples[i]
-        return Triple(int(h), int(r), int(t))
 
     @property
     def relation_index(self) -> dict[int, np.ndarray]:
@@ -426,9 +405,6 @@ class GraphStats:
     head_tail_overlap: int
     entity_triple_ratio: float | None
     per_relation: dict[str, RelationStats]
-
-    def inclusion_exclusion_holds(self) -> bool:
-        return self.heads + self.tails - self.head_tail_overlap == self.entities
 
 
 def compute_stats(graph: KnowledgeGraph) -> GraphStats:

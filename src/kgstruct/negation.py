@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import CvReport, ForestConfig, LogisticConfig, cross_validate
-from .embedding import EmbeddingTable, translation_matrix
+from .embedding import EmbeddingTable, check_aligned, translation_matrix
 from .errors import DataError
 from .graph import KnowledgeGraph
 
@@ -27,13 +27,14 @@ class PairUniverse:
 
     ``positive_pairs`` belong to the primary relation, ``negative_pairs`` to
     its negation. ``heads``/``tails`` are the sorted participating entity
-    ids. The unknown set (heads x tails minus known pairs) is kept implicit:
-    only its size and per-head membership tests are materialized.
+    ids of ``graph``. The unknown set (heads x tails minus known pairs) is
+    kept implicit: only its size and per-head membership tests are
+    materialized.
     """
 
     relation: str
     negation_relation: str
-    entity_names: list[str]
+    graph: KnowledgeGraph
     heads: np.ndarray
     tails: np.ndarray
     positive_pairs: np.ndarray  # (n, 2) head/tail entity ids
@@ -122,7 +123,7 @@ def build_pair_universe(
     return PairUniverse(
         relation=graph.relation_names[rid_pos],
         negation_relation=graph.relation_names[rid_neg],
-        entity_names=graph.entity_names,
+        graph=graph,
         heads=np.unique(known[:, 0]),
         tails=np.unique(known[:, 1]),
         positive_pairs=pos,
@@ -190,8 +191,7 @@ def assemble_dataset(
     table: EmbeddingTable, universe: PairUniverse
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tail-minus-head feature rows and 1/0 labels: positive pairs, then negative pairs."""
-    if table.entity_names != universe.entity_names:
-        raise DataError("embedding table interning does not match the universe's graph")
+    check_aligned(table, universe.graph)
     pairs = np.vstack([universe.positive_pairs, universe.negative_pairs])
     labels = np.zeros(len(pairs), dtype=np.int64)
     labels[: len(universe.positive_pairs)] = 1
@@ -202,12 +202,10 @@ def write_unknown_pairs(
     universe: PairUniverse, sample: UnknownSample, path, relation_label: str = "Unknown"
 ) -> None:
     """Export sampled unknown pairs as a generic-3col edge file."""
+    names = universe.graph.entity_names
     with open(path, "w", encoding="utf-8") as out:
         for h, t in sample.pairs:
-            out.write(
-                f"{universe.entity_names[h]}\t{relation_label}"
-                f"\t{universe.entity_names[t]}\n"
-            )
+            out.write(f"{names[h]}\t{relation_label}\t{names[t]}\n")
 
 
 @dataclass

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import shutil
+import tempfile
 import time
 import types
 import typing
@@ -199,10 +200,6 @@ class PipelineConfig:
             if getattr(config, name) is not None and "seed" not in data[name]
         }
         return replace(config, **derived)
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_json_dict(read_config(path))
 
 
 def read_config(path: str | Path) -> dict:
@@ -461,7 +458,7 @@ def stage_cluster(
             )
         k = min(cfg.k, len(points))
         result = lloyd_kmeans(points, k, seed=cfg.seed)
-        report = quality_report(points, result, relation=points.relation)
+        report = quality_report(points, result, relation=relation)
         reports.append(report)
         per_cluster = (report.cohesion_raw, report.cohesion, report.separation)
         write_csv(
@@ -610,9 +607,10 @@ def run_pipeline(
     Embeddings are trained when the config has a ``train`` block or enables
     an analysis stage. A given ``table`` replaces training: its rows are
     matched to the graph by name, and every stage reads it. Everything is
-    written to a temporary sibling of the output directory, which is renamed
-    into place only after the manifest lands; a failing stage therefore
-    leaves no partial bundle behind.
+    written to a fresh sibling of the output directory that the run creates
+    itself, so no existing directory is ever removed. It is renamed into
+    place only after the manifest lands; a failing stage therefore leaves
+    no partial bundle behind.
     """
     config.validate_fields()
     wants_table = config.train is not None or any(
@@ -622,10 +620,11 @@ def run_pipeline(
     out_dir = Path(config.out)
     if out_dir.exists():
         raise DataError(f"output directory already exists: {out_dir}")
-    tmp_dir = out_dir.parent / (out_dir.name + ".partial")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    # the run's own staging directory, so no existing directory is removed;
+    # the bundle inside it gets the mode a plain mkdir gives
+    stage = tempfile.mkdtemp(dir=out_dir.parent, prefix=out_dir.name + ".", suffix=".partial")
+    tmp_dir = Path(stage) / out_dir.name
 
     timings: dict[str, float] = {}
     notes: dict = {}
@@ -637,6 +636,7 @@ def run_pipeline(
         return value
 
     try:
+        tmp_dir.mkdir()
         graph = timed("ingest", lambda: ingest(config))
         _check_referenced_relations(graph, config)
         timed("stats", lambda: stage_stats(graph, tmp_dir))
@@ -703,9 +703,7 @@ def run_pipeline(
             "timings_seconds": timings,
         }
         write_json(tmp_dir / "manifest.json", manifest)
-    except BaseException:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        raise
-
-    os.replace(tmp_dir, out_dir)
+        os.replace(tmp_dir, out_dir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return ReportBundle(out_dir=out_dir, manifest=manifest)

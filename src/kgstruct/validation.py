@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingTable, translation_matrix
+from .embedding import EmbeddingTable, check_aligned, translation_matrix
 from .errors import DataError
 from .graph import KnowledgeGraph
 
@@ -69,12 +69,13 @@ def similarity_lists(
     table: EmbeddingTable, graph: KnowledgeGraph, relation: int | str
 ) -> RelationProfile:
     """Build the aligned direct-vector and centroid similarity lists."""
+    check_aligned(table, graph)
     rid = graph.resolve_relation(relation)
     name = graph.relation_names[rid]
     rows = graph.relation_triples(rid)
     if len(rows) == 0:
         raise DataError(f"relation has no triples: {name!r}")
-    direct = table.relation_vectors[table.relation_row(name)].astype(np.float64)
+    direct = table.relation_vectors[rid].astype(np.float64)
     vecs = translation_matrix(table, rows[:, 0], rows[:, 2])
     centroid = vecs.mean(axis=0)
 
@@ -186,7 +187,9 @@ def relation_profiles(table: EmbeddingTable, graph: KnowledgeGraph) -> Profiles:
     """Every relation's similarity lists, built once for validate and relsim.
 
     Keyed by relation id in id order; relations without triples are left out.
+    A table that does not follow the graph's interning raises DataError.
     """
+    check_aligned(table, graph)
     profiles: Profiles = {}
     for rid in graph.relation_index:
         try:

@@ -124,7 +124,7 @@ def test_criterion_1_paper_arithmetic():
         entity_triple_ratio=3_933_840 / 4_000_000,
         per_relation={},
     )
-    assert stats.inclusion_exclusion_holds()
+    assert stats.heads + stats.tails - stats.head_tail_overlap == stats.entities
     assert 2_781_892 + 1_387_571 - 235_623 == 3_933_840
 
     graph = paper_size_pair_graph()

@@ -470,13 +470,13 @@ def cluster_graph():
 def test_relation_point_set_rows_match_translations():
     graph, table = cluster_graph()
     points = relation_point_set(table, graph, "r")
-    assert points.points.shape == (6, 3)
-    for i in range(6):
-        h, _, t = graph.triples[points.triple_indices[i]]
+    assert points.dtype == np.float64 and points.shape == (6, 3)
+    for i, row in enumerate(graph.relation_index[0]):
+        h, _, t = graph.triples[row]
         expected = (
             table.entity_vectors[t].astype(np.float64) - table.entity_vectors[h].astype(np.float64)
         )
-        assert np.array_equal(points.points[i], expected)
+        assert np.array_equal(points[i], expected)
 
 
 def test_relation_point_set_missing_relation():
@@ -569,8 +569,8 @@ def test_relation_point_set_single_triple():
     graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.5, 1.0], "b": [1.0, 3.0]}, {"r": [0.0, 0.0]})
     points = relation_point_set(table, graph, "r")
-    assert points.points.shape == (1, 2)
-    assert np.allclose(points.points[0], [0.5, 2.0])
+    assert points.shape == (1, 2)
+    assert np.allclose(points[0], [0.5, 2.0])
 
 
 def test_relation_point_set_row_count_at_bulk_scale():
@@ -589,4 +589,4 @@ def test_relation_point_set_row_count_at_bulk_scale():
     table = EmbeddingTable(names, ["HasContext"], vecs, np.zeros((1, 4), dtype=np.float32))
     points = relation_point_set(table, graph, "HasContext")
     assert len(points) == graph.relation_index[0].shape[0]
-    assert points.points.shape == (graph.n_triples, 4)
+    assert points.shape == (graph.n_triples, 4)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table
+from kgstruct.cluster import relation_point_set
 from kgstruct.embedding import (
     EmbeddingTable,
     TrainConfig,
@@ -15,7 +16,9 @@ from kgstruct.embedding import (
 )
 from kgstruct.errors import ConfigError, DataError, TrainingDivergedError
 from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices
-from kgstruct.validation import similarity_lists
+from kgstruct.negation import assemble_dataset, build_pair_universe
+from kgstruct.synth import demo_plan, synthetic_graph
+from kgstruct.validation import relation_profiles, similarity_lists
 
 
 def planted_block_graph(n_heads=300, n_tails=20, n_triples=1000, seed=5):
@@ -71,7 +74,7 @@ def test_train_planted_structure_beats_random_baseline():
         graph, TrainConfig(dimension=32, epochs=25, seed=2), triple_indices=train_idx
     )
     untrained = train(graph, TrainConfig(dimension=32, epochs=0, seed=2))
-    test_graph = graph.subset(test_idx)
+    test_graph = graph.subset(test_idx, recompact=False)  # the table's interning
     hits_trained = hits_at_k(trained, test_graph, 10)
     hits_untrained = hits_at_k(untrained, test_graph, 10)
     assert hits_trained >= 5 * max(hits_untrained, 1e-9)
@@ -198,7 +201,7 @@ def test_hits_at_one_on_exact_translation_fixture():
     table = make_table(positions, {"r": [5.0, 0.0]})
     rows = [(f"e{i}", "r", f"e{i + 5}") for i in range(5)]
     graph = KnowledgeGraph.from_labeled_triples(rows)
-    assert hits_at_k(table, graph, 1) == 1.0
+    assert hits_at_k(table.aligned_to(graph), graph, 1) == 1.0
 
 
 def test_hits_at_one_random_baseline():
@@ -226,8 +229,10 @@ def test_hits_names_a_symbol_missing_from_the_table():
     table = make_table(positions, {"r": [5.0, 0.0]})
     rows = [("e0", "r", "e5"), ("unseen", "r", "e5")]
     graph = KnowledgeGraph.from_labeled_triples(rows)
-    with pytest.raises(DataError, match="'unseen'"):
+    with pytest.raises(DataError, match="interning"):
         hits_at_k(table, graph, 1)
+    with pytest.raises(DataError, match="'unseen'"):
+        table.aligned_to(graph)
 
 
 def test_hits_maps_table_rows_by_name():
@@ -241,10 +246,13 @@ def test_hits_maps_table_rows_by_name():
         table.entity_vectors[order],
         table.relation_vectors[rel_order],
     )
-    test_graph = graph.subset(np.arange(0, graph.n_triples, 3))  # recompacted
-    for k in (1, 3, 10):
-        assert hits_at_k(shuffled, test_graph, k) == hits_at_k(table, test_graph, k)
-        assert hits_at_k(shuffled, graph, k) == hits_at_k(table, graph, k)
+    test_graph = graph.subset(np.arange(0, graph.n_triples, 3), recompact=False)
+    for g in (test_graph, graph):
+        with pytest.raises(DataError, match="interning"):
+            hits_at_k(shuffled, g, 1)
+        aligned = shuffled.aligned_to(g)
+        for k in (1, 3, 10):
+            assert hits_at_k(aligned, g, k) == hits_at_k(table, g, k)
 
 
 # -- persistence -------------------------------------------------------------------
@@ -356,3 +364,88 @@ def test_scatter_add_matches_the_int64_sort_bitwise(dtype, n_target):
     reference_scatter_add(expected, rows, grads)
     _scatter_add(got, rows, grads)
     assert got.tobytes() == expected.tobytes()
+
+
+# -- the alignment contract ------------------------------------------------------------
+
+
+def _by_name(table, graph):
+    """Float64 entity and relation vectors of ``graph``'s symbols, looked up by name."""
+    ent = {name: i for i, name in enumerate(table.entity_names)}
+    rel = {name: i for i, name in enumerate(table.relation_names)}
+    return (
+        table.entity_vectors[[ent[n] for n in graph.entity_names]].astype(np.float64),
+        table.relation_vectors[[rel[n] for n in graph.relation_names]].astype(np.float64),
+    )
+
+
+def _reference_hits(table, graph):
+    ent, rel = _by_name(table, graph)
+    hits = 0
+    for h, r, t in graph.triples:
+        dist = ((ent - (ent[h] + rel[r])) ** 2).sum(axis=1)
+        hits += int((dist < dist[t]).sum() < 10)
+    return (hits / graph.n_triples,)
+
+
+def _reference_points(table, graph):
+    ent, _ = _by_name(table, graph)
+    rows = graph.relation_triples("Desires")
+    return (ent[rows[:, 2]] - ent[rows[:, 0]],)
+
+
+def _reference_lists(table, graph):
+    _, rel = _by_name(table, graph)
+    return _reference_points(table, graph)[0].mean(axis=0), rel[graph.relation_id("Desires")]
+
+
+def _reference_dataset(table, graph):
+    ent, _ = _by_name(table, graph)
+    universe = build_pair_universe(graph, "Desires", "NotDesires")
+    pairs = np.vstack([universe.positive_pairs, universe.negative_pairs])
+    return (ent[pairs[:, 1]] - ent[pairs[:, 0]],)
+
+
+def _lists(table, graph):
+    profile = similarity_lists(table, graph, "Desires")
+    return profile.centroid, profile.direct
+
+
+def _profiles(table, graph):
+    profile = relation_profiles(table, graph)[graph.relation_id("Desires")]
+    return profile.centroid, profile.direct
+
+
+def _dataset(table, graph):
+    return assemble_dataset(table, build_pair_universe(graph, "Desires", "NotDesires"))[:1]
+
+
+# entry point -> (analysis, the same values computed by name)
+ENTRY_POINTS = {
+    "hits_at_k": (lambda table, graph: (hits_at_k(table, graph, 10),), _reference_hits),
+    "similarity_lists": (_lists, _reference_lists),
+    "relation_profiles": (_profiles, _reference_lists),
+    "relation_point_set": (
+        lambda table, graph: (relation_point_set(table, graph, "Desires"),),
+        _reference_points,
+    ),
+    "assemble_dataset": (_dataset, _reference_dataset),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_analysis_checks_the_tables_interning(entry):
+    graph = synthetic_graph(demo_plan())
+    table = train(graph, TrainConfig(dimension=8, epochs=4, seed=1))
+    keep = np.sort(np.random.default_rng(0).choice(graph.n_triples, 200, replace=False))
+    subset = graph.subset(keep[::-1])  # recompacted: both name tables are renumbered
+    assert subset.entity_names != graph.entity_names
+    assert subset.relation_names != graph.relation_names
+    analysis, reference = ENTRY_POINTS[entry]
+    with pytest.raises(DataError, match="interning"):
+        analysis(table, subset)
+    got = analysis(table.aligned_to(subset), subset)
+    expected = reference(table, subset)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)

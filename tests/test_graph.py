@@ -43,10 +43,10 @@ def test_parse_conceptnet_dump_line(tmp_path):
     graph = parse_edge_file(path, "conceptnet-dump")
     assert graph.entity_names == ["person", "francais", "actor", "film"]
     assert graph.relation_names == ["RelatedTo", "dbpedia/knownFor"]
-    triple = graph.triple(0)
-    assert graph.entity_names[triple.head] == "person"
-    assert graph.relation_names[triple.relation] == "RelatedTo"
-    assert graph.entity_names[triple.tail] == "francais"
+    head, relation, tail = graph.triples[0]
+    assert graph.entity_names[head] == "person"
+    assert graph.relation_names[relation] == "RelatedTo"
+    assert graph.entity_names[tail] == "francais"
 
 
 def test_parse_empty_file(tmp_path):
@@ -272,7 +272,7 @@ def test_stats_inclusion_exclusion_from_published_counts():
         entity_triple_ratio=3_933_840 / 4_000_000,
         per_relation={},
     )
-    assert stats.inclusion_exclusion_holds()
+    assert stats.heads + stats.tails - stats.head_tail_overlap == stats.entities
     assert 2_781_892 + 1_387_571 - 235_623 == 3_933_840
 
 
@@ -292,7 +292,7 @@ def test_stats_tiny_fixture_hand_counts(tiny_graph):
     assert stats.heads == 5  # cat, dog, bird, wing, paw
     assert stats.tails == 4  # animal, bird, cat, dog
     assert stats.head_tail_overlap == 3  # cat, dog, bird
-    assert stats.inclusion_exclusion_holds()
+    assert stats.heads + stats.tails - stats.head_tail_overlap == stats.entities
     isa = stats.per_relation["IsA"]
     assert (isa.triples, isa.entities) == (3, 4)
     assert isa.head_tail_ratio == pytest.approx(3.0)
@@ -314,7 +314,7 @@ def test_stats_inclusion_exclusion_property(rows):
         [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
     )
     stats = compute_stats(graph)
-    assert stats.inclusion_exclusion_holds()
+    assert stats.heads + stats.tails - stats.head_tail_overlap == stats.entities
     assert stats.entities == graph.n_entities
 
 
@@ -456,10 +456,10 @@ def test_relation_index_partitions(tiny_graph):
 def test_unknown_symbols_raise(tiny_graph):
     from kgstruct.errors import DataError
 
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="'nope'"):
         tiny_graph.relation_id("nope")
-    with pytest.raises(DataError):
-        tiny_graph.entity_id("nope")
+    with pytest.raises(DataError, match="'nope'"):
+        tiny_graph.resolve_relation("nope")
 
 
 def test_serializer_rejects_unserializable_names(tmp_path):

@@ -27,7 +27,7 @@ def pair_graph(pos_pairs, neg_pairs):
 
 def named_pairs(universe, pairs):
     return {
-        (universe.entity_names[h], universe.entity_names[t]) for h, t in pairs
+        (universe.graph.entity_names[h], universe.graph.entity_names[t]) for h, t in pairs
     }
 
 
@@ -40,8 +40,8 @@ def test_universe_counts_by_enumeration():
     assert len(universe.heads) == 3 and len(universe.tails) == 3
     assert universe.known_pair_count == 6
     # brute-force: all head x tail combinations not asserted
-    heads = {universe.entity_names[h] for h in universe.heads}
-    tails = {universe.entity_names[t] for t in universe.tails}
+    heads = {universe.graph.entity_names[h] for h in universe.heads}
+    tails = {universe.graph.entity_names[t] for t in universe.tails}
     known = named_pairs(universe, universe.positive_pairs) | named_pairs(
         universe, universe.negative_pairs
     )
@@ -97,8 +97,8 @@ def test_universe_identity_bruteforce(pos, neg):
         return  # cleaning could empty a side; covered by the error test
     graph = pair_graph(sorted(pos), sorted(neg))
     universe = build_pair_universe(graph, "Desires", "NotDesires")
-    heads = {universe.entity_names[h] for h in universe.heads}
-    tails = {universe.entity_names[t] for t in universe.tails}
+    heads = {universe.graph.entity_names[h] for h in universe.heads}
+    tails = {universe.graph.entity_names[t] for t in universe.tails}
     known = named_pairs(universe, universe.positive_pairs) | named_pairs(
         universe, universe.negative_pairs
     )
@@ -145,9 +145,9 @@ def test_sampling_caps_at_availability():
     ratio = tail_sampling_ratio(universe, len(universe.unknown_heads()))
     assert ratio == 2
     sample = sample_unknown_pairs(universe, seed=0)
-    h0_pairs = [(h, t) for h, t in sample.pairs if universe.entity_names[h] == "h0"]
+    h0_pairs = [(h, t) for h, t in sample.pairs if universe.graph.entity_names[h] == "h0"]
     assert len(h0_pairs) == 1
-    assert universe.entity_names[h0_pairs[0][1]] == "t4"
+    assert universe.graph.entity_names[h0_pairs[0][1]] == "t4"
 
 
 def test_sampling_deterministic():

@@ -1,5 +1,6 @@
 import csv
 import json
+import stat
 import sys
 import time
 from pathlib import Path
@@ -15,6 +16,7 @@ from kgstruct.relsim import SimilarityMatrix
 from kgstruct.report import (
     PipelineConfig,
     emit_matrix_csv,
+    read_config,
     run_pipeline,
 )
 from kgstruct.synth import demo_plan, synthetic_graph
@@ -110,14 +112,14 @@ def test_config_validation_catches_bad_stages():
 def test_config_json_file_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"input": "a.tsv", "seed": 5}), encoding="utf-8")
-    config = PipelineConfig.from_json_file(path)
+    config = PipelineConfig.from_json_dict(read_config(path))
     assert config.input == "a.tsv" and config.seed == 5
     with pytest.raises(ConfigError):
-        PipelineConfig.from_json_file(tmp_path / "missing.json")
+        read_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_json_file(bad)
+        read_config(bad)
 
 
 # -- matrix csv -------------------------------------------------------------------
@@ -306,8 +308,33 @@ def test_pipeline_missing_input_fails_fast(tmp_path):
     )
     with pytest.raises(DataError):
         run_pipeline(config)
-    assert not (tmp_path / "o").exists()
-    assert not (tmp_path / "o.partial").exists()
+    assert not list(tmp_path.iterdir())  # neither o nor an o.* staging sibling
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+def test_pipeline_leaves_a_users_partial_directory_alone(demo_kg, tmp_path, fails):
+    users = tmp_path / "X.partial"
+    users.mkdir()
+    (users / "notes.txt").write_text("mine", encoding="utf-8")
+    config = {"input": str(demo_kg), "out": str(tmp_path / "X")}
+    if fails:  # a relation check that fails after the bundle directory exists
+        config["cluster"] = {"enabled": True, "relations": ["NoSuchRelation"]}
+        with pytest.raises(DataError):
+            run_pipeline(PipelineConfig.from_json_dict(config))
+    else:
+        run_pipeline(PipelineConfig.from_json_dict(config))
+    assert (users / "notes.txt").read_text(encoding="utf-8") == "mine"
+    expected = ["X.partial"] if fails else ["X", "X.partial"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+
+
+def test_pipeline_bundle_under_a_new_parent_gets_the_mkdir_mode(demo_kg, tmp_path):
+    out = tmp_path / "new" / "deeper" / "o"
+    run_pipeline(PipelineConfig.from_json_dict({"input": str(demo_kg), "out": str(out)}))
+    assert [p.name for p in out.parent.iterdir()] == ["o"]
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_pipeline_unknown_relation_fails_before_training(demo_kg, tmp_path):
