@@ -26,34 +26,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-# argparse dest -> config field it overrides; a flag left unset keeps the
-# config's value.
-FLAG_FIELDS = {
-    "input": "input",
-    "format": "format",
-    "seed": "seed",
-    "out": "out",
-    "exclude": "exclude_relations",
-    "sample": "sample_size",
-    "dim": "train.dimension",
-    "epochs": "train.epochs",
-    "lr": "train.learning_rate",
-    "margin": "train.margin",
-    "negatives": "train.negatives",
-    "batch_size": "train.batch_size",
-    "bins": "validate.bins",
-    "definitions": "relsim.definitions_path",
-    "relations": "cluster.relations",
-    "k": "cluster.k",
-    "k_range": "cluster.k_range",
-    "exemplars": "cluster.exemplars_per_cluster",
-    "relation": "negation.relation",
-    "negation_relation": "negation.negation_relation",
-    "folds": "negation.folds",
-    "classifier": "negation.classifier",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         raise ConfigError(message)
@@ -67,12 +39,17 @@ def _k_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}") from None
 
 
+def _field(parser: argparse.ArgumentParser, flag: str, field: str, **kwargs) -> None:
+    """``flag`` sets the dotted config ``field``; left unset, the config's value stands."""
+    parser.add_argument(flag, dest=field, default=argparse.SUPPRESS, **kwargs)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON pipeline config; flags override it")
-    parser.add_argument("--input", help="edge list file")
-    parser.add_argument("--format", choices=FORMATS, help="edge list format")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output directory; must not exist")
+    _field(parser, "--input", "input", metavar="INPUT", help="edge list file")
+    _field(parser, "--format", "format", choices=FORMATS, help="edge list format")
+    _field(parser, "--seed", "seed", type=int, metavar="SEED", help="master seed")
+    _field(parser, "--out", "out", metavar="OUT", help="output directory; must not exist")
 
 
 def build_parser() -> _Parser:
@@ -81,45 +58,45 @@ def build_parser() -> _Parser:
 
     p_stats = sub.add_parser("stats", help="ingest and emit graph statistics")
     _add_common(p_stats)
-    p_stats.add_argument("--exclude", action="append", default=None, metavar="RELATION")
-    p_stats.add_argument("--sample", type=int, default=None, metavar="N")
+    _field(p_stats, "--exclude", "exclude_relations", action="append", metavar="RELATION")
+    _field(p_stats, "--sample", "sample_size", type=int, metavar="N")
 
     p_train = sub.add_parser("train", help="train and save translational embeddings")
     _add_common(p_train)
-    p_train.add_argument("--dim", type=int, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--lr", type=float, default=None)
-    p_train.add_argument("--margin", type=float, default=None)
-    p_train.add_argument("--negatives", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
+    _field(p_train, "--dim", "train.dimension", type=int, metavar="DIM")
+    _field(p_train, "--epochs", "train.epochs", type=int, metavar="EPOCHS")
+    _field(p_train, "--lr", "train.learning_rate", type=float, metavar="LR")
+    _field(p_train, "--margin", "train.margin", type=float, metavar="MARGIN")
+    _field(p_train, "--negatives", "train.negatives", type=int, metavar="NEGATIVES")
+    _field(p_train, "--batch-size", "train.batch_size", type=int, metavar="BATCH_SIZE")
 
     p_val = sub.add_parser("validate", help="similarity-list validation per relation")
     _add_common(p_val)
     p_val.add_argument("--table", help="reuse a saved embedding table")
-    p_val.add_argument("--bins", type=int, default=None)
+    _field(p_val, "--bins", "validate.bins", type=int, metavar="BINS")
 
     p_rel = sub.add_parser("relsim", help="relation similarity matrices and tables")
     _add_common(p_rel)
     p_rel.add_argument("--table", help="reuse a saved embedding table")
-    p_rel.add_argument("--definitions", help="JSON relation->definition corpus")
+    _field(p_rel, "--definitions", "relsim.definitions_path", metavar="DEFINITIONS",
+           help="JSON relation->definition corpus")
 
     p_clu = sub.add_parser("cluster", help="k-means substructure study of relations")
     _add_common(p_clu)
     p_clu.add_argument("--table", help="reuse a saved embedding table")
-    p_clu.add_argument(
-        "--relation", action="append", default=None, metavar="NAME", dest="relations"
-    )
-    p_clu.add_argument("--k", type=int, default=None)
-    p_clu.add_argument("--k-range", type=_k_range, default=None, metavar="LO:HI")
-    p_clu.add_argument("--exemplars", type=int, default=None)
+    _field(p_clu, "--relation", "cluster.relations", action="append", metavar="NAME")
+    _field(p_clu, "--k", "cluster.k", type=int, metavar="K")
+    _field(p_clu, "--k-range", "cluster.k_range", type=_k_range, metavar="LO:HI")
+    _field(p_clu, "--exemplars", "cluster.exemplars_per_cluster", type=int, metavar="EXEMPLARS")
 
     p_neg = sub.add_parser("negation", help="relation/negation pair study")
     _add_common(p_neg)
     p_neg.add_argument("--table", help="reuse a saved embedding table")
-    p_neg.add_argument("--relation", default=None)
-    p_neg.add_argument("--negation-relation", default=None)
-    p_neg.add_argument("--folds", type=int, default=None)
-    p_neg.add_argument("--classifier", choices=("linear", "forest", "both"), default=None)
+    _field(p_neg, "--relation", "negation.relation", metavar="RELATION")
+    _field(p_neg, "--negation-relation", "negation.negation_relation",
+           metavar="NEGATION_RELATION")
+    _field(p_neg, "--folds", "negation.folds", type=int, metavar="FOLDS")
+    _field(p_neg, "--classifier", "negation.classifier", choices=("linear", "forest", "both"))
 
     p_run = sub.add_parser("run", help="full pipeline with manifest bundle")
     _add_common(p_run)
@@ -129,9 +106,8 @@ def build_parser() -> _Parser:
 
 def _apply_flags(data: dict, args) -> dict:
     """``data`` with each flag that is set written into its field, for the loader to check."""
-    for dest, path in FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is None:
+    for path, value in vars(args).items():
+        if path in ("command", "config", "table"):  # not config fields
             continue
         section, _, name = path.rpartition(".")
         node = data
@@ -147,22 +123,22 @@ def _apply_flags(data: dict, args) -> dict:
 def _load_config(args) -> PipelineConfig:
     if args.config:
         data = read_config(args.config)
-    elif args.input:
+    elif vars(args).get("input"):
         data = {}
     else:
         raise ConfigError("either --config or --input is required")
+    if args.command == "train" and data.get("train") is None:
+        data["train"] = {}  # the loader derives its seed from the master seed
     config = PipelineConfig.from_json_dict(_apply_flags(data, args))
     if args.command == "run":
         return config
-    # a per-stage subcommand runs its own stage only
+    # a per-stage subcommand runs its own stage only; stats trains nothing
     stages = {
         stage: replace(getattr(config, stage), enabled=stage == args.command)
         for stage in ANALYSIS_STAGES
     }
     if args.command == "stats":
         stages["train"] = None
-    elif args.command == "train":
-        stages["train"] = config.resolved().train
     return replace(config, **stages)
 
 

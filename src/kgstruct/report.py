@@ -69,6 +69,8 @@ TFIDF_REFERENCE_BAND = 0.05
 
 # -- configuration -----------------------------------------------------------
 
+ANALYSIS_STAGES = ("validate", "relsim", "cluster", "negation")
+
 
 @dataclass(frozen=True)
 class ValidateStage:
@@ -124,26 +126,25 @@ class PipelineConfig:
     cluster: ClusterStage = ClusterStage()
     negation: NegationStage = NegationStage()
 
-    def resolved(self) -> "PipelineConfig":
-        """Fill every omitted seed deterministically from the master seed."""
-        split = self.split or SplitSpec(seed=self.seed + 2)
-        train_cfg = self.train or TrainConfig(seed=self.seed + 3)
-        return replace(
-            self,
-            sample_seed=self.sample_seed if self.sample_seed is not None else self.seed + 1,
-            split=split,
-            train=train_cfg,
-            cluster=replace(
-                self.cluster,
-                seed=self.cluster.seed if self.cluster.seed is not None else self.seed + 4,
-            ),
-            negation=replace(
-                self.negation,
-                seed=self.negation.seed if self.negation.seed is not None else self.seed + 5,
-            ),
-        )
+    def __post_init__(self):
+        """Fill every omitted seed from the master seed, then check every value.
 
-    def validate_fields(self) -> None:
+        ``dataclasses.replace`` builds a new object, so a replaced config is
+        filled and checked again. A ``train`` block is filled in only when an
+        analysis stage is enabled: a config that trains nothing has none.
+        """
+        s, fill = self.seed, object.__setattr__  # the dataclass is frozen
+        if self.sample_seed is None:
+            fill(self, "sample_seed", s + 1)
+        if self.split is None:
+            fill(self, "split", SplitSpec(seed=s + 2))
+        if self.train is None and any(getattr(self, st).enabled for st in ANALYSIS_STAGES):
+            fill(self, "train", TrainConfig(seed=s + 3))
+        if self.cluster.seed is None:
+            fill(self, "cluster", replace(self.cluster, seed=s + 4))
+        if self.negation.seed is None:
+            fill(self, "negation", replace(self.negation, seed=s + 5))
+
         if self.format not in FORMATS:
             raise ConfigError(f"unknown input format: {self.format!r}")
         if self.analysis_scope not in ("full", "train"):
@@ -152,8 +153,7 @@ class PipelineConfig:
             )
         if self.sample_size is not None and self.sample_size < 0:
             raise ConfigError(f"sample_size must be >= 0, got {self.sample_size}")
-        if self.split:
-            self.split.validate()
+        self.split.validate()
         if self.train:
             self.train.validate("train")
         if self.validate.bins < 1:
@@ -163,8 +163,12 @@ class PipelineConfig:
                 f"validate.min_triples must be >= 1, got {self.validate.min_triples}"
             )
         if self.cluster.enabled:
-            if not self.cluster.relations:
+            relations = self.cluster.relations
+            if not relations:
                 raise ConfigError("cluster stage enabled but no relations listed")
+            repeated = sorted({name for name in relations if relations.count(name) > 1})
+            if repeated:
+                raise ConfigError(f"cluster.relations: repeated names {repeated}")
             if self.cluster.k < 1:
                 raise ConfigError("cluster.k must be >= 1")
             if self.cluster.exemplars_per_cluster < 1:
@@ -193,11 +197,11 @@ class PipelineConfig:
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
         config = _load(cls, data, "")
         # a split or train block that leaves out its seed derives it from the
-        # master seed, as resolved() does for an omitted block
+        # master seed, as an omitted block does; only the raw JSON shows which
         derived = {
             name: replace(getattr(config, name), seed=config.seed + offset)
             for name, offset in (("split", 2), ("train", 3))
-            if getattr(config, name) is not None and "seed" not in data[name]
+            if data.get(name) is not None and "seed" not in data[name]
         }
         return replace(config, **derived)
 
@@ -445,9 +449,16 @@ def stage_cluster(
         points = relation_point_set(table, graph, relation)
         rel_dir = out_dir / f"cluster_{relation.replace('/', '_')}"
         rel_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.k_range is not None and len(points) - 1 >= cfg.k_range[0]:
+        n = len(points)
+        if cfg.k > n:
+            raise DataError(f"cluster.k = {cfg.k} exceeds the {n} points of relation {relation!r}")
+        if cfg.k_range is not None:
             lo, hi = cfg.k_range
-            hi = min(hi, len(points) - 1)
+            if hi > n - 1:
+                raise DataError(
+                    f"cluster.k_range {lo}:{hi} must lie within [2, {n - 1}] "
+                    f"for the {n} points of relation {relation!r}"
+                )
             curve = k_selection_scores(points, range(lo, hi + 1), seed=cfg.seed)
             header = ["k", "inertia", "silhouette", "davies_bouldin", "calinski_harabasz"]
             scores = [getattr(curve, name) for name in header[1:]]
@@ -456,8 +467,7 @@ def stage_cluster(
                 header,
                 ([k, *map(_fmt, row)] for k, *row in zip(curve.ks, *scores)),
             )
-        k = min(cfg.k, len(points))
-        result = lloyd_kmeans(points, k, seed=cfg.seed)
+        result = lloyd_kmeans(points, cfg.k, seed=cfg.seed)
         report = quality_report(points, result, relation=relation)
         reports.append(report)
         per_cluster = (report.cohesion_raw, report.cohesion, report.separation)
@@ -487,7 +497,7 @@ def stage_cluster(
             ),
         )
         notes[relation] = {
-            "points": len(points),
+            "points": n,
             "k": result.k,
             "inertia": result.inertia,
             "converged": result.converged,
@@ -572,16 +582,23 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def ingest(config: PipelineConfig) -> KnowledgeGraph:
-    """Parse, filter, and (optionally) sample the input per the config."""
+def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, list[str]]:
+    """Parse, filter, and (optionally) sample the input per the config.
+
+    Also returns the ``exclude_relations`` names the parsed graph lacks;
+    excluding them removes nothing.
+    """
     if not Path(config.input).exists():
         raise DataError(f"input file does not exist: {config.input}")
     graph = parse_edge_file(config.input, config.format)
+    absent = [name for name in config.exclude_relations if name not in graph.relation_names]
+    if absent:
+        log.warning("exclude_relations names absent from the graph: %s", absent)
     if config.exclude_relations:
         graph = filter_relations(graph, set(config.exclude_relations))
     if config.sample_size is not None:
-        graph = sample_triples(graph, config.sample_size, config.sample_seed or 0)
-    return graph
+        graph = sample_triples(graph, config.sample_size, config.sample_seed)
+    return graph, absent
 
 
 def _check_referenced_relations(graph: KnowledgeGraph, config: PipelineConfig) -> None:
@@ -596,35 +613,30 @@ def _check_referenced_relations(graph: KnowledgeGraph, config: PipelineConfig) -
         raise DataError(f"configured relations are absent from the graph: {missing}")
 
 
-ANALYSIS_STAGES = ("validate", "relsim", "cluster", "negation")
-
-
 def run_pipeline(
     config: PipelineConfig, table: EmbeddingTable | None = None
 ) -> ReportBundle:
     """Execute the selected stages in dependency order, atomically.
 
-    Embeddings are trained when the config has a ``train`` block or enables
-    an analysis stage. A given ``table`` replaces training: its rows are
-    matched to the graph by name, and every stage reads it. Everything is
-    written to a fresh sibling of the output directory that the run creates
-    itself, so no existing directory is ever removed. It is renamed into
-    place only after the manifest lands; a failing stage therefore leaves
-    no partial bundle behind.
+    Embeddings are trained when the config has a ``train`` block, which
+    every config that enables an analysis stage has. A given ``table``
+    replaces training: its rows are matched to the graph by name, and every
+    stage reads it. Everything is written to a fresh sibling of the output
+    directory that the run creates itself, so no existing directory is ever
+    removed. It is renamed into place only after the manifest lands; a
+    failing stage therefore leaves no partial bundle behind, and neither
+    the parent directories the run created.
     """
-    config.validate_fields()
-    wants_table = config.train is not None or any(
-        getattr(config, stage).enabled for stage in ANALYSIS_STAGES
-    )
-    config = config.resolved()
     out_dir = Path(config.out)
     if out_dir.exists():
         raise DataError(f"output directory already exists: {out_dir}")
+    created = [parent for parent in out_dir.parents if not parent.exists()]  # deepest first
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     # the run's own staging directory, so no existing directory is removed;
     # the bundle inside it gets the mode a plain mkdir gives
     stage = tempfile.mkdtemp(dir=out_dir.parent, prefix=out_dir.name + ".", suffix=".partial")
     tmp_dir = Path(stage) / out_dir.name
+    done = False
 
     timings: dict[str, float] = {}
     notes: dict = {}
@@ -637,12 +649,14 @@ def run_pipeline(
 
     try:
         tmp_dir.mkdir()
-        graph = timed("ingest", lambda: ingest(config))
+        graph, absent = timed("ingest", lambda: ingest(config))
+        if absent:
+            notes["ingest"] = {"exclude_relations_absent": absent}
         _check_referenced_relations(graph, config)
         timed("stats", lambda: stage_stats(graph, tmp_dir))
 
         analysis_graph = graph
-        if table is not None or wants_table:
+        if table is not None or config.train is not None:
             train_idx, _val_idx, test_idx = split_indices(graph.n_triples, config.split)
             if table is not None:
                 table = table.aligned_to(graph)
@@ -704,6 +718,13 @@ def run_pipeline(
         }
         write_json(tmp_dir / "manifest.json", manifest)
         os.replace(tmp_dir, out_dir)
+        done = True
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        if not done:
+            for parent in created:  # rmdir refuses a directory that is not empty
+                try:
+                    parent.rmdir()
+                except OSError:
+                    break
     return ReportBundle(out_dir=out_dir, manifest=manifest)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kgstruct.cli import main
+from kgstruct.cli import _load_config, build_parser, main
 from kgstruct.embedding import EmbeddingTable
 from kgstruct.graph import write_generic_3col
 from kgstruct.synth import demo_plan, synthetic_graph
@@ -56,6 +56,23 @@ def test_stats_exclude_flag(demo_kg, tmp_path):
     ) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert "FormOf" not in stats["per_relation"]
+
+
+def test_absent_excluded_relation_is_noted_not_an_error(demo_kg, tmp_path, caplog):
+    assert main(["stats", "--input", str(demo_kg), "--out", str(tmp_path / "plain")]) == 0
+    with caplog.at_level("WARNING"):
+        assert main(
+            ["stats", "--input", str(demo_kg), "--exclude", "ExternalURL",
+             "--out", str(tmp_path / "excluded")]
+        ) == 0
+    assert "['ExternalURL']" in caplog.text
+    plain, excluded = (
+        json.loads((tmp_path / out / "manifest.json").read_text())
+        for out in ("plain", "excluded")
+    )
+    assert excluded["files"] == plain["files"]
+    assert excluded["notes"] == {"ingest": {"exclude_relations_absent": ["ExternalURL"]}}
+    assert "ingest" not in plain["notes"]
 
 
 def test_train_then_validate_with_saved_table(demo_kg, tmp_path):
@@ -316,6 +333,16 @@ def _definitions(text):
         (_config("negation", negation={"forest": {"min_samples_split": 1}}), 1,
          "negation.forest.min_samples_split"),
         (_config("validate", validate={"min_triples": 0}), 1, "validate.min_triples"),
+        (_config("cluster", train={"dimension": 4, "epochs": 1},
+                 cluster={"relations": ["HasContext"], "k": 1000000}), 2,
+         "cluster.k = 1000000 exceeds the 160 points of relation 'HasContext'"),
+        (_config("cluster", train={"dimension": 4, "epochs": 1},
+                 cluster={"relations": ["HasContext"], "k_range": [200, 210]}), 2,
+         "cluster.k_range 200:210 must lie within [2, 159] for the 160 points of relation "
+         "'HasContext'"),
+        (_config("cluster", cluster={"relations": ["HasContext", "HasContext"]}), 1,
+         "cluster.relations: repeated names ['HasContext']"),
+        (_config("stats", cluster={"enabled": True, "relations": []}), 1, "no relations listed"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -323,7 +350,8 @@ def _definitions(text):
          "non-json-definitions", "max-features-log2", "zero-exemplars",
          "diverging-train-lr", "diverging-linear-lr", "negative-l2", "non-converging-l2",
          "nan-margin", "overflowing-margin", "forest-seed", "list-definition",
-         "null-definition", "min-samples-split-1", "zero-min-triples"],
+         "null-definition", "min-samples-split-1", "zero-min-triples", "k-above-n",
+         "k-range-above-n", "repeated-relation", "stats-checks-the-files-stages"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -363,6 +391,66 @@ def test_subcommand_bundle_equals_run_with_one_stage(stage, demo_kg, tmp_path):
 
     assert checksums("sub") == checksums("run")
     assert "embeddings.kgt" in checksums("sub")
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "stats", "train", "validate", "relsim", "cluster", "negation"]
+)
+def test_manifest_config_reproduces_the_bundle(command, demo_kg, tmp_path):
+    """``kgstruct run`` on a bundle's manifest config writes the same files."""
+    config = {**ONE_PATH_CONFIG, "input": str(demo_kg)}
+    for stage in ("validate", "relsim", "cluster", "negation"):
+        config[stage] = {**config.get(stage, {}), "enabled": True}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "first")]) == 0
+    first = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    assert (first["config"]["train"] is None) == (command == "stats")
+
+    path.write_text(
+        json.dumps({**first["config"], "out": str(tmp_path / "again")}), encoding="utf-8"
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    again = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert again["files"] == first["files"]
+
+
+# each flag with a value other than its field's default, and the value it sets
+FLAG_CASES = [
+    ("stats", ["--input", "y"], "input", "y"),
+    ("stats", ["--format", "conceptnet-dump"], "format", "conceptnet-dump"),
+    ("stats", ["--seed", "7"], "seed", 7),
+    ("stats", ["--out", "o"], "out", "o"),
+    ("stats", ["--exclude", "A", "--exclude", "B"], "exclude_relations", ("A", "B")),
+    ("stats", ["--sample", "5"], "sample_size", 5),
+    ("train", ["--dim", "8"], "train.dimension", 8),
+    ("train", ["--epochs", "2"], "train.epochs", 2),
+    ("train", ["--lr", "0.01"], "train.learning_rate", 0.01),
+    ("train", ["--margin", "0.5"], "train.margin", 0.5),
+    ("train", ["--negatives", "3"], "train.negatives", 3),
+    ("train", ["--batch-size", "64"], "train.batch_size", 64),
+    ("validate", ["--bins", "7"], "validate.bins", 7),
+    ("relsim", ["--definitions", "d.json"], "relsim.definitions_path", "d.json"),
+    ("cluster", ["--relation", "A", "--relation", "B"], "cluster.relations", ("A", "B")),
+    ("cluster", ["--relation", "A", "--k", "3"], "cluster.k", 3),
+    ("cluster", ["--relation", "A", "--k-range", "2:5"], "cluster.k_range", (2, 5)),
+    ("cluster", ["--relation", "A", "--exemplars", "2"], "cluster.exemplars_per_cluster", 2),
+    ("negation", ["--relation", "A"], "negation.relation", "A"),
+    ("negation", ["--negation-relation", "NotA"], "negation.negation_relation", "NotA"),
+    ("negation", ["--folds", "4"], "negation.folds", 4),
+    ("negation", ["--classifier", "forest"], "negation.classifier", "forest"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, field, value", FLAG_CASES, ids=[f"{case[0]}{case[1][-2]}" for case in FLAG_CASES]
+)
+def test_every_flag_lands_in_its_field(command, flags, field, value):
+    config = _load_config(build_parser().parse_args([command, "--input", "x", *flags]))
+    node = config
+    for name in field.split("."):
+        node = getattr(node, name)
+    assert node == value
 
 
 # -- the exit-code contract under corrupted input ---------------------------------

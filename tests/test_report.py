@@ -3,6 +3,7 @@ import json
 import stat
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,18 +72,20 @@ def test_config_requires_input():
 
 
 def test_config_resolves_all_seeds(tmp_path):
-    config = PipelineConfig.from_json_dict({"input": "x", "seed": 40}).resolved()
+    config = PipelineConfig.from_json_dict({"input": "x", "seed": 40, "validate": {"enabled": True}})
     assert config.sample_seed == 41
     assert config.split.seed == 42
     assert config.train.seed == 43
     assert config.cluster.seed == 44
     assert config.negation.seed == 45
+    # a config that enables no analysis trains nothing, so it has no train block
+    assert PipelineConfig.from_json_dict({"input": "x", "seed": 40}).train is None
     # a split or train block without a seed derives it as an omitted block does
     blocks = {"split": {"train": 0.5, "validation": 0.25, "test": 0.25}, "train": {"epochs": 2}}
     for master in (40, 41):
         config = PipelineConfig.from_json_dict({"input": "x", "seed": master, **blocks})
         assert (config.split.seed, config.train.seed) == (master + 2, master + 3)
-        assert config.resolved().train.epochs == 2
+        assert config.train.epochs == 2
     explicit = {"split": {**blocks["split"], "seed": 0}, "train": {"epochs": 2, "seed": 0}}
     config = PipelineConfig.from_json_dict({"input": "x", "seed": 40, **explicit})
     assert (config.split.seed, config.train.seed) == (0, 0)
@@ -91,22 +94,30 @@ def test_config_resolves_all_seeds(tmp_path):
     path.write_text(json.dumps({"input": "x", "seed": 40, **blocks}), encoding="utf-8")
     for command in ("train", "run"):
         args = build_parser().parse_args([command, "--config", str(path), "--seed", "7"])
-        config = _load_config(args).resolved()
+        config = _load_config(args)
         assert (config.seed, config.split.seed, config.train.seed) == (7, 9, 10)
+    # the train subcommand trains without a train block; stats trains nothing
+    for command, train_seed in (("train", 10), ("validate", 10), ("stats", None)):
+        args = build_parser().parse_args([command, "--input", "x", "--seed", "7"])
+        config = _load_config(args)
+        assert (config.sample_seed, config.split.seed, config.cluster.seed) == (8, 9, 11)
+        assert (config.train and config.train.seed) == train_seed
 
 
 def test_config_validation_catches_bad_stages():
     base = {"input": "x"}
     with pytest.raises(ConfigError):
-        PipelineConfig.from_json_dict(
-            {**base, "cluster": {"enabled": True, "relations": []}}
-        ).validate_fields()
+        PipelineConfig.from_json_dict({**base, "cluster": {"enabled": True, "relations": []}})
     with pytest.raises(ConfigError):
         PipelineConfig.from_json_dict(
             {**base, "negation": {"enabled": True, "classifier": "svm"}}
-        ).validate_fields()
+        )
     with pytest.raises(ConfigError):
-        PipelineConfig.from_json_dict({**base, "format": "xml"}).validate_fields()
+        PipelineConfig.from_json_dict({**base, "format": "xml"})
+    # replace builds a new config, which is checked again
+    config = PipelineConfig.from_json_dict(base)
+    with pytest.raises(ConfigError, match="no relations listed"):
+        replace(config, cluster=replace(config.cluster, enabled=True, relations=()))
 
 
 def test_config_json_file_roundtrip(tmp_path):
@@ -304,11 +315,12 @@ def test_config_type_errors_name_the_field():
 
 def test_pipeline_missing_input_fails_fast(tmp_path):
     config = PipelineConfig.from_json_dict(
-        {"input": str(tmp_path / "missing.tsv"), "out": str(tmp_path / "o")}
+        {"input": str(tmp_path / "missing.tsv"), "out": str(tmp_path / "new" / "deeper" / "o")}
     )
     with pytest.raises(DataError):
         run_pipeline(config)
-    assert not list(tmp_path.iterdir())  # neither o nor an o.* staging sibling
+    # neither o nor an o.* staging sibling, nor the parents the run created
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
@@ -379,30 +391,36 @@ def test_negation_report_structure(full_bundle):
     assert kinds == {"linear", "forest"}
 
 
-def test_cluster_stage_skips_curve_on_tiny_relation(tmp_path):
+def test_cluster_stage_rejects_k_beyond_a_tiny_relation(tmp_path):
     from kgstruct.graph import KnowledgeGraph, write_generic_3col
 
     rows = [("a", "tiny", "b"), ("c", "tiny", "d"),
             ("x1", "filler", "y1"), ("x2", "filler", "y2"), ("x3", "filler", "y3")]
     kg = tmp_path / "tiny.tsv"
     write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), kg)
-    config = PipelineConfig.from_json_dict(
-        {
-            "input": str(kg),
-            "out": str(tmp_path / "o"),
-            "train": {"dimension": 4, "epochs": 2, "seed": 1},
-            "cluster": {
-                "enabled": True,
-                "relations": ["tiny"],
-                "k": 2,
-                "k_range": [2, 6],  # collapses below lo for a 2-point relation
-            },
-        }
-    )
-    bundle = run_pipeline(config)
+    base = {
+        "input": str(kg),
+        "train": {"dimension": 4, "epochs": 2, "seed": 1},
+        "cluster": {"enabled": True, "relations": ["tiny"], "k": 2},
+    }
+
+    def run(out, **cluster):
+        config = {**base, "out": str(tmp_path / out)}
+        config["cluster"] = {**base["cluster"], **cluster}
+        return run_pipeline(PipelineConfig.from_json_dict(config))
+
+    # no k range fits a 2-point relation: hi must stay <= n - 1 = 1
+    with pytest.raises(DataError, match=r"cluster\.k_range 2:6 must lie within \[2, 1\] "
+                                        r"for the 2 points of relation 'tiny'"):
+        run("range", k_range=[2, 6])
+    with pytest.raises(DataError, match=r"cluster\.k = 3 exceeds the 2 points of relation 'tiny'"):
+        run("k", k=3)
+    assert not (tmp_path / "range").exists() and not (tmp_path / "k").exists()
+    bundle = run("o")
     files = set(bundle.manifest["files"])
     assert "cluster_tiny/quality.csv" in files
     assert "cluster_tiny/kselection.csv" not in files
+    assert bundle.manifest["notes"]["cluster"]["tiny"]["k"] == 2
 
 
 def test_relsim_stage_survives_single_relation_graph(tmp_path, caplog):
@@ -598,9 +616,7 @@ def test_analysis_scope_train_restricts_analysis_rows(demo_kg, tmp_path):
     assert count_full == 500
     assert count_train == 376  # only the train split feeds the analysis
     with pytest.raises(ConfigError):
-        PipelineConfig.from_json_dict(
-            {**base, "out": "x", "analysis_scope": "validation"}
-        ).validate_fields()
+        PipelineConfig.from_json_dict({**base, "out": "x", "analysis_scope": "validation"})
 
 
 def test_bad_classifier_hyperparams_are_config_errors():
@@ -610,9 +626,7 @@ def test_bad_classifier_hyperparams_are_config_errors():
             PipelineConfig.from_json_dict(
                 {"input": "x", "negation": {"enabled": True, "forest": {key: 5}}}
             )
-    config = PipelineConfig.from_json_dict(
-        {"input": "x", "negation": {"enabled": True, "forest": {"n_trees": 0}}}
-    )
-    assert config.negation.forest.n_trees == 0
     with pytest.raises(ConfigError, match=r"negation\.forest\.n_trees: must be >= 1"):
-        config.validate_fields()
+        PipelineConfig.from_json_dict(
+            {"input": "x", "negation": {"enabled": True, "forest": {"n_trees": 0}}}
+        )
