@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError, check_at_least
 
 log = logging.getLogger(__name__)
 
@@ -34,20 +34,21 @@ class LogisticConfig:
     iterations: int = 500
     l2: float = 1e-3
 
-    def validate(self, where: str = "") -> None:
-        """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
-        prefix = f"{where}." if where else ""
+    def __post_init__(self):
         if not self.learning_rate > 0:
-            raise ConfigError(f"{prefix}learning_rate: must be > 0, got {self.learning_rate}")
-        if self.iterations < 1:
-            raise ConfigError(f"{prefix}iterations: must be >= 1, got {self.iterations}")
-        if not self.l2 >= 0:
-            raise ConfigError(f"{prefix}l2: must be >= 0, got {self.l2}")
+            raise ConfigError(
+                f"negation.linear.learning_rate: must be > 0, got {self.learning_rate}"
+            )
+        check_at_least("negation.linear.iterations", self.iterations, 1)
+        check_at_least("negation.linear.l2", self.l2, 0)
         # each step scales w by 1 - learning_rate * l2; at or below 0 the
         # weights flip sign every iteration instead of converging
         decay = self.learning_rate * self.l2
         if decay >= 1:
-            raise ConfigError(f"{prefix}learning_rate * {prefix}l2: must be < 1, got {decay}")
+            raise ConfigError(
+                "negation.linear.learning_rate * negation.linear.l2: "
+                f"must be < 1, got {decay}"
+            )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -70,7 +71,6 @@ class LogisticRegressionClassifier:
         self.bias_: float = 0.0
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "LogisticRegressionClassifier":
-        self.config.validate()
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
         _check_binary(y)
@@ -114,23 +114,16 @@ class ForestConfig:
     max_features: str | int = "sqrt"  # "sqrt", "all", or a fixed count
     bootstrap: bool = True
 
-    def validate(self, where: str = "") -> None:
-        """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
-        prefix = f"{where}." if where else ""
-        if self.n_trees < 1:
-            raise ConfigError(f"{prefix}n_trees: must be >= 1, got {self.n_trees}")
-        if self.max_depth < 1:
-            raise ConfigError(f"{prefix}max_depth: must be >= 1, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ConfigError(
-                f"{prefix}min_samples_split: must be >= 2, got {self.min_samples_split}"
-            )
+    def __post_init__(self):
+        check_at_least("negation.forest.n_trees", self.n_trees, 1)
+        check_at_least("negation.forest.max_depth", self.max_depth, 1)
+        check_at_least("negation.forest.min_samples_split", self.min_samples_split, 2)
         mf = self.max_features
         if mf not in ("sqrt", "all") and not (
             isinstance(mf, int) and not isinstance(mf, bool) and mf >= 1
         ):
             raise ConfigError(
-                f"{prefix}max_features: must be 'sqrt', 'all' or an int >= 1, got {mf!r}"
+                f"negation.forest.max_features: must be 'sqrt', 'all' or an int >= 1, got {mf!r}"
             )
 
 
@@ -250,7 +243,6 @@ class RandomForestClassifier:
         return min(mf, d)
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
-        self.config.validate()
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.int64)
         _check_binary(y)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError, check_at_least
 from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
@@ -37,21 +37,15 @@ class TrainConfig:
     batch_size: int = 1024
     seed: int = 0
 
-    def validate(self, where: str = "") -> None:
-        """Raise ConfigError naming the field, prefixed by the dotted ``where``."""
-        prefix = f"{where}." if where else ""
-        if self.dimension < 1:
-            raise ConfigError(f"{prefix}dimension: must be >= 1, got {self.dimension}")
-        if self.epochs < 0:
-            raise ConfigError(f"{prefix}epochs: must be >= 0, got {self.epochs}")
+    def __post_init__(self):
+        check_at_least("train.dimension", self.dimension, 1)
+        check_at_least("train.epochs", self.epochs, 0)
         if not (math.isfinite(self.margin) and self.margin > 0):
-            raise ConfigError(f"{prefix}margin: must be finite and > 0, got {self.margin}")
-        if self.negatives < 1:
-            raise ConfigError(f"{prefix}negatives: must be >= 1, got {self.negatives}")
-        if self.batch_size < 1:
-            raise ConfigError(f"{prefix}batch_size: must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"train.margin: must be finite and > 0, got {self.margin}")
+        check_at_least("train.negatives", self.negatives, 1)
+        check_at_least("train.batch_size", self.batch_size, 1)
         if not self.learning_rate > 0:
-            raise ConfigError(f"{prefix}learning_rate: must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"train.learning_rate: must be > 0, got {self.learning_rate}")
 
 
 class EmbeddingTable:
@@ -185,7 +179,8 @@ class EmbeddingTable:
             )
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-        except (struct.error, ValueError, KeyError, TypeError) as exc:
+        except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
+            # ConfigError: the header's train config fails its own checks
             raise DataError(f"{path}: malformed embedding table: {exc!r}") from exc
 
 
@@ -226,7 +221,6 @@ def train(
     margin loss max(0, margin + d_pos - d_neg) is minimized. Entity rows
     are renormalized to unit norm at the start of each epoch.
     """
-    config.validate()
     if graph.n_triples == 0:
         raise DataError("cannot train on an empty graph")
     if triple_indices is None:

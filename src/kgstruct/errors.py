@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the bound check config blocks share.
 
 The CLI maps these onto exit codes: ConfigError -> 1 (a diverged trainer or
 classifier included), DataError -> 2, anything else -> 3.
@@ -28,3 +28,9 @@ class ParseError(DataError):
 
 class TrainingDivergedError(ConfigError):
     """Training produced non-finite values: a setting, such as the learning rate, cannot run."""
+
+
+def check_at_least(path: str, value, low) -> None:
+    """Raise ConfigError naming the config field ``path`` unless ``value >= low``; NaN fails."""
+    if not value >= low:
+        raise ConfigError(f"{path}: must be >= {low}, got {value}")

@@ -357,12 +357,12 @@ class SplitSpec:
     test: float = 0.125
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         fracs = (self.train, self.validation, self.test)
         if any(not 0.0 <= f <= 1.0 for f in fracs):
-            raise ConfigError(f"split fractions must lie in [0, 1]: {fracs}")
+            raise ConfigError(f"split.train/validation/test: must lie in [0, 1], got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1.0: {fracs}")
+            raise ConfigError(f"split.train/validation/test: must sum to 1.0, got {fracs}")
 
 
 def split_indices(
@@ -373,7 +373,6 @@ def split_indices(
     Validation and test get floor(fraction * n) rows each; train absorbs the
     remainder. Each index array is sorted ascending.
     """
-    spec.validate()
     n_val = int(np.floor(spec.validation * n))
     n_test = int(np.floor(spec.test * n))
     rng = np.random.default_rng(spec.seed)

@@ -95,12 +95,6 @@ class NearestRelationTable:
     kind: str
     rows: list[tuple[str, str, float]]  # (relation, closest relation, score)
 
-    def closest(self, relation: str) -> tuple[str, float]:
-        for name, other, score in self.rows:
-            if name == relation:
-                return other, score
-        raise KeyError(relation)
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; placeholders kept."""

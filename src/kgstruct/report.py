@@ -33,7 +33,7 @@ from .cluster import (
     sample_cluster_exemplars,
 )
 from .embedding import EmbeddingTable, TrainConfig, hits_at_k, train
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_at_least
 from .graph import (
     FORMATS,
     GENERIC_3COL,
@@ -72,17 +72,30 @@ TFIDF_REFERENCE_BAND = 0.05
 ANALYSIS_STAGES = ("validate", "relsim", "cluster", "negation")
 
 
+# Each block checks its own values when it is built, whether or not its stage
+# is enabled; checks that need the graph run in ``preflight``.
+
+
 @dataclass(frozen=True)
 class ValidateStage:
     enabled: bool = False
     bins: int = 100
     min_triples: int = 2
 
+    def __post_init__(self):
+        check_at_least("validate.bins", self.bins, 1)
+        check_at_least("validate.min_triples", self.min_triples, 1)
+
 
 @dataclass(frozen=True)
 class RelsimStage:
     enabled: bool = False
     definitions_path: str | None = None  # None -> bundled corpus
+
+
+def _cluster_dir(relation: str) -> str:
+    """The bundle subdirectory that holds one clustered relation's tables."""
+    return f"cluster_{relation.replace('/', '_')}"
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,23 @@ class ClusterStage:
     k_range: tuple[int, int] | None = None  # inclusive; adds the selection curve
     exemplars_per_cluster: int = 5
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.enabled and not self.relations:
+            raise ConfigError("cluster.relations: stage enabled but no relations listed")
+        dirs = [_cluster_dir(name) for name in self.relations]
+        clash = sorted({name for name, d in zip(self.relations, dirs) if dirs.count(d) > 1})
+        if clash:
+            raise ConfigError(
+                f"cluster.relations: repeated names {clash}; "
+                "each needs its own cluster_<name> directory, with '/' written as '_'"
+            )
+        check_at_least("cluster.k", self.k, 1)
+        if self.k_range is not None:
+            lo, hi = self.k_range
+            if lo < 2 or hi < lo:
+                raise ConfigError(f"cluster.k_range: must satisfy 2 <= lo <= hi, got {lo}:{hi}")
+        check_at_least("cluster.exemplars_per_cluster", self.exemplars_per_cluster, 1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +135,19 @@ class NegationStage:
     seed: int | None = None
     linear: LogisticConfig = LogisticConfig()
     forest: ForestConfig = ForestConfig()
+
+    def __post_init__(self):
+        if self.relation == self.negation_relation:
+            raise ConfigError(
+                "negation.negation_relation: must differ from negation.relation, "
+                f"got {self.relation!r} for both"
+            )
+        check_at_least("negation.folds", self.folds, 2)
+        if self.classifier not in ("linear", "forest", "both"):
+            raise ConfigError(
+                "negation.classifier: must be 'linear', 'forest' or 'both', "
+                f"got {self.classifier!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,11 +170,12 @@ class PipelineConfig:
     negation: NegationStage = NegationStage()
 
     def __post_init__(self):
-        """Fill every omitted seed from the master seed, then check every value.
+        """Fill every omitted seed from the master seed, then check the top-level fields.
 
-        ``dataclasses.replace`` builds a new object, so a replaced config is
-        filled and checked again. A ``train`` block is filled in only when an
-        analysis stage is enabled: a config that trains nothing has none.
+        Each block checked its own fields when it was built. ``dataclasses.replace``
+        builds a new object, so a replaced config is filled and checked again.
+        A ``train`` block is filled in only when an analysis stage is enabled:
+        a config that trains nothing has none.
         """
         s, fill = self.seed, object.__setattr__  # the dataclass is frozen
         if self.sample_seed is None:
@@ -146,49 +190,13 @@ class PipelineConfig:
             fill(self, "negation", replace(self.negation, seed=s + 5))
 
         if self.format not in FORMATS:
-            raise ConfigError(f"unknown input format: {self.format!r}")
+            raise ConfigError(f"format: must be one of {list(FORMATS)}, got {self.format!r}")
         if self.analysis_scope not in ("full", "train"):
             raise ConfigError(
-                f"analysis_scope must be 'full' or 'train', got {self.analysis_scope!r}"
+                f"analysis_scope: must be 'full' or 'train', got {self.analysis_scope!r}"
             )
-        if self.sample_size is not None and self.sample_size < 0:
-            raise ConfigError(f"sample_size must be >= 0, got {self.sample_size}")
-        self.split.validate()
-        if self.train:
-            self.train.validate("train")
-        if self.validate.bins < 1:
-            raise ConfigError("validate.bins must be >= 1")
-        if self.validate.min_triples < 1:
-            raise ConfigError(
-                f"validate.min_triples must be >= 1, got {self.validate.min_triples}"
-            )
-        if self.cluster.enabled:
-            relations = self.cluster.relations
-            if not relations:
-                raise ConfigError("cluster stage enabled but no relations listed")
-            repeated = sorted({name for name in relations if relations.count(name) > 1})
-            if repeated:
-                raise ConfigError(f"cluster.relations: repeated names {repeated}")
-            if self.cluster.k < 1:
-                raise ConfigError("cluster.k must be >= 1")
-            if self.cluster.exemplars_per_cluster < 1:
-                raise ConfigError(
-                    "cluster.exemplars_per_cluster must be >= 1, "
-                    f"got {self.cluster.exemplars_per_cluster}"
-                )
-            if self.cluster.k_range is not None:
-                lo, hi = self.cluster.k_range
-                if lo < 2 or hi < lo:
-                    raise ConfigError(f"bad cluster.k_range: {self.cluster.k_range}")
-        if self.negation.enabled:
-            if self.negation.classifier not in ("linear", "forest", "both"):
-                raise ConfigError(
-                    f"unknown classifier: {self.negation.classifier!r}"
-                )
-            if self.negation.folds < 2:
-                raise ConfigError("negation.folds must be >= 2")
-            self.negation.linear.validate("negation.linear")
-            self.negation.forest.validate("negation.forest")
+        if self.sample_size is not None:
+            check_at_least("sample_size", self.sample_size, 0)
 
     def to_json_dict(self) -> dict:
         return _jsonable(asdict(self))
@@ -220,14 +228,14 @@ def read_config(path: str | Path) -> dict:
     return data
 
 
-def _load(cls, data, where: str):
+def _load(cls, data, path: str):
     """Build dataclass ``cls`` from parsed JSON, checking every field's type.
 
-    ``where`` is the dotted path of ``data`` within the config ("" at the
+    ``path`` is the dotted path of ``data`` within the config ("" at the
     top). An unknown key, a missing required field or a value of the wrong
     type raises ConfigError naming the dotted field.
     """
-    label = where or "config"
+    label = path or "config"
     if not isinstance(data, dict):
         raise ConfigError(f"{label}: expected an object, got {type(data).__name__} {data!r}")
     declared = {f.name: f for f in fields(cls)}
@@ -238,24 +246,24 @@ def _load(cls, data, where: str):
         if name not in data and spec.default is MISSING and spec.default_factory is MISSING:
             raise ConfigError(f"{label}: missing required field {name!r}")
     hints = typing.get_type_hints(cls)
-    prefix = f"{where}." if where else ""
+    prefix = f"{path}." if path else ""
     return cls(**{name: _check(hints[name], value, prefix + name) for name, value in data.items()})
 
 
-def _check(hint, value, where: str):
+def _check(hint, value, path: str):
     """``value`` checked against the field type ``hint``; JSON lists become tuples."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if is_dataclass(hint):
-        return _load(hint, value, where)
+        return _load(hint, value, path)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         options = [a for a in args if a is not type(None)]
         if len(options) == 1:
-            return _check(options[0], value, where)
+            return _check(options[0], value, path)
         for option in options:
             try:
-                return _check(option, value, where)
+                return _check(option, value, path)
             except ConfigError:
                 pass
     elif origin is tuple:
@@ -263,7 +271,7 @@ def _check(hint, value, where: str):
             kinds = (args[0],) * len(value) if args[1:] == (Ellipsis,) else args
             if len(kinds) == len(value):
                 return tuple(
-                    _check(kind, item, f"{where}[{i}]")
+                    _check(kind, item, f"{path}[{i}]")
                     for i, (kind, item) in enumerate(zip(kinds, value))
                 )
     elif hint is float:
@@ -274,7 +282,7 @@ def _check(hint, value, where: str):
     elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
         return value
     expected = str(hint) if origin else hint.__name__
-    raise ConfigError(f"{where}: expected {expected}, got {type(value).__name__} {value!r}")
+    raise ConfigError(f"{path}: expected {expected}, got {type(value).__name__} {value!r}")
 
 
 # -- small IO helpers ---------------------------------------------------------
@@ -443,22 +451,15 @@ def stage_relsim(
 def stage_cluster(
     table: EmbeddingTable, graph: KnowledgeGraph, cfg: ClusterStage, out_dir: Path
 ) -> dict:
+    """Cluster each relation at ``cfg.k``, which ``preflight`` checked against its points."""
     notes = {}
     reports = []
     for relation in cfg.relations:
         points = relation_point_set(table, graph, relation)
-        rel_dir = out_dir / f"cluster_{relation.replace('/', '_')}"
-        rel_dir.mkdir(parents=True, exist_ok=True)
-        n = len(points)
-        if cfg.k > n:
-            raise DataError(f"cluster.k = {cfg.k} exceeds the {n} points of relation {relation!r}")
+        rel_dir = out_dir / _cluster_dir(relation)
+        rel_dir.mkdir()
         if cfg.k_range is not None:
             lo, hi = cfg.k_range
-            if hi > n - 1:
-                raise DataError(
-                    f"cluster.k_range {lo}:{hi} must lie within [2, {n - 1}] "
-                    f"for the {n} points of relation {relation!r}"
-                )
             curve = k_selection_scores(points, range(lo, hi + 1), seed=cfg.seed)
             header = ["k", "inertia", "silhouette", "davies_bouldin", "calinski_harabasz"]
             scores = [getattr(curve, name) for name in header[1:]]
@@ -497,28 +498,14 @@ def stage_cluster(
             ),
         )
         notes[relation] = {
-            "points": n,
+            "points": len(points),
             "k": result.k,
             "inertia": result.inertia,
             "converged": result.converged,
             "explained_variance_2d": projection.explained,
         }
-    _emit_merged_quality(reports, out_dir)
-    return notes
-
-
-def _emit_merged_quality(reports: list, out_dir: Path) -> None:
-    """Cross-relation cohesion/separation tables (cluster id x relation).
-
-    Only written when every clustered relation ended with the same k, since
-    the rows are cluster ids. Cluster ids are assigned independently per
-    relation; columns are not aligned in any semantic sense.
-    """
-    if len(reports) < 1 or len({r.k for r in reports}) != 1:
-        if len(reports) > 1:
-            log.warning("clustered relations have different k; skipping merged tables")
-        return
-    k = reports[0].k
+    # rows are cluster ids, assigned independently per relation: the columns
+    # share k but are not aligned in any semantic sense
     for metric, mean_of, std_of in (
         ("cohesion_raw", "cohesion_raw_mean", "cohesion_raw_std"),
         ("separation", "separation_mean", "separation_std"),
@@ -527,11 +514,12 @@ def _emit_merged_quality(reports: list, out_dir: Path) -> None:
             out_dir / f"cluster_{metric}_by_relation.csv",
             ["cluster", *(r.relation for r in reports)],
             [
-                *([j, *(_fmt(getattr(r, metric)[j]) for r in reports)] for j in range(k)),
+                *([j, *(_fmt(getattr(r, metric)[j]) for r in reports)] for j in range(cfg.k)),
                 ["mean", *(_fmt(getattr(r, mean_of)) for r in reports)],
                 ["std_dev", *(_fmt(getattr(r, std_of)) for r in reports)],
             ],
         )
+    return notes
 
 
 def stage_negation(
@@ -601,16 +589,37 @@ def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, list[str]]:
     return graph, absent
 
 
-def _check_referenced_relations(graph: KnowledgeGraph, config: PipelineConfig) -> None:
+def preflight(graph: KnowledgeGraph, config: PipelineConfig) -> None:
+    """Check the enabled stages against ``graph``, the graph the analyses read.
+
+    Every configured relation needs triples there, and a cluster relation's
+    n triples must support ``cluster.k`` (at most n) and ``cluster.k_range``
+    (within [2, n - 1]). Each failure is a DataError, raised before training.
+    """
     wanted = []
     if config.cluster.enabled:
         wanted.extend(config.cluster.relations)
     if config.negation.enabled:
         wanted.extend([config.negation.relation, config.negation.negation_relation])
-    known = set(graph.relation_names)
-    missing = [name for name in wanted if name not in known]
+    if not wanted:
+        return
+    counts = {graph.relation_names[rid]: len(rows) for rid, rows in graph.relation_index.items()}
+    missing = [name for name in wanted if name not in counts]
     if missing:
-        raise DataError(f"configured relations are absent from the graph: {missing}")
+        analysed = "graph" if config.analysis_scope == "full" else "train split"
+        raise DataError(f"configured relations are absent from the {analysed}: {missing}")
+    if not config.cluster.enabled:
+        return
+    k, k_range = config.cluster.k, config.cluster.k_range
+    for relation in config.cluster.relations:
+        n = counts[relation]
+        if k > n:
+            raise DataError(f"cluster.k = {k} exceeds the {n} points of relation {relation!r}")
+        if k_range is not None and k_range[1] > n - 1:
+            raise DataError(
+                f"cluster.k_range {k_range[0]}:{k_range[1]} must lie within [2, {n - 1}] "
+                f"for the {n} points of relation {relation!r}"
+            )
 
 
 def run_pipeline(
@@ -619,9 +628,10 @@ def run_pipeline(
     """Execute the selected stages in dependency order, atomically.
 
     Embeddings are trained when the config has a ``train`` block, which
-    every config that enables an analysis stage has. A given ``table``
-    replaces training: its rows are matched to the graph by name, and every
-    stage reads it. Everything is written to a fresh sibling of the output
+    every config that enables an analysis stage has; ``preflight`` runs
+    first. A given ``table`` replaces training: its rows are matched to the
+    graph by name, every stage reads it, and the manifest notes its training
+    settings. Everything is written to a fresh sibling of the output
     directory that the run creates itself, so no existing directory is ever
     removed. It is renamed into place only after the manifest lands; a
     failing stage therefore leaves no partial bundle behind, and neither
@@ -652,13 +662,18 @@ def run_pipeline(
         graph, absent = timed("ingest", lambda: ingest(config))
         if absent:
             notes["ingest"] = {"exclude_relations_absent": absent}
-        _check_referenced_relations(graph, config)
         timed("stats", lambda: stage_stats(graph, tmp_dir))
 
         analysis_graph = graph
         if table is not None or config.train is not None:
             train_idx, _val_idx, test_idx = split_indices(graph.n_triples, config.split)
+            if config.analysis_scope == "train":
+                # analyses see only the train split; interning is kept so
+                # the graph stays aligned with the table's rows
+                analysis_graph = graph.subset(train_idx, recompact=False)
+            preflight(analysis_graph, config)
             if table is not None:
+                notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)
             else:
                 table = timed(
@@ -676,10 +691,6 @@ def run_pipeline(
                         lambda: hits_at_k(table, graph.subset(test_idx, recompact=False), k=10),
                     )
             table.save(tmp_dir / "embeddings.kgt")
-            if config.analysis_scope == "train":
-                # analyses see only the train split; interning is kept so
-                # the graph stays aligned with the table's rows
-                analysis_graph = graph.subset(train_idx, recompact=False)
         if config.validate.enabled or config.relsim.enabled:
             profiles = timed("profiles", lambda: relation_profiles(table, analysis_graph))
         if config.validate.enabled:

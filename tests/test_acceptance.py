@@ -143,8 +143,9 @@ def test_criterion_1_paper_arithmetic():
 def test_criterion_2_tfidf_reference():
     matrix = tfidf_similarity_matrix(DefinitionCorpus.bundled())
     table = nearest_relations(matrix)
-    assert table.closest("HasFirstSubevent")[0] == "HasLastSubevent"
-    assert table.closest("HasLastSubevent")[0] == "HasFirstSubevent"
+    closest = {name: other for name, other, _ in table.rows}
+    assert closest["HasFirstSubevent"] == "HasLastSubevent"
+    assert closest["HasLastSubevent"] == "HasFirstSubevent"
     assert ("HasFirstSubevent", "HasLastSubevent") in {
         (a, b) for a, b, _ in mutual_nearest_pairs(table)
     }

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import random
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgstruct.cli import _load_config, build_parser, main
-from kgstruct.embedding import EmbeddingTable
-from kgstruct.graph import write_generic_3col
+from kgstruct.embedding import EmbeddingTable, train
+from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices, write_generic_3col
 from kgstruct.synth import demo_plan, synthetic_graph
 
 
@@ -95,6 +96,11 @@ def test_train_then_validate_with_saved_table(demo_kg, tmp_path):
     rows = (val_out / "validation.csv").read_text().strip().splitlines()
     assert rows[0].startswith("relation,")
     assert len(rows) == 6  # header + 5 relations
+    # the manifest names the table's training settings, which the run's config does not hold
+    trained = json.loads((out / "manifest.json").read_text())
+    validated = json.loads((val_out / "manifest.json").read_text())
+    assert validated["notes"]["table"] == trained["config"]["train"]
+    assert "table" not in trained["notes"]
 
 
 def test_relsim_subcommand(demo_kg, tmp_path):
@@ -273,6 +279,17 @@ def _nan_in_table(tmp_path, demo_kg, table):
     return ["validate", "--input", str(demo_kg), "--table", str(path)]
 
 
+def _table_with_a_bad_train_config(tmp_path, demo_kg, table):
+    raw = table.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + length])
+    header["config"]["margin"] = 0.0
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "margin.kgt"
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
+    return ["validate", "--input", str(demo_kg), "--table", str(path)]
+
+
 def _config(command, **fields):
     def argv(tmp_path, demo_kg, table):
         path = tmp_path / "config.json"
@@ -343,6 +360,11 @@ def _definitions(text):
         (_config("cluster", cluster={"relations": ["HasContext", "HasContext"]}), 1,
          "cluster.relations: repeated names ['HasContext']"),
         (_config("stats", cluster={"enabled": True, "relations": []}), 1, "no relations listed"),
+        (_config("cluster", cluster={"relations": ["a/b", "a_b"]}), 1,
+         "cluster.relations: repeated names ['a/b', 'a_b']"),
+        (_config("negation", negation={"relation": "Desires", "negation_relation": "Desires"}),
+         1, "negation.negation_relation: must differ from negation.relation"),
+        (_table_with_a_bad_train_config, 2, "margin.kgt: malformed embedding table"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -351,7 +373,8 @@ def _definitions(text):
          "diverging-train-lr", "diverging-linear-lr", "negative-l2", "non-converging-l2",
          "nan-margin", "overflowing-margin", "forest-seed", "list-definition",
          "null-definition", "min-samples-split-1", "zero-min-triples", "k-above-n",
-         "k-range-above-n", "repeated-relation", "stats-checks-the-files-stages"],
+         "k-range-above-n", "repeated-relation", "stats-checks-the-files-stages",
+         "relations-sharing-a-directory", "same-relation-negation", "table-header-config"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -362,6 +385,50 @@ def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, t
     assert named in err and "internal error" not in err
     # a diverging setting is reported once, as the error, not as numpy overflow warnings
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _rare_relation_outside_the_train_split(tmp_path, demo_kg, table):
+    """A cluster run on a relation whose only triple falls outside the train split."""
+    split = {"train": 0.5, "validation": 0.25, "test": 0.25, "seed": 1}
+    rows = [(f"h{i}", "common", f"t{i}") for i in range(40)]
+    train_idx, _, _ = split_indices(len(rows) + 1, SplitSpec(**split))
+    held_out = next(i for i in range(len(rows) + 1) if i not in train_idx)
+    rows.insert(held_out, ("x", "rare", "y"))
+    edges = tmp_path / "rare.tsv"
+    write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), edges)
+    config = _config("cluster", split=split, analysis_scope="train",
+                     cluster={"relations": ["rare"], "k": 1})
+    return config(tmp_path, edges, table)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, named",
+    [
+        (_config("cluster", cluster={"relations": ["HasContext"], "k": 1000000}), 2,
+         "cluster.k = 1000000 exceeds the 160 points of relation 'HasContext'"),
+        (_config("cluster", cluster={"relations": ["HasContext"], "k_range": [200, 210]}), 2,
+         "cluster.k_range 200:210 must lie within [2, 159]"),
+        (_rare_relation_outside_the_train_split, 2,
+         "configured relations are absent from the train split: ['rare']"),
+        (_config("negation", negation={"relation": "Desires", "negation_relation": "Desires"}),
+         1, "negation.negation_relation: must differ from negation.relation"),
+    ],
+    ids=["k-above-n", "k-range-above-n", "absent-from-train-split", "same-relation-negation"],
+)
+def test_graph_checks_run_before_training(
+    make_argv, code, named, demo_kg, tmp_path, monkeypatch, capsys
+):
+    calls = []
+
+    def counted_train(*args, **kwargs):
+        calls.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr("kgstruct.report.train", counted_train)
+    argv = make_argv(tmp_path, demo_kg, None)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    assert named in capsys.readouterr().err
+    assert calls == []
 
 
 ONE_PATH_CONFIG = {
@@ -625,7 +692,8 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
     A name counts as used when it appears as a word in src/kgstruct outside
     its own definition and the ``__init__`` re-exports, or in scripts/,
-    perfbench/ or pyproject.toml. Dunder methods are skipped.
+    perfbench/ or pyproject.toml. A method counts only as ``.name``, since its
+    bare name may be an unrelated local. Dunder methods are skipped.
     """
     package = sorted((ROOT / "src" / "kgstruct").glob("*.py"))
     package = [path for path in package if path.name != "__init__.py"]
@@ -635,12 +703,18 @@ def test_every_definition_has_a_caller_outside_the_tests():
     elsewhere = "\n".join(path.read_text(encoding="utf-8") for path in outside)
     unused = []
     for path in package:
-        for node in ast.walk(ast.parse("\n".join(lines[path]))):
+        tree = ast.parse("\n".join(lines[path]))
+        methods = {
+            id(item) for owner in ast.walk(tree) if isinstance(owner, ast.ClassDef)
+            for item in owner.body
+        }
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            lead = r"\." if id(node) in methods else r"\b"
+            word = re.compile(rf"{lead}{re.escape(node.name)}\b")
             used = word.search(elsewhere) or any(
                 word.search(line)
                 for other in package

@@ -98,7 +98,7 @@ def test_train_rejects_bad_config():
 @pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf")])
 def test_train_config_names_a_bad_margin(margin):
     with pytest.raises(ConfigError, match=r"^train\.margin: must be finite and > 0"):
-        TrainConfig(margin=margin).validate("train")
+        TrainConfig(margin=margin)
 
 
 def test_train_divergence_detected():

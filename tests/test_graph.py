@@ -240,10 +240,10 @@ def test_split_all_train():
 
 
 def test_split_invalid_fractions():
-    with pytest.raises(ConfigError):
-        SplitSpec(0.5, 0.2, 0.2, seed=0).validate()
-    with pytest.raises(ConfigError):
-        SplitSpec(1.2, -0.1, -0.1, seed=0).validate()
+    with pytest.raises(ConfigError, match=r"^split\.train/validation/test: must sum to 1\.0"):
+        SplitSpec(0.5, 0.2, 0.2, seed=0)
+    with pytest.raises(ConfigError, match=r"^split\.train/validation/test: must lie in \[0, 1\]"):
+        SplitSpec(1.2, -0.1, -0.1, seed=0)
 
 
 @given(n=st.integers(1, 60), seed=st.integers(0, 5))

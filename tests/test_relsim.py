@@ -57,8 +57,9 @@ def test_tfidf_bundled_corpus_mutual_nearest_subevents():
     matrix = tfidf_similarity_matrix(DefinitionCorpus.bundled())
     assert len(matrix.relations) == 33
     table = nearest_relations(matrix)
-    assert table.closest("HasFirstSubevent")[0] == "HasLastSubevent"
-    assert table.closest("HasLastSubevent")[0] == "HasFirstSubevent"
+    closest = {name: other for name, other, _ in table.rows}
+    assert closest["HasFirstSubevent"] == "HasLastSubevent"
+    assert closest["HasLastSubevent"] == "HasFirstSubevent"
     assert ("HasFirstSubevent", "HasLastSubevent") in {
         (a, b) for a, b, _ in mutual_nearest_pairs(table)
     }
@@ -260,8 +261,7 @@ def test_matrix_symmetry_and_diagonal_invariants():
 def test_nearest_two_relations():
     matrix = SimilarityMatrix(["a", "b"], np.asarray([[1.0, 0.3], [0.3, 1.0]]), "tfidf")
     table = nearest_relations(matrix)
-    assert table.closest("a") == ("b", pytest.approx(0.3))
-    assert table.closest("b") == ("a", pytest.approx(0.3))
+    assert table.rows == [("a", "b", pytest.approx(0.3)), ("b", "a", pytest.approx(0.3))]
 
 
 def test_nearest_three_by_three_argmax():
@@ -269,9 +269,7 @@ def test_nearest_three_by_three_argmax():
         [[1.0, 0.2, 0.8], [0.2, 1.0, 0.5], [0.8, 0.5, 1.0]]
     )
     table = nearest_relations(SimilarityMatrix(["a", "b", "c"], values, "tfidf"))
-    assert table.closest("a")[0] == "c"
-    assert table.closest("b")[0] == "c"
-    assert table.closest("c")[0] == "a"
+    assert [(name, other) for name, other, _ in table.rows] == [("a", "c"), ("b", "c"), ("c", "a")]
     assert mutual_nearest_pairs(table) == [("a", "c", pytest.approx(0.8))]
 
 
@@ -280,7 +278,7 @@ def test_nearest_tie_takes_lowest_index():
         [[1.0, 0.4, 0.4], [0.4, 1.0, 0.1], [0.4, 0.1, 1.0]]
     )
     table = nearest_relations(SimilarityMatrix(["a", "b", "c"], values, "tfidf"))
-    assert table.closest("a")[0] == "b"
+    assert table.rows[0][:2] == ("a", "b")
 
 
 def test_nearest_single_relation_rejected():

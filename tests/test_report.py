@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import stat
 import sys
 import time
@@ -118,6 +119,22 @@ def test_config_validation_catches_bad_stages():
     config = PipelineConfig.from_json_dict(base)
     with pytest.raises(ConfigError, match="no relations listed"):
         replace(config, cluster=replace(config.cluster, enabled=True, relations=()))
+
+
+@pytest.mark.parametrize(
+    "block, named",
+    [
+        ({"cluster": {"k": 0}}, "cluster.k"),
+        ({"cluster": {"k_range": [1, 5]}}, "cluster.k_range"),
+        ({"negation": {"folds": 1}}, "negation.folds"),
+        ({"negation": {"classifier": "svm"}}, "negation.classifier"),
+        ({"negation": {"forest": {"n_trees": 0}}}, "negation.forest.n_trees"),
+    ],
+    ids=["cluster-k", "cluster-k-range", "negation-folds", "negation-classifier", "forest-trees"],
+)
+def test_a_disabled_stage_is_checked_at_load(block, named):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)}: must "):
+        PipelineConfig.from_json_dict({"input": "x", **block})
 
 
 def test_config_json_file_roundtrip(tmp_path):
