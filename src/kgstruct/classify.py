@@ -126,151 +126,135 @@ class ForestConfig:
                 f"negation.forest.max_features: must be 'sqrt', 'all' or an int >= 1, got {mf!r}"
             )
 
+    def features_per_split(self, d: int) -> int:
+        """Candidate features per split among ``d``; a count above ``d`` is a DataError."""
+        mf = self.max_features
+        if mf == "sqrt":
+            return max(1, int(np.sqrt(d)))
+        if mf == "all":
+            return d
+        if mf > d:
+            raise DataError(f"negation.forest.max_features = {mf} exceeds the {d} features")
+        return mf
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "prediction")
 
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.prediction = -1
+def _grow_tree(columns, ranks, y, rows, config: ForestConfig, per_split: int, rng, root: int):
+    """One Gini tree on the sample ``rows`` (repeats allowed), grown a level at a time.
 
-
-def _gini_best_split(
-    x: np.ndarray, y: np.ndarray, features: np.ndarray
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity) over candidate midpoints.
-
-    Thresholds sit halfway between consecutive distinct sorted values; the
-    split sends rows with value <= threshold left. All candidate features
-    are scanned at once: their columns are sorted together, and positions
-    that are not a boundary between distinct values score +inf. Ties go to
-    the lowest position, then to the earliest feature. Returns None when no
-    candidate feature admits a split.
+    ``columns`` is the (d, n) feature matrix and ``ranks`` each column's dense
+    value ranks. A node splits while it holds both classes and at least
+    min_samples_split rows above max_depth; one draw per level picks every
+    open node's candidate features. Each (open node, candidate) pair is a
+    segment of one sort by ``segment * n + rank``, whose cumulative sums score
+    every midpoint cut; ties go to the lowest feature, then the lowest cut.
+    Returns (feature, threshold, left, value) per node in level order from
+    ``root``. A leaf has feature -1 and predicts value, the majority class
+    (ties to 0); an inner node sends value <= threshold to left[i], the rest
+    to left[i] + 1.
     """
-    n = len(y)
-    if n < 2 or len(features) == 0:
-        return None
-    cols = x[:, features]
-    # the rows left of a boundary are the same set whatever the order of
-    # tied values, so an unstable (faster) sort finds the same split
-    order = np.argsort(cols, axis=0)
-    sorted_cols = np.take_along_axis(cols, order, axis=0)
-    # cumulative positives left of each cut -> vectorized Gini scan
-    cum_pos = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
-    left_n = np.arange(1.0, n)[:, None]
-    right_n = n - left_n
-    total_pos = float(y.sum())
-    p_left = cum_pos / left_n
-    p_right = (total_pos - cum_pos) / right_n
-    gini = (
-        left_n * (2.0 * p_left * (1.0 - p_left))
-        + right_n * (2.0 * p_right * (1.0 - p_right))
-    ) / n
-    gini[~(sorted_cols[1:] > sorted_cols[:-1])] = np.inf
-    at = gini.argmin(axis=0)
-    scores = gini[at, np.arange(len(features))]
-    best = int(scores.argmin())
-    if scores[best] == np.inf:
-        return None
-    cut = at[best]
-    threshold = 0.5 * (sorted_cols[cut, best] + sorted_cols[cut + 1, best])
-    return int(features[best]), float(threshold), float(scores[best])
-
-
-def _build_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    config: ForestConfig,
-    n_features_per_split: int,
-    rng: np.random.Generator,
-) -> _TreeNode:
-    node = _TreeNode()
-    pos = int(y.sum())
-    if (
-        pos == 0
-        or pos == len(y)
-        or depth >= config.max_depth
-        or len(y) < config.min_samples_split
-    ):
-        node.prediction = int(pos * 2 > len(y))  # majority; ties go to class 0
-        return node
-    d = x.shape[1]
-    if n_features_per_split >= d:
-        features = np.arange(d)
-    else:
-        features = np.sort(rng.choice(d, size=n_features_per_split, replace=False))
-    best = _gini_best_split(x, y, features)
-    if best is None:
-        node.prediction = int(pos * 2 > len(y))
-        return node
-    node.feature, node.threshold, _ = best
-    mask = x[:, node.feature] <= node.threshold
-    node.left = _build_tree(x[mask], y[mask], depth + 1, config, n_features_per_split, rng)
-    node.right = _build_tree(x[~mask], y[~mask], depth + 1, config, n_features_per_split, rng)
-    return node
-
-
-def _tree_predict(node: _TreeNode, x: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    if node.prediction >= 0:
-        out[rows] = node.prediction
-        return
-    mask = x[rows, node.feature] <= node.threshold
-    _tree_predict(node.left, x, out, rows[mask])
-    _tree_predict(node.right, x, out, rows[~mask])
+    d, n = columns.shape
+    levels = []
+    node = np.zeros(len(rows), dtype=np.int64)  # each row's node on this level
+    width, first_id = 1, root  # the level's node count and its first node's id
+    for depth in range(config.max_depth + 1):
+        size = np.bincount(node, minlength=width)
+        pos = np.bincount(node[y[rows] == 1], minlength=width)
+        feature, threshold, left = np.full(width, -1), np.zeros(width), np.zeros(width, np.int64)
+        levels.append((feature, threshold, left, (pos * 2 > size).astype(np.int64)))
+        is_open = (pos > 0) & (pos < size) & (size >= config.min_samples_split)
+        if depth == config.max_depth or not is_open.any():
+            break
+        opened = np.flatnonzero(is_open)
+        k, p = len(opened), min(per_split, d)
+        draw = rng.random((k, d)).argsort(axis=1)[:, :p] if p < d else np.tile(np.arange(d), (k, 1))
+        picked = np.sort(draw, axis=1)
+        kept = is_open[node]
+        rows, node = rows[kept], (np.cumsum(is_open) - 1)[node[kept]]  # open node -> 0..k-1
+        key = ((node * p + np.arange(p)[:, None]) * n + ranks[picked.T[:, node], rows]).ravel()
+        order = np.argsort(key)
+        key, members = key[order], np.tile(rows, p)[order]
+        segment, at = key // n, np.arange(len(key))
+        seg_size = np.repeat(size[opened], p)
+        seg_start = np.cumsum(seg_size) - seg_size
+        y_sorted = y[members]
+        cum_pos = np.cumsum(y_sorted)
+        cum_pos = (cum_pos - (cum_pos - y_sorted)[seg_start][segment]).astype(np.float64)
+        left_n = (at + 1.0) - seg_start[segment]
+        n_node = seg_size[segment]
+        right_n = n_node - left_n
+        total_pos = pos[opened][segment // p].astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at segment ends
+            p_left = cum_pos / left_n
+            p_right = (total_pos - cum_pos) / right_n
+            gini = (
+                left_n * (2.0 * p_left * (1.0 - p_left))
+                + right_n * (2.0 * p_right * (1.0 - p_right))
+            ) / n_node
+        # a cut needs a larger value after it in its segment
+        gini[(right_n == 0) | np.append(key[1:] == key[:-1], True)] = np.inf
+        best = np.minimum.reduceat(gini, seg_start).reshape(k, p)
+        col = best.argmin(axis=1)
+        score = best[np.arange(k), col]
+        owner = segment // p
+        hit = (gini == score[owner]) & (segment % p == col[owner])
+        cut = np.minimum.reduceat(np.where(hit, at, len(at)), seg_start[::p])
+        splitting = score < np.inf
+        if not splitting.any():
+            break
+        split_nodes, f, cut = opened[splitting], picked[splitting, col[splitting]], cut[splitting]
+        t = 0.5 * (columns[f, members[cut]] + columns[f, members[cut + 1]])
+        feature[split_nodes], threshold[split_nodes] = f, t
+        left[split_nodes] = first_id + width + 2 * np.arange(len(f))
+        kept = splitting[node]
+        rows, node = rows[kept], (np.cumsum(splitting) - 1)[node[kept]]  # split node -> slot
+        node = 2 * node + ~(columns[f[node], rows] <= t[node])
+        first_id, width = first_id + width, 2 * len(f)
+    return tuple(np.concatenate(part) for part in zip(*levels))
 
 
 class RandomForestClassifier:
     """Bootstrap-aggregated Gini decision trees with majority voting.
 
-    ``seed`` fixes the bootstrap rows and per-split feature subsets of every tree.
+    ``seed`` fixes the bootstrap rows and per-level feature draws of every
+    tree. The fitted trees are flat node arrays, concatenated over trees:
+    ``feature_``, ``threshold_``, ``left_`` and ``value_``, with each tree's
+    root in ``roots_`` (see ``_grow_tree``).
     """
 
     def __init__(self, config: ForestConfig | None = None, seed: int = 0):
         self.config = config or ForestConfig()
         self.seed = seed
-        self.trees_: list[_TreeNode] = []
-
-    def _features_per_split(self, d: int) -> int:
-        mf = self.config.max_features
-        if mf == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        if mf == "all":
-            return d
-        return min(mf, d)
+        self.roots_: np.ndarray | None = None
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
-        x = np.asarray(features, dtype=np.float64)
+        columns = np.asarray(features, dtype=np.float64).T.copy()
         y = np.asarray(labels, dtype=np.int64)
         _check_binary(y)
-        n, d = x.shape
-        per_split = self._features_per_split(d)
-        seeds = np.random.SeedSequence(self.seed).spawn(self.config.n_trees)
-        self.trees_ = []
-        for seq in seeds:
+        d, n = columns.shape
+        per_split = self.config.features_per_split(d)
+        ranks = np.array([np.unique(c, return_inverse=True)[1] for c in columns])
+        trees, roots = [], [0]
+        for seq in np.random.SeedSequence(self.seed).spawn(self.config.n_trees):
             rng = np.random.default_rng(seq)
-            if self.config.bootstrap:
-                rows = rng.integers(0, n, size=n)
-                xb, yb = x[rows], y[rows]
-            else:
-                xb, yb = x, y
-            self.trees_.append(_build_tree(xb, yb, 0, self.config, per_split, rng))
+            rows = rng.integers(0, n, size=n) if self.config.bootstrap else np.arange(n)
+            tree = _grow_tree(columns, ranks, y, rows, self.config, per_split, rng, roots[-1])
+            trees.append(tree)
+            roots.append(roots[-1] + len(tree[0]))
+        self.roots_ = np.array(roots[:-1])
+        self.feature_, self.threshold_, self.left_, self.value_ = map(np.concatenate, zip(*trees))
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        if not self.trees_:
+        if self.roots_ is None:
             raise DataError("classifier is not fitted")
         x = np.asarray(features, dtype=np.float64)
-        votes = np.zeros(len(x))
-        scratch = np.empty(len(x), dtype=np.int64)
-        rows = np.arange(len(x))
-        for tree in self.trees_:
-            _tree_predict(tree, x, scratch, rows)
-            votes += scratch
-        p1 = votes / len(self.trees_)
+        at = np.arange(len(x))
+        node = np.repeat(self.roots_[:, None], len(x), axis=1)  # (tree, row)
+        for _ in range(self.config.max_depth):
+            feature = self.feature_[node]
+            goes_right = ~(x[at, feature] <= self.threshold_[node])
+            node = np.where(feature >= 0, self.left_[node] + goes_right, node)
+        p1 = self.value_[node].sum(axis=0) / len(self.roots_)
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, features: np.ndarray) -> np.ndarray:

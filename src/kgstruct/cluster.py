@@ -227,24 +227,33 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
     above it. Each chunk's per-cluster distance sums are one product with
     the n x k cluster indicator matrix.
     """
+    return _silhouette_scores(points, [assignments], chunk)[0]
+
+
+def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
+    """``silhouette_score`` of each labeling of the same points, one distance pass for all.
+
+    Each distance chunk is computed once and multiplied by every labeling's
+    indicator matrix, so each score has the bits a single call would give.
+    """
     x = np.asarray(points, dtype=np.float64)
-    assignments = np.asarray(assignments)
     n = len(x)
-    labels = np.unique(assignments)
-    k = len(labels)
-    if not 2 <= k <= n - 1:
-        raise DataError(f"silhouette needs 2 <= clusters <= {n - 1}, got {k}")
-    label_of = np.searchsorted(labels, assignments)
-    counts = np.bincount(label_of, minlength=k)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), label_of] = 1.0
+    clusterings = []
+    for assignments in labelings:
+        labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
+        k = len(labels)
+        if not 2 <= k <= n - 1:
+            raise DataError(f"silhouette needs 2 <= clusters <= {n - 1}, got {k}")
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), label_of] = 1.0
+        clusterings.append((label_of, np.bincount(label_of, minlength=k), onehot))
 
     exact = n <= _EXACT_DISTANCE_LIMIT
     if not exact:
         x_sq = _squared_norms(x)
         buffer = np.empty((min(chunk, n), n))
         gram = np.empty_like(buffer)
-    scores = np.empty(n, dtype=np.float64)
+    scores = np.empty((len(clusterings), n), dtype=np.float64)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         m = rows.stop - start
@@ -260,26 +269,20 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
             d -= g
             np.maximum(d, 0.0, out=d)
             np.sqrt(d, out=d)
-        sums = d @ onehot
-        own = label_of[rows]
-        own_count = counts[own]
-        # own-cluster mean excludes the point itself
-        a = np.where(
-            own_count > 1,
-            sums[np.arange(m), own] / np.maximum(own_count - 1, 1),
-            0.0,
-        )
-        means = sums / counts[None, :]
-        means[np.arange(m), own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        s = np.where(
-            (own_count > 1) & (denom > 0),
-            (b - a) / np.where(denom > 0, denom, 1.0),
-            0.0,
-        )
-        scores[rows] = s
-    return float(scores.mean())
+        for out, (label_of, counts, onehot) in zip(scores, clusterings):
+            sums = d @ onehot
+            own = label_of[rows]
+            own_count = counts[own]
+            # own-cluster mean excludes the point itself
+            a = sums[np.arange(m), own] / np.maximum(own_count - 1, 1)
+            a = np.where(own_count > 1, a, 0.0)
+            means = sums / counts[None, :]
+            means[np.arange(m), own] = np.inf
+            b = means.min(axis=1)
+            denom = np.maximum(a, b)
+            s = (b - a) / np.where(denom > 0, denom, 1.0)
+            out[rows] = np.where((own_count > 1) & (denom > 0), s, 0.0)
+    return [float(row.mean()) for row in scores]
 
 
 def davies_bouldin_index(points, assignments: np.ndarray) -> float:
@@ -333,7 +336,8 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
     two indices are undefined outside it); runs use child seeds derived
     deterministically from ``seed``. Each k also tries a warm start from
     the previous k's centroids plus the point farthest from its centroid,
-    which guarantees the reported inertia never increases with k.
+    which guarantees the reported inertia never increases with k. The
+    silhouettes of all k come from one distance pass after the last fit.
     """
     x = np.asarray(points, dtype=np.float64)
     ks = sorted(int(k) for k in k_range)
@@ -345,13 +349,13 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
         )
     curve = KSelectionCurve(ks=ks, inertia=[], silhouette=[], davies_bouldin=[], calinski_harabasz=[])
     x_sq = _squared_norms(x)
-    previous: ClusteringResult | None = None
+    results: list[ClusteringResult] = []
     for k in ks:
         result = lloyd_kmeans(x, k, seed=seed + k)
-        if previous is not None and k > previous.k:
-            centers = previous.centroids
+        if results and k > results[-1].k:
+            centers = results[-1].centroids
             closest = _squared_distances(x, centers, x_sq).min(axis=1)
-            for _ in range(k - previous.k):
+            for _ in range(k - results[-1].k):
                 far = int(closest.argmax())
                 centers = np.vstack([centers, x[far : far + 1]])
                 closest = np.minimum(
@@ -360,11 +364,11 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
             warm = lloyd_kmeans(x, k, seed=seed + k, initial_centroids=centers)
             if warm.inertia < result.inertia:
                 result = warm
-        previous = result
+        results.append(result)
         curve.inertia.append(result.inertia)
-        curve.silhouette.append(silhouette_score(x, result.assignments))
         curve.davies_bouldin.append(davies_bouldin_index(x, result.assignments))
         curve.calinski_harabasz.append(calinski_harabasz_index(x, result.assignments))
+    curve.silhouette = _silhouette_scores(x, [r.assignments for r in results])
     return curve
 
 

@@ -98,6 +98,10 @@ def _cluster_dir(relation: str) -> str:
     return f"cluster_{relation.replace('/', '_')}"
 
 
+# metric -> merged table, one column per clustered relation, beside their directories
+_MERGED_TABLES = {m: f"cluster_{m}_by_relation.csv" for m in ("cohesion_raw", "separation")}
+
+
 @dataclass(frozen=True)
 class ClusterStage:
     enabled: bool = False
@@ -116,6 +120,12 @@ class ClusterStage:
             raise ConfigError(
                 f"cluster.relations: repeated names {clash}; "
                 "each needs its own cluster_<name> directory, with '/' written as '_'"
+            )
+        taken = sorted(n for n, d in zip(self.relations, dirs) if d in _MERGED_TABLES.values())
+        if taken:
+            raise ConfigError(
+                f"cluster.relations: {taken} would write their cluster_<name> directory "
+                f"where a merged table goes, one of {sorted(_MERGED_TABLES.values())}"
             )
         check_at_least("cluster.k", self.k, 1)
         if self.k_range is not None:
@@ -506,17 +516,14 @@ def stage_cluster(
         }
     # rows are cluster ids, assigned independently per relation: the columns
     # share k but are not aligned in any semantic sense
-    for metric, mean_of, std_of in (
-        ("cohesion_raw", "cohesion_raw_mean", "cohesion_raw_std"),
-        ("separation", "separation_mean", "separation_std"),
-    ):
+    for metric, name in _MERGED_TABLES.items():
         write_csv(
-            out_dir / f"cluster_{metric}_by_relation.csv",
+            out_dir / name,
             ["cluster", *(r.relation for r in reports)],
             [
                 *([j, *(_fmt(getattr(r, metric)[j]) for r in reports)] for j in range(cfg.k)),
-                ["mean", *(_fmt(getattr(r, mean_of)) for r in reports)],
-                ["std_dev", *(_fmt(getattr(r, std_of)) for r in reports)],
+                ["mean", *(_fmt(getattr(r, f"{metric}_mean")) for r in reports)],
+                ["std_dev", *(_fmt(getattr(r, f"{metric}_std")) for r in reports)],
             ],
         )
     return notes
@@ -589,13 +596,17 @@ def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, list[str]]:
     return graph, absent
 
 
-def preflight(graph: KnowledgeGraph, config: PipelineConfig) -> None:
+def preflight(graph: KnowledgeGraph, config: PipelineConfig, dimension: int) -> None:
     """Check the enabled stages against ``graph``, the graph the analyses read.
 
     Every configured relation needs triples there, and a cluster relation's
     n triples must support ``cluster.k`` (at most n) and ``cluster.k_range``
-    (within [2, n - 1]). Each failure is a DataError, raised before training.
+    (within [2, n - 1]). A forest may not draw more features per split than
+    the embedding ``dimension``, the negation probe's feature count. Each
+    failure is a DataError, raised before training.
     """
+    if config.negation.enabled and config.negation.classifier != "linear":
+        config.negation.forest.features_per_split(dimension)
     wanted = []
     if config.cluster.enabled:
         wanted.extend(config.cluster.relations)
@@ -671,7 +682,8 @@ def run_pipeline(
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
-            preflight(analysis_graph, config)
+            dimension = config.train.dimension if table is None else table.dimension
+            preflight(analysis_graph, config, dimension)
             if table is not None:
                 notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)

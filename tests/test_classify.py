@@ -12,7 +12,6 @@ from kgstruct.classify import (
     RandomForestClassifier,
     cross_validate,
     stratified_folds,
-    _gini_best_split,
 )
 from kgstruct.errors import ConfigError, DataError, TrainingDivergedError
 
@@ -178,6 +177,129 @@ def test_single_stump_matches_exhaustive_threshold_search():
     assert np.array_equal(got, best_pred)
 
 
+# -- the recursive tree builder that the level-wise one replaced, kept as reference --
+
+
+class _TreeNode:
+    __slots__ = ("feature", "threshold", "left", "right", "prediction")
+
+    def __init__(self):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.prediction = -1
+
+
+def _gini_best_split(x, y, features):
+    """Best (feature, threshold, impurity) over candidate midpoints, or None.
+
+    All candidate columns are sorted together; positions that are not a
+    boundary between distinct values score +inf. Ties go to the earliest
+    feature, at its lowest position.
+    """
+    n = len(y)
+    if n < 2 or len(features) == 0:
+        return None
+    cols = x[:, features]
+    order = np.argsort(cols, axis=0)
+    sorted_cols = np.take_along_axis(cols, order, axis=0)
+    cum_pos = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
+    left_n = np.arange(1.0, n)[:, None]
+    right_n = n - left_n
+    total_pos = float(y.sum())
+    p_left = cum_pos / left_n
+    p_right = (total_pos - cum_pos) / right_n
+    gini = (
+        left_n * (2.0 * p_left * (1.0 - p_left))
+        + right_n * (2.0 * p_right * (1.0 - p_right))
+    ) / n
+    gini[~(sorted_cols[1:] > sorted_cols[:-1])] = np.inf
+    at = gini.argmin(axis=0)
+    scores = gini[at, np.arange(len(features))]
+    best = int(scores.argmin())
+    if scores[best] == np.inf:
+        return None
+    cut = at[best]
+    threshold = 0.5 * (sorted_cols[cut, best] + sorted_cols[cut + 1, best])
+    return int(features[best]), float(threshold), float(scores[best])
+
+
+def _build_tree(x, y, depth, config, n_features_per_split, rng):
+    node = _TreeNode()
+    pos = int(y.sum())
+    if (
+        pos == 0
+        or pos == len(y)
+        or depth >= config.max_depth
+        or len(y) < config.min_samples_split
+    ):
+        node.prediction = int(pos * 2 > len(y))
+        return node
+    d = x.shape[1]
+    if n_features_per_split >= d:
+        features = np.arange(d)
+    else:
+        features = np.sort(rng.choice(d, size=n_features_per_split, replace=False))
+    best = _gini_best_split(x, y, features)
+    if best is None:
+        node.prediction = int(pos * 2 > len(y))
+        return node
+    node.feature, node.threshold, _ = best
+    mask = x[:, node.feature] <= node.threshold
+    node.left = _build_tree(x[mask], y[mask], depth + 1, config, n_features_per_split, rng)
+    node.right = _build_tree(x[~mask], y[~mask], depth + 1, config, n_features_per_split, rng)
+    return node
+
+
+def _tree_predict(node, x, out, rows):
+    if node.prediction >= 0:
+        out[rows] = node.prediction
+        return
+    mask = x[rows, node.feature] <= node.threshold
+    _tree_predict(node.left, x, out, rows[mask])
+    _tree_predict(node.right, x, out, rows[~mask])
+
+
+def reference_forest(x, y, config, seed):
+    """The recursive forest's trees: same seeds, same bootstrap draw."""
+    n, d = x.shape
+    per_split = config.features_per_split(d)
+    trees = []
+    for seq in np.random.SeedSequence(seed).spawn(config.n_trees):
+        rng = np.random.default_rng(seq)
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        trees.append(_build_tree(x[rows], y[rows], 0, config, per_split, rng))
+    return trees
+
+
+def reference_proba(trees, x):
+    votes = np.zeros(len(x))
+    scratch = np.empty(len(x), dtype=np.int64)
+    for tree in trees:
+        _tree_predict(tree, x, scratch, np.arange(len(x)))
+        votes += scratch
+    p1 = votes / len(trees)
+    return np.column_stack([1.0 - p1, p1])
+
+
+def nested(node):
+    """A reference tree as nested tuples: (feature, threshold, left, right) or ("leaf", class)."""
+    if node.prediction >= 0:
+        return ("leaf", node.prediction)
+    return (node.feature, node.threshold, nested(node.left), nested(node.right))
+
+
+def nested_flat(forest, tree):
+    """Tree ``tree`` of a fitted forest in the form of ``nested``."""
+    def walk(i):
+        if forest.feature_[i] < 0:
+            return ("leaf", int(forest.value_[i]))
+        left = int(forest.left_[i])
+        return (int(forest.feature_[i]), float(forest.threshold_[i]), walk(left), walk(left + 1))
+    return walk(int(forest.roots_[tree]))
+
+
 def per_feature_best_split(x, y, features):
     """The split search as one stable argsort and Gini scan per feature."""
     n = len(y)
@@ -219,7 +341,18 @@ def test_gini_split_matches_per_feature_scan(trial):
     x[:, rng.random(d) < 0.3] = 2.5  # constant columns
     y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
     features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-    assert _gini_best_split(x, y, features) == per_feature_best_split(x, y, features)
+    expected = per_feature_best_split(x, y, features)
+    assert _gini_best_split(x, y, features) == expected
+    if min(y.sum(), n - y.sum()) >= 2:
+        # the level-wise builder's root split on the same candidate columns
+        stump = RandomForestClassifier(
+            ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all")
+        ).fit(x[:, features], y)
+        if expected is None:
+            assert stump.feature_[0] == -1
+        else:
+            root = (int(features[stump.feature_[0]]), float(stump.threshold_[0]))
+            assert root == expected[:2]
 
 
 def test_gini_split_none_without_boundary():
@@ -227,6 +360,47 @@ def test_gini_split_none_without_boundary():
     y = np.asarray([0, 1] * 5)
     assert _gini_best_split(x, y, np.arange(3)) is None
     assert _gini_best_split(x[:1], y[:1], np.arange(3)) is None
+
+
+def tie_heavy(kind):
+    """Features full of tied values, with noisy labels so trees grow deep."""
+    rng = np.random.default_rng(21)
+    if kind == "integers":
+        x = rng.integers(0, 4, size=(90, 5)).astype(np.float64)
+    elif kind == "constant-columns":
+        x = rng.normal(size=(90, 6))
+        x[:, [1, 4]] = 3.0
+    else:  # every row twice, and a column with few distinct values
+        half = rng.normal(size=(45, 4))
+        half[:, 2] = np.round(half[:, 2])
+        x = np.vstack([half, half])
+    y = ((x[:, 0] + rng.normal(scale=1.0, size=len(x))) > x[:, -1]).astype(np.int64)
+    return x, y
+
+
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+@pytest.mark.parametrize("max_depth", [1, 3, 16])
+@pytest.mark.parametrize("min_samples_split", [2, 5])
+@pytest.mark.parametrize("kind", ["integers", "constant-columns", "duplicated-rows"])
+def test_level_wise_trees_equal_the_recursive_reference(kind, min_samples_split, max_depth, bootstrap):
+    # without per-split feature draws the two builders see the same candidates
+    x, y = tie_heavy(kind)
+    config = ForestConfig(
+        n_trees=4, max_depth=max_depth, min_samples_split=min_samples_split,
+        max_features="all", bootstrap=bootstrap,
+    )
+    forest = RandomForestClassifier(config, seed=7).fit(x, y)
+    reference = reference_forest(x, y, config, seed=7)
+    assert [nested_flat(forest, i) for i in range(4)] == [nested(t) for t in reference]
+    probe = np.vstack([x, np.random.default_rng(3).normal(size=(40, x.shape[1])) * 2])
+    assert np.array_equal(forest.predict_proba(probe), reference_proba(reference, probe))
+
+
+def test_forest_rejects_more_features_per_split_than_columns():
+    x, y = separable_blobs(n=40, d=3)
+    with pytest.raises(DataError, match=r"^negation\.forest\.max_features = 4 exceeds the 3 features$"):
+        RandomForestClassifier(ForestConfig(max_features=4)).fit(x, y)
+    RandomForestClassifier(ForestConfig(n_trees=2, max_features=3)).fit(x, y)
 
 
 def test_forest_duplicated_rows_invariant_without_bootstrap():

@@ -290,6 +290,12 @@ def _table_with_a_bad_train_config(tmp_path, demo_kg, table):
     return ["validate", "--input", str(demo_kg), "--table", str(path)]
 
 
+def _forest_wider_than_the_table(tmp_path, demo_kg, table):
+    """A negation run whose forest draws more features than the 12-wide table has."""
+    config = _config("negation", negation={"forest": {"max_features": 13}})
+    return [*config(tmp_path, demo_kg, table), "--table", str(table)]
+
+
 def _config(command, **fields):
     def argv(tmp_path, demo_kg, table):
         path = tmp_path / "config.json"
@@ -365,6 +371,13 @@ def _definitions(text):
         (_config("negation", negation={"relation": "Desires", "negation_relation": "Desires"}),
          1, "negation.negation_relation: must differ from negation.relation"),
         (_table_with_a_bad_train_config, 2, "margin.kgt: malformed embedding table"),
+        (_config("cluster", cluster={"relations": [
+            "HasContext", "separation_by_relation.csv", "cohesion_raw_by_relation.csv"]}), 1,
+         "cluster.relations: ['cohesion_raw_by_relation.csv', 'separation_by_relation.csv']"),
+        (_config("negation", train={"dimension": 4, "epochs": 1},
+                 negation={"forest": {"max_features": 1000}}), 2,
+         "negation.forest.max_features = 1000 exceeds the 4 features"),
+        (_forest_wider_than_the_table, 2, "negation.forest.max_features = 13 exceeds the 12 features"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -374,7 +387,9 @@ def _definitions(text):
          "nan-margin", "overflowing-margin", "forest-seed", "list-definition",
          "null-definition", "min-samples-split-1", "zero-min-triples", "k-above-n",
          "k-range-above-n", "repeated-relation", "stats-checks-the-files-stages",
-         "relations-sharing-a-directory", "same-relation-negation", "table-header-config"],
+         "relations-sharing-a-directory", "same-relation-negation", "table-header-config",
+         "relation-named-like-a-merged-table", "max-features-above-dimension",
+         "max-features-above-table-dimension"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -412,8 +427,11 @@ def _rare_relation_outside_the_train_split(tmp_path, demo_kg, table):
          "configured relations are absent from the train split: ['rare']"),
         (_config("negation", negation={"relation": "Desires", "negation_relation": "Desires"}),
          1, "negation.negation_relation: must differ from negation.relation"),
+        (_config("negation", train={"dimension": 4}, negation={"forest": {"max_features": 5}}),
+         2, "negation.forest.max_features = 5 exceeds the 4 features"),
     ],
-    ids=["k-above-n", "k-range-above-n", "absent-from-train-split", "same-relation-negation"],
+    ids=["k-above-n", "k-range-above-n", "absent-from-train-split", "same-relation-negation",
+         "max-features-above-dimension"],
 )
 def test_graph_checks_run_before_training(
     make_argv, code, named, demo_kg, tmp_path, monkeypatch, capsys

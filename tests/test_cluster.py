@@ -285,6 +285,107 @@ def test_silhouette_rejects_single_cluster():
         silhouette_score(x, np.zeros(5, dtype=int))
 
 
+def reference_silhouette(points, assignments, chunk=128):
+    """The single-k silhouette kernel that the batched one replaced."""
+    x = np.asarray(points, dtype=np.float64)
+    n = len(x)
+    labels = np.unique(assignments)
+    k = len(labels)
+    label_of = np.searchsorted(labels, assignments)
+    counts = np.bincount(label_of, minlength=k)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), label_of] = 1.0
+    exact = n <= cluster._EXACT_DISTANCE_LIMIT
+    if not exact:
+        x_sq = (x * x).sum(axis=1)
+        buffer = np.empty((min(chunk, n), n))
+        gram = np.empty_like(buffer)
+    scores = np.empty(n, dtype=np.float64)
+    for start in range(0, n, chunk):
+        rows = slice(start, min(start + chunk, n))
+        m = rows.stop - start
+        if exact:
+            d = cluster._exact_distances(x[rows], x)
+        else:
+            d, g = buffer[:m], gram[:m]
+            np.add(x_sq[rows, None], x_sq[None, :], out=d)
+            np.matmul(x[rows], x.T, out=g)
+            g *= 2.0
+            d -= g
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+        sums = d @ onehot
+        own = label_of[rows]
+        own_count = counts[own]
+        a = np.where(
+            own_count > 1, sums[np.arange(m), own] / np.maximum(own_count - 1, 1), 0.0
+        )
+        means = sums / counts[None, :]
+        means[np.arange(m), own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scores[rows] = np.where(
+            (own_count > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0
+        )
+    return float(scores.mean())
+
+
+def reference_curve(x, ks, seed):
+    """k_selection_scores as one fit and one silhouette call per k, in k order."""
+    x_sq = (x * x).sum(axis=1)
+    curve = {"inertia": [], "silhouette": [], "davies_bouldin": [], "calinski_harabasz": []}
+    previous = None
+    for k in ks:
+        result = lloyd_kmeans(x, k, seed=seed + k)
+        if previous is not None:
+            centers = previous.centroids
+            closest = cluster._squared_distances(x, centers, x_sq).min(axis=1)
+            for _ in range(k - previous.k):
+                far = int(closest.argmax())
+                centers = np.vstack([centers, x[far : far + 1]])
+                closest = np.minimum(closest, cluster._squared_distances(x, centers[-1:], x_sq)[:, 0])
+            warm = lloyd_kmeans(x, k, seed=seed + k, initial_centroids=centers)
+            if warm.inertia < result.inertia:
+                result = warm
+        previous = result
+        curve["inertia"].append(result.inertia)
+        curve["silhouette"].append(reference_silhouette(x, result.assignments))
+        curve["davies_bouldin"].append(davies_bouldin_index(x, result.assignments))
+        curve["calinski_harabasz"].append(calinski_harabasz_index(x, result.assignments))
+    return curve
+
+
+@pytest.mark.parametrize("n", [300, 2100], ids=["exact-distances", "blas-distances"])
+def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 6)) + rng.integers(0, 4, size=(n, 1)) * 3.0
+    labelings = [lloyd_kmeans(x, k, seed=k).assignments for k in (2, 5, 9)]
+    labelings.append(labelings[1] * 7 - 3)  # labels that are not 0..k-1
+    labelings.append(np.where(np.arange(n) == 0, 99, labelings[0]))  # with a singleton
+    expected = [reference_silhouette(x, labels) for labels in labelings]
+    assert (n > cluster._EXACT_DISTANCE_LIMIT) == (n == 2100)
+    assert cluster._silhouette_scores(x, labelings) == expected
+    assert [silhouette_score(x, labels) for labels in labelings] == expected
+    assert cluster._silhouette_scores(x, labelings, chunk=50) == [
+        reference_silhouette(x, labels, chunk=50) for labels in labelings
+    ]
+
+
+def test_k_selection_equals_the_per_k_reference_curve():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(400, 5)) + rng.integers(0, 5, size=(400, 1)) * 2.5
+    curve = k_selection_scores(x, range(2, 8), seed=3)
+    assert vars(curve) == {"ks": list(range(2, 8)), **reference_curve(x, range(2, 8), 3)}
+
+
+def test_batched_silhouette_rejects_a_one_cluster_labeling():
+    x, planted = two_blobs(n=30, seed=2)
+    with pytest.raises(DataError, match=r"^silhouette needs 2 <= clusters <= 29, got 1$"):
+        cluster._silhouette_scores(x, [planted, np.full(30, 4)])
+    with pytest.raises(DataError, match=r"^silhouette needs 2 <= clusters <= 29, got 1$"):
+        silhouette_score(x, np.full(30, 4))
+
+
 def test_scores_bounds():
     x, planted = two_blobs(n=30, separation=9.0, seed=2)
     sil = silhouette_score(x, planted)
