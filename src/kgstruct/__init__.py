@@ -82,7 +82,6 @@ from .negation import (  # noqa: F401
     run_negation_study,
     sample_unknown_pairs,
     tail_sampling_ratio,
-    write_unknown_pairs,
 )
 from .synth import (  # noqa: F401
     GraphPlan,

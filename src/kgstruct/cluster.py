@@ -67,18 +67,13 @@ class ClusterQualityReport:
     separation_std: float
 
 
-def relation_point_set(
-    table: EmbeddingTable, graph: KnowledgeGraph, relation: int | str
-) -> np.ndarray:
+def relation_point_set(table: EmbeddingTable, graph: KnowledgeGraph, relation: str) -> np.ndarray:
     """Translation vectors of every triple asserting the relation, as a float64 (n, d) matrix.
 
-    Row i belongs to the relation's i-th triple in ``graph.relation_index`` order.
+    Row i belongs to the relation's i-th triple in ``graph.relation_rows`` order.
     """
     check_aligned(table, graph)
-    rid = graph.resolve_relation(relation)
-    rows = graph.relation_index.get(rid)
-    if rows is None:
-        raise DataError(f"relation has no triples: {relation!r}")
+    rows = graph.relation_rows(relation)
     return translation_matrix(table, graph.triples[rows, 0], graph.triples[rows, 2])
 
 
@@ -145,9 +140,11 @@ def lloyd_kmeans(
     """Seeded k-means++ initialization followed by Lloyd iteration.
 
     Converges when the maximum squared centroid shift drops below ``tol``
-    or after ``max_iters`` rounds. Empty clusters are repaired by reseeding
-    at the point farthest from its assigned centroid, so k never shrinks.
-    The recorded inertia (after each assignment step) never increases.
+    or after ``max_iters`` rounds. Each round reseeds an empty cluster at the
+    point farthest from its assigned centroid. Points with fewer than k
+    distinct rows cannot fill k clusters: if the final assignment leaves one
+    empty there, that is a DataError. The recorded inertia (after each
+    assignment step) never increases.
     ``initial_centroids`` bypasses the k-means++ step (used for warm starts).
     """
     x = np.asarray(points, dtype=np.float64)
@@ -202,6 +199,10 @@ def lloyd_kmeans(
     assignments = dists.argmin(axis=1)
     inertia = float(dists[np.arange(n), assignments].sum())
     history.append(inertia)
+    if np.bincount(assignments, minlength=k).min() == 0:
+        distinct = len(np.unique(x, axis=0))
+        if distinct < k:
+            raise DataError(f"k = {k} exceeds the {distinct} distinct points")
     return ClusteringResult(
         k=k,
         assignments=assignments,
@@ -443,7 +444,7 @@ def quality_report(points, result: ClusteringResult, relation: str = "") -> Clus
 def sample_cluster_exemplars(
     result: ClusteringResult,
     graph: KnowledgeGraph,
-    relation: int | str,
+    relation: str,
     per_cluster: int = 5,
     seed: int = 0,
 ) -> list[tuple[int, str, str, str]]:
@@ -455,14 +456,12 @@ def sample_cluster_exemplars(
     """
     if per_cluster < 1:
         raise DataError(f"per_cluster must be >= 1, got {per_cluster}")
-    rid = graph.resolve_relation(relation)
-    rows = graph.relation_index.get(rid)
-    if rows is None or len(rows) != len(result.assignments):
+    rows = graph.relation_rows(relation)
+    if len(rows) != len(result.assignments):
         raise DataError(
             "clustering result does not align with the relation's triples"
         )
     rng = np.random.default_rng(seed)
-    name = graph.relation_names[rid]
     table: list[tuple[int, str, str, str]] = []
     for j in range(result.k):
         members = np.flatnonzero(result.assignments == j)
@@ -472,7 +471,7 @@ def sample_cluster_exemplars(
         picked = np.sort(rng.choice(members, size=take, replace=False))
         for idx in picked:
             h, _, t = graph.triples[rows[idx]]
-            table.append((j, graph.entity_names[h], name, graph.entity_names[t]))
+            table.append((j, graph.entity_names[h], relation, graph.entity_names[t]))
     return table
 
 

@@ -97,11 +97,15 @@ class EmbeddingTable:
     def aligned_to(self, graph: KnowledgeGraph) -> "EmbeddingTable":
         """This table's rows reordered into ``graph``'s interning, matched by name.
 
-        Raises DataError naming the first graph symbol the table lacks.
+        Raises DataError naming the first graph symbol the table lacks, or
+        the first name the table lists twice.
         """
 
         def rows(kind: str, table_names: list[str], graph_names: list[str]) -> np.ndarray:
-            index = {name: i for i, name in enumerate(table_names)}
+            index: dict[str, int] = {}
+            for i, name in enumerate(table_names):
+                if index.setdefault(name, i) != i:
+                    raise DataError(f"{kind} {name!r} is listed twice in the table")
             try:
                 return np.asarray([index[name] for name in graph_names], dtype=np.int64)
             except KeyError as exc:

@@ -38,30 +38,17 @@ class KnowledgeGraph:
     """In-memory multi-relational graph with interned entities and relations.
 
     Entities and relations get dense integer ids in first-seen order. Triples
-    are stored as an (n, 3) int64 array of (head, relation, tail) ids with no
-    duplicate rows; ``multiplicities`` records how often each triple occurred
-    in the source, and ``duplicates_removed`` the total number of collapsed
-    occurrences. Instances are immutable once built and safe to share across
-    concurrent readers.
+    are stored as an (n, 3) int64 array of (head, relation, tail) ids; the
+    parser and ``from_id_triples`` keep each distinct triple once, at its
+    first occurrence. Relations are looked up by name with
+    :meth:`relation_rows`. Instances are immutable once built and safe to
+    share across concurrent readers.
     """
 
-    def __init__(
-        self,
-        entity_names: list[str],
-        relation_names: list[str],
-        triples: np.ndarray,
-        multiplicities: np.ndarray | None = None,
-        duplicates_removed: int = 0,
-    ):
+    def __init__(self, entity_names: list[str], relation_names: list[str], triples: np.ndarray):
         self.entity_names = list(entity_names)
         self.relation_names = list(relation_names)
         self.triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        if multiplicities is None:
-            multiplicities = np.ones(len(self.triples), dtype=np.int64)
-        self.multiplicities = np.asarray(multiplicities, dtype=np.int64)
-        if len(self.multiplicities) != len(self.triples):
-            raise ValueError("multiplicities must align with triples")
-        self.duplicates_removed = int(duplicates_removed)
         self._relation_ids: dict[str, int] | None = None
         self._relation_index: dict[int, np.ndarray] | None = None
 
@@ -69,34 +56,15 @@ class KnowledgeGraph:
 
     @classmethod
     def from_id_triples(
-        cls,
-        entity_names: list[str],
-        relation_names: list[str],
-        triples: np.ndarray,
-        multiplicities: np.ndarray | None = None,
+        cls, entity_names: list[str], relation_names: list[str], triples: np.ndarray
     ) -> "KnowledgeGraph":
-        """Build a graph from raw id rows, collapsing duplicate triples.
-
-        The first occurrence of each (head, relation, tail) row is kept, in
-        input order, and its multiplicity accumulates all later occurrences.
-        """
+        """Build a graph from raw id rows, keeping each triple's first occurrence in input order."""
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        if multiplicities is None:
-            multiplicities = np.ones(len(triples), dtype=np.int64)
-        multiplicities = np.asarray(multiplicities, dtype=np.int64)
-        if len(triples) == 0:
-            return cls(entity_names, relation_names, triples.reshape(0, 3))
         n_ent = max(len(entity_names), 1)
         n_rel = max(len(relation_names), 1)
         codes = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        is_first = np.zeros(len(triples), dtype=bool)
-        is_first[first] = True
-        kept = np.flatnonzero(is_first)  # first occurrences, in input order
-        merged = np.bincount(inverse, weights=multiplicities.astype(np.float64))
-        merged = merged[inverse[kept]].astype(np.int64)
-        removed = int(multiplicities.sum() - len(kept))
-        return cls(entity_names, relation_names, triples[kept], merged, removed)
+        _, first = np.unique(codes, return_index=True)
+        return cls(entity_names, relation_names, triples[np.sort(first)])
 
     @classmethod
     def from_labeled_triples(
@@ -131,23 +99,6 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relation_names)
 
-    def relation_id(self, name: str) -> int:
-        if self._relation_ids is None:
-            self._relation_ids = {n: i for i, n in enumerate(self.relation_names)}
-        try:
-            return self._relation_ids[name]
-        except KeyError:
-            raise DataError(f"unknown relation: {name!r}") from None
-
-    def resolve_relation(self, relation: int | str) -> int:
-        """Accept either a relation name or an interned id."""
-        if isinstance(relation, str):
-            return self.relation_id(relation)
-        rid = int(relation)
-        if not 0 <= rid < self.n_relations:
-            raise DataError(f"relation id out of range: {rid}")
-        return rid
-
     @property
     def relation_index(self) -> dict[int, np.ndarray]:
         """relation id -> sorted array of triple row indices (lazy, cached)."""
@@ -167,13 +118,19 @@ class KnowledgeGraph:
             self._relation_index = index
         return self._relation_index
 
-    def relation_triples(self, relation: int | str) -> np.ndarray:
-        """All (head, relation, tail) rows for one relation, in input order."""
-        rid = self.resolve_relation(relation)
-        rows = self.relation_index.get(rid)
+    def relation_rows(self, name: str) -> np.ndarray:
+        """Ascending triple row indices of the relation called ``name``.
+
+        A name that no triple of this graph asserts (unknown here, or left
+        without triples by ``subset(..., recompact=False)``) is a DataError.
+        """
+        if self._relation_ids is None:
+            self._relation_ids = {n: i for i, n in enumerate(self.relation_names)}
+        rid = self._relation_ids.get(name)
+        rows = None if rid is None else self.relation_index.get(rid)
         if rows is None:
-            return np.empty((0, 3), dtype=np.int64)
-        return self.triples[rows]
+            raise DataError(f"relation has no triples: {name!r}")
+        return rows
 
     def __repr__(self) -> str:
         return (
@@ -192,9 +149,8 @@ class KnowledgeGraph:
         """
         indices = np.asarray(indices, dtype=np.int64)
         rows = self.triples[indices]
-        mult = self.multiplicities[indices]
         if not recompact:
-            return KnowledgeGraph(self.entity_names, self.relation_names, rows, mult)
+            return KnowledgeGraph(self.entity_names, self.relation_names, rows)
         ent_flat = rows[:, [0, 2]].ravel()  # h0, t0, h1, t1, ... first-seen order
         ent_old, ent_new = _compact_ids(ent_flat)
         rel_old, rel_new = _compact_ids(rows[:, 1])
@@ -203,7 +159,7 @@ class KnowledgeGraph:
         out[:, 1] = rel_new
         entity_names = [self.entity_names[i] for i in ent_old]
         relation_names = [self.relation_names[i] for i in rel_old]
-        return KnowledgeGraph(entity_names, relation_names, out, mult)
+        return KnowledgeGraph(entity_names, relation_names, out)
 
 
 def _compact_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +188,7 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
     assertion URI, relation URI, start URI and end URI (a trailing JSON
     metadata column is ignored); entity URIs are reduced to their concept
     term and relation URIs to the part after ``/r/``. Input order is
-    preserved; duplicates collapse into multiplicities.
+    preserved; a repeated triple is kept once, at its first occurrence.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown edge file format: {format!r}")
@@ -287,16 +243,12 @@ def _undecodable_line(path: Path) -> int:
     return 0
 
 
-def write_generic_3col(
-    graph: KnowledgeGraph, path: str | Path, expand_multiplicity: bool = False
-) -> None:
-    """Serialize as tab-separated head/relation/tail lines.
+def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
+    """Serialize as tab-separated head/relation/tail lines, one per triple.
 
-    With ``expand_multiplicity`` each triple is written as many times as it
-    occurred in the original input, so parse -> write -> parse round-trips
-    the pre-deduplication multiset. Symbols that cannot survive the format
-    (embedded tabs or newlines, or a head starting with the ``#`` comment
-    marker) are rejected rather than written unparseably.
+    Symbols that cannot survive the format (embedded tabs or newlines, or a
+    head starting with the ``#`` comment marker) are rejected rather than
+    written unparseably.
     """
     def check(name: str, role: str) -> str:
         if "\t" in name or "\n" in name:
@@ -304,17 +256,16 @@ def write_generic_3col(
         return name
 
     with open(path, "w", encoding="utf-8") as out:
-        for (h, r, t), m in zip(graph.triples, graph.multiplicities):
+        for h, r, t in graph.triples:
             head = check(graph.entity_names[h], "entity")
             if head.startswith("#"):
                 raise DataError(
                     f"entity {head!r} would serialize as a comment line"
                 )
-            line = (
+            out.write(
                 f"{head}\t{check(graph.relation_names[r], 'relation')}"
                 f"\t{check(graph.entity_names[t], 'entity')}\n"
             )
-            out.write(line * (int(m) if expand_multiplicity else 1))
 
 
 # -- filtering / sampling / splitting ---------------------------------------
@@ -326,8 +277,6 @@ def filter_relations(graph: KnowledgeGraph, exclude: set[str]) -> KnowledgeGraph
     Excluding an absent relation is a no-op. Entity and relation tables are
     re-compacted to the symbols still referenced.
     """
-    if not exclude:
-        return graph.subset(np.arange(graph.n_triples))
     excluded_ids = {
         i for i, name in enumerate(graph.relation_names) if name in exclude
     }

@@ -82,19 +82,17 @@ class UnknownSample:
 
     pairs: np.ndarray  # (m, 2) head/tail entity ids
     tail_ratio: int
-    seed: int
     unknown_heads: int  # heads with at least one unknown tail; each gets a draw
 
 
-def _relation_pairs(graph: KnowledgeGraph, rid: int) -> tuple[np.ndarray, int]:
-    rows = graph.relation_triples(rid)
-    pairs = rows[:, [0, 2]]
+def _relation_pairs(graph: KnowledgeGraph, relation: str) -> tuple[np.ndarray, int]:
+    pairs = graph.triples[graph.relation_rows(relation)][:, [0, 2]]
     uniq = np.unique(pairs, axis=0)
     return uniq, len(pairs) - len(uniq)
 
 
 def build_pair_universe(
-    graph: KnowledgeGraph, relation: int | str, negation_relation: int | str
+    graph: KnowledgeGraph, relation: str, negation_relation: str
 ) -> PairUniverse:
     """Clean and index the known pairs of a relation and its negation.
 
@@ -102,14 +100,10 @@ def build_pair_universe(
     is contradictory and removed from both sides. The unknown universe is
     then heads x tails minus the remaining known pairs.
     """
-    rid_pos = graph.resolve_relation(relation)
-    rid_neg = graph.resolve_relation(negation_relation)
-    if rid_pos == rid_neg:
+    if relation == negation_relation:
         raise DataError("relation and negation relation must differ")
-    pos, dup_pos = _relation_pairs(graph, rid_pos)
-    neg, dup_neg = _relation_pairs(graph, rid_neg)
-    if len(pos) == 0 or len(neg) == 0:
-        raise DataError("both relations need at least one triple")
+    pos, dup_pos = _relation_pairs(graph, relation)
+    neg, dup_neg = _relation_pairs(graph, negation_relation)
 
     pos_keys = pos[:, 0] * graph.n_entities + pos[:, 1]
     neg_keys = neg[:, 0] * graph.n_entities + neg[:, 1]
@@ -121,8 +115,8 @@ def build_pair_universe(
 
     known = np.vstack([pos, neg])
     return PairUniverse(
-        relation=graph.relation_names[rid_pos],
-        negation_relation=graph.relation_names[rid_neg],
+        relation=relation,
+        negation_relation=negation_relation,
         graph=graph,
         heads=np.unique(known[:, 0]),
         tails=np.unique(known[:, 1]),
@@ -184,7 +178,7 @@ def sample_unknown_pairs(universe: PairUniverse, seed: int = 0) -> UnknownSample
             take = candidates[:take_n]
         chunks.append(np.column_stack([np.full(len(take), h, dtype=np.int64), take]))
     pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return UnknownSample(pairs=pairs, tail_ratio=ratio, seed=seed, unknown_heads=len(heads_u))
+    return UnknownSample(pairs=pairs, tail_ratio=ratio, unknown_heads=len(heads_u))
 
 
 def assemble_dataset(
@@ -196,16 +190,6 @@ def assemble_dataset(
     labels = np.zeros(len(pairs), dtype=np.int64)
     labels[: len(universe.positive_pairs)] = 1
     return translation_matrix(table, pairs[:, 0], pairs[:, 1]), labels
-
-
-def write_unknown_pairs(
-    universe: PairUniverse, sample: UnknownSample, path, relation_label: str = "Unknown"
-) -> None:
-    """Export sampled unknown pairs as a generic-3col edge file."""
-    names = universe.graph.entity_names
-    with open(path, "w", encoding="utf-8") as out:
-        for h, t in sample.pairs:
-            out.write(f"{names[h]}\t{relation_label}\t{names[t]}\n")
 
 
 @dataclass
@@ -222,8 +206,8 @@ class NegationStudyReport:
 def run_negation_study(
     table: EmbeddingTable,
     graph: KnowledgeGraph,
-    relation: int | str,
-    negation_relation: int | str,
+    relation: str,
+    negation_relation: str,
     folds: int = 10,
     seed: int = 0,
     classifier: str = "both",

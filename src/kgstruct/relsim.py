@@ -151,8 +151,9 @@ def jaccard_overlap_matrix(graph: KnowledgeGraph, side: str) -> SimilarityMatrix
     col = 0 if side == "head" else 2
     names = list(graph.relation_names)
     mark = np.zeros(graph.n_entities, dtype=bool)
+    index = graph.relation_index
     sets = [
-        _distinct_ids(mark, graph.relation_triples(rid)[:, col])
+        _distinct_ids(mark, graph.triples[index.get(rid, []), col])
         for rid in range(graph.n_relations)
     ]
     n = len(names)

@@ -44,8 +44,9 @@ from .graph import (
     parse_edge_file,
     sample_triples,
     split_indices,
+    write_generic_3col,
 )
-from .negation import run_negation_study, write_unknown_pairs
+from .negation import run_negation_study
 from .relsim import (
     DefinitionCorpus,
     SimilarityMatrix,
@@ -461,11 +462,24 @@ def stage_relsim(
 def stage_cluster(
     table: EmbeddingTable, graph: KnowledgeGraph, cfg: ClusterStage, out_dir: Path
 ) -> dict:
-    """Cluster each relation at ``cfg.k``, which ``preflight`` checked against its points."""
+    """Cluster each relation at ``cfg.k``, which ``preflight`` checked against its points.
+
+    Before the first fit, every ``cluster.k`` and ``k_range`` top must not exceed
+    the relation's distinct translation vectors, since no more clusters can be
+    filled; otherwise a DataError names the relation, the field and the count.
+    """
+    point_sets = {name: relation_point_set(table, graph, name) for name in cfg.relations}
+    tops = {"cluster.k": cfg.k, "cluster.k_range top": cfg.k_range[1] if cfg.k_range else 0}
+    for relation, points in point_sets.items():
+        distinct = len(np.unique(points, axis=0))
+        for field, k in tops.items():
+            if k > distinct:
+                raise DataError(
+                    f"{field} = {k} exceeds the {distinct} distinct points of relation {relation!r}"
+                )
     notes = {}
     reports = []
-    for relation in cfg.relations:
-        points = relation_point_set(table, graph, relation)
+    for relation, points in point_sets.items():
         rel_dir = out_dir / _cluster_dir(relation)
         rel_dir.mkdir()
         if cfg.k_range is not None:
@@ -532,7 +546,7 @@ def stage_cluster(
 def stage_negation(
     table: EmbeddingTable, graph: KnowledgeGraph, cfg: NegationStage, out_dir: Path
 ) -> dict:
-    report, universe, sample = run_negation_study(
+    report, _, sample = run_negation_study(
         table,
         graph,
         cfg.relation,
@@ -556,7 +570,8 @@ def stage_negation(
             for fold, acc in [*enumerate(cv.accuracies), ("mean", cv.mean_accuracy)]
         ),
     )
-    write_unknown_pairs(universe, sample, out_dir / "unknown_pairs.tsv")
+    unknown = KnowledgeGraph(graph.entity_names, ["Unknown"], np.insert(sample.pairs, 1, 0, axis=1))
+    write_generic_3col(unknown, out_dir / "unknown_pairs.tsv")
     return payload
 
 

@@ -66,16 +66,12 @@ class ValidationRecord:
 
 
 def similarity_lists(
-    table: EmbeddingTable, graph: KnowledgeGraph, relation: int | str
+    table: EmbeddingTable, graph: KnowledgeGraph, relation: str
 ) -> RelationProfile:
     """Build the aligned direct-vector and centroid similarity lists."""
     check_aligned(table, graph)
-    rid = graph.resolve_relation(relation)
-    name = graph.relation_names[rid]
-    rows = graph.relation_triples(rid)
-    if len(rows) == 0:
-        raise DataError(f"relation has no triples: {name!r}")
-    direct = table.relation_vectors[rid].astype(np.float64)
+    rows = graph.triples[graph.relation_rows(relation)]
+    direct = table.relation_vectors[rows[0, 1]].astype(np.float64)
     vecs = translation_matrix(table, rows[:, 0], rows[:, 2])
     centroid = vecs.mean(axis=0)
 
@@ -85,21 +81,21 @@ def similarity_lists(
     skipped = int(len(vecs) - nonzero.sum())
     if skipped:
         log.warning(
-            "relation %s: skipped %d zero translation vectors", name, skipped
+            "relation %s: skipped %d zero translation vectors", relation, skipped
         )
     vecs = vecs[nonzero]
     norms = norms[nonzero]
     if len(vecs) == 0:
-        raise DataError(f"relation {name!r}: all translation vectors are zero")
+        raise DataError(f"relation {relation!r}: all translation vectors are zero")
     direct_norm = np.linalg.norm(direct)
     if direct_norm == 0.0:
-        raise DataError(f"relation {name!r}: direct vector has zero norm")
+        raise DataError(f"relation {relation!r}: direct vector has zero norm")
     centroid_norm = np.linalg.norm(centroid)
     if centroid_norm == 0.0:
-        raise DataError(f"relation {name!r}: centroid vector has zero norm")
+        raise DataError(f"relation {relation!r}: centroid vector has zero norm")
 
     return RelationProfile(
-        relation=name,
+        relation=relation,
         centroid=centroid,
         direct=direct,
         direct_sims=(vecs @ direct) / (norms * direct_norm),
@@ -193,7 +189,7 @@ def relation_profiles(table: EmbeddingTable, graph: KnowledgeGraph) -> Profiles:
     profiles: Profiles = {}
     for rid in graph.relation_index:
         try:
-            profiles[rid] = similarity_lists(table, graph, rid)
+            profiles[rid] = similarity_lists(table, graph, graph.relation_names[rid])
         except DataError as exc:
             log.warning("no similarity lists: %s", exc)
             profiles[rid] = exc

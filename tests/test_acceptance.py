@@ -171,13 +171,15 @@ def test_criterion_3_desk_scale_validation():
     table = train(graph, config, triple_indices=train_idx)
 
     qualifying = [
-        rid for rid, rows in graph.relation_index.items() if len(rows) >= 100
+        graph.relation_names[rid]
+        for rid, rows in graph.relation_index.items()
+        if len(rows) >= 100
     ]
     assert len(qualifying) >= 10
     passed = 0
     worst = []
-    for rid in qualifying:
-        record = validate_relation(similarity_lists(table, graph, rid))
+    for relation in qualifying:
+        record = validate_relation(similarity_lists(table, graph, relation))
         ok = (
             record.spearman_abs is not None
             and record.spearman_abs >= 0.4

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -296,6 +297,54 @@ def _forest_wider_than_the_table(tmp_path, demo_kg, table):
     return [*config(tmp_path, demo_kg, table), "--table", str(table)]
 
 
+def _table_of_entity_vectors(make_vectors, **cluster):
+    """A cluster run with ``--table`` whose entity vectors are ``make_vectors(vectors)``."""
+    def argv(tmp_path, demo_kg, table):
+        loaded = EmbeddingTable.load(table)
+        path = tmp_path / "degenerate.kgt"
+        EmbeddingTable(
+            loaded.entity_names,
+            loaded.relation_names,
+            make_vectors(loaded.entity_vectors),
+            loaded.relation_vectors,
+        ).save(path)
+        config = _config("cluster", cluster={"relations": ["HasContext"], **cluster})
+        return [*config(tmp_path, demo_kg, table), "--table", str(path)]
+    return argv
+
+
+def _three_vector_table(**cluster):
+    return _table_of_entity_vectors(lambda v: v[np.arange(len(v)) % 3], **cluster)
+
+
+def _table_repeating_a_name(tmp_path, demo_kg, table):
+    """A table that lists ``e00000`` a second time, as its last row."""
+    loaded = EmbeddingTable.load(table)
+    path = tmp_path / "repeated.kgt"
+    EmbeddingTable(
+        [*loaded.entity_names, "e00000"],
+        loaded.relation_names,
+        np.vstack([loaded.entity_vectors, loaded.entity_vectors[:1]]),
+        loaded.relation_vectors,
+    ).save(path)
+    return ["validate", "--input", str(demo_kg), "--table", str(path)]
+
+
+def _conceptnet_head_read_as_a_comment(tmp_path, demo_kg, table):
+    """A negation run on a conceptnet-dump file whose first Desires head is ``#tag``."""
+    rows = [line.split("\t") for line in demo_kg.read_text(encoding="utf-8").splitlines()]
+    next(row for row in rows if row[1] == "Desires")[0] = "#tag"
+    path = tmp_path / "dump.tsv"
+    path.write_text(
+        "".join(f"/a/{i}\t/r/{r}\t/c/en/{h}\t/c/en/{t}\n" for i, (h, r, t) in enumerate(rows)),
+        encoding="utf-8",
+    )
+    config = _config("negation", input=str(path), format="conceptnet-dump",
+                     train={"dimension": 4, "epochs": 1},
+                     negation={"folds": 2, "classifier": "linear"})
+    return config(tmp_path, demo_kg, table)
+
+
 def _config(command, **fields):
     def argv(tmp_path, demo_kg, table):
         path = tmp_path / "config.json"
@@ -378,6 +427,14 @@ def _definitions(text):
                  negation={"forest": {"max_features": 1000}}), 2,
          "negation.forest.max_features = 1000 exceeds the 4 features"),
         (_forest_wider_than_the_table, 2, "negation.forest.max_features = 13 exceeds the 12 features"),
+        (_three_vector_table(k=12), 2,
+         "cluster.k = 12 exceeds the 7 distinct points of relation 'HasContext'"),
+        (_three_vector_table(k=3, k_range=[2, 14]), 2,
+         "cluster.k_range top = 14 exceeds the 7 distinct points of relation 'HasContext'"),
+        (_table_of_entity_vectors(lambda v: v * 0), 2,
+         "cluster.k = 20 exceeds the 1 distinct points of relation 'HasContext'"),
+        (_conceptnet_head_read_as_a_comment, 2, "entity '#tag' would serialize as a comment line"),
+        (_table_repeating_a_name, 2, "entity 'e00000' is listed twice in the table"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -389,7 +446,9 @@ def _definitions(text):
          "k-range-above-n", "repeated-relation", "stats-checks-the-files-stages",
          "relations-sharing-a-directory", "same-relation-negation", "table-header-config",
          "relation-named-like-a-merged-table", "max-features-above-dimension",
-         "max-features-above-table-dimension"],
+         "max-features-above-table-dimension", "k-above-distinct-points",
+         "k-range-above-distinct-points", "all-zero-table", "comment-marker-head",
+         "table-repeats-a-name"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)

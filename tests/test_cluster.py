@@ -174,10 +174,18 @@ def test_kmeans_final_assignments_are_nearest():
 
 def test_kmeans_duplicate_points_keep_k_and_count():
     x = np.asarray([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5 + [[2.0, 0.0]])
-    result = lloyd_kmeans(x, 5, seed=2)
-    assert result.k == 5
+    result = lloyd_kmeans(x, 3, seed=2)
+    assert result.k == 3
     assert len(result.assignments) == len(x)
-    assert result.assignments.min() >= 0 and result.assignments.max() < 5
+    assert sorted(np.bincount(result.assignments, minlength=3).tolist()) == [1, 5, 5]
+
+
+def test_kmeans_rejects_more_clusters_than_distinct_points():
+    x = np.asarray([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5 + [[2.0, 0.0]])
+    with pytest.raises(DataError, match="k = 5 exceeds the 3 distinct points"):
+        lloyd_kmeans(x, 5, seed=2)
+    with pytest.raises(DataError, match="k = 4 exceeds the 3 distinct points"):
+        k_selection_scores(x, range(2, 6), seed=2)
 
 
 def test_kmeans_two_blob_recovery():

@@ -390,13 +390,13 @@ def _reference_hits(table, graph):
 
 def _reference_points(table, graph):
     ent, _ = _by_name(table, graph)
-    rows = graph.relation_triples("Desires")
+    rows = graph.triples[graph.triples[:, 1] == graph.relation_names.index("Desires")]
     return (ent[rows[:, 2]] - ent[rows[:, 0]],)
 
 
 def _reference_lists(table, graph):
     _, rel = _by_name(table, graph)
-    return _reference_points(table, graph)[0].mean(axis=0), rel[graph.relation_id("Desires")]
+    return _reference_points(table, graph)[0].mean(axis=0), rel[graph.relation_names.index("Desires")]
 
 
 def _reference_dataset(table, graph):
@@ -412,7 +412,7 @@ def _lists(table, graph):
 
 
 def _profiles(table, graph):
-    profile = relation_profiles(table, graph)[graph.relation_id("Desires")]
+    profile = relation_profiles(table, graph)[graph.relation_names.index("Desires")]
     return profile.centroid, profile.direct
 
 

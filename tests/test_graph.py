@@ -70,8 +70,6 @@ def test_parse_duplicates_collapse_with_count(tmp_path):
     )
     graph = parse_edge_file(path)
     assert graph.n_triples == 4
-    assert graph.duplicates_removed == 1
-    assert graph.multiplicities.tolist() == [2, 1, 1, 1]
 
 
 def test_parse_preserves_input_order(tmp_path):
@@ -121,15 +119,15 @@ def test_parse_missing_file(tmp_path):
         parse_edge_file(tmp_path / "nope.tsv")
 
 
-def test_roundtrip_multiset(tmp_path):
+def test_roundtrip_keeps_names_and_triples(tmp_path):
     path = tmp_path / "in.tsv"
     write_lines(path, ["a\tr\tb", "a\tr\tb", "b\tr\tc", "a\ts\tb"])
     graph = parse_edge_file(path)
     out = tmp_path / "out.tsv"
-    write_generic_3col(graph, out, expand_multiplicity=True)
+    write_generic_3col(graph, out)
     again = parse_edge_file(out)
-    assert again.multiplicities.tolist() == graph.multiplicities.tolist()
     assert again.entity_names == graph.entity_names
+    assert again.relation_names == graph.relation_names
     assert np.array_equal(again.triples, graph.triples)
 
 
@@ -352,7 +350,9 @@ def test_duplicate_heavy_stats_reproduce_the_golden_bytes(tmp_path):
     edges = tmp_path / "edges.tsv"
     write_duplicate_heavy_edges(edges)
     graph = parse_edge_file(edges)
-    assert graph.duplicates_removed > graph.n_triples  # most lines are repeats
+    lines = edges.read_text(encoding="utf-8").splitlines()
+    data_lines = sum(1 for line in lines if line and not line.startswith("#"))
+    assert data_lines - graph.n_triples > graph.n_triples  # most lines are repeats
     stage_stats(graph, tmp_path)
     golden = json.loads(DUPLICATE_HEAVY_STATS.read_text(encoding="utf-8"))
     sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
@@ -404,36 +404,28 @@ def test_stats_files_roundtrip(tiny_graph, tmp_path):
 # -- graph type invariants ------------------------------------------------------
 
 
-def test_dedup_merges_multiplicities():
+def test_dedup_keeps_first_occurrences():
     rows = np.asarray([[0, 0, 1], [0, 0, 1], [1, 0, 2], [0, 0, 1]])
     graph = KnowledgeGraph.from_id_triples(["a", "b", "c"], ["r"], rows)
     assert graph.n_triples == 2
-    assert graph.multiplicities.tolist() == [3, 1]
-    assert graph.duplicates_removed == 2
+    assert graph.triples.tolist() == [[0, 0, 1], [1, 0, 2]]
 
 
-def reference_dedupe(n_entities, n_relations, triples, multiplicities):
+def reference_dedupe(n_entities, n_relations, triples):
     """from_id_triples' old collapse: first occurrences ordered by argsort(first)."""
     codes = (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
-    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    _, first = np.unique(codes, return_index=True)
     order = np.argsort(first, kind="stable")
-    merged = np.bincount(inverse, weights=multiplicities.astype(np.float64))
-    removed = int(multiplicities.sum() - len(uniq))
-    return triples[first[order]], merged[order].astype(np.int64), removed
+    return triples[first[order]]
 
 
 def test_dedupe_equals_the_reference_collapse(edge_case_graphs):
     rng = np.random.default_rng(5)
     for graph in edge_case_graphs:
         rows = graph.triples[rng.integers(0, max(graph.n_triples, 1), 3 * graph.n_triples)]
-        mult = rng.integers(1, 4, len(rows))
-        built = KnowledgeGraph.from_id_triples(
-            graph.entity_names, graph.relation_names, rows, mult
-        )
-        kept, merged, removed = reference_dedupe(graph.n_entities, graph.n_relations, rows, mult)
-        assert np.array_equal(built.triples, kept)
-        assert np.array_equal(built.multiplicities, merged)
-        assert built.duplicates_removed == removed
+        built = KnowledgeGraph.from_id_triples(graph.entity_names, graph.relation_names, rows)
+        kept = reference_dedupe(graph.n_entities, graph.n_relations, rows)
+        assert built.triples.dtype == kept.dtype and built.triples.tobytes() == kept.tobytes()
 
 
 def test_relation_index_rows_ascend_and_partition(edge_case_graphs):
@@ -457,9 +449,31 @@ def test_unknown_symbols_raise(tiny_graph):
     from kgstruct.errors import DataError
 
     with pytest.raises(DataError, match="'nope'"):
-        tiny_graph.relation_id("nope")
-    with pytest.raises(DataError, match="'nope'"):
-        tiny_graph.resolve_relation("nope")
+        tiny_graph.relation_rows("nope")
+
+
+def test_relation_rows_are_the_relation_index_rows(edge_case_graphs):
+    from kgstruct.errors import DataError
+
+    for graph in edge_case_graphs:
+        for rid, name in enumerate(graph.relation_names):
+            if rid in graph.relation_index:
+                assert np.array_equal(graph.relation_rows(name), graph.relation_index[rid])
+            else:
+                with pytest.raises(DataError, match=repr(name)):
+                    graph.relation_rows(name)
+
+
+def test_relation_rows_of_a_relation_without_triples_raise(tiny_graph):
+    from kgstruct.errors import DataError
+
+    is_a = tiny_graph.relation_names.index("IsA")
+    kept = np.flatnonzero(tiny_graph.triples[:, 1] != is_a)
+    subset = tiny_graph.subset(kept, recompact=False)
+    assert "IsA" in subset.relation_names
+    with pytest.raises(DataError, match="'IsA'"):
+        subset.relation_rows("IsA")
+    assert np.array_equal(subset.relation_rows("PartOf"), np.arange(len(kept)))
 
 
 def test_serializer_rejects_unserializable_names(tmp_path):
@@ -502,8 +516,8 @@ def test_serializer_roundtrips_arbitrary_names(tmp_path_factory, names, seed):
     ]
     graph = KnowledgeGraph.from_labeled_triples(rows)
     path = tmp_path_factory.mktemp("rt") / "graph.tsv"
-    write_generic_3col(graph, path, expand_multiplicity=True)
+    write_generic_3col(graph, path)
     again = parse_edge_file(path)
     assert again.entity_names == graph.entity_names
+    assert again.relation_names == graph.relation_names
     assert np.array_equal(again.triples, graph.triples)
-    assert again.multiplicities.tolist() == graph.multiplicities.tolist()

@@ -15,8 +15,8 @@ from kgstruct.negation import (
     run_negation_study,
     sample_unknown_pairs,
     tail_sampling_ratio,
-    write_unknown_pairs,
 )
+from kgstruct.report import NegationStage, stage_negation
 
 
 def pair_graph(pos_pairs, neg_pairs):
@@ -287,8 +287,10 @@ def test_study_builds_known_tails_once_and_counts_labels(monkeypatch):
 def test_unknown_pairs_export_roundtrip(tmp_path):
     graph, universe, table = universe_with_table()
     sample = sample_unknown_pairs(universe, seed=2)
-    path = tmp_path / "unknown.tsv"
-    write_unknown_pairs(universe, sample, path)
-    parsed = parse_edge_file(path)
+    stage = NegationStage(enabled=True, folds=2, classifier="linear", seed=2)
+    stage_negation(table, graph, stage, tmp_path)
+    parsed = parse_edge_file(tmp_path / "unknown_pairs.tsv")
     assert parsed.relation_names == ["Unknown"]
     assert parsed.n_triples == len(sample.pairs)
+    names = parsed.entity_names
+    assert {(names[h], names[t]) for h, _, t in parsed.triples} == named_pairs(universe, sample.pairs)

@@ -167,7 +167,7 @@ def test_jaccard_invariant_under_entity_relabeling(rows, perm_seed):
 def reference_jaccard(graph, col):
     """jaccard_overlap_matrix's old frozenset formula."""
     sets = [
-        frozenset(graph.relation_triples(rid)[:, col].tolist())
+        frozenset(graph.triples[graph.triples[:, 1] == rid, col].tolist())
         for rid in range(graph.n_relations)
     ]
     n = len(sets)

@@ -552,7 +552,7 @@ def test_similarity_lists_run_once_per_relation(tmp_path, monkeypatch, caplog):
     calls = []
 
     def counted(table, graph, relation):
-        calls.append(graph.relation_names[graph.resolve_relation(relation)])
+        calls.append(relation)
         return original(table, graph, relation)
 
     for name, module in list(sys.modules.items()):
