@@ -286,15 +286,13 @@ def stratified_folds(
     most one overall and per-class counts differ by at most one per fold.
     """
     labels = np.asarray(labels)
-    buckets: list[list[int]] = [[] for _ in range(folds)]
-    pointer = 0
+    fold_of = np.empty(len(labels), dtype=np.int64)
+    start = 0
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for i in idx:
-            buckets[pointer % folds].append(int(i))
-            pointer += 1
-    return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+        fold_of[idx[rng.permutation(len(idx))]] = (start + np.arange(len(idx))) % folds
+        start += len(idx)
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
 def cross_validate(

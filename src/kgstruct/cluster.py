@@ -120,9 +120,9 @@ def _kmeans_plus_plus(
         if total > 0.0:
             idx = int(rng.choice(n, p=closest / total))
         else:
-            # all remaining points coincide with a center; take any unused one
+            # all points coincide with a center; j < k <= n leaves an unused one
             unused = np.flatnonzero(~chosen)
-            idx = int(unused[rng.integers(len(unused))]) if len(unused) else int(rng.integers(n))
+            idx = int(unused[rng.integers(len(unused))])
         centers[j] = x[idx]
         chosen[idx] = True
         closest = np.minimum(closest, _squared_distances(x, centers[j : j + 1], x_sq)[:, 0])
@@ -505,7 +505,5 @@ def pca_project_2d(points) -> Projection2D:
         if row[pivot] < 0:
             row *= -1.0
     coords = centered @ components.T
-    explained = (singular[:2] ** 2) / total
-    if len(explained) < 2:  # d >= 2 guarantees two singular values, but be safe
-        explained = np.pad(explained, (0, 2 - len(explained)))
-    return Projection2D(coordinates=coords, explained=explained)
+    # n >= 2 and d >= 2, so the SVD returns at least two singular values
+    return Projection2D(coordinates=coords, explained=(singular[:2] ** 2) / total)

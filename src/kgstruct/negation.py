@@ -1,14 +1,14 @@
 """Pair structure of a relation and its negation, with Unknown-pair sampling.
 
-Known pairs are the deduplicated, contradiction-free triples of the two
-relations. The unknown universe is every head x tail combination of the
+Known pairs are the contradiction-free (head, tail) pairs of the two
+relations; a graph holds each triple once, so they are distinct by
+construction. The unknown universe is every head x tail combination of the
 known participants that neither relation asserts; a per-head tail sampling
 ratio keeps the drawn unknown set comparable in size to the known set.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,18 +18,16 @@ from .embedding import EmbeddingTable, check_aligned, translation_matrix
 from .errors import DataError
 from .graph import KnowledgeGraph
 
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class PairUniverse:
-    """Cleaned known pairs of a relation/negation pair plus the implied unknowns.
+    """Known pairs of a relation/negation pair plus the implied unknowns.
 
     ``positive_pairs`` belong to the primary relation, ``negative_pairs`` to
-    its negation. ``heads``/``tails`` are the sorted participating entity
-    ids of ``graph``. The unknown set (heads x tails minus known pairs) is
-    kept implicit: only its size and per-head membership tests are
-    materialized.
+    its negation, each sorted and distinct. ``heads``/``tails`` are the sorted
+    participating entity ids of ``graph``. The unknown set (heads x tails
+    minus known pairs) is kept implicit: only its size and the index of each
+    head's known tails are materialized.
     """
 
     relation: str
@@ -40,7 +38,6 @@ class PairUniverse:
     positive_pairs: np.ndarray  # (n, 2) head/tail entity ids
     negative_pairs: np.ndarray
     contradictions_removed: int  # pairs asserted under both relations
-    duplicates_removed: int
 
     @property
     def known_pair_count(self) -> int:
@@ -50,30 +47,18 @@ class PairUniverse:
     def unknown_pair_count(self) -> int:
         return len(self.heads) * len(self.tails) - self.known_pair_count
 
-    def known_tails_by_head(self) -> dict[int, np.ndarray]:
-        """head id -> sorted tail ids asserted with it under either relation."""
-        known = np.vstack([self.positive_pairs, self.negative_pairs])
-        order = np.lexsort((known[:, 1], known[:, 0]))
-        known = known[order]
-        out: dict[int, np.ndarray] = {}
-        boundaries = np.flatnonzero(np.r_[True, known[1:, 0] != known[:-1, 0]])
-        boundaries = np.r_[boundaries, len(known)]
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            out[int(known[a, 0])] = known[a:b, 1]
-        return out
+    def known_tail_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each head's known tails as sorted positions in ``tails``.
 
-    def unknown_heads(self, by_head: dict[int, np.ndarray] | None = None) -> np.ndarray:
-        """Heads with at least one unknown tail (empirically usually all).
-
-        ``by_head`` is this universe's ``known_tails_by_head()``, if the caller has it.
+        Returns ``(starts, positions)``: the tails known with ``heads[i]``
+        under either relation are ``tails[positions[starts[i]:starts[i + 1]]]``.
         """
-        if by_head is None:
-            by_head = self.known_tails_by_head()
-        n_tails = len(self.tails)
-        return np.asarray(
-            [h for h in self.heads if n_tails - len(by_head.get(int(h), ())) > 0],
-            dtype=np.int64,
-        )
+        known = np.vstack([self.positive_pairs, self.negative_pairs])
+        head_at = np.searchsorted(self.heads, known[:, 0])
+        tail_at = np.searchsorted(self.tails, known[:, 1])
+        order = np.lexsort((tail_at, head_at))
+        counts = np.bincount(head_at, minlength=len(self.heads))
+        return np.r_[0, np.cumsum(counts)], tail_at[order]
 
 
 @dataclass
@@ -85,25 +70,22 @@ class UnknownSample:
     unknown_heads: int  # heads with at least one unknown tail; each gets a draw
 
 
-def _relation_pairs(graph: KnowledgeGraph, relation: str) -> tuple[np.ndarray, int]:
-    pairs = graph.triples[graph.relation_rows(relation)][:, [0, 2]]
-    uniq = np.unique(pairs, axis=0)
-    return uniq, len(pairs) - len(uniq)
-
-
 def build_pair_universe(
     graph: KnowledgeGraph, relation: str, negation_relation: str
 ) -> PairUniverse:
     """Clean and index the known pairs of a relation and its negation.
 
-    Duplicate pairs collapse; any (head, tail) asserted under both relations
-    is contradictory and removed from both sides. The unknown universe is
-    then heads x tails minus the remaining known pairs.
+    Any (head, tail) asserted under both relations is contradictory and
+    removed from both sides. The unknown universe is then heads x tails
+    minus the remaining known pairs.
     """
     if relation == negation_relation:
         raise DataError("relation and negation relation must differ")
-    pos, dup_pos = _relation_pairs(graph, relation)
-    neg, dup_neg = _relation_pairs(graph, negation_relation)
+    # a relation's pairs are already distinct; np.unique only sorts them
+    pos, neg = (
+        np.unique(graph.triples[graph.relation_rows(name)][:, [0, 2]], axis=0)
+        for name in (relation, negation_relation)
+    )
 
     pos_keys = pos[:, 0] * graph.n_entities + pos[:, 1]
     neg_keys = neg[:, 0] * graph.n_entities + neg[:, 1]
@@ -123,7 +105,6 @@ def build_pair_universe(
         positive_pairs=pos,
         negative_pairs=neg,
         contradictions_removed=len(contradictions),
-        duplicates_removed=dup_pos + dup_neg,
     )
 
 
@@ -137,48 +118,26 @@ def tail_sampling_ratio(universe: PairUniverse, n_unknown_heads: int) -> int:
 def sample_unknown_pairs(universe: PairUniverse, seed: int = 0) -> UnknownSample:
     """Per head, draw up to the tail-sampling-ratio unknown tails uniformly.
 
-    Heads are visited in sorted id order; each head's tails are a uniform
-    sample without replacement from its eligible (unknown) set, drawn either
-    as the distinct prefix of an iid stream or as a permutation prefix when
-    few tails are eligible. Deterministic for a fixed seed either way.
+    Heads with an unknown tail are visited in ascending id order. Each draws
+    ``min(ratio, its unknown tails)`` distinct ranks uniformly without
+    replacement, and rank r names the r-th tail the head is not known with.
+    Deterministic for a fixed seed.
     """
-    by_head = universe.known_tails_by_head()
-    tails = universe.tails
-    n_tails = len(tails)
-    heads_u = universe.unknown_heads(by_head)
-    ratio = tail_sampling_ratio(universe, len(heads_u))
+    starts, known = universe.known_tail_positions()
+    eligible = len(universe.tails) - np.diff(starts)
+    drawing = np.flatnonzero(eligible > 0)
+    ratio = tail_sampling_ratio(universe, len(drawing))
     rng = np.random.default_rng(seed)
-    chunks = []
-    for h in heads_u:
-        known = by_head.get(int(h))
-        k_h = 0 if known is None else len(known)
-        eligible = n_tails - k_h
-        take_n = min(ratio, eligible)
-        if eligible > 4 * ratio + k_h:
-            # Plenty of eligible tails: take the first take_n distinct
-            # eligible values of an iid uniform stream, which is a uniform
-            # sample without replacement.
-            seen = set(known.tolist()) if k_h else set()
-            picked: list[int] = []
-            while len(picked) < take_n:
-                draws = rng.integers(0, n_tails, size=take_n + k_h + 8)
-                for idx in draws.tolist():
-                    t = int(tails[idx])
-                    if t not in seen:
-                        seen.add(t)
-                        picked.append(t)
-                        if len(picked) == take_n:
-                            break
-            take = np.asarray(picked, dtype=np.int64)
-        else:
-            # Few eligible tails: a full permutation prefix is exact and cheap.
-            candidates = tails[rng.permutation(n_tails)]
-            if k_h:
-                candidates = candidates[~np.isin(candidates, known)]
-            take = candidates[:take_n]
-        chunks.append(np.column_stack([np.full(len(take), h, dtype=np.int64), take]))
-    pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return UnknownSample(pairs=pairs, tail_ratio=ratio, unknown_heads=len(heads_u))
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    for i in drawing:
+        ranks = rng.choice(eligible[i], min(ratio, eligible[i]), replace=False)
+        head_known = known[starts[i] : starts[i + 1]]
+        # known position j has head_known[j] - j unknown tails before it;
+        # rank r lies past every known position with at most r of them
+        skipped = np.searchsorted(head_known - np.arange(len(head_known)), ranks, "right")
+        tails = universe.tails[ranks + skipped]
+        chunks.append(np.column_stack([np.full(len(tails), universe.heads[i]), tails]))
+    return UnknownSample(pairs=np.vstack(chunks), tail_ratio=ratio, unknown_heads=len(drawing))
 
 
 def assemble_dataset(
@@ -233,7 +192,6 @@ def run_negation_study(
         "tails": len(universe.tails),
         "unknown_pairs": universe.unknown_pair_count,
         "contradictions_removed": universe.contradictions_removed,
-        "duplicates_removed": universe.duplicates_removed,
         "unknown_heads_equal_heads": sample.unknown_heads == len(universe.heads),
     }
     report = NegationStudyReport(

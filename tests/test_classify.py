@@ -452,6 +452,32 @@ def test_stratified_folds_partition_and_balance():
         assert abs(neg - 37 / 5) <= 1.0
 
 
+def reference_stratified_folds(labels, folds, rng):
+    """The per-index round-robin loop: one fold pointer runs across the classes."""
+    buckets = [[] for _ in range(folds)]
+    pointer = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(len(idx))]
+        for i in idx:
+            buckets[pointer % folds].append(int(i))
+            pointer += 1
+    return [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+
+
+def test_stratified_folds_equal_the_reference_loop_bitwise():
+    rng = np.random.default_rng(0)
+    for case in range(300):
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(1, 120)))
+        folds = int(rng.integers(2, 12))
+        seed = int(rng.integers(2**32))
+        got = stratified_folds(labels, folds, np.random.default_rng(seed))
+        want = reference_stratified_folds(labels, folds, np.random.default_rng(seed))
+        assert len(got) == len(want) == folds, case
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), case
+
+
 def test_cross_validate_partition_property():
     x, y = separable_blobs(n=83, seed=8)
     report = cross_validate(x, y, "linear", folds=7, seed=1)

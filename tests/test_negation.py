@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table
@@ -23,6 +24,18 @@ def pair_graph(pos_pairs, neg_pairs):
     rows = [(f"h{h}", "Desires", f"t{t}") for h, t in pos_pairs]
     rows += [(f"h{h}", "NotDesires", f"t{t}") for h, t in neg_pairs]
     return KnowledgeGraph.from_labeled_triples(rows)
+
+
+def unknown_tails_by_head(universe):
+    """Brute force: each head id -> the set of tail ids it is not known with."""
+    known = {
+        (int(h), int(t))
+        for h, t in np.vstack([universe.positive_pairs, universe.negative_pairs])
+    }
+    return {
+        int(h): {int(t) for t in universe.tails if (int(h), int(t)) not in known}
+        for h in universe.heads
+    }
 
 
 def named_pairs(universe, pairs):
@@ -113,8 +126,10 @@ def test_universe_identity_bruteforce(pos, neg):
 def test_tail_ratio_formula():
     graph = pair_graph([(0, 0), (0, 1), (1, 0)], [(1, 1), (2, 0), (2, 2)])
     universe = build_pair_universe(graph, "Desires", "NotDesires")
+    sample = sample_unknown_pairs(universe, seed=0)
     # ceil(6 / (2 * |H_U|)); every head has at least one unknown tail here
-    assert tail_sampling_ratio(universe, len(universe.unknown_heads())) == 1
+    assert sample.unknown_heads == 3
+    assert tail_sampling_ratio(universe, sample.unknown_heads) == sample.tail_ratio == 1
 
 
 def test_sampling_respects_cap_and_known_pairs():
@@ -142,9 +157,9 @@ def test_sampling_caps_at_availability():
     neg = [(1, 4), (1, 0)]
     graph = pair_graph(pos, neg)
     universe = build_pair_universe(graph, "Desires", "NotDesires")
-    ratio = tail_sampling_ratio(universe, len(universe.unknown_heads()))
-    assert ratio == 2
     sample = sample_unknown_pairs(universe, seed=0)
+    ratio = tail_sampling_ratio(universe, sample.unknown_heads)
+    assert ratio == sample.tail_ratio == 2
     h0_pairs = [(h, t) for h, t in sample.pairs if universe.graph.entity_names[h] == "h0"]
     assert len(h0_pairs) == 1
     assert universe.graph.entity_names[h0_pairs[0][1]] == "t4"
@@ -161,6 +176,46 @@ def test_sampling_deterministic():
     assert np.array_equal(a.pairs, b.pairs)
     c = sample_unknown_pairs(universe, seed=10)
     assert not np.array_equal(a.pairs, c.pairs)
+
+
+@given(
+    pos=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 6)), min_size=1, max_size=25),
+    neg=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 6)), min_size=1, max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_sampling_matches_bruteforce(pos, neg, seed):
+    assume(pos ^ neg)  # otherwise cleaning leaves no known pair
+    universe = build_pair_universe(pair_graph(sorted(pos), sorted(neg)), "Desires", "NotDesires")
+    unknown = {h: tails for h, tails in unknown_tails_by_head(universe).items() if tails}
+    if not unknown:
+        with pytest.raises(DataError, match="no head has an unknown tail"):
+            sample_unknown_pairs(universe, seed=seed)
+        return
+    sample = sample_unknown_pairs(universe, seed=seed)
+    ratio = max(1, -(-universe.known_pair_count // (2 * len(unknown))))
+    assert sample.unknown_heads == len(unknown)
+    assert sample.tail_ratio == ratio
+    assert sample.pairs.dtype == np.int64 and sample.pairs.shape[1] == 2
+    drawn = [(int(h), int(t)) for h, t in sample.pairs]
+    assert len(set(drawn)) == len(drawn)
+    assert all(t in unknown[h] for h, t in drawn)
+    assert Counter(h for h, _ in drawn) == {h: min(ratio, len(t)) for h, t in unknown.items()}
+    assert np.all(np.diff(sample.pairs[:, 0]) >= 0)
+
+
+def test_sampling_draws_each_subset_equally_often():
+    # h0 knows t0 and t1, so 4 unknown tails; h1 knows t2..t5; ratio ceil(6 / 4) = 2
+    graph = pair_graph([(0, 0), (0, 1)], [(1, t) for t in range(2, 6)])
+    universe = build_pair_universe(graph, "Desires", "NotDesires")
+    h0 = graph.entity_names.index("h0")
+    counts = Counter()
+    for seed in range(6000):
+        sample = sample_unknown_pairs(universe, seed=seed)
+        assert sample.tail_ratio == 2
+        counts[frozenset(graph.entity_names[t] for h, t in sample.pairs if h == h0)] += 1
+    assert set(counts) == {frozenset(s) for s in itertools.combinations(["t2", "t3", "t4", "t5"], 2)}
+    assert all(900 <= count <= 1100 for count in counts.values()), counts
 
 
 # -- dataset assembly ----------------------------------------------------------------
@@ -262,13 +317,13 @@ def test_assemble_equals_the_reference_bitwise(seed, messy):
 def test_study_builds_known_tails_once_and_counts_labels(monkeypatch):
     graph, _, table = universe_with_table(seed=5)
     calls = []
-    original = PairUniverse.known_tails_by_head
+    original = PairUniverse.known_tail_positions
 
     def counting(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(PairUniverse, "known_tails_by_head", counting)
+    monkeypatch.setattr(PairUniverse, "known_tail_positions", counting)
     report, universe, sample = run_negation_study(
         table, graph, "Desires", "NotDesires", folds=2, seed=1, classifier="linear"
     )
@@ -279,8 +334,8 @@ def test_study_builds_known_tails_once_and_counts_labels(monkeypatch):
         "unknown": len(sample.pairs),
     }
     assert report.sample_size == len(sample.pairs) > 0
-    assert report.universe["unknown_heads_equal_heads"] == (
-        len(universe.unknown_heads()) == len(universe.heads)
+    assert report.universe["unknown_heads_equal_heads"] == all(
+        unknown_tails_by_head(universe).values()
     )
 
 
