@@ -8,14 +8,11 @@ Both are deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError, check_at_least
-
-log = logging.getLogger(__name__)
 
 
 def _check_binary(labels: np.ndarray) -> None:

@@ -89,22 +89,6 @@ def _squared_distances(x: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> 
     return np.maximum(sq, 0.0)
 
 
-def _exact_distances(a: np.ndarray, b: np.ndarray, col_chunk: int = 1024) -> np.ndarray:
-    """Euclidean distances by direct differencing (no cancellation error)."""
-    out = np.empty((len(a), len(b)))
-    for start in range(0, len(b), col_chunk):
-        diff = a[:, None, :] - b[None, start : start + col_chunk, :]
-        out[:, start : start + col_chunk] = np.sqrt(
-            np.einsum("ijk,ijk->ij", diff, diff)
-        )
-    return out
-
-
-# direct differencing is exact but O(n^2 d) elementwise; beyond this many
-# points the BLAS expansion's ~1e-8 error is irrelevant to the score
-_EXACT_DISTANCE_LIMIT = 2000
-
-
 def _kmeans_plus_plus(
     x: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray
 ) -> np.ndarray:
@@ -223,10 +207,10 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
     s(i) = (b - a) / max(a, b) with a the mean distance to the point's own
     cluster (0 for singletons, yielding s = 0) and b the smallest mean
     distance to another cluster. Needs 2 <= k <= n - 1. Distances come in
-    row chunks: by direct differencing (exact) up to _EXACT_DISTANCE_LIMIT
-    points, and from the BLAS expansion |x|^2 + |y|^2 - 2 x.y (~1e-8 error)
-    above it. Each chunk's per-cluster distance sums are one product with
-    the n x k cluster indicator matrix.
+    row chunks from the BLAS expansion |x|^2 + |y|^2 - 2 x.y of the centered
+    points, so rounding scales with their spread, not their offset; each
+    point's distance to itself is set to exactly 0. Each chunk's per-cluster
+    distance sums are one product with the n x k cluster indicator matrix.
     """
     return _silhouette_scores(points, [assignments], chunk)[0]
 
@@ -249,27 +233,26 @@ def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
         onehot[np.arange(n), label_of] = 1.0
         clusterings.append((label_of, np.bincount(label_of, minlength=k), onehot))
 
-    exact = n <= _EXACT_DISTANCE_LIMIT
-    if not exact:
-        x_sq = _squared_norms(x)
-        buffer = np.empty((min(chunk, n), n))
-        gram = np.empty_like(buffer)
+    # centering keeps every distance and makes the expansion's rounding scale
+    # with the points' spread instead of their distance from the origin
+    x = x - x.mean(axis=0)
+    x_sq = _squared_norms(x)
+    buffer = np.empty((min(chunk, n), n))
+    gram = np.empty_like(buffer)
     scores = np.empty((len(clusterings), n), dtype=np.float64)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         m = rows.stop - start
-        if exact:
-            d = _exact_distances(x[rows], x)
-        else:
-            # np.sqrt(_squared_distances(x[rows], x, x_sq[rows])) in place:
-            # the same operations in the same order, so the same bits
-            d, g = buffer[:m], gram[:m]
-            np.add(x_sq[rows, None], x_sq[None, :], out=d)
-            np.matmul(x[rows], x.T, out=g)
-            g *= 2.0
-            d -= g
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
+        # np.sqrt(_squared_distances(x[rows], x, x_sq[rows])), in the buffers
+        d, g = buffer[:m], gram[:m]
+        np.add(x_sq[rows, None], x_sq[None, :], out=d)
+        np.matmul(x[rows], x.T, out=g)
+        g *= 2.0
+        d -= g
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        # rounding leaves |x_i - x_i| near 1e-8, which would enter the mean a
+        d[np.arange(m), np.arange(start, start + m)] = 0.0
         for out, (label_of, counts, onehot) in zip(scores, clusterings):
             sums = d @ onehot
             own = label_of[rows]
@@ -301,7 +284,7 @@ def davies_bouldin_index(points, assignments: np.ndarray) -> float:
             for j, lab in enumerate(labels)
         ]
     )
-    dist = _exact_distances(centroids, centroids)
+    dist = np.sqrt(((centroids[:, None] - centroids[None]) ** 2).sum(axis=2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (scatter[:, None] + scatter[None, :]) / dist
     np.fill_diagonal(ratio, -np.inf)
@@ -411,7 +394,7 @@ def separation_scores(result: ClusteringResult) -> np.ndarray:
         log.warning(
             "separation: %d zero-norm centroids get NaN", int((~ok).sum())
         )
-    dist = _exact_distances(unit, unit)
+    dist = np.sqrt(((unit[:, None] - unit[None]) ** 2).sum(axis=2))
     out = np.full(result.k, np.nan)
     for j in range(result.k):
         others = [i for i in range(result.k) if i != j and ok[i]]

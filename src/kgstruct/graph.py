@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import array
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -11,8 +10,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-
-log = logging.getLogger(__name__)
 
 GENERIC_3COL = "generic-3col"
 CONCEPTNET_DUMP = "conceptnet-dump"

@@ -466,7 +466,8 @@ def stage_cluster(
 
     Before the first fit, every ``cluster.k`` and ``k_range`` top must not exceed
     the relation's distinct translation vectors, since no more clusters can be
-    filled; otherwise a DataError names the relation, the field and the count.
+    filled, and the 2-D projection needs 2 of them; otherwise a DataError names
+    the relation (and the field and the count).
     """
     point_sets = {name: relation_point_set(table, graph, name) for name in cfg.relations}
     tops = {"cluster.k": cfg.k, "cluster.k_range top": cfg.k_range[1] if cfg.k_range else 0}
@@ -477,6 +478,8 @@ def stage_cluster(
                 raise DataError(
                     f"{field} = {k} exceeds the {distinct} distinct points of relation {relation!r}"
                 )
+        if distinct < 2:
+            raise DataError(f"the 2-D projection of relation {relation!r} needs 2 distinct points")
     notes = {}
     reports = []
     for relation, points in point_sets.items():
@@ -611,15 +614,20 @@ def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, list[str]]:
     return graph, absent
 
 
-def preflight(graph: KnowledgeGraph, config: PipelineConfig, dimension: int) -> None:
+def preflight(graph: KnowledgeGraph, config: PipelineConfig, table: EmbeddingTable | None) -> None:
     """Check the enabled stages against ``graph``, the graph the analyses read.
 
-    Every configured relation needs triples there, and a cluster relation's
-    n triples must support ``cluster.k`` (at most n) and ``cluster.k_range``
-    (within [2, n - 1]). A forest may not draw more features per split than
-    the embedding ``dimension``, the negation probe's feature count. Each
-    failure is a DataError, raised before training.
+    Every configured relation needs triples there. A cluster relation's n
+    triples must support the 2-D projection (n >= 2), ``cluster.k`` (at most
+    n) and ``cluster.k_range`` (within [2, n - 1]). The embedding dimension,
+    ``table``'s or else ``train.dimension``, must be at least 2 for clustering
+    and at least a forest's features per split. Each failure is a DataError,
+    raised before training.
     """
+    source = "train.dimension" if table is None else "table dimension"
+    dimension = config.train.dimension if table is None else table.dimension
+    if config.cluster.enabled and dimension < 2:
+        raise DataError(f"the cluster stage's 2-D projection needs {source} >= 2, got {dimension}")
     if config.negation.enabled and config.negation.classifier != "linear":
         config.negation.forest.features_per_split(dimension)
     wanted = []
@@ -639,6 +647,8 @@ def preflight(graph: KnowledgeGraph, config: PipelineConfig, dimension: int) -> 
     k, k_range = config.cluster.k, config.cluster.k_range
     for relation in config.cluster.relations:
         n = counts[relation]
+        if n < 2:
+            raise DataError(f"the 2-D projection of relation {relation!r} needs 2 points, got {n}")
         if k > n:
             raise DataError(f"cluster.k = {k} exceeds the {n} points of relation {relation!r}")
         if k_range is not None and k_range[1] > n - 1:
@@ -697,8 +707,7 @@ def run_pipeline(
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
-            dimension = config.train.dimension if table is None else table.dimension
-            preflight(analysis_graph, config, dimension)
+            preflight(analysis_graph, config, table)
             if table is not None:
                 notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)

@@ -313,6 +313,29 @@ def _table_of_entity_vectors(make_vectors, **cluster):
     return argv
 
 
+def _one_dimensional_table(tmp_path, demo_kg, table):
+    """A cluster run with ``--table`` holding the first coordinate of each vector."""
+    loaded = EmbeddingTable.load(table)
+    path = tmp_path / "narrow.kgt"
+    EmbeddingTable(
+        loaded.entity_names,
+        loaded.relation_names,
+        loaded.entity_vectors[:, :1],
+        loaded.relation_vectors[:, :1],
+    ).save(path)
+    config = _config("cluster", cluster={"relations": ["HasContext"]})
+    return [*config(tmp_path, demo_kg, table), "--table", str(path)]
+
+
+def _one_triple_relation(tmp_path, demo_kg, table):
+    """A cluster run at k = 1 on a 3-triple file whose relation ``rare`` has one triple."""
+    edges = tmp_path / "three.tsv"
+    edges.write_text("a\tcommon\tb\nb\tcommon\tc\nx\trare\ty\n", encoding="utf-8")
+    config = _config("cluster", train={"dimension": 4, "epochs": 1},
+                     cluster={"relations": ["rare"], "k": 1})
+    return config(tmp_path, edges, table)
+
+
 def _three_vector_table(**cluster):
     return _table_of_entity_vectors(lambda v: v[np.arange(len(v)) % 3], **cluster)
 
@@ -435,6 +458,16 @@ def _definitions(text):
          "cluster.k = 20 exceeds the 1 distinct points of relation 'HasContext'"),
         (_conceptnet_head_read_as_a_comment, 2, "entity '#tag' would serialize as a comment line"),
         (_table_repeating_a_name, 2, "entity 'e00000' is listed twice in the table"),
+        (_one_triple_relation, 2, "the 2-D projection of relation 'rare' needs 2 points, got 1"),
+        (_config("cluster", train={"dimension": 1, "epochs": 1},
+                 cluster={"relations": ["HasContext"]}), 2,
+         "the cluster stage's 2-D projection needs train.dimension >= 2, got 1"),
+        (_one_dimensional_table, 2,
+         "the cluster stage's 2-D projection needs table dimension >= 2, got 1"),
+        (_table_of_entity_vectors(lambda v: v * 0, k=1), 2,
+         "the 2-D projection of relation 'HasContext' needs 2 distinct points"),
+        (_definitions('{"IsA": "a kind of"}'), 2,
+         "defs.json: need at least 2 definitions for a similarity matrix"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -448,7 +481,8 @@ def _definitions(text):
          "relation-named-like-a-merged-table", "max-features-above-dimension",
          "max-features-above-table-dimension", "k-above-distinct-points",
          "k-range-above-distinct-points", "all-zero-table", "comment-marker-head",
-         "table-repeats-a-name"],
+         "table-repeats-a-name", "one-triple-cluster-relation", "cluster-at-dimension-1",
+         "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -488,9 +522,12 @@ def _rare_relation_outside_the_train_split(tmp_path, demo_kg, table):
          1, "negation.negation_relation: must differ from negation.relation"),
         (_config("negation", train={"dimension": 4}, negation={"forest": {"max_features": 5}}),
          2, "negation.forest.max_features = 5 exceeds the 4 features"),
+        (_one_triple_relation, 2, "the 2-D projection of relation 'rare' needs 2 points, got 1"),
+        (_config("cluster", train={"dimension": 1}, cluster={"relations": ["HasContext"]}), 2,
+         "the cluster stage's 2-D projection needs train.dimension >= 2, got 1"),
     ],
     ids=["k-above-n", "k-range-above-n", "absent-from-train-split", "same-relation-negation",
-         "max-features-above-dimension"],
+         "max-features-above-dimension", "one-triple-cluster-relation", "cluster-at-dimension-1"],
 )
 def test_graph_checks_run_before_training(
     make_argv, code, named, demo_kg, tmp_path, monkeypatch, capsys
@@ -771,6 +808,9 @@ def test_every_definition_has_a_caller_outside_the_tests():
     its own definition and the ``__init__`` re-exports, or in scripts/,
     perfbench/ or pyproject.toml. A method counts only as ``.name``, since its
     bare name may be an unrelated local. Dunder methods are skipped.
+
+    A module-level assignment counts as used when its own module reads the
+    name, or when a package module, script or perfbench file imports it.
     """
     package = sorted((ROOT / "src" / "kgstruct").glob("*.py"))
     package = [path for path in package if path.name != "__init__.py"]
@@ -778,9 +818,31 @@ def test_every_definition_has_a_caller_outside_the_tests():
     outside = [ROOT / "pyproject.toml"]
     outside += [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     elsewhere = "\n".join(path.read_text(encoding="utf-8") for path in outside)
+    imported = {
+        alias.name
+        for path in package + outside[1:]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
     unused = []
     for path in package:
         tree = ast.parse("\n".join(lines[path]))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            unused += [
+                f"{path.name}:{node.lineno} {name.id}"
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                and not name.id.startswith("__") and name.id not in read | imported
+            ]
         methods = {
             id(item) for owner in ast.walk(tree) if isinstance(owner, ast.ClassDef)
             for item in owner.body

@@ -253,10 +253,9 @@ def test_silhouette_five_point_hand_fixture():
     assert silhouette_score(x, labels) == pytest.approx(brute_silhouette(x, labels), abs=1e-12)
 
 
-def test_silhouette_blas_path_matches_bruteforce(monkeypatch):
-    # force the BLAS distance path at a size the O(n^2) Python oracle can afford;
+def test_silhouette_blas_path_matches_bruteforce():
+    # the BLAS distance path at a size the O(n^2) Python oracle can afford;
     # chunk=7 leaves a partial last chunk
-    monkeypatch.setattr(cluster, "_EXACT_DISTANCE_LIMIT", 0)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(150, 4)) + rng.integers(0, 3, size=(150, 1)) * 4.0
     labels = lloyd_kmeans(x, 5, seed=1).assignments
@@ -268,8 +267,7 @@ def test_silhouette_blas_path_matches_bruteforce(monkeypatch):
 
 
 def test_silhouette_blas_path_at_benchmark_size():
-    n = 2500  # above _EXACT_DISTANCE_LIMIT, so distances come from BLAS
-    assert n > cluster._EXACT_DISTANCE_LIMIT
+    n = 2500
     rng = np.random.default_rng(6)
     x = rng.normal(size=(n, 8)) + rng.integers(0, 4, size=(n, 1)) * 3.0
     labels = lloyd_kmeans(x, 6, seed=2).assignments
@@ -287,6 +285,47 @@ def test_silhouette_blas_path_at_benchmark_size():
     assert silhouette_score(x, labels) == pytest.approx(float(expected.mean()), abs=1e-9)
 
 
+def _exact_distances(a, b, col_chunk=1024):
+    """Euclidean distances by direct differencing (no cancellation error)."""
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(b), col_chunk):
+        diff = a[:, None, :] - b[None, start : start + col_chunk, :]
+        out[:, start : start + col_chunk] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return out
+
+
+def exact_silhouette(x, labels, chunk=128):
+    """Mean silhouette from directly differenced distances, a row chunk at a time."""
+    n = len(x)
+    _, label_of = np.unique(labels, return_inverse=True)
+    counts = np.bincount(label_of)
+    onehot = np.eye(len(counts))[label_of]
+    scores = np.empty(n)
+    for start in range(0, n, chunk):
+        rows = np.arange(start, min(start + chunk, n))
+        sums = _exact_distances(x[rows], x) @ onehot
+        own = label_of[rows]
+        a = sums[np.arange(len(rows)), own] / np.maximum(counts[own] - 1, 1)
+        means = sums / counts
+        means[np.arange(len(rows)), own] = np.inf
+        b = means.min(axis=1)
+        scores[rows] = np.where(counts[own] > 1, (b - a) / np.maximum(a, b), 0.0)
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("n", [300, 2100])
+def test_silhouette_is_exact_far_from_the_origin(n):
+    # tight clusters (spread 0.01) offset by 1e4: |x|^2 + |y|^2 - 2 x.y of the
+    # raw points cancels ~1e8 down to ~1e-4 and keeps only a few digits
+    rng = np.random.default_rng(n)
+    centers = rng.normal(size=(6, 4))
+    planted = rng.integers(0, 6, size=n)
+    x = 1e4 + centers[planted] + 0.01 * rng.normal(size=(n, 4))
+    labels = planted.copy()
+    labels[:n // 20] = (labels[:n // 20] + 1) % 6  # some points sit in the wrong cluster
+    assert silhouette_score(x, labels) == pytest.approx(exact_silhouette(x, labels), abs=1e-12)
+
+
 def test_silhouette_rejects_single_cluster():
     x = np.zeros((5, 2))
     with pytest.raises(DataError):
@@ -294,8 +333,13 @@ def test_silhouette_rejects_single_cluster():
 
 
 def reference_silhouette(points, assignments, chunk=128):
-    """The single-k silhouette kernel that the batched one replaced."""
+    """The single-k silhouette kernel that the batched one replaced.
+
+    Its distance rows are built as the batched kernel builds them: centered
+    points, the BLAS expansion, and each point's own entry set to 0.
+    """
     x = np.asarray(points, dtype=np.float64)
+    x = x - x.mean(axis=0)
     n = len(x)
     labels = np.unique(assignments)
     k = len(labels)
@@ -303,25 +347,21 @@ def reference_silhouette(points, assignments, chunk=128):
     counts = np.bincount(label_of, minlength=k)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), label_of] = 1.0
-    exact = n <= cluster._EXACT_DISTANCE_LIMIT
-    if not exact:
-        x_sq = (x * x).sum(axis=1)
-        buffer = np.empty((min(chunk, n), n))
-        gram = np.empty_like(buffer)
+    x_sq = (x * x).sum(axis=1)
+    buffer = np.empty((min(chunk, n), n))
+    gram = np.empty_like(buffer)
     scores = np.empty(n, dtype=np.float64)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         m = rows.stop - start
-        if exact:
-            d = cluster._exact_distances(x[rows], x)
-        else:
-            d, g = buffer[:m], gram[:m]
-            np.add(x_sq[rows, None], x_sq[None, :], out=d)
-            np.matmul(x[rows], x.T, out=g)
-            g *= 2.0
-            d -= g
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
+        d, g = buffer[:m], gram[:m]
+        np.add(x_sq[rows, None], x_sq[None, :], out=d)
+        np.matmul(x[rows], x.T, out=g)
+        g *= 2.0
+        d -= g
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[np.arange(m), np.arange(start, start + m)] = 0.0
         sums = d @ onehot
         own = label_of[rows]
         own_count = counts[own]
@@ -363,7 +403,7 @@ def reference_curve(x, ks, seed):
     return curve
 
 
-@pytest.mark.parametrize("n", [300, 2100], ids=["exact-distances", "blas-distances"])
+@pytest.mark.parametrize("n", [300, 2100], ids=["300-points", "2100-points"])
 def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 6)) + rng.integers(0, 4, size=(n, 1)) * 3.0
@@ -371,7 +411,6 @@ def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
     labelings.append(labelings[1] * 7 - 3)  # labels that are not 0..k-1
     labelings.append(np.where(np.arange(n) == 0, 99, labelings[0]))  # with a singleton
     expected = [reference_silhouette(x, labels) for labels in labelings]
-    assert (n > cluster._EXACT_DISTANCE_LIMIT) == (n == 2100)
     assert cluster._silhouette_scores(x, labelings) == expected
     assert [silhouette_score(x, labels) for labels in labelings] == expected
     assert cluster._silhouette_scores(x, labelings, chunk=50) == [
