@@ -198,17 +198,45 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(x, norms[:, None], out=np.zeros_like(x), where=ok[:, None]), ok
 
 
+# np.add.reduceat sums a segment g0, ..., g(m-1) as g0 + pairwise(g1, ...),
+# and numpy's pairwise sum adds fewer than 8 terms one at a time onto -0.0.
+# A segment of at most this many rows is therefore g0 + ((-0.0 + g1) + ...).
+_PAIRWISE_SEQUENTIAL_ROWS = 8
+
+
 def _scatter_add(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    # np.add.at is unbuffered and correct with repeated rows but slow; a
-    # sort + reduceat pass gives the same result much faster. The narrowest
-    # key dtype sorts fastest (radix below 16 bits), and a stable sort's
-    # permutation does not depend on the dtype, so the sums are unchanged.
+    # Adds each grads row into target at rows, with the bits of a stable sort
+    # by row followed by np.add.reduceat. np.add.at is unbuffered and correct
+    # with repeated rows but slow. The narrowest key dtype sorts fastest
+    # (radix below 16 bits), and a stable sort's permutation does not depend
+    # on the dtype. reduceat calls its inner loop once per segment and column,
+    # which dominates when most segments hold 1-3 rows. So segments short
+    # enough for the sequential rule above are summed in that same order, one
+    # vectorised pass per row position, and only long ones go to reduceat.
+    # Each grads row is gathered once, straight into the pass that reads it.
     order = np.argsort(rows.astype(np.min_scalar_type(len(target))), kind="stable")
     rows = rows[order]
-    grads = grads[order]
-    boundaries = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    summed = np.add.reduceat(grads, boundaries, axis=0)
-    target[rows[boundaries]] += summed
+    edges = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1], [True])))
+    starts, lengths = edges[:-1], edges[1:] - edges[:-1]
+    long = lengths > _PAIRWISE_SEQUENTIAL_ROWS
+    if long.all():
+        target[rows[starts]] += np.add.reduceat(grads[order], starts, axis=0)
+        return
+    if long.any():
+        long_lengths = lengths[long]
+        long_grads = grads[order[np.repeat(long, lengths)]]
+        long_starts = np.cumsum(long_lengths) - long_lengths
+        target[rows[starts[long]]] += np.add.reduceat(long_grads, long_starts, axis=0)
+    # short segments longest first: row j of the first m of them is one slice
+    short = ~long
+    by_length = np.argsort(-lengths[short].astype(np.int8), kind="stable")
+    first = starts[short][by_length]
+    first_lengths = lengths[short][by_length]
+    rest = np.full((len(first),) + grads.shape[1:], -0.0, dtype=grads.dtype)
+    for j in range(1, int(first_lengths[0])):
+        m = np.count_nonzero(first_lengths > j)
+        rest[:m] += grads[order[first[:m] + j]]
+    target[rows[first]] += np.add(grads[order[first]], rest, out=rest)
 
 
 def train(
@@ -340,6 +368,20 @@ def translation_matrix(
     return vectors[tails].astype(np.float64) - vectors[heads].astype(np.float64)
 
 
+def _tail_scores(
+    query: np.ndarray, ent: np.ndarray, ent_sq: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """|e|^2 - 2 q.e for each query row q and entity e, written into ``out``.
+
+    That is the squared distance less |q|^2, which does not change a row's
+    ranking. The bits equal ``ent_sq[None, :] - 2.0 * (query @ ent.T)``,
+    without its two full-size temporaries.
+    """
+    np.matmul(query, ent.T, out=out)
+    out *= 2.0
+    return np.subtract(ent_sq[None, :], out, out=out)
+
+
 def hits_at_k(
     table: EmbeddingTable,
     graph: KnowledgeGraph,
@@ -362,14 +404,14 @@ def hits_at_k(
     ent = table.entity_vectors.astype(np.float64)
     ent_sq = (ent * ent).sum(axis=1)
     hits = 0
+    buffer = np.empty((min(batch_size, len(rows)), len(ent)))
     for start in range(0, len(rows), batch_size):
         chunk = rows[start : start + batch_size]
         query = (
             table.entity_vectors[chunk[:, 0]].astype(np.float64)
             + table.relation_vectors[chunk[:, 1]].astype(np.float64)
         )
-        # squared distance to every entity: |q|^2 + |e|^2 - 2 q.e
-        scores = ent_sq[None, :] - 2.0 * (query @ ent.T)
+        scores = _tail_scores(query, ent, ent_sq, out=buffer[: len(chunk)])
         true_scores = scores[np.arange(len(chunk)), chunk[:, 2]]
         ranks = (scores < true_scores[:, None]).sum(axis=1) + 1
         hits += int((ranks <= k).sum())

@@ -56,6 +56,8 @@ class DefinitionCorpus:
         for name, text in data.items():
             if not isinstance(text, str):
                 raise DataError(f"{path}: definition of {name!r} must be a string, got {text!r}")
+            if not text.strip():
+                raise DataError(f"{path}: empty definition for relation {name!r}")
         if len(data) < 2:
             raise DataError(f"{path}: need at least 2 definitions for a similarity matrix")
         return cls(data)

@@ -720,6 +720,7 @@ def run_pipeline(
                     "triples": int(len(train_idx)),
                     "first_epoch_loss": losses[0] if losses else None,
                     "final_epoch_loss": losses[-1] if losses else None,
+                    "epoch_losses": losses,
                 }
                 if len(test_idx):
                     notes["train"]["test_hits_at_10"] = timed(

@@ -468,6 +468,8 @@ def _definitions(text):
          "the 2-D projection of relation 'HasContext' needs 2 distinct points"),
         (_definitions('{"IsA": "a kind of"}'), 2,
          "defs.json: need at least 2 definitions for a similarity matrix"),
+        (_definitions('{"IsA": "  ", "HasA": "has a"}'), 2,
+         "defs.json: empty definition for relation 'IsA'"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -482,7 +484,8 @@ def _definitions(text):
          "max-features-above-table-dimension", "k-above-distinct-points",
          "k-range-above-distinct-points", "all-zero-table", "comment-marker-head",
          "table-repeats-a-name", "one-triple-cluster-relation", "cluster-at-dimension-1",
-         "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition"],
+         "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition",
+         "blank-definition"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)

@@ -9,6 +9,7 @@ from kgstruct.embedding import (
     EmbeddingTable,
     TrainConfig,
     _scatter_add,
+    _tail_scores,
     hits_at_k,
     train,
     translation_matrix,
@@ -344,7 +345,7 @@ def test_unit_rows_matches_the_replaced_formulas_bitwise(shape):
 
 
 def reference_scatter_add(target, rows, grads):
-    """_scatter_add with the old int64 sort key."""
+    """_scatter_add before the short-segment pass: an int64 stable sort, then reduceat."""
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     grads = grads[order]
@@ -364,6 +365,70 @@ def test_scatter_add_matches_the_int64_sort_bitwise(dtype, n_target):
     reference_scatter_add(expected, rows, grads)
     _scatter_add(got, rows, grads)
     assert got.tobytes() == expected.tobytes()
+
+
+def _scatter_case(lengths, width, dtype, seed):
+    """Rows repeating target row i ``lengths[i]`` times, shuffled, with grads and a target.
+
+    Magnitudes span 1e-6 to 1e6, and about a tenth of the grads and a fifth of
+    the target entries are +0.0 or -0.0. Every fifth segment is -0.0 throughout.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths)
+    ids = rng.permutation(len(lengths) + 3)[: len(lengths)]  # 3 rows get no update
+    rows = np.repeat(ids, lengths)[rng.permutation(lengths.sum())]
+    magnitude = 10.0 ** rng.uniform(-6, 6, (len(rows), 1))
+    grads = (rng.standard_normal((len(rows), width)) * magnitude).astype(dtype)
+    zero = rng.random(grads.shape)
+    grads[zero < 0.05] = 0.0
+    grads[zero > 0.95] = -0.0
+    grads[np.isin(rows, ids[::5])] = -0.0
+    target = (rng.standard_normal((len(lengths) + 3, width)) * 1e3).astype(dtype)
+    zero = rng.random(target.shape)
+    target[zero < 0.1] = 0.0
+    target[zero > 0.9] = -0.0
+    return target, rows, grads
+
+
+SCATTER_LAYOUTS = {
+    # at most 8 rows each: the sequential pass alone
+    "short": [*range(1, 9)] * 40 + [8, 8, 1],
+    # more than 8 rows each: reduceat alone, as Lloyd's sums and the relation scatter
+    "long": [*range(9, 301)],
+    # both, every length from 1 to 300
+    "mixed": [*range(1, 301)],
+    # every row once, as in a batch whose entities are all distinct
+    "distinct": [1] * 50,
+}
+
+
+@pytest.mark.parametrize("layout", list(SCATTER_LAYOUTS))
+@pytest.mark.parametrize("width", [1, 5, 32, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_add_matches_sort_and_reduceat_at_every_segment_length(layout, width, dtype):
+    # This also guards against a numpy whose reduceat sums in another order:
+    # the sequential pass for short segments would then move every checksum.
+    target, rows, grads = _scatter_case(SCATTER_LAYOUTS[layout], width, dtype, seed=width)
+    expected, got = target.copy(), target.copy()
+    reference_scatter_add(expected, rows, grads)
+    _scatter_add(got, rows, grads)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_tail_scores_equal_the_three_temporary_expression_bitwise():
+    """hits_at_k's per-chunk scores, in its reused buffer, equal the old expression's bits."""
+    rng = np.random.default_rng(3)
+    vectors = rng.uniform(-1, 1, (7_500, 32)).astype(np.float32)
+    ent = vectors.astype(np.float64)
+    ent_sq = (ent * ent).sum(axis=1)
+    n_queries, batch = 600, 256  # the last chunk holds 88 rows
+    queries = (vectors[rng.integers(0, 7_500, n_queries)] + vectors[:1]).astype(np.float64)
+    buffer = np.empty((batch, len(ent)))
+    for start in range(0, n_queries, batch):
+        query = queries[start : start + batch]
+        got = _tail_scores(query, ent, ent_sq, out=buffer[: len(query)])
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == (ent_sq[None, :] - 2.0 * (query @ ent.T)).tobytes()
 
 
 # -- the alignment contract ------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from kgstruct import report, validation
 from kgstruct.cli import _load_config, build_parser
+from kgstruct.embedding import EmbeddingTable
 from kgstruct.errors import ConfigError, DataError
 from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices, write_generic_3col
 from kgstruct.relsim import SimilarityMatrix
@@ -609,6 +610,14 @@ def test_manifest_reports_training_note_with_hits(full_bundle):
     assert note["triples"] == 376  # 500 - floor(62.5) - floor(62.5); train takes the remainder
     assert note["final_epoch_loss"] <= note["first_epoch_loss"]
     assert 0.0 <= note["test_hits_at_10"] <= 1.0
+
+
+def test_manifest_lists_every_epoch_loss(full_bundle):
+    losses = full_bundle.manifest["notes"]["train"]["epoch_losses"]
+    table = EmbeddingTable.load(full_bundle.out_dir / "embeddings.kgt")
+    assert losses == table.epoch_losses
+    assert len(losses) == full_bundle.manifest["config"]["train"]["epochs"]
+    assert losses[0] == full_bundle.manifest["notes"]["train"]["first_epoch_loss"]
 
 
 def test_analysis_scope_train_restricts_analysis_rows(demo_kg, tmp_path):
