@@ -322,10 +322,14 @@ def train(
                 g_neg = (-2.0 * scale) * diff_neg[active]
 
                 rows = np.concatenate([h, t, h_neg[active], t_neg[active]])
-                grads = np.concatenate([-g_pos, g_pos, -g_neg, g_neg])
+                # each negated block is built once, in place, and read by both scatters
+                grads = np.concatenate([g_pos, g_pos, g_neg, g_neg])
+                minus_pos, minus_neg = grads[:b], grads[2 * b : 2 * b + len(g_neg)]
+                np.negative(minus_pos, out=minus_pos)
+                np.negative(minus_neg, out=minus_neg)
                 _scatter_add(ent, rows, grads)
                 rel_rows = np.concatenate([r, r_neg[active]])
-                _scatter_add(rel, rel_rows, np.concatenate([-g_pos, -g_neg]))
+                _scatter_add(rel, rel_rows, np.concatenate([minus_pos, minus_neg]))
 
             mean_loss = epoch_loss / max(n_pairs, 1)
             if not np.isfinite(mean_loss):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -14,21 +13,6 @@ from .errors import ConfigError, DataError, ParseError
 GENERIC_3COL = "generic-3col"
 CONCEPTNET_DUMP = "conceptnet-dump"
 FORMATS = (GENERIC_3COL, CONCEPTNET_DUMP)
-
-
-def _concept_label(uri: str) -> str:
-    # "/c/en/person" or "/c/en/person/n/..." -> "person"; anything else unchanged
-    parts = uri.split("/")
-    if len(parts) >= 4 and parts[1] == "c":
-        return parts[3]
-    return uri
-
-
-def _relation_label(uri: str) -> str:
-    # "/r/RelatedTo" -> "RelatedTo", "/r/dbpedia/knownFor" -> "dbpedia/knownFor"
-    if uri.startswith("/r/"):
-        return uri[3:]
-    return uri
 
 
 class KnowledgeGraph:
@@ -59,28 +43,21 @@ class KnowledgeGraph:
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         n_ent = max(len(entity_names), 1)
         n_rel = max(len(relation_names), 1)
-        codes = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
-        _, first = np.unique(codes, return_index=True)
-        return cls(entity_names, relation_names, triples[np.sort(first)])
-
-    @classmethod
-    def from_labeled_triples(
-        cls, rows: Iterable[tuple[str, str, str]]
-    ) -> "KnowledgeGraph":
-        """Intern (head, relation, tail) name rows in first-seen order."""
-        ent_ids: dict[str, int] = {}
-        rel_ids: dict[str, int] = {}
-        hs = array.array("q")
-        rs = array.array("q")
-        ts = array.array("q")
-        for head, relation, tail in rows:
-            hs.append(ent_ids.setdefault(head, len(ent_ids)))
-            rs.append(rel_ids.setdefault(relation, len(rel_ids)))
-            ts.append(ent_ids.setdefault(tail, len(ent_ids)))
-        triples = np.column_stack(
-            [np.frombuffer(a, dtype=np.int64) for a in (hs, rs, ts)]
-        ) if hs else np.empty((0, 3), dtype=np.int64)
-        return cls.from_id_triples(list(ent_ids), list(rel_ids), triples)
+        codes = triples[:, 0] * n_rel
+        codes += triples[:, 1]
+        codes *= n_ent
+        codes += triples[:, 2]
+        # a stable sort puts each code's first row at the head of its run
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        head = np.empty(len(codes), dtype=bool)
+        head[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=head[1:])
+        del codes
+        first = order[head]
+        del order, head
+        first.sort()
+        return cls(entity_names, relation_names, triples[first])
 
     # -- basic accessors ---------------------------------------------------
 
@@ -176,6 +153,11 @@ def _compact_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # -- parsing ---------------------------------------------------------------
 
+# Characters read per block. Beyond the graph, the parser holds one block's
+# bytes and spans plus the distinct names and their keys, whatever the
+# file's length.
+_BLOCK_CHARS = 1 << 17
+
 
 def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGraph:
     """Parse a tab-separated edge list into a deduplicated KnowledgeGraph.
@@ -183,50 +165,270 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
     ``generic-3col`` lines hold exactly head, relation and tail; blank lines
     and ``#`` comments are skipped. ``conceptnet-dump`` lines hold at least
     assertion URI, relation URI, start URI and end URI (a trailing JSON
-    metadata column is ignored); entity URIs are reduced to their concept
-    term and relation URIs to the part after ``/r/``. Input order is
-    preserved; a repeated triple is kept once, at its first occurrence.
+    metadata column is ignored); an entity URI ``x/c/<lang>/<term>[/...]``
+    is reduced to its term and a relation URI ``/r/<name>`` to its name.
+    Input order is preserved; a repeated triple is kept once, at its first
+    occurrence. A UTF-8 byte-order mark at the start of the file is skipped.
+
+    The file is read in blocks of whole lines, and each ``ParseError`` names
+    the first bad line. One precedence rule follows from the blocks: a byte
+    that is not UTF-8 is reported before any structural error (a column
+    count, an empty field) of the block that decodes it, even on an earlier
+    line. Text is decoded 8 KiB at a time, so that block can be the one
+    before the byte's own. Errors in blocks decoded earlier come first.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown edge file format: {format!r}")
     path = Path(path)
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    entities, relations = _SpanInterner(), _SpanInterner()
+    blocks = []
+    lines_before = 0
     with handle:
-        return KnowledgeGraph.from_labeled_triples(_edge_rows(handle, path, format))
+        for text in _text_blocks(handle, path):
+            rows, n_lines = _parse_block(text, format, entities, relations, path, lines_before)
+            blocks.append(rows)
+            lines_before += n_lines
+    triples = (
+        np.concatenate(blocks, dtype=np.int64) if blocks else np.empty((0, 3), np.int64)
+    )
+    del blocks
+    return KnowledgeGraph.from_id_triples(entities.names, relations.names, triples)
 
 
-def _edge_rows(handle, path: Path, format: str) -> Iterator[tuple[str, str, str]]:
-    """Checked (head, relation, tail) name rows of an open edge file."""
+def _text_blocks(handle, path: Path) -> Iterator[str]:
+    """Blocks of whole lines of an open text file, about ``_BLOCK_CHARS`` each."""
     try:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if format == GENERIC_3COL:
-                if len(cols) != 3:
-                    raise ParseError(
-                        path, lineno, f"expected 3 tab-separated columns, got {len(cols)}"
-                    )
-                head, relation, tail = cols
-            else:
-                if len(cols) < 4:
-                    raise ParseError(
-                        path,
-                        lineno,
-                        f"expected at least 4 tab-separated columns, got {len(cols)}",
-                    )
-                relation = _relation_label(cols[1])
-                head = _concept_label(cols[2])
-                tail = _concept_label(cols[3])
-            if not head or not relation or not tail:
-                raise ParseError(path, lineno, "empty head, relation, or tail")
-            yield head, relation, tail
+        while text := handle.read(_BLOCK_CHARS):
+            if not text.endswith("\n"):
+                text += handle.readline()
+            yield text
     except UnicodeDecodeError as exc:
         raise ParseError(path, _undecodable_line(path), f"not valid UTF-8 ({exc.reason})") from exc
+
+
+def _parse_block(
+    text: str,
+    format: str,
+    entities: _SpanInterner,
+    relations: _SpanInterner,
+    path: Path,
+    lines_before: int,
+) -> tuple[np.ndarray, int]:
+    """Checked (head, relation, tail) id rows of a block of whole lines, and its line count.
+
+    Lines end at byte 10 and fields at byte 9 of the block's UTF-8 bytes;
+    both are ASCII, so no multi-byte character holds them.
+    """
+    data = text.encode("utf-8")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data + bytes(8), dtype=np.uint8)  # key words may overrun a span
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tabs = np.flatnonzero(buf == ord("\t"))
+    tabs_to_end = np.searchsorted(tabs, ends)
+    first_tab = np.concatenate(([0], tabs_to_end[:-1]))
+    n_tabs = tabs_to_end - first_tab
+    data_line = (ends > starts) & (buf[starts] != ord("#"))
+    generic = format == GENERIC_3COL
+    bad_count = data_line & ((n_tabs != 2) if generic else (n_tabs < 3))
+    rows = np.flatnonzero(data_line & ~bad_count)
+
+    def field(j):
+        # byte span [lo, hi) of column j on each of ``rows``
+        k = first_tab[rows] + j
+        lo = starts[rows] if j == 0 else tabs[k - 1] + 1
+        last = np.minimum(k, len(tabs) - 1)
+        return lo, np.where(n_tabs[rows] > j, tabs[last], ends[rows])
+
+    if generic:
+        head, relation, tail = field(0), field(1), field(2)
+    else:
+        slashes = np.flatnonzero(buf == ord("/"))
+        head, tail = (_concept_term(buf, slashes, *field(j)) for j in (2, 3))
+        relation = _relation_name(buf, *field(1))
+    empty = (head[0] == head[1]) | (relation[0] == relation[1]) | (tail[0] == tail[1])
+
+    bad = np.flatnonzero(bad_count)
+    first_empty = rows[np.argmax(empty)] if empty.any() else len(ends)
+    if len(bad) and bad[0] < first_empty:
+        expected = "3" if generic else "at least 4"
+        raise ParseError(
+            path,
+            lines_before + int(bad[0]) + 1,
+            f"expected {expected} tab-separated columns, got {int(n_tabs[bad[0]]) + 1}",
+        )
+    if first_empty < len(ends):
+        raise ParseError(path, lines_before + int(first_empty) + 1, "empty head, relation, or tail")
+
+    # heads and tails interleaved, so that entities are interned in line order
+    ent = entities.intern(
+        buf,
+        np.column_stack((head[0], tail[0])).ravel(),
+        np.column_stack((head[1], tail[1])).ravel(),
+    ).reshape(-1, 2)
+    out = np.empty((len(rows), 3), dtype=np.int32)
+    out[:, 0], out[:, 2] = ent[:, 0], ent[:, 1]
+    out[:, 1] = relations.intern(buf, *relation)
+    return out, len(ends)
+
+
+def _concept_term(
+    buf: np.ndarray, slashes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spans of ``uri.split("/")[3]`` where ``uri.split("/")[1] == "c"``, else of the URI.
+
+    ``slashes`` holds the ascending positions of ``/`` in ``buf``.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    k = np.searchsorted(slashes, lo)
+    count = np.searchsorted(slashes, hi) - k
+    at = np.flatnonzero(count >= 3)
+    k = k[at]
+    concept = (slashes[k + 1] == slashes[k] + 2) & (buf[slashes[k] + 1] == ord("c"))
+    at, k = at[concept], k[concept]
+    lo[at] = slashes[k + 2] + 1
+    more = count[at] > 3
+    hi[at[more]] = slashes[k[more] + 3]
+    return lo, hi
+
+
+def _relation_name(
+    buf: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spans of each URI after a leading ``/r/``, or of the whole URI."""
+    prefixed = (hi - lo >= 3) & (buf[lo] == ord("/")) & (buf[lo + 1] == ord("r"))
+    prefixed &= buf[lo + 2] == ord("/")
+    return np.where(prefixed, lo + 3, lo), hi
+
+
+# A key run smaller than this absorbs every run after it, so the key tables
+# of a graph with few names stay one sorted array each.
+_SMALL_RUN = 1 << 16
+
+
+class _SpanInterner:
+    """Dense ids, in first-seen order, for names given as byte spans of blocks.
+
+    A span of n bytes is packed into n // 8 + 1 little-endian uint64 words,
+    zero-padded, with n % 8 in the top byte of the last word. Two spans with
+    the same word count are then equal exactly when their keys are. Keys of
+    one word are uint64, longer ones one void scalar each.
+
+    For each word count the interner keeps sorted runs of every key seen so
+    far, with its id. A block's keys are grouped by sorting, its distinct
+    keys are looked up in the runs with ``searchsorted``, and only names
+    never seen before are decoded; their keys become a new run. A run merges
+    into the run before it while that one holds fewer than ``_SMALL_RUN``
+    keys or less than twice its own. So each key is copied O(log names)
+    times, there are at most log2(names) runs, and the state grows with the
+    distinct names, not with the spans.
+    """
+
+    def __init__(self):
+        self.names: list[str] = []
+        self._runs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def intern(self, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Ids of the spans ``buf[lo:hi]``, interning new names in span order."""
+        ids = np.empty(len(lo), dtype=np.int64)
+        if not len(lo):
+            return ids
+        length = hi - lo
+        n_words = length // 8 + 1
+        narrow = n_words.astype(np.min_scalar_type(int(n_words.max())))
+        by_words = np.argsort(narrow, kind="stable")  # radix below 16 bits
+        sizes = narrow[by_words]
+        bounds = np.flatnonzero(np.concatenate(([True], sizes[1:] != sizes[:-1], [True])))
+        groups = []
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            at = by_words[a:b]
+            size = int(sizes[a])
+            keys, first, inverse = _group(_pack(buf, lo[at], length[at], size))
+            key_ids = self._find(size, keys)
+            new = key_ids < 0
+            groups.append((size, at, keys, key_ids, inverse, new, at[first[new]]))
+        # names never seen before get ids in the order of their first span
+        first_spans = np.concatenate([group[-1] for group in groups])
+        order = np.argsort(first_spans)
+        new_ids = np.empty(len(order), dtype=np.int64)
+        new_ids[order] = np.arange(len(self.names), len(self.names) + len(order))
+        offset = 0
+        for size, at, keys, key_ids, inverse, new, spans in groups:
+            added = new_ids[offset : offset + len(spans)]
+            offset += len(spans)
+            if len(added):
+                key_ids[new] = added
+                self._add_run(size, keys[new], added)
+            ids[at] = key_ids[inverse]
+        first_spans = first_spans[order]
+        self.names += _decode_spans(buf, lo[first_spans], length[first_spans])
+        return ids
+
+    def _find(self, size: int, keys: np.ndarray) -> np.ndarray:
+        """Id of each sorted distinct key of ``size`` words, or -1 for a key never seen."""
+        ids = np.full(len(keys), -1, dtype=np.int64)
+        for run_keys, run_ids in self._runs.get(size, ()):
+            pos = np.minimum(np.searchsorted(run_keys, keys), len(run_keys) - 1)
+            hit = run_keys[pos] == keys
+            ids[hit] = run_ids[pos[hit]]
+        return ids
+
+    def _add_run(self, size: int, keys: np.ndarray, ids: np.ndarray) -> None:
+        runs = self._runs.setdefault(size, [])
+        runs.append((keys, ids))
+        while len(runs) > 1 and len(runs[-2][0]) < max(2 * len(runs[-1][0]), _SMALL_RUN):
+            (old_keys, old_ids), (keys, ids) = runs[-2:]
+            pos = np.searchsorted(old_keys, keys)
+            runs[-2:] = [(np.insert(old_keys, pos, keys), np.insert(old_ids, pos, ids))]
+
+
+def _pack(buf: np.ndarray, lo: np.ndarray, length: np.ndarray, n_words: int) -> np.ndarray:
+    """Keys of the spans ``buf[lo:lo + length]`` of ``n_words`` words each (see ``_SpanInterner``)."""
+    word_at = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    packed = np.empty((len(lo), n_words), dtype="<u8")
+    for j in range(n_words - 1):
+        packed[:, j] = word_at[lo + 8 * j]
+    tail = (length - 8 * (n_words - 1)).astype("<u8")  # 0 to 7 bytes
+    np.bitwise_and(
+        word_at[lo + 8 * (n_words - 1)],
+        (np.uint64(1) << tail * np.uint64(8)) - np.uint64(1),
+        out=packed[:, -1],
+    )
+    packed[:, -1] |= tail << np.uint64(56)
+    return packed.ravel() if n_words == 1 else packed.view((np.void, 8 * n_words)).ravel()
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)``, by an unstable sort."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    run_starts = np.flatnonzero(starts)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[run_starts], np.minimum.reduceat(order, run_starts), inverse
+
+
+def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[str]:
+    """The UTF-8 text of each span ``buf[lo:lo + length]``, decoded in one call.
+
+    Each span is gathered with the byte after it, every such byte is made a
+    tab, and the text is split there; a name holds no tab.
+    """
+    if not len(lo):
+        return []
+    width = length + 1
+    offsets = np.cumsum(width) - width
+    gathered = buf[np.repeat(lo - offsets, width) + np.arange(int(width.sum()))]
+    gathered[offsets + length] = ord("\t")
+    return gathered[:-1].tobytes().decode("utf-8").split("\t")
 
 
 def _undecodable_line(path: Path) -> int:
@@ -245,24 +447,43 @@ def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
 
     Symbols that cannot survive the format (embedded tabs or newlines, or a
     head starting with the ``#`` comment marker) are rejected rather than
-    written unparseably.
+    written unparseably: the error names the first such symbol in triple
+    order, and nothing is written. Each distinct name is checked once.
     """
-    def check(name: str, role: str) -> str:
-        if "\t" in name or "\n" in name:
-            raise DataError(f"{role} {name!r} contains a tab or newline")
-        return name
+    ent, rel = graph.entity_names, graph.relation_names
+    triples = graph.triples
 
+    def failing(names, ids, test):
+        flags = np.zeros(len(names), dtype=bool)
+        used = np.unique(ids)
+        flags[used] = [test(names[i]) for i in used.tolist()]
+        return flags
+
+    def unsafe(name):
+        return "\t" in name or "\n" in name
+
+    bad_ent = failing(ent, triples[:, [0, 2]], unsafe)
+    problems = np.column_stack(
+        [
+            bad_ent[triples[:, 0]],
+            failing(ent, triples[:, 0], lambda name: name.startswith("#"))[triples[:, 0]],
+            failing(rel, triples[:, 1], unsafe)[triples[:, 1]],
+            bad_ent[triples[:, 2]],
+        ]
+    )
+    if problems.any():
+        row, check = divmod(int(np.argmax(problems)), 4)
+        h, r, t = triples[row].tolist()
+        raise DataError(
+            (
+                f"entity {ent[h]!r} contains a tab or newline",
+                f"entity {ent[h]!r} would serialize as a comment line",
+                f"relation {rel[r]!r} contains a tab or newline",
+                f"entity {ent[t]!r} contains a tab or newline",
+            )[check]
+        )
     with open(path, "w", encoding="utf-8") as out:
-        for h, r, t in graph.triples:
-            head = check(graph.entity_names[h], "entity")
-            if head.startswith("#"):
-                raise DataError(
-                    f"entity {head!r} would serialize as a comment line"
-                )
-            out.write(
-                f"{head}\t{check(graph.relation_names[r], 'relation')}"
-                f"\t{check(graph.entity_names[t], 'entity')}\n"
-            )
+        out.writelines(f"{ent[h]}\t{rel[r]}\t{ent[t]}\n" for h, r, t in triples.tolist())
 
 
 # -- filtering / sampling / splitting ---------------------------------------

@@ -4,6 +4,23 @@ import pytest
 from kgstruct.graph import KnowledgeGraph
 
 
+def from_labeled_triples(rows) -> KnowledgeGraph:
+    """Graph of (head, relation, tail) name rows, interned in first-seen order."""
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    triples = [
+        (
+            entity_ids.setdefault(head, len(entity_ids)),
+            relation_ids.setdefault(relation, len(relation_ids)),
+            entity_ids.setdefault(tail, len(entity_ids)),
+        )
+        for head, relation, tail in rows
+    ]
+    return KnowledgeGraph.from_id_triples(
+        list(entity_ids), list(relation_ids), np.array(triples, dtype=np.int64).reshape(-1, 3)
+    )
+
+
 @pytest.fixture
 def edge_case_graphs() -> list[KnowledgeGraph]:
     """Seeded id graphs for comparing counting kernels with reference formulas.
@@ -42,7 +59,7 @@ def tiny_graph() -> KnowledgeGraph:
         ("paw", "PartOf", "cat"),
         ("paw", "PartOf", "dog"),
     ]
-    return KnowledgeGraph.from_labeled_triples(rows)
+    return from_labeled_triples(rows)
 
 
 def make_table(entity_positions: dict[str, list[float]], relation_vectors: dict[str, list[float]]):

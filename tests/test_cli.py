@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import from_labeled_triples
 from kgstruct.cli import _load_config, build_parser, main
 from kgstruct.embedding import EmbeddingTable, train
-from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices, write_generic_3col
+from kgstruct.graph import SplitSpec, split_indices, write_generic_3col
 from kgstruct.synth import demo_plan, synthetic_graph
 
 
@@ -506,7 +507,7 @@ def _rare_relation_outside_the_train_split(tmp_path, demo_kg, table):
     held_out = next(i for i in range(len(rows) + 1) if i not in train_idx)
     rows.insert(held_out, ("x", "rare", "y"))
     edges = tmp_path / "rare.tsv"
-    write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), edges)
+    write_generic_3col(from_labeled_triples(rows), edges)
     config = _config("cluster", split=split, analysis_scope="train",
                      cluster={"relations": ["rare"], "k": 1})
     return config(tmp_path, edges, table)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import from_labeled_triples, make_table
 from kgstruct.cluster import (
     ClusteringResult,
     calinski_harabasz_index,
@@ -606,7 +606,7 @@ def test_quality_report_row_count():
 
 def cluster_graph():
     rows = [(f"h{i}", "r", f"t{i}") for i in range(6)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     rng = np.random.default_rng(2)
     table = make_table(
         {name: rng.normal(size=3).tolist() for name in graph.entity_names},
@@ -652,7 +652,7 @@ def test_exemplars_exhaust_small_cluster_and_are_deterministic():
 def test_exemplars_distinct_members():
     x, _ = two_blobs(n=100, seed=9)
     rows = [(f"h{i}", "r", f"t{i}") for i in range(100)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     result = lloyd_kmeans(x, 2, seed=0)
     table = sample_cluster_exemplars(result, graph, "r", per_cluster=5, seed=1)
     assert len(table) == 10
@@ -714,7 +714,7 @@ def test_pca_rejects_degenerate_inputs():
 
 
 def test_relation_point_set_single_triple():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.5, 1.0], "b": [1.0, 3.0]}, {"r": [0.0, 0.0]})
     points = relation_point_set(table, graph, "r")
     assert points.shape == (1, 2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import from_labeled_triples, make_table
 from kgstruct.cluster import relation_point_set
 from kgstruct.embedding import (
     EmbeddingTable,
@@ -42,7 +42,7 @@ def planted_block_graph(n_heads=300, n_tails=20, n_triples=1000, seed=5):
 
 
 def test_train_loss_decreases_on_single_triple():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = train(graph, TrainConfig(dimension=2, epochs=30, seed=0, batch_size=1))
     assert table.epoch_losses[-1] < table.epoch_losses[0]
     assert all(np.isfinite(loss) for loss in table.epoch_losses)
@@ -83,11 +83,11 @@ def test_train_planted_structure_beats_random_baseline():
 
 def test_train_rejects_empty_graph():
     with pytest.raises(DataError):
-        train(KnowledgeGraph.from_labeled_triples([]), TrainConfig(dimension=2))
+        train(from_labeled_triples([]), TrainConfig(dimension=2))
 
 
 def test_train_rejects_bad_config():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     with pytest.raises(ConfigError):
         train(graph, TrainConfig(dimension=0))
     with pytest.raises(ConfigError):
@@ -137,21 +137,21 @@ def test_translation_antisymmetry_exact(h, t):
 
 
 def test_translation_unknown_entity():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.0]}, {"r": [0.0]})
     with pytest.raises(DataError, match="'b'"):
         table.aligned_to(graph)
 
 
 def test_centroid_single_triple_equals_translation(tiny_graph=None):
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [1.0, 2.0], "b": [4.0, 6.0]}, {"r": [1.0, 0.0]})
     centroid = similarity_lists(table, graph, "r").centroid
     assert centroid.tolist() == [3.0, 4.0]
 
 
 def test_centroid_symmetric_cancellation():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
+    graph = from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
     table = make_table(
         {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 0.0], "d": [-1.0, 0.0]},
         {"r": [1.0, 0.0]},
@@ -165,7 +165,7 @@ def test_centroid_symmetric_cancellation():
 def test_centroid_matches_bruteforce_mean():
     rng = np.random.default_rng(3)
     rows = [(f"h{i}", "r", f"t{i}") for i in range(5)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     vectors = {name: rng.normal(size=4).tolist() for name in graph.entity_names}
     table = make_table(vectors, {"r": [1.0] * 4})
     centroid = similarity_lists(table, graph, "r").centroid
@@ -182,7 +182,7 @@ def test_centroid_matches_bruteforce_mean():
 
 
 def test_centroid_empty_relation():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.0], "b": [1.0]}, {"r": [1.0]})
     with pytest.raises(DataError):
         similarity_lists(table, graph, "missing")
@@ -192,7 +192,7 @@ def test_centroid_empty_relation():
 
 
 def test_hits_at_k_everything_in_topk():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b"), ("b", "r", "a")])
+    graph = from_labeled_triples([("a", "r", "b"), ("b", "r", "a")])
     table = train(graph, TrainConfig(dimension=2, epochs=0, seed=0))
     assert hits_at_k(table, graph, k=graph.n_entities) == 1.0
 
@@ -201,7 +201,7 @@ def test_hits_at_one_on_exact_translation_fixture():
     positions = {f"e{i}": [float(i), 0.0] for i in range(10)}
     table = make_table(positions, {"r": [5.0, 0.0]})
     rows = [(f"e{i}", "r", f"e{i + 5}") for i in range(5)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     assert hits_at_k(table.aligned_to(graph), graph, 1) == 1.0
 
 
@@ -210,26 +210,26 @@ def test_hits_at_one_random_baseline():
     n = 100
     rows = [(f"e{i}", "r", f"e{int(rng.integers(n))}") for i in range(n) ]
     rows = [(h, r, t) for h, r, t in rows if h != t]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     table = train(graph, TrainConfig(dimension=16, epochs=0, seed=1))
     hits = hits_at_k(table, graph, 1)
     assert 0.0 <= hits <= 0.05  # ~1/100 up to sampling noise
 
 
 def test_hits_rejects_bad_k_and_empty():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = train(graph, TrainConfig(dimension=2, epochs=0, seed=0))
     with pytest.raises(ConfigError):
         hits_at_k(table, graph, 0)
     with pytest.raises(DataError):
-        hits_at_k(table, KnowledgeGraph.from_labeled_triples([]), 1)
+        hits_at_k(table, from_labeled_triples([]), 1)
 
 
 def test_hits_names_a_symbol_missing_from_the_table():
     positions = {f"e{i}": [float(i), 0.0] for i in range(10)}
     table = make_table(positions, {"r": [5.0, 0.0]})
     rows = [("e0", "r", "e5"), ("unseen", "r", "e5")]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     with pytest.raises(DataError, match="interning"):
         hits_at_k(table, graph, 1)
     with pytest.raises(DataError, match="'unseen'"):

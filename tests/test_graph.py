@@ -1,12 +1,15 @@
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_labeled_triples
+from kgstruct import graph as graph_module
 from kgstruct.errors import ConfigError, ParseError
 from kgstruct.graph import (
     GraphStats,
@@ -131,13 +134,215 @@ def test_roundtrip_keeps_names_and_triples(tmp_path):
     assert np.array_equal(again.triples, graph.triples)
 
 
+# -- the block parser against the line-by-line reference ------------------------
+
+
+def reference_concept_label(uri):
+    parts = uri.split("/")
+    if len(parts) >= 4 and parts[1] == "c":
+        return parts[3]
+    return uri
+
+
+def reference_relation_label(uri):
+    if uri.startswith("/r/"):
+        return uri[3:]
+    return uri
+
+
+def reference_edge_rows(handle, path, format):
+    """The parser's old line loop: checked (head, relation, tail) name rows."""
+    try:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if format == "generic-3col":
+                if len(cols) != 3:
+                    raise ParseError(
+                        path, lineno, f"expected 3 tab-separated columns, got {len(cols)}"
+                    )
+                head, relation, tail = cols
+            else:
+                if len(cols) < 4:
+                    raise ParseError(
+                        path,
+                        lineno,
+                        f"expected at least 4 tab-separated columns, got {len(cols)}",
+                    )
+                relation = reference_relation_label(cols[1])
+                head = reference_concept_label(cols[2])
+                tail = reference_concept_label(cols[3])
+            if not head or not relation or not tail:
+                raise ParseError(path, lineno, "empty head, relation, or tail")
+            yield head, relation, tail
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            path, graph_module._undecodable_line(path), f"not valid UTF-8 ({exc.reason})"
+        ) from exc
+
+
+def reference_parse(path, format="generic-3col"):
+    """The old parser: the line loop above, interned name by name in a dict."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return from_labeled_triples(reference_edge_rows(handle, Path(path), format))
+
+
+def outcome(parse, path, format):
+    """What a parser makes of a file: the graph's exact contents, or its ParseError."""
+    try:
+        graph = parse(path, format)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line_number)
+    return (
+        "graph", graph.entity_names, graph.relation_names,
+        graph.triples.dtype.str, graph.triples.tobytes(),
+    )
+
+
+# names of 1 to 40 UTF-8 bytes: any text, and runs of 1- to 4-byte characters
+# whose lengths cross the 8- and 16-byte word edges
+NAMES = st.one_of(
+    st.text(
+        alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+        min_size=1,
+        max_size=12,
+    ),
+    st.builds(lambda c, n: c * n, st.sampled_from("aé€𝄞/"), st.integers(1, 40)),
+).filter(lambda name: len(name.encode("utf-8")) <= 40)
+
+
+@st.composite
+def edge_files(draw, format):
+    """Edge file text with comments, blank lines, repeats and mixed line ends."""
+    names = draw(st.lists(NAMES, min_size=3, max_size=12))
+    if format == "conceptnet-dump":
+        # concept URIs, and look-alikes that keep their whole text
+        prefixes = ["/c/en/", "/c/fr/", "x/c/en/", "/c/", "/d/en/", "/cc/en/", "c/en/", ""]
+        uri = st.builds(
+            lambda prefix, name, suffix: prefix + name + suffix,
+            st.sampled_from(prefixes), st.sampled_from(names), st.sampled_from(["", "/n", "/n/wn/x"]),
+        )
+        relation = st.builds(
+            lambda prefix, name: prefix + name,
+            st.sampled_from(["/r/", "", "/r", "r/", "/x/"]), st.sampled_from(names),
+        )
+        row = st.builds(
+            lambda r, h, t, extra: "\t".join(["/a/x", r, h, t] + extra),
+            relation, uri, uri, st.lists(st.sampled_from(["{}", "", "x"]), max_size=2),
+        )
+    else:
+        row = st.builds(
+            lambda h, r, t: f"{h}\t{r}\t{t}",
+            st.sampled_from(names), st.sampled_from(names), st.sampled_from(names),
+        )
+    rows = draw(st.lists(row, min_size=3, max_size=8)) + ["", "# comment\tx"]
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=30))
+    lines = draw(st.permutations(rows + [rows[i] for i in repeats]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    if draw(st.booleans()) and text:
+        text = text[: -len(ends[-1])]  # no final newline
+    return text
+
+
+@pytest.mark.parametrize("format", ["generic-3col", "conceptnet-dump"])
+@given(
+    data=st.data(),
+    block=st.sampled_from([1, 2, 3, 7, 64, 1 << 17]),
+    small_run=st.sampled_from([1, 3, 1 << 16]),
+)
+@settings(max_examples=120, deadline=None)
+def test_block_parser_equals_the_line_reference(tmp_path_factory, format, data, block, small_run):
+    """Names, name order and triples are bitwise the reference's.
+
+    Blocks of a few characters split the file between most lines, and a
+    small ``_SMALL_RUN`` keeps the interner's key tables in several runs.
+    """
+    text = data.draw(edge_files(format))
+    path = tmp_path_factory.mktemp("blocks") / "edges.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(graph_module, "_BLOCK_CHARS", block), mock.patch.object(
+        graph_module, "_SMALL_RUN", small_run
+    ):
+        assert outcome(parse_edge_file, path, format) == outcome(reference_parse, path, format)
+
+
+def test_names_that_differ_only_in_trailing_zero_bytes_stay_apart(tmp_path):
+    """Keys are zero-padded words: the span's length keeps "a" and "a\\0" apart."""
+    names = [base + "\0" * k for base in ("a", "abcdefg", "abcdefgh", "é" * 8) for k in range(10)]
+    path = tmp_path / "nul.tsv"
+    path.write_text("".join(f"{n}\tr{n}\t{n}x\n" for n in names), encoding="utf-8")
+    graph = parse_edge_file(path)
+    assert graph.entity_names == [m for n in names for m in (n, n + "x")]
+    assert graph.relation_names == [f"r{n}" for n in names]
+    assert outcome(parse_edge_file, path, "generic-3col") == outcome(
+        reference_parse, path, "generic-3col"
+    )
+
+
+PARSE_ERROR_CASES = {
+    "two columns": ("generic-3col", b"a\tr\tb\nonly\ttwo\n"),
+    "four columns": ("generic-3col", b"a\tr\tb\nc\tr\td\te\n"),
+    "one column after a comment": ("generic-3col", b"# c\n\na\n"),
+    "empty head": ("generic-3col", b"a\tr\tb\n\tr\tb\n"),
+    "empty relation": ("generic-3col", b"a\t\tb\n"),
+    "empty tail without final newline": ("generic-3col", b"a\tr\tb\r\nc\tr\t"),
+    "empty field before a bad count": ("generic-3col", b"a\tr\t\nb\n"),
+    "bad count before an empty field": ("generic-3col", b"b\na\tr\t\n"),
+    "short dump row": ("conceptnet-dump", b"/a/x\t/r/IsA\t/c/en/cat\n"),
+    "short dump row after good ones": (
+        "conceptnet-dump", b"/a/x\t/r/IsA\t/c/en/cat\t/c/en/pet\n/a/y\t/r/IsA\n"
+    ),
+    "empty concept label": ("conceptnet-dump", b"/a/x\t/r/IsA\t/c/en/\t/c/en/pet\n"),
+    "empty concept label with sense": ("conceptnet-dump", b"/a/x\t/r/IsA\t/c/en/cat\t/c/en//n\n"),
+    "empty relation label": ("conceptnet-dump", b"/a/x\t/r/\t/c/en/cat\t/c/en/pet\n"),
+    "empty raw uri": ("conceptnet-dump", b"/a/x\t/r/IsA\t\t/c/en/pet\t{}\n"),
+    "invalid byte": ("generic-3col", b"a\tr\tb\nc\tr\t\xff\n"),
+    "invalid byte after a bad line": ("generic-3col", b"a\tr\tb\nbad line\nc\tr\t\xff\n"),
+    "truncated character at the end": ("generic-3col", b"a\tr\tb\nc\tr\t\xe2\x82"),
+    "invalid byte in a dump": ("conceptnet-dump", b"/a/x\t/r/IsA\t/c/en/\xc3\x28\t/c/en/pet\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERROR_CASES))
+def test_parse_errors_equal_the_reference(tmp_path, case):
+    format, raw = PARSE_ERROR_CASES[case]
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(raw)
+    got = outcome(parse_edge_file, path, format)
+    assert got[0] == "error"
+    assert got == outcome(reference_parse, path, format)
+
+
+def test_undecodable_byte_precedes_structural_errors_of_its_block(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"a\tr\tb\nbad line\nc\tr\t\xff\n")
+    with pytest.raises(ParseError, match=r"bad\.tsv:3: not valid UTF-8") as err:
+        parse_edge_file(path)
+    assert err.value.line_number == 3
+
+
+def test_parse_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tr\tb")
+    graph = parse_edge_file(path)
+    assert graph.entity_names == ["a", "b"] and graph.n_triples == 1
+    path.write_bytes(b"\xef\xbb\xbf# header\na\tr\tb\n")
+    assert parse_edge_file(path).entity_names == ["a", "b"]
+    # only the first character: a mark inside a name stays part of it
+    path.write_bytes("a\tr\tb\n\ufeffc\tr\tb\n".encode("utf-8"))
+    assert parse_edge_file(path).entity_names == ["a", "b", "\ufeffc"]
+
+
 # -- filtering ----------------------------------------------------------------
 
 
 def test_filter_removes_excluded_relation(tmp_path):
     rows = [("a", "ExternalURL", "u1"), ("b", "ExternalURL", "u2"),
             ("c", "ExternalURL", "u3"), ("a", "IsA", "b")]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     filtered = filter_relations(graph, {"ExternalURL"})
     assert filtered.n_triples == 1
     assert filtered.relation_names == ["IsA"]
@@ -223,7 +428,7 @@ def named_triples(graph):
 
 def test_split_sizes_floor_with_train_remainder():
     rows = [(f"h{i}", "r", f"t{i}") for i in range(8)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     spec = SplitSpec(0.75, 0.125, 0.125, seed=0)
     train, val, test = (graph.subset(i) for i in split_indices(graph.n_triples, spec))
     assert (train.n_triples, val.n_triples, test.n_triples) == (6, 1, 1)
@@ -231,7 +436,7 @@ def test_split_sizes_floor_with_train_remainder():
 
 def test_split_all_train():
     rows = [(f"h{i}", "r", f"t{i}") for i in range(5)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     spec = SplitSpec(1.0, 0.0, 0.0, seed=3)
     train, val, test = (graph.subset(i) for i in split_indices(graph.n_triples, spec))
     assert (train.n_triples, val.n_triples, test.n_triples) == (5, 0, 0)
@@ -248,7 +453,7 @@ def test_split_invalid_fractions():
 @settings(max_examples=30, deadline=None)
 def test_split_partitions(n, seed):
     rows = [(f"h{i}", f"r{i % 3}", f"t{i}") for i in range(n)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     parts = [graph.subset(i) for i in split_indices(graph.n_triples, SplitSpec(seed=seed))]
     sets = [named_triples(g) for g in parts]
     assert sets[0] | sets[1] | sets[2] == named_triples(graph)
@@ -275,7 +480,7 @@ def test_stats_inclusion_exclusion_from_published_counts():
 
 
 def test_stats_empty_graph():
-    graph = KnowledgeGraph.from_labeled_triples([])
+    graph = from_labeled_triples([])
     stats = compute_stats(graph)
     assert stats.triples == stats.entities == stats.heads == stats.tails == 0
     assert stats.entity_triple_ratio is None
@@ -308,7 +513,7 @@ def test_stats_tiny_fixture_hand_counts(tiny_graph):
 )
 @settings(max_examples=60, deadline=None)
 def test_stats_inclusion_exclusion_property(rows):
-    graph = KnowledgeGraph.from_labeled_triples(
+    graph = from_labeled_triples(
         [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
     )
     stats = compute_stats(graph)
@@ -412,11 +617,12 @@ def test_dedup_keeps_first_occurrences():
 
 
 def reference_dedupe(n_entities, n_relations, triples):
-    """from_id_triples' old collapse: first occurrences ordered by argsort(first)."""
+    """from_id_triples' old collapse: np.unique's first indices, in input order."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    n_entities, n_relations = max(n_entities, 1), max(n_relations, 1)
     codes = (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
     _, first = np.unique(codes, return_index=True)
-    order = np.argsort(first, kind="stable")
-    return triples[first[order]]
+    return triples[np.sort(first)]
 
 
 def test_dedupe_equals_the_reference_collapse(edge_case_graphs):
@@ -426,6 +632,20 @@ def test_dedupe_equals_the_reference_collapse(edge_case_graphs):
         built = KnowledgeGraph.from_id_triples(graph.entity_names, graph.relation_names, rows)
         kept = reference_dedupe(graph.n_entities, graph.n_relations, rows)
         assert built.triples.dtype == kept.dtype and built.triples.tobytes() == kept.tobytes()
+
+
+@given(
+    pool=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 5)), min_size=1, max_size=8
+    ),
+    picks=st.lists(st.integers(0, 7), max_size=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_dedupe_of_many_repeated_rows_equals_the_reference(pool, picks):
+    rows = np.asarray([pool[i % len(pool)] for i in picks], dtype=np.int64).reshape(-1, 3)
+    built = KnowledgeGraph.from_id_triples([f"e{i}" for i in range(6)], ["r0", "r1", "r2"], rows)
+    kept = reference_dedupe(6, 3, rows)
+    assert built.triples.dtype == kept.dtype and built.triples.tobytes() == kept.tobytes()
 
 
 def test_relation_index_rows_ascend_and_partition(edge_case_graphs):
@@ -476,15 +696,81 @@ def test_relation_rows_of_a_relation_without_triples_raise(tiny_graph):
     assert np.array_equal(subset.relation_rows("PartOf"), np.arange(len(kept)))
 
 
+def reference_write_generic_3col(graph, path):
+    """The serializer's old loop: each triple's names checked and written one by one."""
+    from kgstruct.errors import DataError
+
+    def check(name, role):
+        if "\t" in name or "\n" in name:
+            raise DataError(f"{role} {name!r} contains a tab or newline")
+        return name
+
+    with open(path, "w", encoding="utf-8") as out:
+        for h, r, t in graph.triples:
+            head = check(graph.entity_names[h], "entity")
+            if head.startswith("#"):
+                raise DataError(f"entity {head!r} would serialize as a comment line")
+            out.write(
+                f"{head}\t{check(graph.relation_names[r], 'relation')}"
+                f"\t{check(graph.entity_names[t], 'entity')}\n"
+            )
+
+
+def write_outcome(write, graph, path):
+    from kgstruct.errors import DataError
+
+    try:
+        write(graph, path)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("bytes", path.read_bytes())
+
+
 def test_serializer_rejects_unserializable_names(tmp_path):
     from kgstruct.errors import DataError
 
-    graph = KnowledgeGraph.from_labeled_triples([("a\tb", "r", "c")])
+    graph = from_labeled_triples([("a\tb", "r", "c")])
     with pytest.raises(DataError):
         write_generic_3col(graph, tmp_path / "bad.tsv")
-    graph = KnowledgeGraph.from_labeled_triples([("#lead", "r", "c")])
+    graph = from_labeled_triples([("#lead", "r", "c")])
     with pytest.raises(DataError):
         write_generic_3col(graph, tmp_path / "bad2.tsv")
+
+
+def test_serializer_writes_the_reference_bytes(edge_case_graphs, tiny_graph, tmp_path):
+    for graph in [tiny_graph, *edge_case_graphs]:
+        got = write_outcome(write_generic_3col, graph, tmp_path / "new.tsv")
+        assert got[0] == "bytes"
+        assert got == write_outcome(reference_write_generic_3col, graph, tmp_path / "old.tsv")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("a\tb", "r", "c")],
+        [("#lead", "r", "c")],
+        [("a", "r\nx", "b")],
+        [("a", "r", "b\nc")],
+        [("a", "r", "b"), ("c", "r", "#tail"), ("#lead", "r", "a")],  # '#' only matters as a head
+        [("a", "r", "#x"), ("b", "r\tq", "c"), ("#x", "r", "b")],  # the first bad triple wins
+        [("#h\tx", "r", "b")],  # a head's tab is reported before its '#'
+        [("a", "r\t", "b\t"), ("b\t", "r", "a")],  # the relation before the tail
+    ],
+)
+def test_serializer_raises_the_reference_error(tmp_path, rows):
+    graph = from_labeled_triples(rows)
+    path = tmp_path / "new.tsv"
+    got = write_outcome(write_generic_3col, graph, path)
+    assert got[0] == "error"
+    assert got == write_outcome(reference_write_generic_3col, graph, tmp_path / "old.tsv")
+    assert not path.exists()  # nothing is written
+
+
+def test_serializer_skips_names_no_triple_uses(tmp_path):
+    graph = from_labeled_triples([("a", "r", "b"), ("#c\t", "s\n", "d")])
+    kept = graph.subset(np.asarray([0]), recompact=False)
+    write_generic_3col(kept, tmp_path / "out.tsv")
+    assert (tmp_path / "out.tsv").read_text(encoding="utf-8") == "a\tr\tb\n"
 
 
 @given(
@@ -514,9 +800,12 @@ def test_serializer_roundtrips_arbitrary_names(tmp_path_factory, names, seed):
         )
         for _ in range(6)
     ]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     path = tmp_path_factory.mktemp("rt") / "graph.tsv"
     write_generic_3col(graph, path)
+    reference = path.with_name("reference.tsv")
+    reference_write_generic_3col(graph, reference)
+    assert path.read_bytes() == reference.read_bytes()
     again = parse_edge_file(path)
     assert again.entity_names == graph.entity_names
     assert again.relation_names == graph.relation_names

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import from_labeled_triples, make_table
 from kgstruct.errors import DataError
-from kgstruct.graph import KnowledgeGraph, parse_edge_file
+from kgstruct.graph import parse_edge_file
 from kgstruct.negation import (
     PairUniverse,
     assemble_dataset,
@@ -23,7 +23,7 @@ from kgstruct.report import NegationStage, stage_negation
 def pair_graph(pos_pairs, neg_pairs):
     rows = [(f"h{h}", "Desires", f"t{t}") for h, t in pos_pairs]
     rows += [(f"h{h}", "NotDesires", f"t{t}") for h, t in neg_pairs]
-    return KnowledgeGraph.from_labeled_triples(rows)
+    return from_labeled_triples(rows)
 
 
 def unknown_tails_by_head(universe):

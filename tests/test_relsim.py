@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_labeled_triples
 from kgstruct.errors import DataError
-from kgstruct.graph import KnowledgeGraph
 from kgstruct.relsim import (
     DefinitionCorpus,
     SimilarityMatrix,
@@ -101,7 +101,7 @@ def jaccard_fixture():
         ("a", "r1", "x"), ("b", "r1", "x"), ("c", "r1", "y"),
         ("b", "r2", "y"), ("c", "r2", "z"), ("d", "r2", "z"),
     ]
-    return KnowledgeGraph.from_labeled_triples(rows)
+    return from_labeled_triples(rows)
 
 
 def test_jaccard_hand_counts():
@@ -115,7 +115,7 @@ def test_jaccard_hand_counts():
 def test_jaccard_identical_and_disjoint_sets():
     rows = [("a", "r1", "x"), ("b", "r1", "x"), ("a", "r2", "y"), ("b", "r2", "y"),
             ("c", "r3", "z")]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     matrix = jaccard_overlap_matrix(graph, "head")
     assert matrix.score("r1", "r2") == 1.0
     assert matrix.score("r1", "r3") == 0.0
@@ -143,7 +143,7 @@ def test_jaccard_side_validation():
 )
 @settings(max_examples=40, deadline=None)
 def test_jaccard_invariant_under_entity_relabeling(rows, perm_seed):
-    graph = KnowledgeGraph.from_labeled_triples(
+    graph = from_labeled_triples(
         [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in rows]
     )
     rng = np.random.default_rng(perm_seed)
@@ -151,7 +151,7 @@ def test_jaccard_invariant_under_entity_relabeling(rows, perm_seed):
         name: f"x{j}" for name, j in
         zip(graph.entity_names, rng.permutation(graph.n_entities))
     }
-    relabeled = KnowledgeGraph.from_labeled_triples(
+    relabeled = from_labeled_triples(
         [
             (renames[graph.entity_names[h]], graph.relation_names[r],
              renames[graph.entity_names[t]])
@@ -190,7 +190,7 @@ def test_jaccard_equals_the_frozenset_formula_bitwise(edge_case_graphs, side, co
 def test_jaccard_locality_of_added_triple():
     graph = jaccard_fixture()
     before = jaccard_overlap_matrix(graph, "head").score("r1", "r2")
-    extended = KnowledgeGraph.from_labeled_triples(
+    extended = from_labeled_triples(
         [
             (graph.entity_names[h], graph.relation_names[r], graph.entity_names[t])
             for h, r, t in graph.triples

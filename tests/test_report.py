@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import from_labeled_triples
 from kgstruct import report, validation
 from kgstruct.cli import _load_config, build_parser
 from kgstruct.embedding import EmbeddingTable
 from kgstruct.errors import ConfigError, DataError
-from kgstruct.graph import KnowledgeGraph, SplitSpec, split_indices, write_generic_3col
+from kgstruct.graph import SplitSpec, split_indices, write_generic_3col
 from kgstruct.relsim import SimilarityMatrix
 from kgstruct.report import (
     PipelineConfig,
@@ -410,12 +411,12 @@ def test_negation_report_structure(full_bundle):
 
 
 def test_cluster_stage_rejects_k_beyond_a_tiny_relation(tmp_path):
-    from kgstruct.graph import KnowledgeGraph, write_generic_3col
+    from kgstruct.graph import write_generic_3col
 
     rows = [("a", "tiny", "b"), ("c", "tiny", "d"),
             ("x1", "filler", "y1"), ("x2", "filler", "y2"), ("x3", "filler", "y3")]
     kg = tmp_path / "tiny.tsv"
-    write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), kg)
+    write_generic_3col(from_labeled_triples(rows), kg)
     base = {
         "input": str(kg),
         "train": {"dimension": 4, "epochs": 2, "seed": 1},
@@ -442,11 +443,11 @@ def test_cluster_stage_rejects_k_beyond_a_tiny_relation(tmp_path):
 
 
 def test_relsim_stage_survives_single_relation_graph(tmp_path, caplog):
-    from kgstruct.graph import KnowledgeGraph, write_generic_3col
+    from kgstruct.graph import write_generic_3col
 
     rows = [(f"h{i}", "only", f"t{i}") for i in range(6)]
     kg = tmp_path / "single.tsv"
-    write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), kg)
+    write_generic_3col(from_labeled_triples(rows), kg)
     config = PipelineConfig.from_json_dict(
         {
             "input": str(kg),
@@ -464,13 +465,12 @@ def test_relsim_stage_survives_single_relation_graph(tmp_path, caplog):
 
 def test_stage_validate_records_degenerate_relations(tmp_path):
     from kgstruct.embedding import TrainConfig, train
-    from kgstruct.graph import KnowledgeGraph
     from kgstruct.report import ValidateStage, stage_validate
     from kgstruct.validation import relation_profiles
 
     rows = [("a", "self", "a"), ("b", "self", "b"),
             ("a", "ok", "b"), ("b", "ok", "c"), ("a", "ok", "c")]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     table = train(graph, TrainConfig(dimension=4, epochs=2, seed=0))
     profiles = relation_profiles(table, graph)
     records = stage_validate(graph, profiles, ValidateStage(enabled=True), tmp_path)
@@ -507,7 +507,7 @@ def write_degenerate_edges(path: Path) -> None:
         rows[pos] = row
     for pos in held[:2]:
         rows[pos] = (f"h{pos}", "held_out", f"t{pos}")
-    write_generic_3col(KnowledgeGraph.from_labeled_triples(rows), path)
+    write_generic_3col(from_labeled_triples(rows), path)
 
 
 def run_degenerate(tmp_path: Path, scope: str):

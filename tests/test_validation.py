@@ -6,9 +6,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import from_labeled_triples, make_table
 from kgstruct.errors import DataError
-from kgstruct.graph import KnowledgeGraph
 from kgstruct.validation import (
     average_ranks,
     kl_divergence,
@@ -186,7 +185,7 @@ def test_histogram_bins_and_clipping():
 
 
 def four_triple_fixture():
-    graph = KnowledgeGraph.from_labeled_triples(
+    graph = from_labeled_triples(
         [("a", "r", "b"), ("c", "r", "d"), ("e", "r", "f"), ("g", "r", "h")]
     )
     table = make_table(
@@ -202,7 +201,7 @@ def four_triple_fixture():
 
 
 def test_similarity_lists_all_ones_when_direct_equals_translations():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
+    graph = from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
     table = make_table(
         {"a": [0.0, 0.0], "b": [1.0, 2.0], "c": [5.0, 1.0], "d": [6.0, 3.0]},
         {"r": [1.0, 2.0]},
@@ -213,7 +212,7 @@ def test_similarity_lists_all_ones_when_direct_equals_translations():
 
 
 def test_similarity_lists_single_triple():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.0, 1.0], "b": [2.0, 0.0]}, {"r": [1.0, 1.0]})
     profile = similarity_lists(table, graph, "r")
     assert len(profile.direct_sims) == 1 and len(profile.centroid_sims) == 1
@@ -241,7 +240,7 @@ def test_similarity_lists_match_hand_cosines():
 
 
 def test_similarity_lists_skip_zero_translations(caplog):
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b"), ("c", "r", "c2")])
+    graph = from_labeled_triples([("a", "r", "b"), ("c", "r", "c2")])
     table = make_table(
         {"a": [0.5, 0.5], "b": [0.5, 0.5], "c": [0.0, 1.0], "c2": [1.0, 0.0]},
         {"r": [1.0, 0.0]},
@@ -263,7 +262,7 @@ def test_similarity_lists_absent_relation():
 
 
 def test_validate_identical_lists_perfect():
-    graph = KnowledgeGraph.from_labeled_triples(
+    graph = from_labeled_triples(
         [("a", "r", "b"), ("c", "r", "d"), ("e", "r", "f")]
     )
     rng = np.random.default_rng(1)
@@ -284,7 +283,7 @@ def test_validate_identical_lists_perfect():
 def test_validate_matches_independent_recomputation():
     rng = np.random.default_rng(7)
     rows = [(f"h{i}", "r", f"t{i}") for i in range(10)]
-    graph = KnowledgeGraph.from_labeled_triples(rows)
+    graph = from_labeled_triples(rows)
     positions = {name: rng.normal(size=5).tolist() for name in graph.entity_names}
     direct = rng.normal(size=5).tolist()
     table = make_table(positions, {"r": direct})
@@ -318,7 +317,7 @@ def test_validate_matches_independent_recomputation():
 
 
 def test_validate_requires_two_usable_triples():
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b")])
+    graph = from_labeled_triples([("a", "r", "b")])
     table = make_table({"a": [0.0, 1.0], "b": [1.0, 0.0]}, {"r": [1.0, 1.0]})
     with pytest.raises(DataError):
         validate_relation(similarity_lists(table, graph, "r"))
@@ -326,7 +325,7 @@ def test_validate_requires_two_usable_triples():
 
 def test_validate_constant_lists_propagate_none():
     # two triples with identical translation vectors -> constant lists
-    graph = KnowledgeGraph.from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
+    graph = from_labeled_triples([("a", "r", "b"), ("c", "r", "d")])
     table = make_table(
         {"a": [0.0, 0.0], "b": [1.0, 1.0], "c": [2.0, 0.0], "d": [3.0, 1.0]},
         {"r": [0.5, 0.5]},
