@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingTable, _scatter_add, check_aligned, translation_matrix, unit_rows
+from .embedding import EmbeddingTable, check_aligned, translation_matrix, unit_rows
 from .errors import DataError
 from .graph import KnowledgeGraph
 
@@ -89,6 +89,22 @@ def _squared_distances(x: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> 
     return np.maximum(sq, 0.0)
 
 
+def _cluster_means(
+    values: np.ndarray, label_of: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member counts (k,) and per-cluster means (k, d) of the rows of ``values``.
+
+    ``label_of`` holds each row's cluster in [0, k); an empty cluster's mean
+    is 0. One bincount over the (label, column) codes adds each cluster's rows
+    in row order without BLAS, so the bits do not depend on the thread count.
+    """
+    d = values.shape[1]
+    counts = np.bincount(label_of, minlength=k)
+    codes = (label_of[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(codes, weights=values.ravel(), minlength=k * d).reshape(k, d)
+    return counts, sums / np.maximum(counts, 1)[:, None]
+
+
 def _kmeans_plus_plus(
     x: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray
 ) -> np.ndarray:
@@ -154,23 +170,17 @@ def lloyd_kmeans(
     for iteration in range(1, max_iters + 1):
         dists = _squared_distances(x, centers, x_sq)
         assignments = dists.argmin(axis=1)
-        inertia = float(dists[np.arange(n), assignments].sum())
+        point_dist = dists[np.arange(n), assignments]
+        inertia = float(point_dist.sum())
         history.append(inertia)
 
-        new_centers = centers.copy()
-        counts = np.bincount(assignments, minlength=k)
-        sums = np.zeros_like(centers)
-        _scatter_add(sums, assignments, x)
-        nonempty = counts > 0
-        new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]
-
-        empty = np.flatnonzero(~nonempty)
-        if len(empty):
-            point_dist = dists[np.arange(n), assignments].copy()
-            for cluster in empty:
-                far = int(point_dist.argmax())
-                new_centers[cluster] = x[far]
-                point_dist[far] = -1.0  # do not reuse for another empty cluster
+        counts, new_centers = _cluster_means(x, assignments, k)
+        empty = counts == 0
+        if empty.any():
+            # empty clusters in order take the farthest points, ties to the
+            # lowest index: what repeated argmax with each pick removed gives
+            farthest = np.argsort(-point_dist, kind="stable")[: int(empty.sum())]
+            new_centers[empty] = x[farthest]
 
         shift = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
@@ -272,18 +282,13 @@ def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
 def davies_bouldin_index(points, assignments: np.ndarray) -> float:
     """Mean over clusters of the worst (S_i + S_j) / distance(c_i, c_j)."""
     x = np.asarray(points, dtype=np.float64)
-    assignments = np.asarray(assignments)
-    labels = np.unique(assignments)
+    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
     k = len(labels)
     if k < 2:
         raise DataError(f"Davies-Bouldin needs >= 2 clusters, got {k}")
-    centroids = np.vstack([x[assignments == lab].mean(axis=0) for lab in labels])
-    scatter = np.array(
-        [
-            np.sqrt(((x[assignments == lab] - centroids[j]) ** 2).sum(axis=1)).mean()
-            for j, lab in enumerate(labels)
-        ]
-    )
+    _, centroids = _cluster_means(x, label_of, k)
+    spread = np.sqrt(((x - centroids[label_of]) ** 2).sum(axis=1))
+    scatter = _cluster_means(spread[:, None], label_of, k)[1][:, 0]
     dist = np.sqrt(((centroids[:, None] - centroids[None]) ** 2).sum(axis=2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (scatter[:, None] + scatter[None, :]) / dist
@@ -294,20 +299,14 @@ def davies_bouldin_index(points, assignments: np.ndarray) -> float:
 def calinski_harabasz_index(points, assignments: np.ndarray) -> float:
     """Between-cluster over within-cluster dispersion ratio."""
     x = np.asarray(points, dtype=np.float64)
-    assignments = np.asarray(assignments)
     n = len(x)
-    labels = np.unique(assignments)
+    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
     k = len(labels)
     if not 2 <= k < n:
         raise DataError(f"Calinski-Harabasz needs 2 <= clusters < {n}, got {k}")
-    overall = x.mean(axis=0)
-    between = 0.0
-    within = 0.0
-    for lab in labels:
-        members = x[assignments == lab]
-        centroid = members.mean(axis=0)
-        between += len(members) * float(((centroid - overall) ** 2).sum())
-        within += float(((members - centroid) ** 2).sum())
+    counts, centroids = _cluster_means(x, label_of, k)
+    between = float((counts * ((centroids - x.mean(axis=0)) ** 2).sum(axis=1)).sum())
+    within = float(((x - centroids[label_of]) ** 2).sum())
     if within == 0.0:
         return float("inf")
     return (between / (k - 1)) / (within / (n - k))
@@ -373,15 +372,13 @@ def cohesion_scores(points, result: ClusteringResult) -> tuple[np.ndarray, np.nd
             "cohesion: skipping %d zero-norm points", int((~point_ok).sum())
         )
     unit_centroids, centroid_ok = unit_rows(result.centroids)
-    raw = np.full(result.k, np.nan)
-    for j in range(result.k):
-        members = np.flatnonzero((result.assignments == j) & point_ok)
-        if len(members) == 0 or not centroid_ok[j]:
-            if not centroid_ok[j]:
-                log.warning("cohesion: cluster %d has a zero-norm centroid", j)
-            continue
-        deltas = unit_points[members] - unit_centroids[j]
-        raw[j] = float(np.sqrt((deltas * deltas).sum(axis=1)).mean())
+    for j in np.flatnonzero(~centroid_ok):
+        log.warning("cohesion: cluster %d has a zero-norm centroid", j)
+    label_of = result.assignments[point_ok]
+    deltas = unit_points[point_ok] - unit_centroids[label_of]
+    distance = np.sqrt((deltas * deltas).sum(axis=1))
+    counts, means = _cluster_means(distance[:, None], label_of, result.k)
+    raw = np.where((counts > 0) & centroid_ok, means[:, 0], np.nan)
     return raw, 1.0 - raw
 
 

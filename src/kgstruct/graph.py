@@ -432,11 +432,16 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
 
 
 def _undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8."""
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    Lines end at LF, CRLF or a lone CR, as the parser counts them: latin-1
+    reads each byte as one character, so universal newlines split the bytes
+    where they split UTF-8 text.
+    """
+    with open(path, encoding="latin-1") as handle:
+        for lineno, line in enumerate(handle, 1):
             try:
-                raw.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError:
                 return lineno
     return 0

@@ -84,7 +84,7 @@ class ValidateStage:
     min_triples: int = 2
 
     def __post_init__(self):
-        check_at_least("validate.bins", self.bins, 1)
+        check_at_least("validate.bins", self.bins, 2)
         check_at_least("validate.min_triples", self.min_triples, 1)
 
 
@@ -595,23 +595,34 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, list[str]]:
+def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, dict]:
     """Parse, filter, and (optionally) sample the input per the config.
 
-    Also returns the ``exclude_relations`` names the parsed graph lacks;
-    excluding them removes nothing.
+    Also returns the manifest's ingest notes: the ``exclude_relations`` names
+    the parsed graph lacks (excluding them removes nothing), and a
+    ``sample_size`` above the triple count (the sample is every triple).
     """
     if not Path(config.input).exists():
         raise DataError(f"input file does not exist: {config.input}")
     graph = parse_edge_file(config.input, config.format)
+    notes: dict = {}
     absent = [name for name in config.exclude_relations if name not in graph.relation_names]
     if absent:
         log.warning("exclude_relations names absent from the graph: %s", absent)
+        notes["exclude_relations_absent"] = absent
     if config.exclude_relations:
         graph = filter_relations(graph, set(config.exclude_relations))
     if config.sample_size is not None:
+        if config.sample_size > graph.n_triples:
+            log.warning(
+                "sample_size %d exceeds the %d triples; the sample is every triple",
+                config.sample_size, graph.n_triples,
+            )
+            notes["sample_size_exceeds_triples"] = {
+                "sample_size": config.sample_size, "triples": graph.n_triples
+            }
         graph = sample_triples(graph, config.sample_size, config.sample_seed)
-    return graph, absent
+    return graph, notes
 
 
 def preflight(graph: KnowledgeGraph, config: PipelineConfig, table: EmbeddingTable | None) -> None:
@@ -695,9 +706,9 @@ def run_pipeline(
 
     try:
         tmp_dir.mkdir()
-        graph, absent = timed("ingest", lambda: ingest(config))
-        if absent:
-            notes["ingest"] = {"exclude_relations_absent": absent}
+        graph, ingest_notes = timed("ingest", lambda: ingest(config))
+        if ingest_notes:
+            notes["ingest"] = ingest_notes
         timed("stats", lambda: stage_stats(graph, tmp_dir))
 
         analysis_graph = graph

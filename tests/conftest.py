@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +79,18 @@ def make_table(entity_positions: dict[str, list[float]], relation_vectors: dict[
         np.asarray([entity_positions[n] for n in ent_names], dtype=np.float32),
         np.asarray([relation_vectors[n] for n in rel_names], dtype=np.float32),
     )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args: list[str], blas_threads: int) -> str:
+    """Standard output of ``python *args`` in a fresh process with this tree's
+    kgstruct first on the path and OpenBLAS at ``blas_threads`` threads."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

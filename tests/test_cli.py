@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_labeled_triples
+from conftest import from_labeled_triples, run_python
 from kgstruct.cli import _load_config, build_parser, main
 from kgstruct.embedding import EmbeddingTable, train
 from kgstruct.graph import SplitSpec, split_indices, write_generic_3col
@@ -76,6 +76,22 @@ def test_absent_excluded_relation_is_noted_not_an_error(demo_kg, tmp_path, caplo
     assert excluded["files"] == plain["files"]
     assert excluded["notes"] == {"ingest": {"exclude_relations_absent": ["ExternalURL"]}}
     assert "ingest" not in plain["notes"]
+
+
+def test_sample_above_the_triple_count_is_noted(demo_kg, tmp_path, caplog):
+    def stats(out, *flags):
+        assert main(["stats", "--input", str(demo_kg), "--out", str(tmp_path / out), *flags]) == 0
+        return json.loads((tmp_path / out / "manifest.json").read_text())
+
+    plain = stats("plain")
+    with caplog.at_level("WARNING"):
+        oversized = stats("oversized", "--sample", "100000")
+    assert "sample_size 100000 exceeds the 500 triples" in caplog.text
+    assert oversized["files"] == plain["files"]
+    assert oversized["notes"] == {
+        "ingest": {"sample_size_exceeds_triples": {"sample_size": 100000, "triples": 500}}
+    }
+    assert "ingest" not in stats("whole", "--sample", "500")["notes"]
 
 
 def test_train_then_validate_with_saved_table(demo_kg, tmp_path):
@@ -471,6 +487,7 @@ def _definitions(text):
          "defs.json: need at least 2 definitions for a similarity matrix"),
         (_definitions('{"IsA": "  ", "HasA": "has a"}'), 2,
          "defs.json: empty definition for relation 'IsA'"),
+        (_config("validate", validate={"bins": 1}), 1, "validate.bins: must be >= 2, got 1"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -486,7 +503,7 @@ def _definitions(text):
          "k-range-above-distinct-points", "all-zero-table", "comment-marker-head",
          "table-repeats-a-name", "one-triple-cluster-relation", "cluster-at-dimension-1",
          "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition",
-         "blank-definition"],
+         "blank-definition", "one-validate-bin"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -774,6 +791,14 @@ def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
     which files changed and why.
     """
     assert main(["run", "--config", str(_demo_config(demo_kg, tmp_path))]) == 0
+    files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
+    golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
+    assert {name: entry["sha256"] for name, entry in files.items()} == golden
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_demo_run_files_do_not_depend_on_the_blas_thread_count(demo_kg, tmp_path, threads):
+    run_python(["-m", "kgstruct", "run", "--config", str(_demo_config(demo_kg, tmp_path))], threads)
     files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
     assert {name: entry["sha256"] for name, entry in files.items()} == golden

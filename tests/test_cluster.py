@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import from_labeled_triples, make_table
+from conftest import from_labeled_triples, make_table, run_python
 from kgstruct.cluster import (
     ClusteringResult,
     calinski_harabasz_index,
@@ -17,6 +17,7 @@ from kgstruct.cluster import (
     silhouette_score,
 )
 from kgstruct import cluster
+from kgstruct.embedding import unit_rows
 from kgstruct.errors import DataError
 from kgstruct.graph import KnowledgeGraph
 
@@ -217,10 +218,52 @@ def test_kmeans_centroid_sums_match_add_at_reference():
     counts = np.bincount(assigned, minlength=20)
     assert counts[-1] == 0
     expected = sums[:-1] / counts[:-1, None]
-    # sorted reduceat sums in another order than np.add.at: equal up to rounding
+    # one bincount adds each cluster's rows in row order, as np.add.at does
     np.testing.assert_allclose(result.centroids[:-1], expected, rtol=1e-12, atol=1e-12)
     # the empty cluster was reseeded at a data point
     assert any(np.array_equal(result.centroids[-1], row) for row in x)
+
+
+def reference_lloyd_round(x, centers):
+    """One Lloyd round of the old loop: np.add.at sums, then each empty
+    cluster in turn takes the point farthest from its centroid (argmax)."""
+    k, n = len(centers), len(x)
+    dists = cluster._squared_distances(x, centers, cluster._squared_norms(x))
+    assigned = dists.argmin(axis=1)
+    sums = np.zeros_like(centers)
+    np.add.at(sums, assigned, x)
+    counts = np.bincount(assigned, minlength=k)
+    new = centers.copy()
+    nonempty = counts > 0
+    new[nonempty] = sums[nonempty] / counts[nonempty, None]
+    point_dist = dists[np.arange(n), assigned].copy()
+    for j in np.flatnonzero(~nonempty):
+        far = int(point_dist.argmax())
+        new[j] = x[far]
+        point_dist[far] = -1.0
+    return new
+
+
+def _round_cases():
+    wide = np.random.default_rng(2).normal(size=(4000, 32))
+    wide_start = wide[np.random.default_rng(1).choice(4000, size=20, replace=False)]
+    wide_start[[3, 11, 19]] = [[1e6], [2e6], [3e6]]  # far from every point: these stay empty
+    # five distinct points tie for farthest from the one centroid that gets
+    # members; the three empty clusters take the first three, in index order
+    ring = [[3.0, 4.0], [5.0, 0.0], [-4.0, 3.0], [0.0, -5.0], [-3.0, -4.0]]
+    inner = np.random.default_rng(4).integers(-2, 3, size=(30, 2)).astype(float)
+    ties = np.vstack([inner[:10], ring, inner[10:]])
+    return [
+        pytest.param(wide, wide_start, id="4000x32-three-empty"),
+        pytest.param(ties, np.array([[0.0, 0.0], [1e6, 0.0], [2e6, 0.0], [3e6, 0.0]]),
+                     id="tied-farthest-points"),
+    ]
+
+
+@pytest.mark.parametrize("x, start", _round_cases())
+def test_kmeans_round_equals_the_add_at_and_argmax_reference(x, start):
+    result = lloyd_kmeans(x, len(start), initial_centroids=start, max_iters=1)
+    np.testing.assert_array_equal(result.centroids, reference_lloyd_round(x, start))
 
 
 # -- scores vs brute force -----------------------------------------------------------
@@ -439,6 +482,138 @@ def test_scores_bounds():
     assert -1.0 <= sil <= 1.0
     assert davies_bouldin_index(x, planted) >= 0.0
     assert calinski_harabasz_index(x, planted) > 0.0
+
+
+def reference_davies_bouldin(points, assignments):
+    """davies_bouldin_index as it was: a mask and a mean per label."""
+    x = np.asarray(points, dtype=np.float64)
+    assignments = np.asarray(assignments)
+    labels = np.unique(assignments)
+    centroids = np.vstack([x[assignments == lab].mean(axis=0) for lab in labels])
+    scatter = np.array(
+        [
+            np.sqrt(((x[assignments == lab] - centroids[j]) ** 2).sum(axis=1)).mean()
+            for j, lab in enumerate(labels)
+        ]
+    )
+    dist = np.sqrt(((centroids[:, None] - centroids[None]) ** 2).sum(axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (scatter[:, None] + scatter[None, :]) / dist
+    np.fill_diagonal(ratio, -np.inf)
+    return float(np.max(ratio, axis=1).mean())
+
+
+def reference_calinski_harabasz(points, assignments):
+    """calinski_harabasz_index as it was: per-label sums into Python floats."""
+    x = np.asarray(points, dtype=np.float64)
+    assignments = np.asarray(assignments)
+    n = len(x)
+    labels = np.unique(assignments)
+    k = len(labels)
+    overall = x.mean(axis=0)
+    between = 0.0
+    within = 0.0
+    for lab in labels:
+        members = x[assignments == lab]
+        centroid = members.mean(axis=0)
+        between += len(members) * float(((centroid - overall) ** 2).sum())
+        within += float(((members - centroid) ** 2).sum())
+    if within == 0.0:
+        return float("inf")
+    return (between / (k - 1)) / (within / (n - k))
+
+
+def reference_cohesion(points, result):
+    """cohesion_scores as it was: one masked pass per cluster j, same warnings."""
+    x = np.asarray(points, dtype=np.float64)
+    unit_points, point_ok = unit_rows(x)
+    if not point_ok.all():
+        cluster.log.warning("cohesion: skipping %d zero-norm points", int((~point_ok).sum()))
+    unit_centroids, centroid_ok = unit_rows(result.centroids)
+    raw = np.full(result.k, np.nan)
+    for j in range(result.k):
+        members = np.flatnonzero((result.assignments == j) & point_ok)
+        if len(members) == 0 or not centroid_ok[j]:
+            if not centroid_ok[j]:
+                cluster.log.warning("cohesion: cluster %d has a zero-norm centroid", j)
+            continue
+        deltas = unit_points[members] - unit_centroids[j]
+        raw[j] = float(np.sqrt((deltas * deltas).sum(axis=1)).mean())
+    return raw, 1.0 - raw
+
+
+def _result_of(x, assignments, k):
+    """A ClusteringResult whose centroids are the label means (zero for an empty label)."""
+    centroids = np.zeros((k, x.shape[1]))
+    for j in np.unique(assignments):
+        centroids[j] = x[assignments == j].mean(axis=0)
+    return ClusteringResult(k, assignments, centroids, 0.0, [0.0], 1, True)
+
+
+def _cluster_mean_cases():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(300, 8)) + rng.integers(0, 4, size=(300, 1)) * 2.0
+    yield "lloyd", x, lloyd_kmeans(x, 6, seed=2)
+    # labels with gaps: the missing ones are empty clusters with zero centroids
+    yield "non-contiguous labels", x, _result_of(x, rng.choice([3, 7, 10, 42], size=300), 43)
+    small = rng.normal(size=(40, 3)) + 5.0
+    labels = np.repeat([0, 1, 2, 3, 4], [1, 1, 20, 1, 17])
+    yield "singletons", small, _result_of(small, rng.permutation(labels), 5)
+    # duplicate start centroids: argmin leaves the second one empty
+    start = np.vstack([small[0], small[0], small[1]])
+    yield "empty cluster left by Lloyd", small, lloyd_kmeans(
+        small, 3, initial_centroids=start, max_iters=0
+    )
+    # cluster 1's members cancel to a zero-norm centroid; three points are zero
+    zeros = rng.normal(size=(32, 4))
+    zeros[1::8], zeros[5::8] = [1.0, -2.0, 0.5, 3.0], [-1.0, 2.0, -0.5, -3.0]
+    zeros[[2, 12, 20]] = 0.0
+    labels = np.arange(32) % 4
+    yield "zero-norm points and centroids", zeros, _result_of(zeros, labels, 4)
+
+
+CLUSTER_MEAN_CASES = {name: (x, result) for name, x, result in _cluster_mean_cases()}
+
+
+@pytest.mark.parametrize("case", list(CLUSTER_MEAN_CASES))
+def test_cluster_means_equal_the_per_cluster_references(case, caplog):
+    x, result = CLUSTER_MEAN_CASES[case]
+    labels = result.assignments
+    assert davies_bouldin_index(x, labels) == pytest.approx(
+        reference_davies_bouldin(x, labels), rel=1e-12, abs=0
+    )
+    assert calinski_harabasz_index(x, labels) == pytest.approx(
+        reference_calinski_harabasz(x, labels), rel=1e-12, abs=0
+    )
+    with caplog.at_level("WARNING", logger=cluster.log.name):
+        expected = reference_cohesion(x, result)
+        expected_warnings = caplog.messages
+        caplog.clear()
+        got = cohesion_scores(x, result)
+    assert caplog.messages == expected_warnings
+    for got_part, expected_part in zip(got, expected):
+        np.testing.assert_allclose(got_part, expected_part, rtol=1e-12, atol=0)
+
+
+KMEANS_HASHES = """
+import hashlib
+import numpy as np
+from kgstruct.cluster import k_selection_scores, lloyd_kmeans
+rng = np.random.default_rng(5)
+x = rng.normal(size=(7000, 64)) + rng.integers(0, 6, size=(7000, 1))
+fit = lloyd_kmeans(x, 20, seed=1)
+curve = k_selection_scores(x, [2, 12, 24], seed=1)
+for part in (fit.centroids, fit.assignments, curve.inertia, curve.davies_bouldin,
+             curve.calinski_harabasz):
+    print(hashlib.sha256(np.asarray(part).tobytes()).hexdigest())
+"""
+
+
+def test_kmeans_bits_do_not_depend_on_the_blas_thread_count():
+    # FormOf's size on full desk. The silhouettes are left out: their
+    # distance-chunk @ indicator sums run through BLAS, whose bits can vary
+    # with the thread count.
+    assert run_python(["-c", KMEANS_HASHES], 1) == run_python(["-c", KMEANS_HASHES], 2)
 
 
 # -- k selection -----------------------------------------------------------------------

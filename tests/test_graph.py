@@ -303,6 +303,9 @@ PARSE_ERROR_CASES = {
     "invalid byte after a bad line": ("generic-3col", b"a\tr\tb\nbad line\nc\tr\t\xff\n"),
     "truncated character at the end": ("generic-3col", b"a\tr\tb\nc\tr\t\xe2\x82"),
     "invalid byte in a dump": ("conceptnet-dump", b"/a/x\t/r/IsA\t/c/en/\xc3\x28\t/c/en/pet\n"),
+    "invalid byte after lone carriage returns": (
+        "generic-3col", b"a\tr\tb\rc\tr\td\re\tr\t\xff\r"
+    ),
 }
 
 
@@ -319,6 +322,15 @@ def test_parse_errors_equal_the_reference(tmp_path, case):
 def test_undecodable_byte_precedes_structural_errors_of_its_block(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_bytes(b"a\tr\tb\nbad line\nc\tr\t\xff\n")
+    with pytest.raises(ParseError, match=r"bad\.tsv:3: not valid UTF-8") as err:
+        parse_edge_file(path)
+    assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_undecodable_line_counts_every_line_end(tmp_path, end):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(end.join([b"a\tr\tb", b"c\tr\td", b"e\tr\t\xff", b""]))
     with pytest.raises(ParseError, match=r"bad\.tsv:3: not valid UTF-8") as err:
         parse_edge_file(path)
     assert err.value.line_number == 3
