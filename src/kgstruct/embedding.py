@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrainingDivergedError, check_at_least
+from .errors import ConfigError, DataError, TrainingDivergedError, check_at_least, load_dataclass
 from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
@@ -172,7 +172,8 @@ class EmbeddingTable:
             data = np.frombuffer(raw, dtype="<f4")
             if not np.isfinite(data).all():
                 raise DataError(f"{path}: non-finite value in embedding matrix")
-            config = TrainConfig(**header["config"]) if header.get("config") else None
+            config = header.get("config")
+            config = load_dataclass(TrainConfig, config, "config") if config else None
             return cls(
                 header["entity_names"],
                 header["relation_names"],
@@ -184,7 +185,7 @@ class EmbeddingTable:
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
-            # ConfigError: the header's train config fails its own checks
+            # ConfigError: the header's train config is mistyped or fails its checks
             raise DataError(f"{path}: malformed embedding table: {exc!r}") from exc
 
 

@@ -588,15 +588,15 @@ def compute_stats(graph: KnowledgeGraph) -> GraphStats:
     if graph.n_triples == 0:
         return GraphStats(0, 0, 0, 0, 0, None, {})
     mark = np.zeros(graph.n_entities, dtype=bool)
-    heads = len(_distinct_ids(mark, graph.triples[:, 0]))
-    tails = len(_distinct_ids(mark, graph.triples[:, 2]))
-    used = len(_distinct_ids(mark, graph.triples[:, 0], graph.triples[:, 2]))
+    heads = len(distinct_ids(mark, graph.triples[:, 0]))
+    tails = len(distinct_ids(mark, graph.triples[:, 2]))
+    used = len(distinct_ids(mark, graph.triples[:, 0], graph.triples[:, 2]))
     per_relation: dict[str, RelationStats] = {}
     for rid, rows in graph.relation_index.items():
         h, t = graph.triples[rows, 0], graph.triples[rows, 2]
-        r_heads = len(_distinct_ids(mark, h))
-        r_tails = len(_distinct_ids(mark, t))
-        n_entities = len(_distinct_ids(mark, h, t))
+        r_heads = len(distinct_ids(mark, h))
+        r_tails = len(distinct_ids(mark, t))
+        n_entities = len(distinct_ids(mark, h, t))
         ratio = r_heads / r_tails if r_tails else None
         per_relation[graph.relation_names[rid]] = RelationStats(
             triples=len(rows), entities=n_entities, head_tail_ratio=ratio
@@ -612,7 +612,7 @@ def compute_stats(graph: KnowledgeGraph) -> GraphStats:
     )
 
 
-def _distinct_ids(mark: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+def distinct_ids(mark: np.ndarray, *columns: np.ndarray) -> np.ndarray:
     """Ascending distinct values of ``columns``, which hold ids in [0, len(mark)).
 
     Equals ``np.unique`` of their concatenation, without a sort or hash pass:

@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -18,8 +17,8 @@ import numpy as np
 
 from .definitions import CONCEPTNET_RELATION_DEFINITIONS
 from .embedding import unit_rows
-from .errors import DataError
-from .graph import KnowledgeGraph, _distinct_ids
+from .errors import DataError, read_json_object
+from .graph import KnowledgeGraph, distinct_ids
 from .validation import RelationProfile
 
 log = logging.getLogger(__name__)
@@ -44,15 +43,7 @@ class DefinitionCorpus:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DefinitionCorpus":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise DataError(f"cannot read definition corpus {path}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise DataError(f"definition corpus {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DataError(f"{path}: definition corpus must be a JSON object")
+        data = read_json_object(path, "definition corpus", DataError)
         for name, text in data.items():
             if not isinstance(text, str):
                 raise DataError(f"{path}: definition of {name!r} must be a string, got {text!r}")
@@ -157,7 +148,7 @@ def jaccard_overlap_matrix(graph: KnowledgeGraph, side: str) -> SimilarityMatrix
     mark = np.zeros(graph.n_entities, dtype=bool)
     index = graph.relation_index
     sets = [
-        _distinct_ids(mark, graph.triples[index.get(rid, []), col])
+        distinct_ids(mark, graph.triples[index.get(rid, []), col])
         for rid in range(graph.n_relations)
     ]
     n = len(names)

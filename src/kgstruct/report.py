@@ -15,9 +15,7 @@ import os
 import shutil
 import tempfile
 import time
-import types
-import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,7 @@ from .cluster import (
     sample_cluster_exemplars,
 )
 from .embedding import EmbeddingTable, TrainConfig, hits_at_k, train
-from .errors import ConfigError, DataError, check_at_least
+from .errors import ConfigError, DataError, check_at_least, load_dataclass, read_json_object
 from .graph import (
     FORMATS,
     GENERIC_3COL,
@@ -214,7 +212,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        config = _load(cls, data, "")
+        config = load_dataclass(cls, data)
         # a split or train block that leaves out its seed derives it from the
         # master seed, as an omitted block does; only the raw JSON shows which
         derived = {
@@ -227,73 +225,7 @@ class PipelineConfig:
 
 def read_config(path: str | Path) -> dict:
     """The JSON object held by the config file at ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return data
-
-
-def _load(cls, data, path: str):
-    """Build dataclass ``cls`` from parsed JSON, checking every field's type.
-
-    ``path`` is the dotted path of ``data`` within the config ("" at the
-    top). An unknown key, a missing required field or a value of the wrong
-    type raises ConfigError naming the dotted field.
-    """
-    label = path or "config"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{label}: expected an object, got {type(data).__name__} {data!r}")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(declared))
-    if unknown:
-        raise ConfigError(f"{label}: unknown keys {unknown}")
-    for name, spec in declared.items():
-        if name not in data and spec.default is MISSING and spec.default_factory is MISSING:
-            raise ConfigError(f"{label}: missing required field {name!r}")
-    hints = typing.get_type_hints(cls)
-    prefix = f"{path}." if path else ""
-    return cls(**{name: _check(hints[name], value, prefix + name) for name, value in data.items()})
-
-
-def _check(hint, value, path: str):
-    """``value`` checked against the field type ``hint``; JSON lists become tuples."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if is_dataclass(hint):
-        return _load(hint, value, path)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        options = [a for a in args if a is not type(None)]
-        if len(options) == 1:
-            return _check(options[0], value, path)
-        for option in options:
-            try:
-                return _check(option, value, path)
-            except ConfigError:
-                pass
-    elif origin is tuple:
-        if isinstance(value, (list, tuple)):
-            kinds = (args[0],) * len(value) if args[1:] == (Ellipsis,) else args
-            if len(kinds) == len(value):
-                return tuple(
-                    _check(kind, item, f"{path}[{i}]")
-                    for i, (kind, item) in enumerate(zip(kinds, value))
-                )
-    elif hint is float:
-        # kept as given: embeddings.kgt echoes the train config, so turning
-        # 1 into 1.0 would change its bytes
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return value
-    elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
-        return value
-    expected = str(hint) if origin else hint.__name__
-    raise ConfigError(f"{path}: expected {expected}, got {type(value).__name__} {value!r}")
+    return read_json_object(path, "config", ConfigError)
 
 
 # -- small IO helpers ---------------------------------------------------------

@@ -297,15 +297,25 @@ def _nan_in_table(tmp_path, demo_kg, table):
     return ["validate", "--input", str(demo_kg), "--table", str(path)]
 
 
-def _table_with_a_bad_train_config(tmp_path, demo_kg, table):
-    raw = table.read_bytes()
-    (length,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + length])
-    header["config"]["margin"] = 0.0
-    blob = json.dumps(header).encode("utf-8")
-    path = tmp_path / "margin.kgt"
-    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
-    return ["validate", "--input", str(demo_kg), "--table", str(path)]
+def _table_with_train_config(name, **fields):
+    """A validate run on ``name``.kgt, a table whose header's train config sets ``fields``."""
+    def argv(tmp_path, demo_kg, table):
+        raw = table.read_bytes()
+        (length,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + length])
+        header["config"].update(fields)
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / f"{name}.kgt"
+        path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
+        return ["validate", "--input", str(demo_kg), "--table", str(path)]
+    return argv
+
+
+def _non_utf8_config(tmp_path, demo_kg, table):
+    """A run whose config file holds the latin-1 byte 0xe9 in a string."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"input": "caf\xe9.tsv"}')
+    return ["run", "--config", str(path)]
 
 
 def _forest_wider_than_the_table(tmp_path, demo_kg, table):
@@ -459,7 +469,7 @@ def _definitions(text):
          "cluster.relations: repeated names ['a/b', 'a_b']"),
         (_config("negation", negation={"relation": "Desires", "negation_relation": "Desires"}),
          1, "negation.negation_relation: must differ from negation.relation"),
-        (_table_with_a_bad_train_config, 2, "margin.kgt: malformed embedding table"),
+        (_table_with_train_config("margin", margin=0.0), 2, "margin.kgt: malformed embedding table"),
         (_config("cluster", cluster={"relations": [
             "HasContext", "separation_by_relation.csv", "cohesion_raw_by_relation.csv"]}), 1,
          "cluster.relations: ['cohesion_raw_by_relation.csv', 'separation_by_relation.csv']"),
@@ -488,6 +498,13 @@ def _definitions(text):
         (_definitions('{"IsA": "  ", "HasA": "has a"}'), 2,
          "defs.json: empty definition for relation 'IsA'"),
         (_config("validate", validate={"bins": 1}), 1, "validate.bins: must be >= 2, got 1"),
+        (_non_utf8_config, 1, "latin1.json is not valid UTF-8 JSON: 'utf-8' codec can't decode"),
+        (_table_with_train_config("bool", margin=True), 2,
+         "bool.kgt: malformed embedding table: ConfigError('config.margin: expected float, got bool True')"),
+        (_table_with_train_config("fraction", seed=1.5), 2,
+         "fraction.kgt: malformed embedding table: ConfigError('config.seed: expected int, got float 1.5')"),
+        (_table_with_train_config("real", epochs=2.0), 2,
+         "real.kgt: malformed embedding table: ConfigError('config.epochs: expected int, got float 2.0')"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -503,7 +520,8 @@ def _definitions(text):
          "k-range-above-distinct-points", "all-zero-table", "comment-marker-head",
          "table-repeats-a-name", "one-triple-cluster-relation", "cluster-at-dimension-1",
          "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition",
-         "blank-definition", "one-validate-bin"],
+         "blank-definition", "one-validate-bin", "non-utf8-config", "table-config-margin-bool",
+         "table-config-seed-fraction", "table-config-epochs-real"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -737,7 +755,7 @@ def test_corrupted_input_never_exits_3(
         raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8), label="bytes") + raw[at:]
         Path("e.tsv").write_bytes(raw)
         argv = ["stats", "--input", "e.tsv"]
-    else:
+    elif data.draw(st.booleans(), label="retype a leaf"):
         config = json.loads(json.dumps(FUZZ_CONFIG))
         path, old = data.draw(st.sampled_from(list(_leaves(config))), label="leaf")
         if isinstance(old, float):
@@ -752,6 +770,17 @@ def test_corrupted_input_never_exits_3(
         Path("c.json").write_text(
             json.dumps({"input": str(demo_kg), **config}), encoding="utf-8"
         )
+        argv = ["run", "--config", "c.json"]
+    else:
+        # raw bytes: a truncation, or one byte replaced, often by one that is not UTF-8
+        raw = json.dumps({"input": str(demo_kg), **FUZZ_CONFIG}).encode("utf-8")
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:at]
+        else:
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+            raw = raw[:at] + bytes([byte]) + raw[at + 1 :]
+        Path("c.json").write_bytes(raw)
         argv = ["run", "--config", "c.json"]
     capsys.readouterr()
     code = main([*argv, "--out", "o"])
@@ -783,6 +812,13 @@ def _demo_config(demo_kg: Path, tmp_path: Path) -> Path:
     return path
 
 
+def _demo_run_files(edges: Path, tmp_path: Path) -> dict[str, str]:
+    """Name -> SHA-256 of every artifact the demo config writes when it reads ``edges``."""
+    assert main(["run", "--config", str(_demo_config(edges, tmp_path))]) == 0
+    files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
+    return {name: entry["sha256"] for name, entry in files.items()}
+
+
 def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
     """Every artifact of the demo study is byte-identical to the committed SHA-256 map.
 
@@ -790,10 +826,8 @@ def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
     from the ``files`` map of the run's manifest.json, and say in CHANGES.md
     which files changed and why.
     """
-    assert main(["run", "--config", str(_demo_config(demo_kg, tmp_path))]) == 0
-    files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
-    assert {name: entry["sha256"] for name, entry in files.items()} == golden
+    assert _demo_run_files(demo_kg, tmp_path) == golden
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -802,6 +836,31 @@ def test_demo_run_files_do_not_depend_on_the_blas_thread_count(demo_kg, tmp_path
     files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
     assert {name: entry["sha256"] for name, entry in files.items()} == golden
+
+
+def test_demo_run_files_do_not_depend_on_line_ends_repeats_or_comments(demo_kg, tmp_path):
+    """CRLF line ends, every line twice, a leading comment and blank line: the golden map."""
+    lines = demo_kg.read_text(encoding="utf-8").splitlines()
+    edges = tmp_path / "crlf.tsv"
+    edges.write_bytes(
+        ("# a comment\r\n\r\n" + "".join(f"{line}\r\n" * 2 for line in lines)).encode("utf-8")
+    )
+    assert _demo_run_files(edges, tmp_path) == json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
+
+
+def test_renamed_entities_move_only_the_files_that_hold_names(demo_kg, tmp_path):
+    """Every entity renamed with a prefix changes exactly the three files that list entities."""
+    edges = tmp_path / "renamed.tsv"
+    edges.write_text("".join(
+        f"x:{h}\t{r}\tx:{t}\n"
+        for h, r, t in (line.split("\t") for line in demo_kg.read_text(encoding="utf-8").splitlines())
+    ), encoding="utf-8")
+    golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
+    files = _demo_run_files(edges, tmp_path)
+    assert files.keys() == golden.keys()
+    assert sorted(name for name in files if files[name] != golden[name]) == [
+        "cluster_HasContext/exemplars.csv", "embeddings.kgt", "unknown_pairs.tsv"
+    ]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
@@ -892,3 +951,16 @@ def test_every_definition_has_a_caller_outside_the_tests():
             if not used:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A name that another module of src/kgstruct imports is public: no ``_x`` imports (dunders aside)."""
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted((ROOT / "src" / "kgstruct").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []

@@ -274,6 +274,31 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.epoch_losses == table.epoch_losses
 
 
+@pytest.mark.parametrize("kind", ["trained", "int-valued-float", "no-config-no-losses"])
+def test_save_load_save_keeps_every_byte(kind, tmp_path):
+    """A loaded table saves to the bytes it was read from, so a ``--table`` run echoes its input."""
+    graph = planted_block_graph(n_heads=20, n_tails=4, n_triples=40)
+    table = train(graph, TrainConfig(dimension=6, epochs=3, seed=7))
+    if kind == "int-valued-float":
+        table.config = TrainConfig(dimension=6, epochs=3, learning_rate=1, seed=7)
+    elif kind == "no-config-no-losses":
+        table = EmbeddingTable(
+            table.entity_names, table.relation_names, table.entity_vectors, table.relation_vectors
+        )
+    first, second = tmp_path / "first.kgt", tmp_path / "second.kgt"
+    table.save(first)
+    EmbeddingTable.load(first).save(second)
+    raw = first.read_bytes()
+    assert second.read_bytes() == raw
+    expected = {
+        "trained": b'"learning_rate": 0.05',
+        "int-valued-float": b'"learning_rate": 1,',
+        "no-config-no-losses": b'"config": null, "dimension": 6, "entity_count": 24, "entity_names"',
+    }[kind]
+    assert expected in raw
+    assert (b'"epoch_losses": null' in raw) == (kind == "no-config-no-losses")
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "x.kgt"
     path.write_bytes(b"not a table")
