@@ -151,8 +151,9 @@ class EmbeddingTable:
     def load(cls, path: str | Path) -> "EmbeddingTable":
         """Read a table written by :meth:`save`.
 
-        A damaged file, including one whose matrix holds a NaN or infinity,
-        is a DataError naming the path.
+        A damaged file, including one whose matrix holds a NaN or infinity
+        or whose header holds a mistyped config or epoch losses, is a
+        DataError naming the path.
         """
         try:
             with open(path, "rb") as handle:
@@ -173,14 +174,23 @@ class EmbeddingTable:
             if not np.isfinite(data).all():
                 raise DataError(f"{path}: non-finite value in embedding matrix")
             config = header.get("config")
-            config = load_dataclass(TrainConfig, config, "config") if config else None
+            if config is not None:
+                config = load_dataclass(TrainConfig, config, "config")
+            losses = header.get("epoch_losses")
+            if losses is not None and not (
+                isinstance(losses, list) and all(type(x) in (int, float) for x in losses)
+            ):
+                raise DataError(
+                    f"{path}: malformed embedding table: epoch_losses must be null or "
+                    f"a list of numbers, got {losses!r}"
+                )
             return cls(
                 header["entity_names"],
                 header["relation_names"],
                 data[: n_ent * dim].reshape(n_ent, dim).copy(),
                 data[n_ent * dim :].reshape(n_rel, dim).copy(),
                 config=config,
-                epoch_losses=header.get("epoch_losses"),
+                epoch_losses=losses,
             )
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc

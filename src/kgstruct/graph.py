@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -141,22 +140,20 @@ def _compact_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (old ids in first-seen order, renumbered copy of ``values``).
     """
-    if len(values) == 0:
-        return np.empty(0, dtype=np.int64), values.copy()
-    uniq, first = np.unique(values, return_index=True)
-    order = np.argsort(first, kind="stable")
-    new_of_sorted = np.empty(len(uniq), dtype=np.int64)
-    new_of_sorted[order] = np.arange(len(uniq))
-    renumbered = new_of_sorted[np.searchsorted(uniq, values)]
-    return uniq[order], renumbered
+    distinct, first, inverse = _group(values)
+    order = np.argsort(first)
+    new_of_sorted = np.empty(len(distinct), dtype=np.int64)
+    new_of_sorted[order] = np.arange(len(distinct))
+    return distinct[order], new_of_sorted[inverse]
 
 
 # -- parsing ---------------------------------------------------------------
 
-# Characters read per block. Beyond the graph, the parser holds one block's
-# bytes and spans plus the distinct names and their keys, whatever the
-# file's length.
-_BLOCK_CHARS = 1 << 17
+# Bytes read per block, before ``readline`` completes it to the next LF.
+# Beyond the graph, the parser holds one block's bytes and spans plus the
+# distinct names and their keys, whatever the file's length; a file whose
+# lines all end at a lone CR is one block.
+_BLOCK_BYTES = 1 << 17
 
 
 def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGraph:
@@ -168,28 +165,34 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
     metadata column is ignored); an entity URI ``x/c/<lang>/<term>[/...]``
     is reduced to its term and a relation URI ``/r/<name>`` to its name.
     Input order is preserved; a repeated triple is kept once, at its first
-    occurrence. A UTF-8 byte-order mark at the start of the file is skipped.
+    occurrence. Lines end at LF, CRLF or a lone CR. A UTF-8 byte-order mark
+    at the start of the file is skipped.
 
-    The file is read in blocks of whole lines, and each ``ParseError`` names
-    the first bad line. One precedence rule follows from the blocks: a byte
-    that is not UTF-8 is reported before any structural error (a column
-    count, an empty field) of the block that decodes it, even on an earlier
-    line. Text is decoded 8 KiB at a time, so that block can be the one
-    before the byte's own. Errors in blocks decoded earlier come first.
+    The file is read once, in blocks of whole lines, and each ``ParseError``
+    names the first bad line. One precedence rule follows from the blocks:
+    a byte that is not UTF-8 is reported before any structural error (a
+    column count, an empty field) of its own block, even on an earlier line.
+    Errors in earlier blocks come first.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown edge file format: {format!r}")
     path = Path(path)
     try:
-        handle = open(path, "r", encoding="utf-8-sig")
+        handle = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     entities, relations = _SpanInterner(), _SpanInterner()
     blocks = []
     lines_before = 0
     with handle:
-        for text in _text_blocks(handle, path):
-            rows, n_lines = _parse_block(text, format, entities, relations, path, lines_before)
+        while data := handle.read(_BLOCK_BYTES):
+            if not data.endswith(b"\n"):
+                data += handle.readline()
+            if not blocks and data.startswith(b"\xef\xbb\xbf"):
+                data = data[3:]
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            rows, n_lines = _parse_block(data, format, entities, relations, path, lines_before)
             blocks.append(rows)
             lines_before += n_lines
     triples = (
@@ -199,19 +202,8 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
     return KnowledgeGraph.from_id_triples(entities.names, relations.names, triples)
 
 
-def _text_blocks(handle, path: Path) -> Iterator[str]:
-    """Blocks of whole lines of an open text file, about ``_BLOCK_CHARS`` each."""
-    try:
-        while text := handle.read(_BLOCK_CHARS):
-            if not text.endswith("\n"):
-                text += handle.readline()
-            yield text
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, _undecodable_line(path), f"not valid UTF-8 ({exc.reason})") from exc
-
-
 def _parse_block(
-    text: str,
+    data: bytes,
     format: str,
     entities: _SpanInterner,
     relations: _SpanInterner,
@@ -220,10 +212,14 @@ def _parse_block(
 ) -> tuple[np.ndarray, int]:
     """Checked (head, relation, tail) id rows of a block of whole lines, and its line count.
 
-    Lines end at byte 10 and fields at byte 9 of the block's UTF-8 bytes;
-    both are ASCII, so no multi-byte character holds them.
+    Lines end at byte 10 and fields at byte 9; both are ASCII, so no
+    multi-byte character of valid UTF-8 holds them.
     """
-    data = text.encode("utf-8")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lines_before + data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, line, f"not valid UTF-8 ({exc.reason})") from exc
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data + bytes(8), dtype=np.uint8)  # key words may overrun a span
@@ -431,22 +427,6 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
     return gathered[:-1].tobytes().decode("utf-8").split("\t")
 
 
-def _undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8.
-
-    Lines end at LF, CRLF or a lone CR, as the parser counts them: latin-1
-    reads each byte as one character, so universal newlines split the bytes
-    where they split UTF-8 text.
-    """
-    with open(path, encoding="latin-1") as handle:
-        for lineno, line in enumerate(handle, 1):
-            try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return 0
-
-
 def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     """Serialize as tab-separated head/relation/tail lines, one per triple.
 
@@ -458,21 +438,21 @@ def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     ent, rel = graph.entity_names, graph.relation_names
     triples = graph.triples
 
-    def failing(names, ids, test):
+    def failing(names, test, *columns):
         flags = np.zeros(len(names), dtype=bool)
-        used = np.unique(ids)
+        used = distinct_ids(flags, *columns)
         flags[used] = [test(names[i]) for i in used.tolist()]
         return flags
 
     def unsafe(name):
         return "\t" in name or "\n" in name
 
-    bad_ent = failing(ent, triples[:, [0, 2]], unsafe)
+    bad_ent = failing(ent, unsafe, triples[:, 0], triples[:, 2])
     problems = np.column_stack(
         [
             bad_ent[triples[:, 0]],
-            failing(ent, triples[:, 0], lambda name: name.startswith("#"))[triples[:, 0]],
-            failing(rel, triples[:, 1], unsafe)[triples[:, 1]],
+            failing(ent, lambda name: name.startswith("#"), triples[:, 0])[triples[:, 0]],
+            failing(rel, unsafe, triples[:, 1])[triples[:, 1]],
             bad_ent[triples[:, 2]],
         ]
     )

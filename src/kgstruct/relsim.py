@@ -25,6 +25,11 @@ log = logging.getLogger(__name__)
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+TFIDF_VARIANT = "raw term counts, idf = ln(N/df), cosine similarity"
+TFIDF_REFERENCE_PAIR = ("HasContext", "PartOf")
+TFIDF_REFERENCE_SCORE = 0.178
+TFIDF_REFERENCE_BAND = 0.05
+
 
 @dataclass(frozen=True)
 class DefinitionCorpus:
@@ -112,6 +117,30 @@ def tfidf_vectors(corpus: DefinitionCorpus) -> tuple[list[str], np.ndarray]:
     df = (tf > 0).sum(axis=0)
     idf = np.log(n_docs / df)
     return names, tf * idf[None, :]
+
+
+def tfidf_reference_check(matrix: SimilarityMatrix) -> dict:
+    """Score the documented reference pair and flag band membership."""
+    a, b = TFIDF_REFERENCE_PAIR
+    note: dict = {"variant": TFIDF_VARIANT}
+    if a in matrix.relations and b in matrix.relations:
+        score = matrix.score(a, b)
+        in_band = abs(score - TFIDF_REFERENCE_SCORE) <= TFIDF_REFERENCE_BAND
+        note.update(
+            {
+                "reference_pair": [a, b],
+                "score": score,
+                "reference_score": TFIDF_REFERENCE_SCORE,
+                "band": TFIDF_REFERENCE_BAND,
+                "within_band": in_band,
+            }
+        )
+        if not in_band:
+            note["discrepancy"] = (
+                f"{a}/{b} similarity {score:.6f} falls outside "
+                f"{TFIDF_REFERENCE_SCORE} +/- {TFIDF_REFERENCE_BAND} under this variant"
+            )
+    return note
 
 
 def _cosine_matrix(vectors: np.ndarray, labels: Sequence[str]) -> np.ndarray:

@@ -52,6 +52,7 @@ from .relsim import (
     jaccard_overlap_matrix,
     mutual_nearest_pairs,
     nearest_relations,
+    tfidf_reference_check,
     tfidf_similarity_matrix,
 )
 from .validation import (
@@ -59,11 +60,6 @@ from .validation import (
 )
 
 log = logging.getLogger(__name__)
-
-TFIDF_VARIANT = "raw term counts, idf = ln(N/df), cosine similarity"
-TFIDF_REFERENCE_PAIR = ("HasContext", "PartOf")
-TFIDF_REFERENCE_SCORE = 0.178
-TFIDF_REFERENCE_BAND = 0.05
 
 
 # -- configuration -----------------------------------------------------------
@@ -323,30 +319,6 @@ def stage_validate(
         ),
     )
     return records
-
-
-def tfidf_reference_check(matrix: SimilarityMatrix) -> dict:
-    """Score the documented reference pair and flag band membership."""
-    a, b = TFIDF_REFERENCE_PAIR
-    note: dict = {"variant": TFIDF_VARIANT}
-    if a in matrix.relations and b in matrix.relations:
-        score = matrix.score(a, b)
-        in_band = abs(score - TFIDF_REFERENCE_SCORE) <= TFIDF_REFERENCE_BAND
-        note.update(
-            {
-                "reference_pair": [a, b],
-                "score": score,
-                "reference_score": TFIDF_REFERENCE_SCORE,
-                "band": TFIDF_REFERENCE_BAND,
-                "within_band": in_band,
-            }
-        )
-        if not in_band:
-            note["discrepancy"] = (
-                f"{a}/{b} similarity {score:.6f} falls outside "
-                f"{TFIDF_REFERENCE_SCORE} +/- {TFIDF_REFERENCE_BAND} under this variant"
-            )
-    return note
 
 
 def stage_relsim(

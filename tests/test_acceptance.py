@@ -36,9 +36,9 @@ from kgstruct.relsim import (
     DefinitionCorpus,
     mutual_nearest_pairs,
     nearest_relations,
+    tfidf_reference_check,
     tfidf_similarity_matrix,
 )
-from kgstruct.report import tfidf_reference_check
 from kgstruct.synth import desk_scale_plan, demo_plan, synthetic_graph
 from kgstruct.validation import kl_divergence, similarity_lists, validate_relation
 

@@ -297,18 +297,23 @@ def _nan_in_table(tmp_path, demo_kg, table):
     return ["validate", "--input", str(demo_kg), "--table", str(path)]
 
 
-def _table_with_train_config(name, **fields):
-    """A validate run on ``name``.kgt, a table whose header's train config sets ``fields``."""
+def _edited_table(name, edit):
+    """A validate run on ``name``.kgt, a copy of the table whose parsed header ``edit`` changes."""
     def argv(tmp_path, demo_kg, table):
         raw = table.read_bytes()
         (length,) = struct.unpack("<I", raw[4:8])
         header = json.loads(raw[8 : 8 + length])
-        header["config"].update(fields)
+        edit(header)
         blob = json.dumps(header).encode("utf-8")
         path = tmp_path / f"{name}.kgt"
         path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
         return ["validate", "--input", str(demo_kg), "--table", str(path)]
     return argv
+
+
+def _table_with_train_config(name, **fields):
+    """A validate run on ``name``.kgt, a table whose header's train config sets ``fields``."""
+    return _edited_table(name, lambda header: header["config"].update(fields))
 
 
 def _non_utf8_config(tmp_path, demo_kg, table):
@@ -505,6 +510,13 @@ def _definitions(text):
          "fraction.kgt: malformed embedding table: ConfigError('config.seed: expected int, got float 1.5')"),
         (_table_with_train_config("real", epochs=2.0), 2,
          "real.kgt: malformed embedding table: ConfigError('config.epochs: expected int, got float 2.0')"),
+        (_edited_table("list", lambda header: header.update(config=[])), 2,
+         "list.kgt: malformed embedding table: ConfigError('config: expected an object, got list []')"),
+        (_edited_table("zero", lambda header: header.update(config=0)), 2,
+         "zero.kgt: malformed embedding table: ConfigError('config: expected an object, got int 0')"),
+        (_edited_table("losses", lambda header: header.update(epoch_losses="abc")), 2,
+         "losses.kgt: malformed embedding table: epoch_losses must be null or a list of numbers, "
+         "got 'abc'"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -521,7 +533,8 @@ def _definitions(text):
          "table-repeats-a-name", "one-triple-cluster-relation", "cluster-at-dimension-1",
          "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition",
          "blank-definition", "one-validate-bin", "non-utf8-config", "table-config-margin-bool",
-         "table-config-seed-fraction", "table-config-epochs-real"],
+         "table-config-seed-fraction", "table-config-epochs-real", "table-config-list",
+         "table-config-zero", "table-epoch-losses-string"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -860,6 +873,28 @@ def test_renamed_entities_move_only_the_files_that_hold_names(demo_kg, tmp_path)
     assert files.keys() == golden.keys()
     assert sorted(name for name in files if files[name] != golden[name]) == [
         "cluster_HasContext/exemplars.csv", "embeddings.kgt", "unknown_pairs.tsv"
+    ]
+
+
+def test_reversed_cluster_relations_move_only_the_merged_tables(demo_kg, tmp_path):
+    """Each ``cluster_<name>/`` keeps its bytes when ``cluster.relations`` is reversed."""
+    relations = ["HasContext", "FormOf", "Desires"]
+    maps = []
+    for order in (relations, relations[::-1]):
+        out = tmp_path / "-".join(order)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "input": str(demo_kg), "out": str(out), "train": {"dimension": 16, "epochs": 8, "seed": 3},
+            "cluster": {"relations": order, "k": 4, "k_range": [2, 6]},
+        }), encoding="utf-8")
+        assert main(["cluster", "--config", str(config)]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        maps.append({name: entry["sha256"] for name, entry in files.items()})
+    forward, reversed_ = maps
+    assert forward.keys() == reversed_.keys()
+    assert {name.split("/")[0] for name in forward} >= {f"cluster_{name}" for name in relations}
+    assert sorted(name for name in forward if forward[name] != reversed_[name]) == [
+        "cluster_cohesion_raw_by_relation.csv", "cluster_separation_by_relation.csv"
     ]
 
 

@@ -150,6 +150,22 @@ def reference_relation_label(uri):
     return uri
 
 
+def reference_undecodable_line(path):
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    Lines end at LF, CRLF or a lone CR: latin-1 reads each byte as one
+    character, so universal newlines split the bytes where they split UTF-8
+    text.
+    """
+    with open(path, encoding="latin-1") as handle:
+        for lineno, line in enumerate(handle, 1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
 def reference_edge_rows(handle, path, format):
     """The parser's old line loop: checked (head, relation, tail) name rows."""
     try:
@@ -179,7 +195,7 @@ def reference_edge_rows(handle, path, format):
             yield head, relation, tail
     except UnicodeDecodeError as exc:
         raise ParseError(
-            path, graph_module._undecodable_line(path), f"not valid UTF-8 ({exc.reason})"
+            path, reference_undecodable_line(path), f"not valid UTF-8 ({exc.reason})"
         ) from exc
 
 
@@ -257,13 +273,13 @@ def edge_files(draw, format):
 def test_block_parser_equals_the_line_reference(tmp_path_factory, format, data, block, small_run):
     """Names, name order and triples are bitwise the reference's.
 
-    Blocks of a few characters split the file between most lines, and a
+    Blocks of a few bytes split the file between most lines, and a
     small ``_SMALL_RUN`` keeps the interner's key tables in several runs.
     """
     text = data.draw(edge_files(format))
     path = tmp_path_factory.mktemp("blocks") / "edges.tsv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(graph_module, "_BLOCK_CHARS", block), mock.patch.object(
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block), mock.patch.object(
         graph_module, "_SMALL_RUN", small_run
     ):
         assert outcome(parse_edge_file, path, format) == outcome(reference_parse, path, format)
@@ -327,25 +343,30 @@ def test_undecodable_byte_precedes_structural_errors_of_its_block(tmp_path):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("block", [1, 7, graph_module._BLOCK_BYTES])
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-def test_undecodable_line_counts_every_line_end(tmp_path, end):
+def test_undecodable_line_counts_every_line_end(tmp_path, end, block):
     path = tmp_path / "bad.tsv"
     path.write_bytes(end.join([b"a\tr\tb", b"c\tr\td", b"e\tr\t\xff", b""]))
-    with pytest.raises(ParseError, match=r"bad\.tsv:3: not valid UTF-8") as err:
-        parse_edge_file(path)
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+        with pytest.raises(ParseError, match=r"bad\.tsv:3: not valid UTF-8") as err:
+            parse_edge_file(path)
     assert err.value.line_number == 3
 
 
-def test_parse_skips_a_leading_byte_order_mark(tmp_path):
+@pytest.mark.parametrize("block", [1, graph_module._BLOCK_BYTES])
+def test_parse_skips_a_leading_byte_order_mark(tmp_path, block):
+    """At block size 1 the first read splits the mark; it is dropped once the line is whole."""
     path = tmp_path / "bom.tsv"
-    path.write_bytes(b"\xef\xbb\xbfa\tr\tb")
-    graph = parse_edge_file(path)
-    assert graph.entity_names == ["a", "b"] and graph.n_triples == 1
-    path.write_bytes(b"\xef\xbb\xbf# header\na\tr\tb\n")
-    assert parse_edge_file(path).entity_names == ["a", "b"]
-    # only the first character: a mark inside a name stays part of it
-    path.write_bytes("a\tr\tb\n\ufeffc\tr\tb\n".encode("utf-8"))
-    assert parse_edge_file(path).entity_names == ["a", "b", "\ufeffc"]
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block):
+        path.write_bytes(b"\xef\xbb\xbfa\tr\tb")
+        graph = parse_edge_file(path)
+        assert graph.entity_names == ["a", "b"] and graph.n_triples == 1
+        path.write_bytes(b"\xef\xbb\xbf# header\na\tr\tb\n")
+        assert parse_edge_file(path).entity_names == ["a", "b"]
+        # only the first character: a mark inside a name stays part of it
+        path.write_bytes("a\tr\tb\n\ufeffc\tr\tb\n".encode("utf-8"))
+        assert parse_edge_file(path).entity_names == ["a", "b", "\ufeffc"]
 
 
 # -- filtering ----------------------------------------------------------------

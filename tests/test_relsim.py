@@ -12,6 +12,7 @@ from kgstruct.relsim import (
     jaccard_overlap_matrix,
     mutual_nearest_pairs,
     nearest_relations,
+    tfidf_reference_check,
     tfidf_similarity_matrix,
     tokenize,
 )
@@ -66,8 +67,6 @@ def test_tfidf_bundled_corpus_mutual_nearest_subevents():
 
 
 def test_tfidf_reference_pair_note():
-    from kgstruct.report import tfidf_reference_check
-
     matrix = tfidf_similarity_matrix(DefinitionCorpus.bundled())
     note = tfidf_reference_check(matrix)
     assert note["variant"]
