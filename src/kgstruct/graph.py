@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -149,10 +151,10 @@ def _compact_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # -- parsing ---------------------------------------------------------------
 
-# Bytes read per block, before ``readline`` completes it to the next LF.
-# Beyond the graph, the parser holds one block's bytes and spans plus the
-# distinct names and their keys, whatever the file's length; a file whose
-# lines all end at a lone CR is one block.
+# Bytes read per block. A block is parsed up to its last line end, of any
+# style, and the partial line after it opens the next block. Beyond the graph,
+# the parser holds one block's bytes and spans plus the distinct names and
+# their keys, whatever the file's length.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -185,9 +187,7 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
     blocks = []
     lines_before = 0
     with handle:
-        while data := handle.read(_BLOCK_BYTES):
-            if not data.endswith(b"\n"):
-                data += handle.readline()
+        for data in _line_blocks(handle):
             if not blocks and data.startswith(b"\xef\xbb\xbf"):
                 data = data[3:]
             if b"\r" in data:
@@ -200,6 +200,26 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
     )
     del blocks
     return KnowledgeGraph.from_id_triples(entities.names, relations.names, triples)
+
+
+def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """``handle``'s bytes in blocks of whole lines, cut at the last line end of each read.
+
+    A CR that ends a read may be half of a CRLF, so it waits: it ends its line
+    unless the next read opens with an LF. Only the new bytes are searched for
+    line ends, and a line longer than a read is joined once, when its end
+    arrives.
+    """
+    pending: list[bytes] = []  # the reads since the last line end
+    while read := handle.read(_BLOCK_BYTES):
+        cut = max(read.rfind(b"\n"), read.rfind(b"\r", 0, -1)) + 1
+        if cut or pending and pending[-1].endswith(b"\r"):
+            yield b"".join([*pending, read[:cut]])
+            pending = [read[cut:]]
+        else:
+            pending.append(read)
+    if rest := b"".join(pending):
+        yield rest
 
 
 def _parse_block(

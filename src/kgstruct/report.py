@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import shutil
 import tempfile
 import time
@@ -30,7 +31,7 @@ from .cluster import (
     relation_point_set,
     sample_cluster_exemplars,
 )
-from .embedding import EmbeddingTable, TrainConfig, hits_at_k, train
+from .embedding import EmbeddingTable, TrainConfig, hits_at_k, train, train_working_set_bytes
 from .errors import ConfigError, DataError, check_at_least, load_dataclass, read_json_object
 from .graph import (
     FORMATS,
@@ -529,16 +530,49 @@ def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, dict]:
     return graph, notes
 
 
-def preflight(graph: KnowledgeGraph, config: PipelineConfig, table: EmbeddingTable | None) -> None:
+def environment() -> dict:
+    """What the run's numbers may depend on beyond its config, for the manifest.
+
+    The Python, numpy and BLAS versions, ``OPENBLAS_NUM_THREADS`` (None when
+    unset) and the cores this process may run on. The BLAS name and version
+    are None where numpy's build record has no BLAS entry (numpy before 1.26
+    has no build record).
+    """
+    build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    blas = build.get("blas", {})
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cores": cores,
+    }
+
+
+def preflight(
+    graph: KnowledgeGraph, config: PipelineConfig, table: EmbeddingTable | None, n_train: int
+) -> None:
     """Check the enabled stages against ``graph``, the graph the analyses read.
 
-    Every configured relation needs triples there. A cluster relation's n
+    Without a ``table``, the arrays that training on ``n_train`` triples of
+    ``graph``'s entities holds at once must fit in physical memory. Every
+    configured relation needs triples there. A cluster relation's n
     triples must support the 2-D projection (n >= 2), ``cluster.k`` (at most
     n) and ``cluster.k_range`` (within [2, n - 1]). The embedding dimension,
     ``table``'s or else ``train.dimension``, must be at least 2 for clustering
     and at least a forest's features per split. Each failure is a DataError,
     raised before training.
     """
+    if table is None:
+        need = train_working_set_bytes(n_train, graph.n_entities, graph.n_relations, config.train)
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise DataError(
+                f"training would hold about {need / 2**30:.2f} GiB of arrays at once, more "
+                f"than the {memory / 2**30:.2f} GiB of physical memory; lower "
+                "train.negatives, train.batch_size or train.dimension"
+            )
     source = "train.dimension" if table is None else "table dimension"
     dimension = config.train.dimension if table is None else table.dimension
     if config.cluster.enabled and dimension < 2:
@@ -622,7 +656,7 @@ def run_pipeline(
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
-            preflight(analysis_graph, config, table)
+            preflight(analysis_graph, config, table, len(train_idx))
             if table is not None:
                 notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)
@@ -678,6 +712,7 @@ def run_pipeline(
             "files": files,
             "notes": _jsonable(notes),
             "timings_seconds": timings,
+            "environment": environment(),
         }
         write_json(tmp_dir / "manifest.json", manifest)
         os.replace(tmp_dir, out_dir)

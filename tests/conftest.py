@@ -94,3 +94,10 @@ def run_python(args: list[str], blas_threads: int) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def patch_physical_memory(monkeypatch, nbytes: int) -> None:
+    """Make ``os.sysconf`` report ``nbytes`` of physical memory for the test's duration."""
+    real = os.sysconf
+    sizes = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or real(name))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_labeled_triples, run_python
+from conftest import from_labeled_triples, patch_physical_memory, run_python
 from kgstruct.cli import _load_config, build_parser, main
 from kgstruct.embedding import EmbeddingTable, train
 from kgstruct.graph import SplitSpec, split_indices, write_generic_3col
@@ -597,6 +597,21 @@ def test_graph_checks_run_before_training(
     assert calls == []
 
 
+def test_a_working_set_above_physical_memory_exits_2_before_training(
+    demo_kg, tmp_path, monkeypatch, capsys
+):
+    # 1 MiB of physical memory: no run is started that could allocate the estimate
+    patch_physical_memory(monkeypatch, 1 << 20)
+    calls = []
+    monkeypatch.setattr("kgstruct.report.train", lambda *args, **kwargs: calls.append(args))
+    argv = _config("validate", train={"dimension": 16})(tmp_path, demo_kg, None)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "more than the 0.00 GiB of physical memory" in err
+    assert "train.negatives, train.batch_size or train.dimension" in err
+    assert calls == [] and not (tmp_path / "o").exists()
+
+
 ONE_PATH_CONFIG = {
     "seed": 9,
     "train": {"dimension": 8, "epochs": 3, "seed": 3},
@@ -846,9 +861,11 @@ def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_demo_run_files_do_not_depend_on_the_blas_thread_count(demo_kg, tmp_path, threads):
     run_python(["-m", "kgstruct", "run", "--config", str(_demo_config(demo_kg, tmp_path))], threads)
-    files = json.loads((tmp_path / "report" / "manifest.json").read_text())["files"]
+    manifest = json.loads((tmp_path / "report" / "manifest.json").read_text())
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
-    assert {name: entry["sha256"] for name, entry in files.items()} == golden
+    assert {name: entry["sha256"] for name, entry in manifest["files"].items()} == golden
+    # the environment block records the setting; it lies outside the checksummed files
+    assert manifest["environment"]["openblas_num_threads"] == str(threads)
 
 
 def test_demo_run_files_do_not_depend_on_line_ends_repeats_or_comments(demo_kg, tmp_path):

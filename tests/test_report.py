@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import from_labeled_triples
+from conftest import from_labeled_triples, patch_physical_memory
 from kgstruct import report, validation
 from kgstruct.cli import _load_config, build_parser
-from kgstruct.embedding import EmbeddingTable
+from kgstruct.embedding import EmbeddingTable, TrainConfig, train_working_set_bytes
 from kgstruct.errors import ConfigError, DataError
 from kgstruct.graph import SplitSpec, split_indices, write_generic_3col
 from kgstruct.relsim import SimilarityMatrix
@@ -152,6 +152,38 @@ def test_config_json_file_roundtrip(tmp_path):
         read_config(bad)
 
 
+# -- preflight --------------------------------------------------------------------
+
+
+def test_preflight_bounds_the_trainers_working_set(monkeypatch):
+    graph = synthetic_graph(demo_plan())
+    config = PipelineConfig.from_json_dict(
+        {"input": "x", "train": {"dimension": 16, "negatives": 100_000}, "validate": {"enabled": True}}
+    )
+    # a batch is the whole 400-triple train split, so the batch size does not count
+    need = train_working_set_bytes(400, graph.n_entities, graph.n_relations, config.train)
+    assert need == 4 * 16 * (7 * 400 * 100_000 + 3 * (160 + 5)) + 80 * 400 * 100_000
+    patch_physical_memory(monkeypatch, need)
+    report.preflight(graph, config, None, 400)
+    patch_physical_memory(monkeypatch, need - 1)
+    with pytest.raises(DataError, match=r"about 19\.67 GiB of arrays") as err:
+        report.preflight(graph, config, None, 400)
+    for field in ("train.negatives", "train.batch_size", "train.dimension"):
+        assert field in str(err.value)
+    # a given table replaces training, so its settings are not estimated
+    table = EmbeddingTable(
+        graph.entity_names, graph.relation_names,
+        np.ones((graph.n_entities, 4), np.float32), np.ones((graph.n_relations, 4), np.float32),
+    )
+    report.preflight(graph, config, table, 400)
+
+
+def test_batch_rows_are_the_smaller_of_batch_size_and_train_triples():
+    config = TrainConfig(dimension=8, negatives=3, batch_size=100)
+    assert train_working_set_bytes(1_000, 50, 2, config) == 4 * 8 * (7 * 300 + 3 * 52) + 80 * 300
+    assert train_working_set_bytes(40, 50, 2, config) == 4 * 8 * (7 * 120 + 3 * 52) + 80 * 120
+
+
 # -- matrix csv -------------------------------------------------------------------
 
 
@@ -234,6 +266,35 @@ def test_manifest_lists_exactly_the_emitted_files(full_bundle):
     assert on_disk - {"manifest.json"} == set(full_bundle.manifest["files"])
     for entry in full_bundle.manifest["files"].values():
         assert len(entry["sha256"]) == 64 and entry["bytes"] > 0
+
+
+def test_manifest_records_the_environment(full_bundle, monkeypatch):
+    env = full_bundle.manifest["environment"]
+    assert set(env) == {"python", "numpy", "blas", "openblas_num_threads", "cores"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert all(isinstance(value, (str, type(None))) for value in env["blas"].values())
+    assert env["openblas_num_threads"] is None or isinstance(env["openblas_num_threads"], str)
+    assert isinstance(env["cores"], int) and env["cores"] >= 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert report.environment()["openblas_num_threads"] is None
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert report.environment()["openblas_num_threads"] == "3"
+
+
+@pytest.mark.parametrize(
+    "build", [None, {"Build Dependencies": {}}], ids=["no-build-record", "no-blas-entry"]
+)
+def test_environment_without_a_blas_entry_records_nulls(monkeypatch, build):
+    # numpy before 1.26 has no np.__config__.CONFIG
+    if build is None:
+        monkeypatch.delattr(np.__config__, "CONFIG", raising=False)
+    else:
+        monkeypatch.setattr(np.__config__, "CONFIG", build, raising=False)
+    env = report.environment()
+    assert env["blas"] == {"name": None, "version": None}
+    assert env["numpy"] == np.__version__
 
 
 def test_manifest_carries_tfidf_note_and_config(full_bundle):
