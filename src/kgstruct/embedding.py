@@ -215,29 +215,45 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PAIRWISE_SEQUENTIAL_ROWS = 8
 
 
-def _scatter_add(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    # Adds each grads row into target at rows, with the bits of a stable sort
-    # by row followed by np.add.reduceat. np.add.at is unbuffered and correct
-    # with repeated rows but slow. The narrowest key dtype sorts fastest
-    # (radix below 16 bits), and a stable sort's permutation does not depend
-    # on the dtype. reduceat calls its inner loop once per segment and column,
-    # which dominates when most segments hold 1-3 rows. So segments short
-    # enough for the sequential rule above are summed in that same order, one
-    # vectorised pass per row position, and only long ones go to reduceat.
-    # Each grads row is gathered once, straight into the pass that reads it.
+def _add_to_rows(target: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> None:
+    # target[rows] += sums for distinct rows, overwriting sums. The store views
+    # each row of the C-contiguous target and sums as one opaque item, so
+    # numpy copies a whole row per index rather than one value at a time.
+    np.add(np.take(target, rows, axis=0), sums, out=sums)
+    row = np.dtype((np.void, target.shape[1] * target.itemsize))
+    target.view(row)[rows, 0] = sums.view(row)[:, 0]
+
+
+def _scatter_add(
+    target: np.ndarray, rows: np.ndarray, grads: np.ndarray, pick: np.ndarray | None = None
+) -> None:
+    # Adds grads row pick[i] (row i without a pick) into target at rows[i],
+    # with the bits of a stable sort by row followed by np.add.reduceat. A
+    # pick lets a caller scatter some rows of a buffer without copying them
+    # out first. np.add.at is unbuffered and correct with repeated rows but
+    # slow. The narrowest key dtype sorts fastest (radix below 16 bits), and
+    # a stable sort's permutation does not depend on the dtype. reduceat calls
+    # its inner loop once per segment and column, which dominates when most
+    # segments hold 1-3 rows. So segments short enough for the sequential
+    # rule above are summed in that same order, one vectorised pass per row
+    # position, and only long ones go to reduceat. Each grads row is gathered
+    # once with np.take, straight into the pass that reads it.
     order = np.argsort(rows.astype(np.min_scalar_type(len(target))), kind="stable")
     rows = rows[order]
+    if pick is not None:
+        order = pick[order]
     edges = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1], [True])))
     starts, lengths = edges[:-1], edges[1:] - edges[:-1]
     long = lengths > _PAIRWISE_SEQUENTIAL_ROWS
     if long.all():
-        target[rows[starts]] += np.add.reduceat(grads[order], starts, axis=0)
+        sums = np.add.reduceat(np.take(grads, order, axis=0), starts, axis=0)
+        _add_to_rows(target, rows[starts], sums)
         return
     if long.any():
         long_lengths = lengths[long]
-        long_grads = grads[order[np.repeat(long, lengths)]]
+        long_grads = np.take(grads, order[np.repeat(long, lengths)], axis=0)
         long_starts = np.cumsum(long_lengths) - long_lengths
-        target[rows[starts[long]]] += np.add.reduceat(long_grads, long_starts, axis=0)
+        _add_to_rows(target, rows[starts[long]], np.add.reduceat(long_grads, long_starts, axis=0))
     # short segments longest first: row j of the first m of them is one slice
     short = ~long
     by_length = np.argsort(-lengths[short].astype(np.int8), kind="stable")
@@ -246,8 +262,8 @@ def _scatter_add(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> Non
     rest = np.full((len(first),) + grads.shape[1:], -0.0, dtype=grads.dtype)
     for j in range(1, int(first_lengths[0])):
         m = np.count_nonzero(first_lengths > j)
-        rest[:m] += grads[order[first[:m] + j]]
-    target[rows[first]] += np.add(grads[order[first]], rest, out=rest)
+        rest[:m] += np.take(grads, order[first[:m] + j], axis=0)
+    _add_to_rows(target, rows[first], np.add(np.take(grads, order[first], axis=0), rest, out=rest))
 
 
 def train_working_set_bytes(
@@ -255,17 +271,24 @@ def train_working_set_bytes(
 ) -> int:
     """Estimated bytes of the arrays :func:`train` holds at once.
 
-    A batch has min(batch_size, n_train) x negatives negative pairs. Up to
-    seven float32 arrays of pairs x dimension values are alive at a time,
-    beside index, loss and mask arrays of about 80 bytes per pair whatever
-    the dimension; the entity and relation tables are held in up to three
-    copies. Measured with tracemalloc on the demo graph at dimensions 2-64,
-    the peak was 0.81-0.90 of this estimate at 100 and 400 negatives, and up
-    to 1.23 of it at 10 negatives, where all arrays together are below 1 MB.
+    A batch has b = min(batch_size, n_train) positives and b x negatives
+    negative pairs; its gradient buffer holds two rows per positive and up
+    to two per pair. At most five times (positives + pairs) x dimension
+    float32 values are alive at once: the negatives' differences (once), the
+    buffer (twice), and either the previous batch's buffer, until the new one
+    replaces it, or the entity scatter's gathered copy of the buffer (twice).
+    The estimate counts six. Index, loss and mask arrays take up to about 90
+    bytes per pair whatever the dimension (counted as 96), and the entity
+    and relation tables are held in up to three copies. Measured with
+    tracemalloc on the demo graph and a 2,000-triple slice of desk at
+    dimensions 1-64 and 100 and 400 negatives, the peak was 0.65-0.82 of this
+    estimate, and 0.83-0.93 of it when every pair is active (margin 100). At
+    1 and 10 negatives, where the estimate is below 20 MiB, it was up to 2.3.
     """
-    pairs = min(config.batch_size, n_train) * config.negatives
+    batch = min(config.batch_size, n_train)
+    pairs = batch * config.negatives
     tables = 3 * (n_entities + n_relations)
-    return 4 * config.dimension * (7 * pairs + tables) + 80 * pairs
+    return 4 * config.dimension * (6 * (batch + pairs) + tables) + 96 * pairs
 
 
 def train(
@@ -322,12 +345,20 @@ def train(
                 t_neg = np.repeat(t, n_neg)
                 h_neg = np.where(corrupt_head, corrupt, h_neg)
                 t_neg = np.where(corrupt_head, t_neg, corrupt)
-                r_neg = np.repeat(r, n_neg)
 
-                diff_pos = ent[h] + rel[r] - ent[t]
-                diff_neg = ent[h_neg] + rel[r_neg] - ent[t_neg]
-                d_pos = (diff_pos * diff_pos).sum(axis=1)
-                d_neg = (diff_neg * diff_neg).sum(axis=1)
+                # (a + b) - c in place; every gather is one np.take, and a
+                # positive's relation row is added to its negatives by
+                # broadcasting, not gathered once per negative
+                rel_rows = np.take(rel, r, axis=0)
+                diff_pos = np.take(ent, h, axis=0)
+                diff_pos += rel_rows
+                diff_pos -= np.take(ent, t, axis=0)
+                diff_neg = np.take(ent, h_neg, axis=0)
+                by_positive = diff_neg.reshape(b, n_neg, dim)
+                by_positive += rel_rows[:, None, :]
+                diff_neg -= np.take(ent, t_neg, axis=0)
+                d_pos = np.square(diff_pos).sum(axis=1)
+                d_neg = np.square(diff_neg).sum(axis=1)
                 hinge = np.float32(config.margin) + np.repeat(d_pos, n_neg) - d_neg
                 if not np.isfinite(hinge).all():
                     raise TrainingDivergedError(
@@ -347,18 +378,24 @@ def train(
                 # -2*diff_pos; negatives enter with opposite sign.
                 scale = lr / np.float32(n_neg)
                 active_per_pos = active.reshape(b, n_neg).sum(axis=1).astype(np.float32)
-                g_pos = (2.0 * scale) * diff_pos * active_per_pos[:, None]
-                g_neg = (-2.0 * scale) * diff_neg[active]
+                act = np.flatnonzero(active)
+                n_act = len(act)
+                # one buffer of the blocks [-g_pos, g_pos, -g_neg, g_neg], each
+                # written once: the entity scatter reads all of it, the
+                # relation scatter the two negated blocks through a pick
+                grads = np.empty((2 * b + 2 * n_act, dim), dtype=np.float32)
+                minus_pos, g_pos = grads[:b], grads[b : 2 * b]
+                minus_neg, g_neg = grads[2 * b : 2 * b + n_act], grads[2 * b + n_act :]
+                np.multiply(diff_pos, 2.0 * scale, out=g_pos)
+                g_pos *= active_per_pos[:, None]
+                np.multiply(np.take(diff_neg, act, axis=0), -2.0 * scale, out=g_neg)
+                np.negative(g_pos, out=minus_pos)
+                np.negative(g_neg, out=minus_neg)
 
-                rows = np.concatenate([h, t, h_neg[active], t_neg[active]])
-                # each negated block is built once, in place, and read by both scatters
-                grads = np.concatenate([g_pos, g_pos, g_neg, g_neg])
-                minus_pos, minus_neg = grads[:b], grads[2 * b : 2 * b + len(g_neg)]
-                np.negative(minus_pos, out=minus_pos)
-                np.negative(minus_neg, out=minus_neg)
-                _scatter_add(ent, rows, grads)
-                rel_rows = np.concatenate([r, r_neg[active]])
-                _scatter_add(rel, rel_rows, np.concatenate([minus_pos, minus_neg]))
+                _scatter_add(ent, np.concatenate([h, t, h_neg[act], t_neg[act]]), grads)
+                pick = np.arange(b + n_act)
+                pick[b:] += b
+                _scatter_add(rel, np.concatenate([r, r[act // n_neg]]), grads, pick)
 
             mean_loss = epoch_loss / max(n_pairs, 1)
             if not np.isfinite(mean_loss):

@@ -670,6 +670,10 @@ def run_pipeline(
                     "first_epoch_loss": losses[0] if losses else None,
                     "final_epoch_loss": losses[-1] if losses else None,
                     "epoch_losses": losses,
+                    # the estimate preflight held to physical memory
+                    "working_set_bytes": train_working_set_bytes(
+                        len(train_idx), graph.n_entities, graph.n_relations, config.train
+                    ),
                 }
                 if len(test_idx):
                     notes["train"]["test_hits_at_10"] = timed(

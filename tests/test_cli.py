@@ -707,7 +707,8 @@ FUZZ_CONFIG = {
     "seed": 9,
     "sample_size": None,
     "split": {"train": 0.75, "validation": 0.125, "test": 0.125},
-    "train": {"dimension": 8, "epochs": 2, "seed": 3, "learning_rate": 0.05, "margin": 1.0},
+    "train": {"dimension": 8, "epochs": 2, "seed": 3, "learning_rate": 0.05, "margin": 1.0,
+              "negatives": 10, "batch_size": 1024},
     "validate": {"enabled": True, "bins": 20},
     "relsim": {"enabled": True, "definitions_path": None},
     "cluster": {"enabled": True, "relations": ["HasContext"], "k": 4, "k_range": None},
@@ -752,6 +753,14 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(-3, 40), max_size=3),
     st.dictionaries(st.sampled_from(["enabled", "k", "seed"]), st.integers(-3, 40), max_size=2),
 )
+# Fields whose size preflight bounds, so a huge value is safe to run: the exit
+# code it must give. A batch larger than the train split is one batch.
+# train.epochs and validate.bins have no bound yet.
+BOUNDED_FIELDS = {
+    ("train", "negatives"): 2,
+    ("train", "dimension"): 2,
+    ("train", "batch_size"): 0,
+}
 
 
 @settings(
@@ -766,6 +775,13 @@ def test_corrupted_input_never_exits_3(
     """A damaged table, edge file or config exits 0, 1 or 2, never as an internal error."""
     # one fresh directory per example; relative paths in a corrupted config land in it
     monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    expected = None  # the exit code a huge bounded field must give
+    trained = []
+
+    def counted_train(*args, **kwargs):
+        trained.append(args)
+        return train(*args, **kwargs)
+
     kind = data.draw(st.sampled_from(["table", "edges", "config"]), label="kind")
     if kind == "table":
         raw = shuffled_table.read_bytes()
@@ -786,7 +802,11 @@ def test_corrupted_input_never_exits_3(
     elif data.draw(st.booleans(), label="retype a leaf"):
         config = json.loads(json.dumps(FUZZ_CONFIG))
         path, old = data.draw(st.sampled_from(list(_leaves(config))), label="leaf")
-        if isinstance(old, float):
+        if path in BOUNDED_FIELDS and data.draw(st.booleans(), label="huge"):
+            new = data.draw(st.integers(2**31, 2**62), label="new")
+            expected = BOUNDED_FIELDS[path]
+            monkeypatch.setattr("kgstruct.report.train", counted_train)
+        elif isinstance(old, float):
             new = data.draw(LARGE_FLOATS, label="new")
         else:
             other_type = JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old))
@@ -815,6 +835,11 @@ def test_corrupted_input_never_exits_3(
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
     assert "internal error" not in err
+    if expected is not None:
+        assert code == expected, err
+        if expected == 2:
+            assert "lower train.negatives, train.batch_size or train.dimension" in err
+            assert trained == []
 
 
 # -- the demo study ------------------------------------------------------------

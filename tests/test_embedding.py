@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import from_labeled_triples, make_table
 from kgstruct.cluster import relation_point_set
 from kgstruct.embedding import (
+    _PAIRWISE_SEQUENTIAL_ROWS,
     EmbeddingTable,
     TrainConfig,
     _scatter_add,
@@ -107,6 +108,186 @@ def test_train_divergence_detected():
     cfg = TrainConfig(dimension=4, epochs=3, seed=0, learning_rate=1e30, batch_size=8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
         train(graph, cfg)
+
+
+# -- the trainer against its reference -------------------------------------------
+
+
+def reference_train(
+    graph: KnowledgeGraph,
+    config: TrainConfig = TrainConfig(),
+    triple_indices: np.ndarray | None = None,
+) -> EmbeddingTable:
+    """``train`` as it was before its batch body gathered with np.take into one buffer.
+
+    The body is kept verbatim, except that it scatters through
+    ``reference_scatter_add``, which the scatter tests below hold to
+    ``_scatter_add``'s bits, and logs nothing.
+    """
+    if graph.n_triples == 0:
+        raise DataError("cannot train on an empty graph")
+    if triple_indices is None:
+        triple_indices = np.arange(graph.n_triples)
+    triple_indices = np.asarray(triple_indices, dtype=np.int64)
+    if len(triple_indices) == 0:
+        raise DataError("cannot train on an empty triple selection")
+
+    rng = np.random.default_rng(config.seed)
+    dim = config.dimension
+    bound = np.float32(6.0 / np.sqrt(dim))
+    ent = rng.uniform(-bound, bound, size=(graph.n_entities, dim)).astype(np.float32)
+    rel = rng.uniform(-bound, bound, size=(graph.n_relations, dim)).astype(np.float32)
+    rel, _ = unit_rows(rel)
+
+    triples = graph.triples[triple_indices]
+    n = len(triples)
+    n_neg = config.negatives
+    losses: list[float] = []
+
+    # a step too large overflows to inf and then NaN; the isfinite checks
+    # report that, so the intermediate warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            ent, _ = unit_rows(ent)
+            lr = np.float32(config.learning_rate * (1.0 - epoch / config.epochs))
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            n_pairs = 0
+            for start in range(0, n, config.batch_size):
+                batch = triples[perm[start : start + config.batch_size]]
+                b = len(batch)
+                h, r, t = batch[:, 0], batch[:, 1], batch[:, 2]
+
+                corrupt = rng.integers(0, graph.n_entities, size=b * n_neg)
+                corrupt_head = rng.random(b * n_neg) < 0.5
+                h_neg = np.repeat(h, n_neg)
+                t_neg = np.repeat(t, n_neg)
+                h_neg = np.where(corrupt_head, corrupt, h_neg)
+                t_neg = np.where(corrupt_head, t_neg, corrupt)
+                r_neg = np.repeat(r, n_neg)
+
+                diff_pos = ent[h] + rel[r] - ent[t]
+                diff_neg = ent[h_neg] + rel[r_neg] - ent[t_neg]
+                d_pos = (diff_pos * diff_pos).sum(axis=1)
+                d_neg = (diff_neg * diff_neg).sum(axis=1)
+                hinge = np.float32(config.margin) + np.repeat(d_pos, n_neg) - d_neg
+                if not np.isfinite(hinge).all():
+                    raise TrainingDivergedError(
+                        f"non-finite margin loss at epoch {epoch}; lower "
+                        "train.learning_rate or train.margin"
+                    )
+                active = hinge > 0
+
+                epoch_loss += float(hinge[active].sum())
+                n_pairs += b * n_neg
+                if not active.any():
+                    continue
+
+                # Per-pair SGD at full learning rate, averaged over each
+                # positive's negatives; summing over the batch then matches a
+                # sequential pass. d(pos)/d(h) = 2*diff_pos, d(pos)/d(t) =
+                # -2*diff_pos; negatives enter with opposite sign.
+                scale = lr / np.float32(n_neg)
+                active_per_pos = active.reshape(b, n_neg).sum(axis=1).astype(np.float32)
+                g_pos = (2.0 * scale) * diff_pos * active_per_pos[:, None]
+                g_neg = (-2.0 * scale) * diff_neg[active]
+
+                rows = np.concatenate([h, t, h_neg[active], t_neg[active]])
+                # each negated block is built once, in place, and read by both scatters
+                grads = np.concatenate([g_pos, g_pos, g_neg, g_neg])
+                minus_pos, minus_neg = grads[:b], grads[2 * b : 2 * b + len(g_neg)]
+                np.negative(minus_pos, out=minus_pos)
+                np.negative(minus_neg, out=minus_neg)
+                reference_scatter_add(ent, rows, grads)
+                rel_rows = np.concatenate([r, r_neg[active]])
+                reference_scatter_add(rel, rel_rows, np.concatenate([minus_pos, minus_neg]))
+
+            mean_loss = epoch_loss / max(n_pairs, 1)
+            if not np.isfinite(mean_loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss {mean_loss} at epoch {epoch}; lower "
+                    "train.learning_rate or train.margin"
+                )
+            losses.append(mean_loss)
+
+    return EmbeddingTable(
+        graph.entity_names,
+        graph.relation_names,
+        ent,
+        rel,
+        config=config,
+        epoch_losses=losses,
+    )
+
+
+def _assert_trains_like_the_reference(graph, config, triple_indices=None):
+    got = train(graph, config, triple_indices=triple_indices)
+    expected = reference_train(graph, config, triple_indices=triple_indices)
+    assert got.entity_vectors.tobytes() == expected.entity_vectors.tobytes()
+    assert got.relation_vectors.tobytes() == expected.relation_vectors.tobytes()
+    assert got.epoch_losses == expected.epoch_losses
+
+
+@pytest.mark.parametrize("negatives", [1, 3, 10])
+@pytest.mark.parametrize("dimension", [1, 5, 32, 100])
+def test_train_equals_the_reference_trainer_bitwise(dimension, negatives):
+    graph = synthetic_graph(demo_plan())
+    # 96 does not divide the 500 triples, so the last batch holds 20
+    config = TrainConfig(
+        dimension=dimension, epochs=3, negatives=negatives, batch_size=96, seed=dimension
+    )
+    _assert_trains_like_the_reference(graph, config)
+
+
+def _hub_graph():
+    """One head with 60 tails beside 40 unrelated triples: the hub fills every batch."""
+    rows = [("hub", "r", f"t{i}") for i in range(60)]
+    rows += [(f"a{i}", "s", f"b{i}") for i in range(40)]
+    return from_labeled_triples(rows)
+
+
+BATCH_PATHS = {
+    # case: (graph, config, triple indices)
+    "one-batch-above-the-train-count": (
+        lambda: synthetic_graph(demo_plan()),
+        TrainConfig(dimension=16, epochs=3, negatives=4, batch_size=1_000, seed=4),
+        split_indices(500, SplitSpec(0.75, 0.125, 0.125, seed=2))[0],
+    ),
+    "a-row-updated-more-than-8-times": (
+        _hub_graph,
+        TrainConfig(dimension=8, epochs=3, negatives=3, batch_size=32, seed=5),
+        None,
+    ),
+    "a-batch-with-no-active-pair": (
+        lambda: from_labeled_triples([("a", "r", "b"), ("c", "r", "d"), ("e", "s", "f")]),
+        TrainConfig(dimension=4, epochs=40, negatives=1, batch_size=1, margin=0.01, seed=6),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_PATHS))
+def test_train_equals_the_reference_trainer_on_every_batch_path(case, monkeypatch):
+    make_graph, config, triple_indices = BATCH_PATHS[case]
+    graph = make_graph()
+    assert graph.n_entities != graph.n_relations  # tells the two scatters apart
+    entity_rows = []  # the largest number of rows of one entity, per entity scatter
+
+    def recorded(target, rows, grads, pick=None):
+        if len(target) == graph.n_entities:
+            entity_rows.append(int(np.bincount(rows).max()))
+        _scatter_add(target, rows, grads, pick)
+
+    monkeypatch.setattr("kgstruct.embedding._scatter_add", recorded)
+    _assert_trains_like_the_reference(graph, config, triple_indices)
+    n_train = graph.n_triples if triple_indices is None else len(triple_indices)
+    batches = config.epochs * -(-n_train // config.batch_size)
+    if case == "one-batch-above-the-train-count":
+        assert len(entity_rows) == batches == config.epochs
+    elif case == "a-row-updated-more-than-8-times":
+        assert max(entity_rows) > _PAIRWISE_SEQUENTIAL_ROWS
+    else:
+        assert 0 < len(entity_rows) < batches
 
 
 # -- translation and centroid -----------------------------------------------------
@@ -427,16 +608,28 @@ SCATTER_LAYOUTS = {
 }
 
 
+@pytest.mark.parametrize("picked", [False, True], ids=["all-rows", "picked-rows"])
 @pytest.mark.parametrize("layout", list(SCATTER_LAYOUTS))
 @pytest.mark.parametrize("width", [1, 5, 32, 64])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_scatter_add_matches_sort_and_reduceat_at_every_segment_length(layout, width, dtype):
+def test_scatter_add_matches_sort_and_reduceat_at_every_segment_length(
+    layout, width, dtype, picked
+):
     # This also guards against a numpy whose reduceat sums in another order:
     # the sequential pass for short segments would then move every checksum.
     target, rows, grads = _scatter_case(SCATTER_LAYOUTS[layout], width, dtype, seed=width)
     expected, got = target.copy(), target.copy()
     reference_scatter_add(expected, rows, grads)
-    _scatter_add(got, rows, grads)
+    if picked:
+        # the grads scattered out of order from a buffer twice their size, as
+        # the trainer's relation scatter reads its gradient buffer
+        rng = np.random.default_rng(width)
+        buffer = np.full((2 * len(grads), width), np.nan, dtype=dtype)
+        pick = rng.permutation(len(buffer))[: len(grads)]
+        buffer[pick] = grads
+        _scatter_add(got, rows, buffer, pick)
+    else:
+        _scatter_add(got, rows, grads)
     assert got.tobytes() == expected.tobytes()
 
 

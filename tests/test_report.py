@@ -162,11 +162,11 @@ def test_preflight_bounds_the_trainers_working_set(monkeypatch):
     )
     # a batch is the whole 400-triple train split, so the batch size does not count
     need = train_working_set_bytes(400, graph.n_entities, graph.n_relations, config.train)
-    assert need == 4 * 16 * (7 * 400 * 100_000 + 3 * (160 + 5)) + 80 * 400 * 100_000
+    assert need == 4 * 16 * (6 * (400 + 400 * 100_000) + 3 * (160 + 5)) + 96 * 400 * 100_000
     patch_physical_memory(monkeypatch, need)
     report.preflight(graph, config, None, 400)
     patch_physical_memory(monkeypatch, need - 1)
-    with pytest.raises(DataError, match=r"about 19\.67 GiB of arrays") as err:
+    with pytest.raises(DataError, match=r"about 17\.88 GiB of arrays") as err:
         report.preflight(graph, config, None, 400)
     for field in ("train.negatives", "train.batch_size", "train.dimension"):
         assert field in str(err.value)
@@ -180,8 +180,8 @@ def test_preflight_bounds_the_trainers_working_set(monkeypatch):
 
 def test_batch_rows_are_the_smaller_of_batch_size_and_train_triples():
     config = TrainConfig(dimension=8, negatives=3, batch_size=100)
-    assert train_working_set_bytes(1_000, 50, 2, config) == 4 * 8 * (7 * 300 + 3 * 52) + 80 * 300
-    assert train_working_set_bytes(40, 50, 2, config) == 4 * 8 * (7 * 120 + 3 * 52) + 80 * 120
+    assert train_working_set_bytes(1_000, 50, 2, config) == 4 * 8 * (6 * (100 + 300) + 3 * 52) + 96 * 300
+    assert train_working_set_bytes(40, 50, 2, config) == 4 * 8 * (6 * (40 + 120) + 3 * 52) + 96 * 120
 
 
 # -- matrix csv -------------------------------------------------------------------
@@ -671,6 +671,17 @@ def test_manifest_reports_training_note_with_hits(full_bundle):
     assert note["triples"] == 376  # 500 - floor(62.5) - floor(62.5); train takes the remainder
     assert note["final_epoch_loss"] <= note["first_epoch_loss"]
     assert 0.0 <= note["test_hits_at_10"] <= 1.0
+
+
+def test_manifest_records_the_trainers_working_set(full_bundle):
+    """notes.train.working_set_bytes is the estimate that preflight held to physical memory."""
+    manifest = full_bundle.manifest
+    table = EmbeddingTable.load(full_bundle.out_dir / "embeddings.kgt")
+    config = TrainConfig(**manifest["config"]["train"])
+    note = manifest["notes"]["train"]["working_set_bytes"]
+    assert type(note) is int
+    assert note == train_working_set_bytes(376, table.n_entities, table.n_relations, config)
+    assert "manifest.json" not in manifest["files"]  # no checksum holds the note
 
 
 def test_manifest_lists_every_epoch_loss(full_bundle):
