@@ -143,7 +143,8 @@ def _grow_tree(columns, ranks, y, rows, config: ForestConfig, per_split: int, rn
     min_samples_split rows above max_depth; one draw per level picks every
     open node's candidate features. Each (open node, candidate) pair is a
     segment of one sort by ``segment * n + rank``, whose cumulative sums score
-    every midpoint cut; ties go to the lowest feature, then the lowest cut.
+    every midpoint cut. A node's segments lie in feature order, so its first
+    Gini minimum splits it: ties go to the lowest feature, then the lowest cut.
     Returns (feature, threshold, left, value) per node in level order from
     ``root``. A leaf has feature -1 and predicts value, the majority class
     (ties to 0); an inner node sends value <= threshold to left[i], the rest
@@ -189,16 +190,14 @@ def _grow_tree(columns, ranks, y, rows, config: ForestConfig, per_split: int, rn
             ) / n_node
         # a cut needs a larger value after it in its segment
         gini[(right_n == 0) | np.append(key[1:] == key[:-1], True)] = np.inf
-        best = np.minimum.reduceat(gini, seg_start).reshape(k, p)
-        col = best.argmin(axis=1)
-        score = best[np.arange(k), col]
-        owner = segment // p
-        hit = (gini == score[owner]) & (segment % p == col[owner])
+        score = np.minimum.reduceat(gini, seg_start[::p])
+        hit = gini == score[segment // p]
         cut = np.minimum.reduceat(np.where(hit, at, len(at)), seg_start[::p])
         splitting = score < np.inf
         if not splitting.any():
             break
-        split_nodes, f, cut = opened[splitting], picked[splitting, col[splitting]], cut[splitting]
+        split_nodes, cut = opened[splitting], cut[splitting]
+        f = picked[splitting, segment[cut] % p]
         t = 0.5 * (columns[f, members[cut]] + columns[f, members[cut + 1]])
         feature[split_nodes], threshold[split_nodes] = f, t
         left[split_nodes] = first_id + width + 2 * np.arange(len(f))

@@ -81,12 +81,18 @@ def _squared_norms(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=1)
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-    # |x|^2 + |c|^2 - 2 x.c, clamped: cancellation can dip slightly below 0.
+def _squared_distances(x, y, x_sq, y_sq=None, out=None, work=None) -> np.ndarray:
+    # |x|^2 + |y|^2 - 2 x.y, clamped: cancellation can dip slightly below 0.
     # Fast (BLAS) but loses ~1e-8 precision; fine for nearest-centroid work.
-    # ``x_sq`` is _squared_norms(x), computed once by the caller.
-    sq = x_sq[:, None] + _squared_norms(centers)[None, :] - 2.0 * (x @ centers.T)
-    return np.maximum(sq, 0.0)
+    # ``x_sq`` is _squared_norms(x), computed once by the caller (``y_sq``
+    # likewise); ``out`` and ``work`` are optional len(x) x len(y) buffers.
+    if y_sq is None:
+        y_sq = _squared_norms(y)
+    out = np.add(x_sq[:, None], y_sq[None, :], out=out)
+    work = np.matmul(x, y.T, out=work)
+    work *= 2.0
+    out -= work
+    return np.maximum(out, 0.0, out=out)
 
 
 def _cluster_means(
@@ -164,15 +170,19 @@ def lloyd_kmeans(
         centers = _kmeans_plus_plus(x, k, rng, x_sq)
 
     history: list[float] = []
-    assignments = np.zeros(n, dtype=np.int64)
+    dists, work = np.empty((n, k)), np.empty((n, k))
     converged = False
     iteration = 0
-    for iteration in range(1, max_iters + 1):
-        dists = _squared_distances(x, centers, x_sq)
+    while True:
+        _squared_distances(x, centers, x_sq, out=dists, work=work)
         assignments = dists.argmin(axis=1)
         point_dist = dists[np.arange(n), assignments]
         inertia = float(point_dist.sum())
         history.append(inertia)
+        # the last assignment is against the final centroids
+        if converged or iteration >= max_iters:
+            break
+        iteration += 1
 
         counts, new_centers = _cluster_means(x, assignments, k)
         empty = counts == 0
@@ -184,15 +194,8 @@ def lloyd_kmeans(
 
         shift = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
-        if shift < tol:
-            converged = True
-            break
+        converged = shift < tol
 
-    # final assignment against the final centroids
-    dists = _squared_distances(x, centers, x_sq)
-    assignments = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(n), assignments].sum())
-    history.append(inertia)
     if np.bincount(assignments, minlength=k).min() == 0:
         distinct = len(np.unique(x, axis=0))
         if distinct < k:
@@ -253,13 +256,7 @@ def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         m = rows.stop - start
-        # np.sqrt(_squared_distances(x[rows], x, x_sq[rows])), in the buffers
-        d, g = buffer[:m], gram[:m]
-        np.add(x_sq[rows, None], x_sq[None, :], out=d)
-        np.matmul(x[rows], x.T, out=g)
-        g *= 2.0
-        d -= g
-        np.maximum(d, 0.0, out=d)
+        d = _squared_distances(x[rows], x, x_sq[rows], x_sq, buffer[:m], gram[:m])
         np.sqrt(d, out=d)
         # rounding leaves |x_i - x_i| near 1e-8, which would enter the mean a
         d[np.arange(m), np.arange(start, start + m)] = 0.0

@@ -58,6 +58,7 @@ from .relsim import (
 )
 from .validation import (
     Profiles, RelationProfile, ValidationRecord, relation_profiles, validate_relation,
+    validate_working_set_bytes,
 )
 
 log = logging.getLogger(__name__)
@@ -550,28 +551,45 @@ def environment() -> dict:
     }
 
 
+# stage -> what its working set is called, and the fields that size it
+_WORKING_SETS = {
+    "train": ("training", "train.negatives, train.batch_size or train.dimension"),
+    "validate": ("validation", "validate.bins"),
+}
+
+
 def preflight(
     graph: KnowledgeGraph, config: PipelineConfig, table: EmbeddingTable | None, n_train: int
-) -> None:
+) -> dict[str, int]:
     """Check the enabled stages against ``graph``, the graph the analyses read.
 
-    Without a ``table``, the arrays that training on ``n_train`` triples of
-    ``graph``'s entities holds at once must fit in physical memory. Every
-    configured relation needs triples there. A cluster relation's n
-    triples must support the 2-D projection (n >= 2), ``cluster.k`` (at most
-    n) and ``cluster.k_range`` (within [2, n - 1]). The embedding dimension,
+    Returns the bytes each stage with an estimate holds at once, by stage:
+    training on ``n_train`` triples of ``graph``'s entities when there is no
+    ``table``, and validation when it is enabled. The largest estimate must
+    fit in physical memory. Every configured relation needs triples in
+    ``graph``. A cluster relation's n triples must support the 2-D
+    projection (n >= 2), ``cluster.k`` (at most n) and ``cluster.k_range``
+    (within [2, n - 1]). The embedding dimension,
     ``table``'s or else ``train.dimension``, must be at least 2 for clustering
     and at least a forest's features per split. Each failure is a DataError,
     raised before training.
     """
+    estimates = {}
     if table is None:
-        need = train_working_set_bytes(n_train, graph.n_entities, graph.n_relations, config.train)
+        estimates["train"] = train_working_set_bytes(
+            n_train, graph.n_entities, graph.n_relations, config.train
+        )
+    if config.validate.enabled:
+        estimates["validate"] = validate_working_set_bytes(config.validate.bins)
+    if estimates:
+        largest = max(estimates, key=estimates.get)
+        need = estimates[largest]
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > memory:
+            work, sizes = _WORKING_SETS[largest]
             raise DataError(
-                f"training would hold about {need / 2**30:.2f} GiB of arrays at once, more "
-                f"than the {memory / 2**30:.2f} GiB of physical memory; lower "
-                "train.negatives, train.batch_size or train.dimension"
+                f"{work} would hold about {need / 2**30:.2f} GiB of arrays at once, more "
+                f"than the {memory / 2**30:.2f} GiB of physical memory; lower {sizes}"
             )
     source = "train.dimension" if table is None else "table dimension"
     dimension = config.train.dimension if table is None else table.dimension
@@ -585,14 +603,14 @@ def preflight(
     if config.negation.enabled:
         wanted.extend([config.negation.relation, config.negation.negation_relation])
     if not wanted:
-        return
+        return estimates
     counts = {graph.relation_names[rid]: len(rows) for rid, rows in graph.relation_index.items()}
     missing = [name for name in wanted if name not in counts]
     if missing:
         analysed = "graph" if config.analysis_scope == "full" else "train split"
         raise DataError(f"configured relations are absent from the {analysed}: {missing}")
     if not config.cluster.enabled:
-        return
+        return estimates
     k, k_range = config.cluster.k, config.cluster.k_range
     for relation in config.cluster.relations:
         n = counts[relation]
@@ -605,6 +623,7 @@ def preflight(
                 f"cluster.k_range {k_range[0]}:{k_range[1]} must lie within [2, {n - 1}] "
                 f"for the {n} points of relation {relation!r}"
             )
+    return estimates
 
 
 def run_pipeline(
@@ -656,7 +675,7 @@ def run_pipeline(
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
-            preflight(analysis_graph, config, table, len(train_idx))
+            estimates = preflight(analysis_graph, config, table, len(train_idx))
             if table is not None:
                 notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)
@@ -670,10 +689,8 @@ def run_pipeline(
                     "first_epoch_loss": losses[0] if losses else None,
                     "final_epoch_loss": losses[-1] if losses else None,
                     "epoch_losses": losses,
-                    # the estimate preflight held to physical memory
-                    "working_set_bytes": train_working_set_bytes(
-                        len(train_idx), graph.n_entities, graph.n_relations, config.train
-                    ),
+                    # the estimates preflight held to physical memory
+                    "working_set_bytes": estimates["train"],
                 }
                 if len(test_idx):
                     notes["train"]["test_hits_at_10"] = timed(
@@ -684,6 +701,7 @@ def run_pipeline(
         if config.validate.enabled or config.relsim.enabled:
             profiles = timed("profiles", lambda: relation_profiles(table, analysis_graph))
         if config.validate.enabled:
+            notes["validate"] = {"working_set_bytes": estimates["validate"]}
             timed(
                 "validate",
                 lambda: stage_validate(analysis_graph, profiles, config.validate, tmp_dir),

@@ -396,6 +396,85 @@ def test_level_wise_trees_equal_the_recursive_reference(kind, min_samples_split,
     assert np.array_equal(forest.predict_proba(probe), reference_proba(reference, probe))
 
 
+def reference_grow_tree(columns, ranks, y, rows, config, per_split, rng, root):
+    """The level-wise builder as it was, with a per-segment minimum and a feature match."""
+    d, n = columns.shape
+    levels = []
+    node = np.zeros(len(rows), dtype=np.int64)  # each row's node on this level
+    width, first_id = 1, root  # the level's node count and its first node's id
+    for depth in range(config.max_depth + 1):
+        size = np.bincount(node, minlength=width)
+        pos = np.bincount(node[y[rows] == 1], minlength=width)
+        feature, threshold, left = np.full(width, -1), np.zeros(width), np.zeros(width, np.int64)
+        levels.append((feature, threshold, left, (pos * 2 > size).astype(np.int64)))
+        is_open = (pos > 0) & (pos < size) & (size >= config.min_samples_split)
+        if depth == config.max_depth or not is_open.any():
+            break
+        opened = np.flatnonzero(is_open)
+        k, p = len(opened), min(per_split, d)
+        draw = rng.random((k, d)).argsort(axis=1)[:, :p] if p < d else np.tile(np.arange(d), (k, 1))
+        picked = np.sort(draw, axis=1)
+        kept = is_open[node]
+        rows, node = rows[kept], (np.cumsum(is_open) - 1)[node[kept]]  # open node -> 0..k-1
+        key = ((node * p + np.arange(p)[:, None]) * n + ranks[picked.T[:, node], rows]).ravel()
+        order = np.argsort(key)
+        key, members = key[order], np.tile(rows, p)[order]
+        segment, at = key // n, np.arange(len(key))
+        seg_size = np.repeat(size[opened], p)
+        seg_start = np.cumsum(seg_size) - seg_size
+        y_sorted = y[members]
+        cum_pos = np.cumsum(y_sorted)
+        cum_pos = (cum_pos - (cum_pos - y_sorted)[seg_start][segment]).astype(np.float64)
+        left_n = (at + 1.0) - seg_start[segment]
+        n_node = seg_size[segment]
+        right_n = n_node - left_n
+        total_pos = pos[opened][segment // p].astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at segment ends
+            p_left = cum_pos / left_n
+            p_right = (total_pos - cum_pos) / right_n
+            gini = (
+                left_n * (2.0 * p_left * (1.0 - p_left))
+                + right_n * (2.0 * p_right * (1.0 - p_right))
+            ) / n_node
+        # a cut needs a larger value after it in its segment
+        gini[(right_n == 0) | np.append(key[1:] == key[:-1], True)] = np.inf
+        best = np.minimum.reduceat(gini, seg_start).reshape(k, p)
+        col = best.argmin(axis=1)
+        score = best[np.arange(k), col]
+        owner = segment // p
+        hit = (gini == score[owner]) & (segment % p == col[owner])
+        cut = np.minimum.reduceat(np.where(hit, at, len(at)), seg_start[::p])
+        splitting = score < np.inf
+        if not splitting.any():
+            break
+        split_nodes, f, cut = opened[splitting], picked[splitting, col[splitting]], cut[splitting]
+        t = 0.5 * (columns[f, members[cut]] + columns[f, members[cut + 1]])
+        feature[split_nodes], threshold[split_nodes] = f, t
+        left[split_nodes] = first_id + width + 2 * np.arange(len(f))
+        kept = splitting[node]
+        rows, node = rows[kept], (np.cumsum(splitting) - 1)[node[kept]]  # split node -> slot
+        node = 2 * node + ~(columns[f[node], rows] <= t[node])
+        first_id, width = first_id + width, 2 * len(f)
+    return tuple(np.concatenate(part) for part in zip(*levels))
+
+
+def forest_arrays(forest):
+    return [a.tobytes() for a in (forest.roots_, forest.feature_, forest.threshold_,
+                                  forest.left_, forest.value_)]
+
+
+@pytest.mark.parametrize("max_features", ["sqrt", 2, "all"])
+@pytest.mark.parametrize("kind", ["integers", "constant-columns", "duplicated-rows"])
+def test_per_node_minimum_equals_the_per_segment_reference(kind, max_features, monkeypatch):
+    # the per-level feature draws too: both builders take the same rng calls
+    x, y = tie_heavy(kind)
+    config = ForestConfig(n_trees=6, max_depth=16, max_features=max_features)
+    forest = RandomForestClassifier(config, seed=11).fit(x, y)
+    monkeypatch.setattr("kgstruct.classify._grow_tree", reference_grow_tree)
+    reference = RandomForestClassifier(config, seed=11).fit(x, y)
+    assert forest_arrays(forest) == forest_arrays(reference)
+
+
 def test_forest_rejects_more_features_per_split_than_columns():
     x, y = separable_blobs(n=40, d=3)
     with pytest.raises(DataError, match=r"^negation\.forest\.max_features = 4 exceeds the 3 features$"):

@@ -414,6 +414,10 @@ def _train_flags(*flags):
     return argv
 
 
+def _huge_bins_with_table(tmp_path, demo_kg, table):
+    return ["validate", "--input", str(demo_kg), "--table", str(table), "--bins", str(10**12)]
+
+
 def _definitions(text):
     """A relsim run whose definitions file holds ``text``, or is absent for None."""
     def argv(tmp_path, demo_kg, table):
@@ -517,6 +521,10 @@ def _definitions(text):
         (_edited_table("losses", lambda header: header.update(epoch_losses="abc")), 2,
          "losses.kgt: malformed embedding table: epoch_losses must be null or a list of numbers, "
          "got 'abc'"),
+        (_config("validate", validate={"bins": 10**12}), 2,
+         "validation would hold about 59604.64 GiB of arrays at once"),
+        (_huge_bins_with_table, 2,
+         "validation would hold about 59604.64 GiB of arrays at once"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -534,7 +542,8 @@ def _definitions(text):
          "cluster-on-a-1-wide-table", "all-zero-table-at-k-1", "one-definition",
          "blank-definition", "one-validate-bin", "non-utf8-config", "table-config-margin-bool",
          "table-config-seed-fraction", "table-config-epochs-real", "table-config-list",
-         "table-config-zero", "table-epoch-losses-string"],
+         "table-config-zero", "table-epoch-losses-string", "huge-validate-bins",
+         "huge-validate-bins-with-table"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -597,18 +606,24 @@ def test_graph_checks_run_before_training(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "validate, lower",
+    [({}, "lower train.negatives, train.batch_size or train.dimension"),
+     ({"bins": 10**12}, "lower validate.bins")],
+    ids=["trainer", "validate-bins"],
+)
 def test_a_working_set_above_physical_memory_exits_2_before_training(
-    demo_kg, tmp_path, monkeypatch, capsys
+    validate, lower, demo_kg, tmp_path, monkeypatch, capsys
 ):
     # 1 MiB of physical memory: no run is started that could allocate the estimate
     patch_physical_memory(monkeypatch, 1 << 20)
     calls = []
     monkeypatch.setattr("kgstruct.report.train", lambda *args, **kwargs: calls.append(args))
-    argv = _config("validate", train={"dimension": 16})(tmp_path, demo_kg, None)
+    argv = _config("validate", train={"dimension": 16}, validate=validate)(tmp_path, demo_kg, None)
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "more than the 0.00 GiB of physical memory" in err
-    assert "train.negatives, train.batch_size or train.dimension" in err
+    assert err.rstrip().endswith(lower)
     assert calls == [] and not (tmp_path / "o").exists()
 
 
@@ -753,13 +768,21 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(-3, 40), max_size=3),
     st.dictionaries(st.sampled_from(["enabled", "k", "seed"]), st.integers(-3, 40), max_size=2),
 )
-# Fields whose size preflight bounds, so a huge value is safe to run: the exit
-# code it must give. A batch larger than the train split is one batch.
-# train.epochs and validate.bins have no bound yet.
+# Fields whose size preflight bounds, so a huge value is safe to run: the
+# smallest huge value drawn, and the exit code it must give. A batch larger
+# than the train split is one batch. Bins start at 2**40, 8 TiB per array, so
+# that no machine's memory passes them. train.epochs has no bound: a huge
+# count costs time, not memory.
 BOUNDED_FIELDS = {
-    ("train", "negatives"): 2,
-    ("train", "dimension"): 2,
-    ("train", "batch_size"): 0,
+    ("train", "negatives"): (2**31, 2),
+    ("train", "dimension"): (2**31, 2),
+    ("train", "batch_size"): (2**31, 0),
+    ("validate", "bins"): (2**40, 2),
+}
+# what a refused field's error advises
+LOWER = {
+    "train": "lower train.negatives, train.batch_size or train.dimension",
+    "validate": "lower validate.bins",
 }
 
 
@@ -803,8 +826,8 @@ def test_corrupted_input_never_exits_3(
         config = json.loads(json.dumps(FUZZ_CONFIG))
         path, old = data.draw(st.sampled_from(list(_leaves(config))), label="leaf")
         if path in BOUNDED_FIELDS and data.draw(st.booleans(), label="huge"):
-            new = data.draw(st.integers(2**31, 2**62), label="new")
-            expected = BOUNDED_FIELDS[path]
+            low, expected = BOUNDED_FIELDS[path]
+            new = data.draw(st.integers(low, 2**62), label="new")
             monkeypatch.setattr("kgstruct.report.train", counted_train)
         elif isinstance(old, float):
             new = data.draw(LARGE_FLOATS, label="new")
@@ -838,7 +861,7 @@ def test_corrupted_input_never_exits_3(
     if expected is not None:
         assert code == expected, err
         if expected == 2:
-            assert "lower train.negatives, train.batch_size or train.dimension" in err
+            assert LOWER[path[0]] in err
             assert trained == []
 
 

@@ -266,6 +266,112 @@ def test_kmeans_round_equals_the_add_at_and_argmax_reference(x, start):
     np.testing.assert_array_equal(result.centroids, reference_lloyd_round(x, start))
 
 
+def reference_squared_distances(x, centers, x_sq):
+    sq = x_sq[:, None] + cluster._squared_norms(centers)[None, :] - 2.0 * (x @ centers.T)
+    return np.maximum(sq, 0.0)
+
+
+def reference_lloyd_kmeans(points, k, seed=0, max_iters=300, tol=1e-4, initial_centroids=None):
+    """Lloyd as it was written with a second assignment step after the loop."""
+    x = np.asarray(points, dtype=np.float64)
+    n = len(x)
+    if not 1 <= k <= n:
+        raise DataError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    rng = np.random.default_rng(seed)
+    x_sq = cluster._squared_norms(x)
+    if initial_centroids is not None:
+        centers = np.array(initial_centroids, dtype=np.float64)
+        if centers.shape != (k, x.shape[1]):
+            raise DataError(
+                f"initial centroids must have shape {(k, x.shape[1])}, "
+                f"got {centers.shape}"
+            )
+    else:
+        centers = cluster._kmeans_plus_plus(x, k, rng, x_sq)
+
+    history: list[float] = []
+    assignments = np.zeros(n, dtype=np.int64)
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iters + 1):
+        dists = reference_squared_distances(x, centers, x_sq)
+        assignments = dists.argmin(axis=1)
+        point_dist = dists[np.arange(n), assignments]
+        inertia = float(point_dist.sum())
+        history.append(inertia)
+
+        counts, new_centers = cluster._cluster_means(x, assignments, k)
+        empty = counts == 0
+        if empty.any():
+            # empty clusters in order take the farthest points, ties to the
+            # lowest index: what repeated argmax with each pick removed gives
+            farthest = np.argsort(-point_dist, kind="stable")[: int(empty.sum())]
+            new_centers[empty] = x[farthest]
+
+        shift = float(((new_centers - centers) ** 2).sum(axis=1).max())
+        centers = new_centers
+        if shift < tol:
+            converged = True
+            break
+
+    # final assignment against the final centroids
+    dists = reference_squared_distances(x, centers, x_sq)
+    assignments = dists.argmin(axis=1)
+    inertia = float(dists[np.arange(n), assignments].sum())
+    history.append(inertia)
+    if np.bincount(assignments, minlength=k).min() == 0:
+        distinct = len(np.unique(x, axis=0))
+        if distinct < k:
+            raise DataError(f"k = {k} exceeds the {distinct} distinct points")
+    return ClusteringResult(
+        k=k,
+        assignments=assignments,
+        centroids=centers,
+        inertia=inertia,
+        inertia_history=history,
+        n_iterations=iteration,
+        converged=converged,
+    )
+
+
+def _lloyd_cases():
+    rng = np.random.default_rng(12)
+    blobs = rng.normal(size=(600, 16)) + rng.integers(0, 5, size=(600, 1)) * 3.0
+    warm = blobs[rng.choice(600, size=6, replace=False)]
+    far = warm.copy()
+    far[[1, 4]] = 1e6  # far from every point: these clusters start empty
+    return [
+        pytest.param(blobs, 6, None, id="cold"),
+        pytest.param(blobs, 6, warm, id="warm"),
+        pytest.param(blobs, 6, far, id="empty-reseed"),
+    ]
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2, 300])
+@pytest.mark.parametrize("x, k, start", _lloyd_cases())
+def test_lloyd_equals_the_two_assignment_reference(x, k, start, max_iters):
+    got = lloyd_kmeans(x, k, seed=5, max_iters=max_iters, initial_centroids=start)
+    want = reference_lloyd_kmeans(x, k, seed=5, max_iters=max_iters, initial_centroids=start)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.assignments.tobytes() == want.assignments.tobytes()
+    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+    assert np.array(got.inertia_history).tobytes() == np.array(want.inertia_history).tobytes()
+    assert (got.n_iterations, got.converged) == (want.n_iterations, want.converged)
+    assert len(got.inertia_history) == got.n_iterations + 1
+    if max_iters == 300:
+        assert got.converged and got.n_iterations < 300
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2, 300])
+def test_lloyd_raises_the_references_error_on_too_few_distinct_points(max_iters):
+    x = np.asarray([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5 + [[2.0, 0.0]])
+    with pytest.raises(DataError) as want:
+        reference_lloyd_kmeans(x, 5, seed=2, max_iters=max_iters)
+    with pytest.raises(DataError) as got:
+        lloyd_kmeans(x, 5, seed=2, max_iters=max_iters)
+    assert str(got.value) == str(want.value) == "k = 5 exceeds the 3 distinct points"
+
+
 # -- scores vs brute force -----------------------------------------------------------
 
 

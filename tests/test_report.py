@@ -178,6 +178,36 @@ def test_preflight_bounds_the_trainers_working_set(monkeypatch):
     report.preflight(graph, config, table, 400)
 
 
+def test_preflight_checks_the_larger_working_set_and_returns_both(monkeypatch):
+    graph = synthetic_graph(demo_plan())
+    config = PipelineConfig.from_json_dict(
+        {"input": "x", "train": {"dimension": 16}, "validate": {"enabled": True, "bins": 10**8}}
+    )
+    train_need = train_working_set_bytes(400, graph.n_entities, graph.n_relations, config.train)
+    bins_need = validation.validate_working_set_bytes(10**8)
+    assert bins_need == 64 * 10**8 > train_need
+    patch_physical_memory(monkeypatch, bins_need)
+    assert report.preflight(graph, config, None, 400) == {"train": train_need, "validate": bins_need}
+    table = EmbeddingTable(
+        graph.entity_names, graph.relation_names,
+        np.ones((graph.n_entities, 4), np.float32), np.ones((graph.n_relations, 4), np.float32),
+    )
+    assert report.preflight(graph, config, table, 400) == {"validate": bins_need}
+    # one byte short: refused before training, with or without a table
+    patch_physical_memory(monkeypatch, bins_need - 1)
+    for given in (None, table):
+        with pytest.raises(DataError, match=r"validation would hold about 5\.96 GiB") as err:
+            report.preflight(graph, config, given, 400)
+        assert str(err.value).endswith("; lower validate.bins")
+    # the default bins stay far below the trainer's estimate, which is the one checked
+    default = replace(config, validate=replace(config.validate, bins=100))
+    patch_physical_memory(monkeypatch, train_need)
+    assert report.preflight(graph, default, None, 400)["validate"] == 6_400
+    patch_physical_memory(monkeypatch, train_need - 1)
+    with pytest.raises(DataError, match="lower train.negatives"):
+        report.preflight(graph, default, None, 400)
+
+
 def test_batch_rows_are_the_smaller_of_batch_size_and_train_triples():
     config = TrainConfig(dimension=8, negatives=3, batch_size=100)
     assert train_working_set_bytes(1_000, 50, 2, config) == 4 * 8 * (6 * (100 + 300) + 3 * 52) + 96 * 300
@@ -682,6 +712,15 @@ def test_manifest_records_the_trainers_working_set(full_bundle):
     assert type(note) is int
     assert note == train_working_set_bytes(376, table.n_entities, table.n_relations, config)
     assert "manifest.json" not in manifest["files"]  # no checksum holds the note
+
+
+def test_manifest_records_the_validation_working_set(full_bundle):
+    """notes.validate.working_set_bytes is preflight's estimate for validate.bins."""
+    manifest = full_bundle.manifest
+    bins = manifest["config"]["validate"]["bins"]
+    assert manifest["notes"]["validate"] == {
+        "working_set_bytes": validation.validate_working_set_bytes(bins)
+    }
 
 
 def test_manifest_lists_every_epoch_loss(full_bundle):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from conftest import from_labeled_triples, make_table
 from kgstruct.errors import DataError
 from kgstruct.validation import (
+    RelationProfile,
     average_ranks,
     kl_divergence,
     similarity_histogram,
     similarity_lists,
     spearman_rho,
     validate_relation,
+    validate_working_set_bytes,
 )
 
 
@@ -333,3 +336,20 @@ def test_validate_constant_lists_propagate_none():
     record = validate_relation(similarity_lists(table, graph, "r"))
     assert record.spearman is None and record.spearman_abs is None
     assert record.kl <= 1e-12
+
+
+@pytest.mark.parametrize("bins", [10**4, 10**5, 10**6])
+def test_validate_working_set_bounds_the_traced_peak(bins):
+    """The bins-sized arrays validate_relation holds at once, against the estimate."""
+    rng = np.random.default_rng(0)
+    direct = rng.uniform(-1.0, 1.0, 200)
+    centroid = np.clip(direct + rng.normal(scale=0.1, size=200), -1.0, 1.0)
+    profile = RelationProfile("r", np.ones(2), np.ones(2), direct, centroid, 200, 0)
+    tracemalloc.start()
+    try:
+        validate_relation(profile, bins=bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six or seven arrays of bins float64 values are alive at the peak
+    assert 0.7 * validate_working_set_bytes(bins) <= peak <= validate_working_set_bytes(bins)
