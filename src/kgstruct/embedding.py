@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import reprlib
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -152,8 +153,8 @@ class EmbeddingTable:
         """Read a table written by :meth:`save`.
 
         A damaged file, including one whose matrix holds a NaN or infinity
-        or whose header holds a mistyped config or epoch losses, is a
-        DataError naming the path.
+        or whose header holds a mistyped size, name list, config or epoch
+        losses, is a DataError naming the path and the field.
         """
         try:
             with open(path, "rb") as handle:
@@ -163,40 +164,60 @@ class EmbeddingTable:
                 blob = handle.read(length)
                 if len(blob) != length:
                     raise DataError(f"{path}: truncated embedding table header")
-                header = json.loads(blob.decode("utf-8"))
-                dim = header["dimension"]
-                n_ent = header["entity_count"]
-                n_rel = header["relation_count"]
+                header = {"config": None, "epoch_losses": None, **json.loads(blob.decode("utf-8"))}
+                dim, n_ent, n_rel = (
+                    _header_field(path, header, key, _is_count, "a non-negative int")
+                    for key in ("dimension", "entity_count", "relation_count")
+                )
+                for key in ("entity_names", "relation_names"):
+                    _header_field(path, header, key, _is_names, "a list of strings")
                 raw = handle.read()
             if len(raw) != 4 * (n_ent + n_rel) * dim:
                 raise DataError(f"{path}: truncated embedding matrix")
             data = np.frombuffer(raw, dtype="<f4")
             if not np.isfinite(data).all():
                 raise DataError(f"{path}: non-finite value in embedding matrix")
-            config = header.get("config")
+            config = header["config"]
             if config is not None:
                 config = load_dataclass(TrainConfig, config, "config")
-            losses = header.get("epoch_losses")
-            if losses is not None and not (
-                isinstance(losses, list) and all(type(x) in (int, float) for x in losses)
-            ):
-                raise DataError(
-                    f"{path}: malformed embedding table: epoch_losses must be null or "
-                    f"a list of numbers, got {losses!r}"
-                )
             return cls(
                 header["entity_names"],
                 header["relation_names"],
                 data[: n_ent * dim].reshape(n_ent, dim).copy(),
                 data[n_ent * dim :].reshape(n_rel, dim).copy(),
                 config=config,
-                epoch_losses=losses,
+                epoch_losses=_header_field(
+                    path, header, "epoch_losses", _is_losses, "null or a list of numbers"
+                ),
             )
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
             # ConfigError: the header's train config is mistyped or fails its checks
             raise DataError(f"{path}: malformed embedding table: {exc!r}") from exc
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(type(x) is str for x in value)
+
+
+def _is_losses(value) -> bool:
+    return value is None or (
+        isinstance(value, list) and all(type(x) in (int, float) for x in value)
+    )
+
+
+def _header_field(path: str | Path, header: dict, key: str, valid, expected: str):
+    """``header[key]``, or a DataError naming ``path`` and ``key`` if ``valid`` refuses it."""
+    value = header[key]
+    if not valid(value):
+        got = reprlib.repr(value)
+        raise DataError(f"{path}: malformed embedding table: {key} must be {expected}, got {got}")
+    return value
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,8 +483,10 @@ def hits_at_k(
 
     The table must follow the graph's interning (:func:`check_aligned`).
     Candidates are every entity of the table, ranked by ascending squared
-    distance to head + relation; rank counts entities strictly closer than
-    the true tail, so ties rank optimistically.
+    distance to head + relation. A tie takes the realistic rank (Sun et al.,
+    ACL 2020): the mean of 1 + the entities strictly closer than the true
+    tail and the entities no farther, the true tail among them. So a table
+    whose entities all coincide ranks each tail (E + 1) / 2, not 1.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -482,7 +505,10 @@ def hits_at_k(
             + table.relation_vectors[chunk[:, 1]].astype(np.float64)
         )
         scores = _tail_scores(query, ent, ent_sq, out=buffer[: len(chunk)])
-        true_scores = scores[np.arange(len(chunk)), chunk[:, 2]]
-        ranks = (scores < true_scores[:, None]).sum(axis=1) + 1
-        hits += int((ranks <= k).sum())
+        true_scores = scores[np.arange(len(chunk)), chunk[:, 2]][:, None]
+        closer = (scores < true_scores).sum(axis=1)
+        # the realistic rank is at least the optimistic 1 + closer: only those within k can hit
+        near = np.flatnonzero(closer < k)
+        no_farther = (scores[near] <= true_scores[near]).sum(axis=1)
+        hits += int((1 + closer[near] + no_farther <= 2 * k).sum())
     return hits / len(rows)

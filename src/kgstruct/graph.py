@@ -40,23 +40,21 @@ class KnowledgeGraph:
     def from_id_triples(
         cls, entity_names: list[str], relation_names: list[str], triples: np.ndarray
     ) -> "KnowledgeGraph":
-        """Build a graph from raw id rows, keeping each triple's first occurrence in input order."""
+        """Build a graph from raw id rows, keeping each triple's first occurrence in input order.
+
+        Row codes are sorted by ``_sorted_runs``, as ``_group``'s keys are; the
+        least row index of a run is its first occurrence. No inverse is built.
+        """
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        n_ent = max(len(entity_names), 1)
-        n_rel = max(len(relation_names), 1)
+        n_ent, n_rel = max(len(entity_names), 1), max(len(relation_names), 1)
         codes = triples[:, 0] * n_rel
         codes += triples[:, 1]
         codes *= n_ent
         codes += triples[:, 2]
-        # a stable sort puts each code's first row at the head of its run
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        head = np.empty(len(codes), dtype=bool)
-        head[:1] = True
-        np.not_equal(codes[1:], codes[:-1], out=head[1:])
+        order, starts = _sorted_runs(codes)
         del codes
-        first = order[head]
-        del order, head
+        first = np.minimum.reduceat(order, np.flatnonzero(starts))
+        del order, starts
         first.sort()
         return cls(entity_names, relation_names, triples[first])
 
@@ -144,9 +142,7 @@ def _compact_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     distinct, first, inverse = _group(values)
     order = np.argsort(first)
-    new_of_sorted = np.empty(len(distinct), dtype=np.int64)
-    new_of_sorted[order] = np.arange(len(distinct))
-    return distinct[order], new_of_sorted[inverse]
+    return distinct[order], np.argsort(order)[inverse]
 
 
 # -- parsing ---------------------------------------------------------------
@@ -195,9 +191,7 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
             rows, n_lines = _parse_block(data, format, entities, relations, path, lines_before)
             blocks.append(rows)
             lines_before += n_lines
-    triples = (
-        np.concatenate(blocks, dtype=np.int64) if blocks else np.empty((0, 3), np.int64)
-    )
+    triples = np.concatenate(blocks, dtype=np.int64) if blocks else np.empty((0, 3), np.int64)
     del blocks
     return KnowledgeGraph.from_id_triples(entities.names, relations.names, triples)
 
@@ -419,17 +413,23 @@ def _pack(buf: np.ndarray, lo: np.ndarray, length: np.ndarray, n_words: int) -> 
     return packed.ravel() if n_words == 1 else packed.view((np.void, 8 * n_words)).ravel()
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_index=True, return_inverse=True)``, by an unstable sort."""
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An unstable argsort of ``keys``, and a mask of the sorted places that start a run."""
     order = np.argsort(keys)
     ordered = keys[order]
     starts = np.empty(len(keys), dtype=bool)
     starts[:1] = True
-    starts[1:] = ordered[1:] != ordered[:-1]
-    run_starts = np.flatnonzero(starts)
+    starts[1:] = ordered[1:] != ordered[:-1]  # np.not_equal(..., out=) has no loop for void keys
+    return order, starts
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)``, by ``_sorted_runs``."""
+    order, starts = _sorted_runs(keys)
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
     inverse = np.empty(len(keys), dtype=np.int64)
     inverse[order] = np.cumsum(starts) - 1
-    return ordered[run_starts], np.minimum.reduceat(order, run_starts), inverse
+    return keys[first], first, inverse
 
 
 def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[str]:
@@ -450,8 +450,9 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
 def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     """Serialize as tab-separated head/relation/tail lines, one per triple.
 
-    Symbols that cannot survive the format (embedded tabs or newlines, or a
-    head starting with the ``#`` comment marker) are rejected rather than
+    Symbols that cannot survive the format (an embedded tab, LF or CR, a head
+    starting with the ``#`` comment marker, or a first head starting with
+    U+FEFF, which would read as a byte-order mark) are rejected rather than
     written unparseably: the error names the first such symbol in triple
     order, and nothing is written. Each distinct name is checked once.
     """
@@ -465,8 +466,10 @@ def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
         return flags
 
     def unsafe(name):
-        return "\t" in name or "\n" in name
+        return "\t" in name or "\n" in name or "\r" in name
 
+    if len(triples) and ent[triples[0, 0]].startswith("\ufeff"):
+        raise DataError(f"entity {ent[triples[0, 0]]!r} would be read as a byte-order mark")
     bad_ent = failing(ent, unsafe, triples[:, 0], triples[:, 2])
     problems = np.column_stack(
         [
@@ -500,10 +503,8 @@ def filter_relations(graph: KnowledgeGraph, exclude: set[str]) -> KnowledgeGraph
     Excluding an absent relation is a no-op. Entity and relation tables are
     re-compacted to the symbols still referenced.
     """
-    excluded_ids = {
-        i for i, name in enumerate(graph.relation_names) if name in exclude
-    }
-    keep = ~np.isin(graph.triples[:, 1], sorted(excluded_ids))
+    excluded_ids = [i for i, name in enumerate(graph.relation_names) if name in exclude]
+    keep = ~np.isin(graph.triples[:, 1], excluded_ids)
     return graph.subset(np.flatnonzero(keep))
 
 
@@ -548,10 +549,7 @@ def split_indices(
     n_val = int(np.floor(spec.validation * n))
     n_test = int(np.floor(spec.test * n))
     rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(n)
-    train = perm[: n - n_val - n_test]
-    val = perm[n - n_val - n_test : n - n_test]
-    test = perm[n - n_test :]
+    train, val, test = np.split(rng.permutation(n), [n - n_val - n_test, n - n_test])
     return np.sort(train), np.sort(val), np.sort(test)
 
 

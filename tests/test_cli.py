@@ -525,6 +525,18 @@ def _definitions(text):
          "validation would hold about 59604.64 GiB of arrays at once"),
         (_huge_bins_with_table, 2,
          "validation would hold about 59604.64 GiB of arrays at once"),
+        (_edited_table("chars", lambda header: header.update(entity_names="ab")), 2,
+         "chars.kgt: malformed embedding table: entity_names must be a list of strings, got 'ab'"),
+        (_edited_table("ints", lambda header: header.update(entity_names=[1, 2])), 2,
+         "ints.kgt: malformed embedding table: entity_names must be a list of strings, got [1, 2]"),
+        (_edited_table("nulls", lambda header: header.update(relation_names=None)), 2,
+         "nulls.kgt: malformed embedding table: relation_names must be a list of strings, got None"),
+        (_edited_table("bool", lambda header: header.update(dimension=True)), 2,
+         "bool.kgt: malformed embedding table: dimension must be a non-negative int, got True"),
+        (_edited_table("negative", lambda header: header.update(entity_count=-1)), 2,
+         "negative.kgt: malformed embedding table: entity_count must be a non-negative int, got -1"),
+        (_edited_table("real", lambda header: header.update(relation_count=6.0)), 2,
+         "real.kgt: malformed embedding table: relation_count must be a non-negative int, got 6.0"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -543,7 +555,9 @@ def _definitions(text):
          "blank-definition", "one-validate-bin", "non-utf8-config", "table-config-margin-bool",
          "table-config-seed-fraction", "table-config-epochs-real", "table-config-list",
          "table-config-zero", "table-epoch-losses-string", "huge-validate-bins",
-         "huge-validate-bins-with-table"],
+         "huge-validate-bins-with-table", "table-names-string", "table-names-ints",
+         "table-names-null", "table-dimension-bool", "table-count-negative",
+         "table-count-real"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)

@@ -437,6 +437,86 @@ def test_hits_maps_table_rows_by_name():
             assert hits_at_k(aligned, g, k) == hits_at_k(table, g, k)
 
 
+def reference_hits_at_k(table, graph, k, batch_size=256):
+    """hits_at_k with the optimistic tie rule: rank counts only the entities strictly closer."""
+    rows = graph.triples
+    ent = table.entity_vectors.astype(np.float64)
+    ent_sq = (ent * ent).sum(axis=1)
+    hits = 0
+    buffer = np.empty((min(batch_size, len(rows)), len(ent)))
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start : start + batch_size]
+        query = (
+            table.entity_vectors[chunk[:, 0]].astype(np.float64)
+            + table.relation_vectors[chunk[:, 1]].astype(np.float64)
+        )
+        scores = _tail_scores(query, ent, ent_sq, out=buffer[: len(chunk)])
+        true_scores = scores[np.arange(len(chunk)), chunk[:, 2]]
+        ranks = (scores < true_scores[:, None]).sum(axis=1) + 1
+        hits += int((ranks <= k).sum())
+    return hits / len(rows)
+
+
+def realistic_hits(table, graph, k):
+    """One triple at a time: the mean of the optimistic and the pessimistic rank, within k."""
+    ent = table.entity_vectors.astype(np.float64)
+    ent_sq = (ent * ent).sum(axis=1)
+    hits = 0
+    for h, r, t in graph.triples.tolist():
+        query = table.entity_vectors[h].astype(np.float64) + table.relation_vectors[r]
+        scores = ent_sq - 2.0 * (ent @ query)
+        optimistic = 1 + int((scores < scores[t]).sum())
+        pessimistic = int((scores <= scores[t]).sum())
+        hits += (optimistic + pessimistic) / 2 <= k
+    return hits / graph.n_triples
+
+
+def random_fixture(n_entities, n_triples, dimension, seed, values=None):
+    """A graph over ``n_entities`` and a table of uniform vectors, or of ``values`` with repeats."""
+    rng = np.random.default_rng(seed)
+    names = [f"e{i}" for i in range(n_entities)]
+    rows = rng.integers(0, [n_entities, 3, n_entities], size=(n_triples, 3))
+    graph = KnowledgeGraph.from_id_triples(names, ["r0", "r1", "r2"], rows)
+    if values is None:
+        vectors = rng.uniform(-1, 1, (n_entities + 3, dimension))
+    else:
+        vectors = rng.choice(values, (n_entities + 3, dimension))
+    table = EmbeddingTable(names, graph.relation_names, vectors[:n_entities], vectors[n_entities:])
+    return table, graph
+
+
+@pytest.mark.parametrize("n_entities", [19, 20, 160])
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_a_table_of_one_entity_vector_ranks_every_tail_in_the_middle(n_entities, value):
+    """Every tail ties with every entity: rank (E + 1) / 2, so hits@10 is 0 from E = 20 on."""
+    table, graph = random_fixture(n_entities, 300, 8, seed=n_entities)
+    table.entity_vectors[:] = value
+    assert hits_at_k(table, graph, 10) == (1.0 if n_entities < 20 else 0.0)
+    assert hits_at_k(table, graph, n_entities) == 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hits_without_ties_equal_the_optimistic_reference(seed):
+    n_entities = [12, 40, 300][seed % 3]
+    table, graph = random_fixture(n_entities, 700, 4 + seed, seed)
+    ent = table.entity_vectors.astype(np.float64)
+    for h, r, t in graph.triples[:50].tolist():  # the fixture is tie-free
+        query = table.entity_vectors[h].astype(np.float64) + table.relation_vectors[r]
+        assert len(np.unique(((ent - query) ** 2).sum(axis=1))) == n_entities
+    for k in (1, 3, 10, n_entities):
+        got = hits_at_k(table, graph, k, batch_size=97)
+        assert got * graph.n_triples == reference_hits_at_k(table, graph, k) * graph.n_triples
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hits_with_ties_take_the_realistic_rank(seed):
+    # vectors of a few small integers: many entities tie at each distance
+    table, graph = random_fixture(30 + 20 * seed, 400, 2, seed, values=[-1.0, 0.0, 1.0])
+    for k in (1, 2, 5, 10, 25):
+        assert hits_at_k(table, graph, k, batch_size=64) == realistic_hits(table, graph, k)
+    assert hits_at_k(table, graph, 10) <= reference_hits_at_k(table, graph, 10)
+
+
 # -- persistence -------------------------------------------------------------------
 
 

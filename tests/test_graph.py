@@ -749,6 +749,152 @@ def test_dedupe_of_many_repeated_rows_equals_the_reference(pool, picks):
     assert built.triples.dtype == kept.dtype and built.triples.tobytes() == kept.tobytes()
 
 
+def reference_from_id_triples(cls, entity_names, relation_names, triples):
+    """from_id_triples before it shared ``_group``'s sort: a stable sort and a head mask."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    n_ent = max(len(entity_names), 1)
+    n_rel = max(len(relation_names), 1)
+    codes = triples[:, 0] * n_rel
+    codes += triples[:, 1]
+    codes *= n_ent
+    codes += triples[:, 2]
+    # a stable sort puts each code's first row at the head of its run
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    head = np.empty(len(codes), dtype=bool)
+    head[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=head[1:])
+    del codes
+    first = order[head]
+    del order, head
+    first.sort()
+    return cls(entity_names, relation_names, triples[first])
+
+
+def assert_same_graph(got, expected):
+    assert got.triples.dtype == expected.triples.dtype
+    assert got.triples.tobytes() == expected.triples.tobytes()
+    assert got.entity_names == expected.entity_names
+    assert got.relation_names == expected.relation_names
+
+
+@pytest.mark.parametrize(
+    "rows", [np.empty((0, 3), np.int64), np.asarray([[1, 0, 2]] * 50)], ids=["none", "one-repeated"]
+)
+def test_from_id_triples_equals_the_stable_sort_reference(rows):
+    names = (["a", "b", "c"], ["r"])
+    built = KnowledgeGraph.from_id_triples(*names, rows)
+    assert_same_graph(built, reference_from_id_triples(KnowledgeGraph, *names, rows))
+    assert built.n_triples == min(len(rows), 1)
+
+
+@given(
+    n_ent=st.integers(1, 9),
+    n_rel=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=400),
+    pool=st.integers(1, 12),
+)
+@settings(max_examples=80, deadline=None)
+def test_from_id_triples_of_many_repeats_equals_the_reference(n_ent, n_rel, picks, pool):
+    # ``pool`` distinct draws repeated over up to 400 rows: runs of every length
+    rng = np.random.default_rng(pool)
+    distinct = np.column_stack(
+        [rng.integers(0, n, pool) for n in (n_ent, n_rel, n_ent)]
+    )
+    rows = distinct[np.asarray(picks) % pool]
+    names = ([f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)])
+    built = KnowledgeGraph.from_id_triples(*names, rows)
+    assert_same_graph(built, reference_from_id_triples(KnowledgeGraph, *names, rows))
+
+
+class IdsOnlyGraph(KnowledgeGraph):
+    """A graph that keeps only its triples, so that name tables can be ranges too long to list."""
+
+    def __init__(self, entity_names, relation_names, triples):
+        self.triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+
+
+def test_from_id_triples_near_the_code_bound_equals_the_reference():
+    # n_entities^2 * n_relations = 2^63 - 2^33 + 2: the largest code is just below 2^63
+    n_ent, n_rel = 2**31 - 1, 2
+    assert n_ent * n_ent * n_rel < 2**63 - 1 < (n_ent + 1) * (n_ent + 1) * n_rel
+    rng = np.random.default_rng(7)
+    near = np.asarray([0, 1, n_ent - 2, n_ent - 1])
+    rows = np.column_stack(
+        [near[rng.integers(0, 4, 300)], rng.integers(0, n_rel, 300), near[rng.integers(0, 4, 300)]]
+    )
+    rows[0] = [n_ent - 1, n_rel - 1, n_ent - 1]  # the largest code
+    names = (range(n_ent), range(n_rel))
+    built = IdsOnlyGraph.from_id_triples(*names, rows)
+    expected = reference_from_id_triples(IdsOnlyGraph, *names, rows)
+    assert built.triples.tobytes() == expected.triples.tobytes()
+    assert len(built.triples) == len(np.unique(rows, axis=0))
+
+
+def assert_groups_like_unique(keys):
+    got = graph_module._group(keys)
+    expected = np.unique(keys, return_index=True, return_inverse=True)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.lists(st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1), max_size=300))
+@settings(max_examples=80, deadline=None)
+def test_group_equals_unique_on_uint64_keys(values):
+    assert_groups_like_unique(np.asarray(values, dtype=np.uint64))
+
+
+@given(
+    words=st.integers(2, 4),
+    pool=st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=10),
+    picks=st.lists(st.integers(0, 9), max_size=300),
+)
+@settings(max_examples=80, deadline=None)
+def test_group_equals_unique_on_void_keys(words, pool, picks):
+    # names of 8 * (words - 1) to 8 * words - 1 bytes, packed as the interner packs them
+    names = [(name * 32)[: 8 * (words - 1) + len(name) % 8] for name in pool]
+    spans = [names[i % len(names)] for i in picks]
+    buf = np.frombuffer(b"".join(spans) + bytes(8), dtype=np.uint8)
+    length = np.asarray([len(span) for span in spans], dtype=np.int64)
+    keys = graph_module._pack(buf, np.cumsum(length) - length, length, words)
+    assert keys.dtype == np.dtype((np.void, 8 * words))
+    assert_groups_like_unique(keys)
+
+
+def test_from_id_triples_peaks_no_higher_than_the_reference():
+    """The shared sort holds no more at once than the stable sort did.
+
+    tracemalloc counts numpy's array buffers, and Python's own objects too:
+    those differ by a few bytes from call to call, so 1 KiB is allowed for
+    them. On input this close to duplicate-free, both peak at the final copy
+    of the kept rows.
+    """
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    n, n_ent, n_rel = 200_000, 60_000, 30
+    rows = np.column_stack(
+        [rng.integers(0, n_ent, n), rng.integers(0, n_rel, n), rng.integers(0, n_ent, n)]
+    )
+    rows[rng.integers(0, n, n // 50)] = rows[rng.integers(0, n, n // 50)]  # some repeats
+    names = ([f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)])
+    peaks = []
+    for build in (
+        KnowledgeGraph.from_id_triples,
+        lambda *args: reference_from_id_triples(KnowledgeGraph, *args),
+    ):
+        build(*names, rows[:100])  # first calls allocate numpy's and Python's caches
+        tracemalloc.start()
+        try:
+            graph = build(*names, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del graph
+    assert peaks[1] > n * 24  # the reference's copy of the kept rows was traced
+    assert peaks[0] <= peaks[1] + 1024
+
+
 def test_relation_index_rows_ascend_and_partition(edge_case_graphs):
     for graph in edge_case_graphs:
         index = graph.relation_index
@@ -867,6 +1013,35 @@ def test_serializer_raises_the_reference_error(tmp_path, rows):
     assert not path.exists()  # nothing is written
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([("a", "r", "b"), ("a\rb", "r", "c")], "entity 'a\\rb' contains a tab or newline"),
+        ([("a", "r", "b\r")], "entity 'b\\r' contains a tab or newline"),
+        ([("a", "r\r", "b")], "relation 'r\\r' contains a tab or newline"),
+        ([("\ufeffd", "r", "b")], "entity '\\ufeffd' would be read as a byte-order mark"),
+    ],
+    ids=["cr-in-a-head", "cr-in-a-tail", "cr-in-a-relation", "bom-first-head"],
+)
+def test_serializer_refuses_what_the_parser_would_read_back_otherwise(tmp_path, rows, message):
+    """The parser ends a line at a lone CR and skips a byte-order mark that opens the file."""
+    from kgstruct.errors import DataError
+
+    path = tmp_path / "out.tsv"
+    with pytest.raises(DataError) as err:
+        write_generic_3col(from_labeled_triples(rows), path)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
+def test_serializer_writes_a_byte_order_mark_after_the_first_line(tmp_path):
+    graph = from_labeled_triples([("a", "r", "\ufeffb"), ("\ufeffc", "r", "a")])
+    write_generic_3col(graph, tmp_path / "out.tsv")
+    again = parse_edge_file(tmp_path / "out.tsv")
+    assert again.entity_names == graph.entity_names == ["a", "\ufeffb", "\ufeffc"]
+    assert np.array_equal(again.triples, graph.triples)
+
+
 def test_serializer_skips_names_no_triple_uses(tmp_path):
     graph = from_labeled_triples([("a", "r", "b"), ("#c\t", "s\n", "d")])
     kept = graph.subset(np.asarray([0]), recompact=False)
@@ -903,6 +1078,12 @@ def test_serializer_roundtrips_arbitrary_names(tmp_path_factory, names, seed):
     ]
     graph = from_labeled_triples(rows)
     path = tmp_path_factory.mktemp("rt") / "graph.tsv"
+    if rows[0][0].startswith("\ufeff"):  # the parser would skip it as the file's byte-order mark
+        from kgstruct.errors import DataError
+
+        with pytest.raises(DataError, match="byte-order mark"):
+            write_generic_3col(graph, path)
+        return
     write_generic_3col(graph, path)
     reference = path.with_name("reference.tsv")
     reference_write_generic_3col(graph, reference)
