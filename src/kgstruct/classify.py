@@ -2,8 +2,9 @@
 
 Both classifiers are self-contained: logistic regression fit by full-batch
 gradient descent with an L2 penalty, and a random forest of axis-aligned
-Gini trees with bootstrap aggregation and per-split feature subsampling.
-Both are deterministic for a fixed seed.
+Gini trees with bootstrap aggregation and per-split feature subsampling,
+whose splits are searched over at most 32 bins per feature. Both are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -135,26 +136,59 @@ class ForestConfig:
         return mf
 
 
-def _grow_tree(columns, ranks, y, rows, config: ForestConfig, per_split: int, rng, root: int):
-    """One Gini tree on the sample ``rows`` (repeats allowed), grown a level at a time.
+BINS = 32  # split candidates per column: a column with at most BINS distinct values keeps each
+GROUP_ENTRIES = 1 << 16  # (tree x row x candidate) entries per group of trees grown together
 
-    ``columns`` is the (d, n) feature matrix and ``ranks`` each column's dense
-    value ranks. A node splits while it holds both classes and at least
-    min_samples_split rows above max_depth; one draw per level picks every
-    open node's candidate features. Each (open node, candidate) pair is a
-    segment of one sort by ``segment * n + rank``, whose cumulative sums score
-    every midpoint cut. A node's segments lie in feature order, so its first
-    Gini minimum splits it: ties go to the lowest feature, then the lowest cut.
-    Returns (feature, threshold, left, value) per node in level order from
-    ``root``. A leaf has feature -1 and predicts value, the majority class
-    (ties to 0); an inner node sends value <= threshold to left[i], the rest
-    to left[i] + 1.
+
+def _bin_codes(columns: np.ndarray) -> np.ndarray:
+    """Each value's bin in its column: one bin per distinct value up to BINS, else quantiles.
+
+    A column with more than BINS distinct values is cut before the values at
+    its sorted positions ``i * n // BINS``; a cut that repeats leaves an empty
+    bin, which splits nothing.
+    """
+    n = columns.shape[1]
+    codes = np.empty(columns.shape, dtype=np.intp)
+    for c, col in enumerate(columns):
+        s = np.sort(col)
+        values = s[np.append(True, s[1:] != s[:-1])]
+        edges = values[1:] if len(values) <= BINS else s[np.arange(1, BINS) * n // BINS]
+        codes[c] = np.searchsorted(edges, col, side="right")
+    return codes
+
+
+def _grow_trees(columns, codes, y, rngs, config: ForestConfig, per_split: int, base: int):
+    """One Gini tree per generator in ``rngs``, all grown together a level at a time.
+
+    ``columns`` is the (d, n) feature matrix and ``codes`` its bins. Each tree
+    draws its sample rows (repeats allowed), then one feature draw per level
+    for its open nodes. A node splits while it holds both classes and at
+    least min_samples_split rows above max_depth. One bincount over (class,
+    bin, candidate, open node) cells gives every candidate's histogram, whose
+    cumulative sums score each cut between bins. A node's first Gini minimum
+    splits it: ties go to the lowest feature, then the lowest cut. The
+    threshold is the midpoint of the node's largest value at or below the cut
+    and its smallest value above it. Rows are routed by value <= threshold,
+    as ``predict_proba`` does: by bin they could differ where that midpoint
+    rounds up onto the value above.
+
+    Returns each tree's root and (feature, threshold, left, value) per node,
+    numbered from ``base`` in level order, each level's nodes tree by tree.
+    A leaf has feature -1 and predicts value, the majority class (ties to
+    0); an inner node sends value <= threshold to left[i], the rest to
+    left[i] + 1.
     """
     d, n = columns.shape
+    p = per_split
+    rows = np.concatenate(
+        [rng.integers(0, n, size=n) if config.bootstrap else np.arange(n) for rng in rngs]
+    )
+    node = np.repeat(np.arange(len(rngs)), n)  # each row's node on this level
+    tree = np.arange(len(rngs))  # each node's tree on this level
     levels = []
-    node = np.zeros(len(rows), dtype=np.int64)  # each row's node on this level
-    width, first_id = 1, root  # the level's node count and its first node's id
+    first_id = base  # the level's first node id
     for depth in range(config.max_depth + 1):
+        width = len(tree)
         size = np.bincount(node, minlength=width)
         pos = np.bincount(node[y[rows] == 1], minlength=width)
         feature, threshold, left = np.full(width, -1), np.zeros(width), np.zeros(width, np.int64)
@@ -163,58 +197,70 @@ def _grow_tree(columns, ranks, y, rows, config: ForestConfig, per_split: int, rn
         if depth == config.max_depth or not is_open.any():
             break
         opened = np.flatnonzero(is_open)
-        k, p = len(opened), min(per_split, d)
-        draw = rng.random((k, d)).argsort(axis=1)[:, :p] if p < d else np.tile(np.arange(d), (k, 1))
-        picked = np.sort(draw, axis=1)
+        k = len(opened)
+        if p < d:
+            counts = np.bincount(tree[opened], minlength=len(rngs))  # open nodes per tree
+            draw = np.concatenate(
+                [rng.random((c, d)).argsort(axis=1)[:, :p] for rng, c in zip(rngs, counts) if c]
+            )
+            picked = np.sort(draw, axis=1)
+        else:
+            picked = np.tile(np.arange(d), (k, 1))
         kept = is_open[node]
         rows, node = rows[kept], (np.cumsum(is_open) - 1)[node[kept]]  # open node -> 0..k-1
-        key = ((node * p + np.arange(p)[:, None]) * n + ranks[picked.T[:, node], rows]).ravel()
-        order = np.argsort(key)
-        key, members = key[order], np.tile(rows, p)[order]
-        segment, at = key // n, np.arange(len(key))
-        seg_size = np.repeat(size[opened], p)
-        seg_start = np.cumsum(seg_size) - seg_size
-        y_sorted = y[members]
-        cum_pos = np.cumsum(y_sorted)
-        cum_pos = (cum_pos - (cum_pos - y_sorted)[seg_start][segment]).astype(np.float64)
-        left_n = (at + 1.0) - seg_start[segment]
-        n_node = seg_size[segment]
+        # each (candidate, row) pair's histogram cell, in (class, bin, candidate, node) order
+        cell = (picked.T * n).take(node, axis=1)
+        cell += rows
+        cell = codes.take(cell) * (p * k)
+        cell += node + y[rows] * (BINS * p * k)
+        cell += (np.arange(p) * k)[:, None]
+        hist = np.bincount(cell.ravel(), minlength=2 * BINS * p * k).reshape(2, BINS, p, k)
+        below = hist.astype(np.float64)  # counts in bins up to each: exact in float
+        for b in range(1, BINS):  # np.cumsum is several times slower along this short axis
+            below[:, b] += below[:, b - 1]
+        cum_pos, left_n = below[1], below[0] + below[1]
+        n_node = size[opened]
         right_n = n_node - left_n
-        total_pos = pos[opened][segment // p].astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at segment ends
+        total_pos = pos[opened].astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
             p_left = cum_pos / left_n
             p_right = (total_pos - cum_pos) / right_n
             gini = (
                 left_n * (2.0 * p_left * (1.0 - p_left))
                 + right_n * (2.0 * p_right * (1.0 - p_right))
             ) / n_node
-        # a cut needs a larger value after it in its segment
-        gini[(right_n == 0) | np.append(key[1:] == key[:-1], True)] = np.inf
-        score = np.minimum.reduceat(gini, seg_start[::p])
-        hit = gini == score[segment // p]
-        cut = np.minimum.reduceat(np.where(hit, at, len(at)), seg_start[::p])
-        splitting = score < np.inf
+        gini[np.isnan(gini)] = np.inf  # 0 / 0: a cut with an empty side
+        at = gini.argmin(axis=0)  # (candidate, node): the lowest cut at each minimum
+        score = np.take_along_axis(gini, at[None], axis=0)[0]
+        col = score.argmin(axis=0)  # then the lowest candidate
+        splitting = score[col, np.arange(k)] < np.inf
         if not splitting.any():
             break
-        split_nodes, cut = opened[splitting], cut[splitting]
-        f = picked[splitting, segment[cut] % p]
-        t = 0.5 * (columns[f, members[cut]] + columns[f, members[cut + 1]])
+        split_nodes, col = opened[splitting], col[splitting]
+        f, cut = picked[splitting, col], at[col, np.flatnonzero(splitting)]
+        kept = splitting[node]
+        rows, slot = rows[kept], (np.cumsum(splitting) - 1)[node[kept]]  # split node -> slot
+        value = columns[f[slot], rows]
+        low = codes[f[slot], rows] <= cut[slot]
+        lo, hi = np.full(len(f), -np.inf), np.full(len(f), np.inf)
+        np.maximum.at(lo, slot[low], value[low])
+        np.minimum.at(hi, slot[~low], value[~low])
+        t = 0.5 * (lo + hi)
         feature[split_nodes], threshold[split_nodes] = f, t
         left[split_nodes] = first_id + width + 2 * np.arange(len(f))
-        kept = splitting[node]
-        rows, node = rows[kept], (np.cumsum(splitting) - 1)[node[kept]]  # split node -> slot
-        node = 2 * node + ~(columns[f[node], rows] <= t[node])
-        first_id, width = first_id + width, 2 * len(f)
-    return tuple(np.concatenate(part) for part in zip(*levels))
+        node = 2 * slot + ~(value <= t[slot])
+        tree = np.repeat(tree[split_nodes], 2)
+        first_id += width
+    return (base + np.arange(len(rngs)), *map(np.concatenate, zip(*levels)))
 
 
 class RandomForestClassifier:
     """Bootstrap-aggregated Gini decision trees with majority voting.
 
     ``seed`` fixes the bootstrap rows and per-level feature draws of every
-    tree. The fitted trees are flat node arrays, concatenated over trees:
-    ``feature_``, ``threshold_``, ``left_`` and ``value_``, with each tree's
-    root in ``roots_`` (see ``_grow_tree``).
+    tree. The fitted trees share flat node arrays, ``feature_``,
+    ``threshold_``, ``left_`` and ``value_``, with each tree's root in
+    ``roots_`` (see ``_grow_trees``).
     """
 
     def __init__(self, config: ForestConfig | None = None, seed: int = 0):
@@ -228,16 +274,18 @@ class RandomForestClassifier:
         _check_binary(y)
         d, n = columns.shape
         per_split = self.config.features_per_split(d)
-        ranks = np.array([np.unique(c, return_inverse=True)[1] for c in columns])
-        trees, roots = [], [0]
-        for seq in np.random.SeedSequence(self.seed).spawn(self.config.n_trees):
-            rng = np.random.default_rng(seq)
-            rows = rng.integers(0, n, size=n) if self.config.bootstrap else np.arange(n)
-            tree = _grow_tree(columns, ranks, y, rows, self.config, per_split, rng, roots[-1])
-            trees.append(tree)
-            roots.append(roots[-1] + len(tree[0]))
-        self.roots_ = np.array(roots[:-1])
-        self.feature_, self.threshold_, self.left_, self.value_ = map(np.concatenate, zip(*trees))
+        codes = _bin_codes(columns)
+        seqs = np.random.SeedSequence(self.seed).spawn(self.config.n_trees)
+        rngs = [np.random.default_rng(seq) for seq in seqs]
+        per_group = max(1, GROUP_ENTRIES // (n * per_split))
+        parts, base = [], 0
+        for start in range(0, len(rngs), per_group):
+            group = rngs[start : start + per_group]
+            parts.append(_grow_trees(columns, codes, y, group, self.config, per_split, base))
+            base += len(parts[-1][1])
+        self.roots_, self.feature_, self.threshold_, self.left_, self.value_ = map(
+            np.concatenate, zip(*parts)
+        )
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

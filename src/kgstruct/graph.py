@@ -450,7 +450,8 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
 def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     """Serialize as tab-separated head/relation/tail lines, one per triple.
 
-    Symbols that cannot survive the format (an embedded tab, LF or CR, a head
+    Symbols that cannot survive the format (an empty name, one that UTF-8
+    cannot encode, such as a lone surrogate, an embedded tab, LF or CR, a head
     starting with the ``#`` comment marker, or a first head starting with
     U+FEFF, which would read as a byte-order mark) are rejected rather than
     written unparseably: the error names the first such symbol in triple
@@ -462,11 +463,20 @@ def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     def failing(names, test, *columns):
         flags = np.zeros(len(names), dtype=bool)
         used = distinct_ids(flags, *columns)
-        flags[used] = [test(names[i]) for i in used.tolist()]
+        flags[used] = [bool(test(names[i])) for i in used.tolist()]
         return flags
 
     def unsafe(name):
-        return "\t" in name or "\n" in name or "\r" in name
+        """Why ``name`` cannot be a field, or "" if it can."""
+        if "\t" in name or "\n" in name or "\r" in name:
+            return "contains a tab or newline"
+        if name.isascii():
+            return "" if name else "is empty"
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            return "cannot be encoded as UTF-8"
+        return ""
 
     if len(triples) and ent[triples[0, 0]].startswith("\ufeff"):
         raise DataError(f"entity {ent[triples[0, 0]]!r} would be read as a byte-order mark")
@@ -484,10 +494,10 @@ def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
         h, r, t = triples[row].tolist()
         raise DataError(
             (
-                f"entity {ent[h]!r} contains a tab or newline",
+                f"entity {ent[h]!r} {unsafe(ent[h])}",
                 f"entity {ent[h]!r} would serialize as a comment line",
-                f"relation {rel[r]!r} contains a tab or newline",
-                f"entity {ent[t]!r} contains a tab or newline",
+                f"relation {rel[r]!r} {unsafe(rel[r])}",
+                f"entity {ent[t]!r} {unsafe(ent[t])}",
             )[check]
         )
     with open(path, "w", encoding="utf-8") as out:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from functools import partial
@@ -155,26 +156,55 @@ def test_forest_xor_beats_linear():
     assert 0.4 <= linear_acc <= 0.6
 
 
+def reference_bins(x):
+    """Each value's bin in its column, as a forest fit codes its training rows.
+
+    A column with at most 32 distinct values gets one bin per value. Any other
+    column is cut before its sorted values at positions i * n // 32 for
+    i = 1..31: a value's bin is the number of those cut values at or below it.
+    """
+    n, d = x.shape
+    codes = np.empty((n, d), dtype=np.int64)
+    for j in range(d):
+        distinct = np.unique(x[:, j])
+        if len(distinct) <= 32:
+            codes[:, j] = np.searchsorted(distinct, x[:, j])
+        else:
+            cuts = np.sort(x[:, j])[np.arange(1, 32) * n // 32]
+            codes[:, j] = (x[:, j, None] >= cuts).sum(axis=1)
+    return codes
+
+
+def few_values(x):
+    """A copy of ``x`` with at most 31 distinct values per column: every midpoint is a bin cut."""
+    return np.clip(np.round(x * 2), -15, 15) / 2
+
+
 def test_single_stump_matches_exhaustive_threshold_search():
     rng = np.random.default_rng(4)
     x = rng.uniform(0, 10, size=(60, 1))
     y = (x[:, 0] > 6.3).astype(np.int64)
-    stump = RandomForestClassifier(
-        ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all"), seed=0
-    ).fit(x, y)
-    # brute-force stump oracle over all midpoints
-    values = np.sort(np.unique(x[:, 0]))
-    best_err, best_pred = None, None
-    for threshold in (values[:-1] + values[1:]) / 2:
-        left = x[:, 0] <= threshold
-        for left_label in (0, 1):
-            pred = np.where(left, left_label, 1 - left_label)
-            err = float((pred != y).mean())
-            if best_err is None or err < best_err:
-                best_err, best_pred = err, pred
-    got = stump.predict(x)
-    assert float((got != y).mean()) == pytest.approx(best_err)
-    assert np.array_equal(got, best_pred)
+    # 60 distinct values: the oracle searches the cuts between bins; 31 values: every midpoint
+    for data, keys in ((x, reference_bins(x)), (np.round(x * 3) / 3, None)):
+        stump = RandomForestClassifier(
+            ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all"), seed=0
+        ).fit(data, y)
+        order = np.argsort(data[:, 0], kind="stable")
+        values = data[order, 0]
+        key = values if keys is None else keys[order, 0]
+        cuts = np.flatnonzero(key[1:] > key[:-1])
+        # brute-force stump oracle over the candidate midpoints
+        best_err, best_pred = None, None
+        for threshold in (values[cuts] + values[cuts + 1]) / 2:
+            left = data[:, 0] <= threshold
+            for left_label in (0, 1):
+                pred = np.where(left, left_label, 1 - left_label)
+                err = float((pred != y).mean())
+                if best_err is None or err < best_err:
+                    best_err, best_pred = err, pred
+        got = stump.predict(data)
+        assert float((got != y).mean()) == pytest.approx(best_err)
+        assert np.array_equal(got, best_pred)
 
 
 # -- the recursive tree builder that the level-wise one replaced, kept as reference --
@@ -191,12 +221,13 @@ class _TreeNode:
         self.prediction = -1
 
 
-def _gini_best_split(x, y, features):
+def _gini_best_split(x, y, features, keys=None):
     """Best (feature, threshold, impurity) over candidate midpoints, or None.
 
     All candidate columns are sorted together; positions that are not a
-    boundary between distinct values score +inf. Ties go to the earliest
-    feature, at its lowest position.
+    boundary between distinct ``keys`` (by default the values; bins restrict
+    the cuts) score +inf. Ties go to the earliest feature, at its lowest
+    position.
     """
     n = len(y)
     if n < 2 or len(features) == 0:
@@ -204,6 +235,8 @@ def _gini_best_split(x, y, features):
     cols = x[:, features]
     order = np.argsort(cols, axis=0)
     sorted_cols = np.take_along_axis(cols, order, axis=0)
+    keys = cols if keys is None else keys[:, features]
+    sorted_keys = np.take_along_axis(keys, order, axis=0)
     cum_pos = np.cumsum(y[order], axis=0)[:-1].astype(np.float64)
     left_n = np.arange(1.0, n)[:, None]
     right_n = n - left_n
@@ -214,7 +247,7 @@ def _gini_best_split(x, y, features):
         left_n * (2.0 * p_left * (1.0 - p_left))
         + right_n * (2.0 * p_right * (1.0 - p_right))
     ) / n
-    gini[~(sorted_cols[1:] > sorted_cols[:-1])] = np.inf
+    gini[~(sorted_keys[1:] > sorted_keys[:-1])] = np.inf
     at = gini.argmin(axis=0)
     scores = gini[at, np.arange(len(features))]
     best = int(scores.argmin())
@@ -225,7 +258,7 @@ def _gini_best_split(x, y, features):
     return int(features[best]), float(threshold), float(scores[best])
 
 
-def _build_tree(x, y, depth, config, n_features_per_split, rng):
+def _build_tree(x, y, depth, config, n_features_per_split, rng, keys):
     node = _TreeNode()
     pos = int(y.sum())
     if (
@@ -241,14 +274,18 @@ def _build_tree(x, y, depth, config, n_features_per_split, rng):
         features = np.arange(d)
     else:
         features = np.sort(rng.choice(d, size=n_features_per_split, replace=False))
-    best = _gini_best_split(x, y, features)
+    best = _gini_best_split(x, y, features, keys)
     if best is None:
         node.prediction = int(pos * 2 > len(y))
         return node
     node.feature, node.threshold, _ = best
     mask = x[:, node.feature] <= node.threshold
-    node.left = _build_tree(x[mask], y[mask], depth + 1, config, n_features_per_split, rng)
-    node.right = _build_tree(x[~mask], y[~mask], depth + 1, config, n_features_per_split, rng)
+    node.left = _build_tree(
+        x[mask], y[mask], depth + 1, config, n_features_per_split, rng, keys[mask]
+    )
+    node.right = _build_tree(
+        x[~mask], y[~mask], depth + 1, config, n_features_per_split, rng, keys[~mask]
+    )
     return node
 
 
@@ -261,15 +298,19 @@ def _tree_predict(node, x, out, rows):
     _tree_predict(node.right, x, out, rows[~mask])
 
 
-def reference_forest(x, y, config, seed):
-    """The recursive forest's trees: same seeds, same bootstrap draw."""
+def reference_forest(x, y, config, seed, keys=None):
+    """The recursive forest's trees: same seeds, same bootstrap draw.
+
+    Cuts fall between distinct ``keys``, by default the values themselves.
+    """
     n, d = x.shape
+    keys = x if keys is None else keys
     per_split = config.features_per_split(d)
     trees = []
     for seq in np.random.SeedSequence(seed).spawn(config.n_trees):
         rng = np.random.default_rng(seq)
         rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(_build_tree(x[rows], y[rows], 0, config, per_split, rng))
+        trees.append(_build_tree(x[rows], y[rows], 0, config, per_split, rng, keys[rows]))
     return trees
 
 
@@ -300,16 +341,21 @@ def nested_flat(forest, tree):
     return walk(int(forest.roots_[tree]))
 
 
-def per_feature_best_split(x, y, features):
-    """The split search as one stable argsort and Gini scan per feature."""
+def per_feature_best_split(x, y, features, keys=None):
+    """The split search as one stable argsort and Gini scan per feature.
+
+    Cuts fall between distinct ``keys``, by default the values themselves.
+    """
     n = len(y)
+    keys = x if keys is None else keys
     best = None
     for feat in features:
         col = x[:, feat]
         order = np.argsort(col, kind="stable")
         sorted_col = col[order]
+        sorted_key = keys[order, feat]
         sorted_y = y[order]
-        distinct = np.flatnonzero(sorted_col[1:] > sorted_col[:-1])
+        distinct = np.flatnonzero(sorted_key[1:] > sorted_key[:-1])
         if len(distinct) == 0:
             continue
         left_n = distinct + 1.0
@@ -343,16 +389,21 @@ def test_gini_split_matches_per_feature_scan(trial):
     features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
     expected = per_feature_best_split(x, y, features)
     assert _gini_best_split(x, y, features) == expected
+    keys = reference_bins(x)
+    assert _gini_best_split(x, y, features, keys) == per_feature_best_split(x, y, features, keys)
     if min(y.sum(), n - y.sum()) >= 2:
-        # the level-wise builder's root split on the same candidate columns
-        stump = RandomForestClassifier(
-            ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all")
-        ).fit(x[:, features], y)
-        if expected is None:
-            assert stump.feature_[0] == -1
-        else:
-            root = (int(features[stump.feature_[0]]), float(stump.threshold_[0]))
-            assert root == expected[:2]
+        # the forest's root split on the same candidate columns: over the bin cuts, and
+        # over every midpoint where no column has more than 32 values
+        for data, keys in ((x, keys), (few_values(x), None)):
+            stump = RandomForestClassifier(
+                ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all")
+            ).fit(data[:, features], y)
+            expected = per_feature_best_split(data, y, features, keys)
+            if expected is None:
+                assert stump.feature_[0] == -1
+            else:
+                root = (int(features[stump.feature_[0]]), float(stump.threshold_[0]))
+                assert root == expected[:2]
 
 
 def test_gini_split_none_without_boundary():
@@ -383,21 +434,36 @@ def tie_heavy(kind):
 @pytest.mark.parametrize("min_samples_split", [2, 5])
 @pytest.mark.parametrize("kind", ["integers", "constant-columns", "duplicated-rows"])
 def test_level_wise_trees_equal_the_recursive_reference(kind, min_samples_split, max_depth, bootstrap):
-    # without per-split feature draws the two builders see the same candidates
+    # without per-split feature draws the two builders see the same candidates; the
+    # reference cuts between bins, and at every midpoint where columns have few values
     x, y = tie_heavy(kind)
     config = ForestConfig(
         n_trees=4, max_depth=max_depth, min_samples_split=min_samples_split,
         max_features="all", bootstrap=bootstrap,
     )
-    forest = RandomForestClassifier(config, seed=7).fit(x, y)
-    reference = reference_forest(x, y, config, seed=7)
-    assert [nested_flat(forest, i) for i in range(4)] == [nested(t) for t in reference]
     probe = np.vstack([x, np.random.default_rng(3).normal(size=(40, x.shape[1])) * 2])
-    assert np.array_equal(forest.predict_proba(probe), reference_proba(reference, probe))
+    for data, keys in ((x, reference_bins(x)), (few_values(x), None)):
+        forest = RandomForestClassifier(config, seed=7).fit(data, y)
+        reference = reference_forest(data, y, config, seed=7, keys=keys)
+        assert [nested_flat(forest, i) for i in range(4)] == [nested(t) for t in reference]
+        assert np.array_equal(forest.predict_proba(probe), reference_proba(reference, probe))
 
 
 def reference_grow_tree(columns, ranks, y, rows, config, per_split, rng, root):
-    """The level-wise builder as it was, with a per-segment minimum and a feature match."""
+    """One Gini tree on the sample ``rows`` (repeats allowed), grown a level at a time.
+
+    ``columns`` is the (d, n) feature matrix and ``ranks`` each column's dense
+    value ranks. A node splits while it holds both classes and at least
+    min_samples_split rows above max_depth; one draw per level picks every
+    open node's candidate features. Each (open node, candidate) pair is a
+    segment of one sort by ``segment * n + rank``, whose cumulative sums score
+    every midpoint cut. A node's segments lie in feature order, so its first
+    Gini minimum splits it: ties go to the lowest feature, then the lowest cut.
+    Returns (feature, threshold, left, value) per node in level order from
+    ``root``. A leaf has feature -1 and predicts value, the majority class
+    (ties to 0); an inner node sends value <= threshold to left[i], the rest
+    to left[i] + 1.
+    """
     d, n = columns.shape
     levels = []
     node = np.zeros(len(rows), dtype=np.int64)  # each row's node on this level
@@ -438,16 +504,14 @@ def reference_grow_tree(columns, ranks, y, rows, config, per_split, rng, root):
             ) / n_node
         # a cut needs a larger value after it in its segment
         gini[(right_n == 0) | np.append(key[1:] == key[:-1], True)] = np.inf
-        best = np.minimum.reduceat(gini, seg_start).reshape(k, p)
-        col = best.argmin(axis=1)
-        score = best[np.arange(k), col]
-        owner = segment // p
-        hit = (gini == score[owner]) & (segment % p == col[owner])
+        score = np.minimum.reduceat(gini, seg_start[::p])
+        hit = gini == score[segment // p]
         cut = np.minimum.reduceat(np.where(hit, at, len(at)), seg_start[::p])
         splitting = score < np.inf
         if not splitting.any():
             break
-        split_nodes, f, cut = opened[splitting], picked[splitting, col[splitting]], cut[splitting]
+        split_nodes, cut = opened[splitting], cut[splitting]
+        f = picked[splitting, segment[cut] % p]
         t = 0.5 * (columns[f, members[cut]] + columns[f, members[cut + 1]])
         feature[split_nodes], threshold[split_nodes] = f, t
         left[split_nodes] = first_id + width + 2 * np.arange(len(f))
@@ -458,21 +522,157 @@ def reference_grow_tree(columns, ranks, y, rows, config, per_split, rng, root):
     return tuple(np.concatenate(part) for part in zip(*levels))
 
 
-def forest_arrays(forest):
-    return [a.tobytes() for a in (forest.roots_, forest.feature_, forest.threshold_,
-                                  forest.left_, forest.value_)]
+def reference_fit(x, y, config, seed):
+    """The exact builder's forest, grown one tree at a time, with the fitted node arrays."""
+    columns = np.asarray(x, dtype=np.float64).T.copy()
+    d, n = columns.shape
+    per_split = config.features_per_split(d)
+    ranks = np.array([np.unique(c, return_inverse=True)[1] for c in columns])
+    trees, roots = [], [0]
+    for seq in np.random.SeedSequence(seed).spawn(config.n_trees):
+        rng = np.random.default_rng(seq)
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        tree = reference_grow_tree(columns, ranks, y, rows, config, per_split, rng, roots[-1])
+        trees.append(tree)
+        roots.append(roots[-1] + len(tree[0]))
+    forest = RandomForestClassifier(config, seed)
+    forest.roots_ = np.array(roots[:-1])
+    forest.feature_, forest.threshold_, forest.left_, forest.value_ = map(
+        np.concatenate, zip(*trees)
+    )
+    return forest
+
+
+def forest_trees(forest):
+    """Every tree of a fitted forest as ``nested`` tuples: the same trees in any node order."""
+    return [nested_flat(forest, i) for i in range(len(forest.roots_))]
+
+
+def check_binned_oracle(forest, x, y, config, seed):
+    """Replays each tree's draws and holds every node to a brute-force search of the bin cuts.
+
+    A tree takes its sample rows, then, level by level, one feature draw for
+    the nodes that may split (both classes, min_samples_split rows, above
+    max_depth), in node order. Each such node must split as
+    ``per_feature_best_split`` over its candidates and the fit's bins, and
+    every other node must be a leaf of the majority class.
+    """
+    n, d = x.shape
+    keys = reference_bins(x)
+    p = config.features_per_split(d)
+    for tree, seq in enumerate(np.random.SeedSequence(seed).spawn(config.n_trees)):
+        rng = np.random.default_rng(seq)
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        level = [(int(forest.roots_[tree]), rows)]
+        for depth in range(config.max_depth + 1):
+            for i, members in level:
+                assert forest.value_[i] == int(y[members].sum() * 2 > len(members))
+            can_split = [
+                (i, members) for i, members in level
+                if 0 < y[members].sum() < len(members)
+                and len(members) >= config.min_samples_split
+            ]
+            if depth == config.max_depth or not can_split:
+                assert all(forest.feature_[i] == -1 for i, _ in level)
+                break
+            draw = rng.random((len(can_split), d)).argsort(axis=1)[:, :p] if p < d else None
+            below = []
+            for j, (i, members) in enumerate(can_split):
+                features = np.arange(d) if draw is None else np.sort(draw[j])
+                best = per_feature_best_split(x[members], y[members], features, keys[members])
+                if best is None:
+                    assert forest.feature_[i] == -1
+                    continue
+                assert (int(forest.feature_[i]), float(forest.threshold_[i])) == best[:2]
+                low = x[members, best[0]] <= best[1]
+                left = int(forest.left_[i])
+                below += [(left, members[low]), (left + 1, members[~low])]
+            splittable = {i for i, _ in can_split}
+            assert all(forest.feature_[i] == -1 for i, _ in level if i not in splittable)
+            level = below
 
 
 @pytest.mark.parametrize("max_features", ["sqrt", 2, "all"])
 @pytest.mark.parametrize("kind", ["integers", "constant-columns", "duplicated-rows"])
-def test_per_node_minimum_equals_the_per_segment_reference(kind, max_features, monkeypatch):
+def test_per_node_minimum_equals_the_per_segment_reference(kind, max_features):
     # the per-level feature draws too: both builders take the same rng calls
     x, y = tie_heavy(kind)
     config = ForestConfig(n_trees=6, max_depth=16, max_features=max_features)
-    forest = RandomForestClassifier(config, seed=11).fit(x, y)
-    monkeypatch.setattr("kgstruct.classify._grow_tree", reference_grow_tree)
-    reference = RandomForestClassifier(config, seed=11).fit(x, y)
-    assert forest_arrays(forest) == forest_arrays(reference)
+    few = few_values(x)
+    forest = RandomForestClassifier(config, seed=11).fit(few, y)
+    assert forest_trees(forest) == forest_trees(reference_fit(few, y, config, seed=11))
+    check_binned_oracle(RandomForestClassifier(config, seed=11).fit(x, y), x, y, config, seed=11)
+
+
+@pytest.mark.parametrize("max_features", ["sqrt", 2, "all"])
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "no-bootstrap"])
+@pytest.mark.parametrize("min_samples_split", [2, 5])
+@pytest.mark.parametrize("max_depth", [1, 3, 16])
+@pytest.mark.parametrize("kind", ["integers", "duplicated-rows"])
+def test_binned_trees_equal_the_exact_builder_on_few_values(
+    kind, max_depth, min_samples_split, bootstrap, max_features, monkeypatch
+):
+    # at most 32 values per column: one bin per value, so every exact cut is a bin cut
+    x, y = tie_heavy(kind)
+    x = few_values(x)
+    config = ForestConfig(
+        n_trees=5, max_depth=max_depth, min_samples_split=min_samples_split,
+        max_features=max_features, bootstrap=bootstrap,
+    )
+    # groups of two trees, so the five trees span three groups
+    per_group = 2 * len(x) * config.features_per_split(x.shape[1])
+    monkeypatch.setattr("kgstruct.classify.GROUP_ENTRIES", per_group)
+    forest = RandomForestClassifier(config, seed=3).fit(x, y)
+    assert forest_trees(forest) == forest_trees(reference_fit(x, y, config, seed=3))
+
+
+def test_a_column_of_32_values_keeps_a_bin_for_each():
+    # most rows share one value, so quantile cuts would merge the other 31 into few bins
+    x = np.concatenate([np.zeros(100), np.arange(1.0, 32.0)])[:, None]
+    y = (x[:, 0] % 2).astype(np.int64)
+    config = ForestConfig(n_trees=1, bootstrap=False, max_features="all")
+    forest = RandomForestClassifier(config).fit(x, y)
+    assert forest_trees(forest) == forest_trees(reference_fit(x, y, config, seed=0))
+
+
+def traced_peak(build):
+    """``build()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forest_fit_peak_memory_stays_near_the_exact_builder():
+    # one 100-tree fit at the desk study's shape: 1,350 training rows x 64 features,
+    # 31 values per column. Its 17 groups of 6 trees keep the histograms small; grown
+    # all at once, the same trees peaked at 58 MB against the exact builder's 5 MB.
+    rng = np.random.default_rng(8)
+    x = np.clip(np.round(rng.normal(size=(1350, 64)) * 4), -15, 15) / 4
+    y = ((x[:, 0] * x[:, 1] + x[:, 2] + rng.normal(size=1350)) > 0).astype(np.int64)
+    config = ForestConfig()
+    forest, binned = traced_peak(lambda: RandomForestClassifier(config, seed=1).fit(x, y))
+    exact, reference = traced_peak(lambda: reference_fit(x, y, config, seed=1))
+    assert forest_trees(forest) == forest_trees(exact)
+    assert binned <= 2 * reference, (binned, reference)
+
+
+def test_a_row_on_a_rounded_up_midpoint_goes_where_predict_sends_it():
+    # the midpoint of two adjacent doubles can round up onto the upper one; training rows
+    # there go left, as predict_proba sends them, not right with the rest of their bin
+    low = 1.0 + 2.0**-52
+    high = np.nextafter(low, 2.0)
+    assert 0.5 * (low + high) == high
+    x = np.array([[low]] * 3 + [[high]] * 5)
+    y = np.array([0] * 3 + [1] * 5)
+    config = ForestConfig(n_trees=1, max_depth=1, bootstrap=False, max_features="all")
+    forest = RandomForestClassifier(config).fit(x, y)
+    assert forest.threshold_[0] == high
+    # the left leaf holds all eight rows, so it predicts their majority; the right one is empty
+    left = forest.left_[0]
+    assert (forest.value_[left], forest.value_[left + 1]) == (1, 0)
+    assert np.array_equal(forest.predict(x), np.ones(8))
 
 
 def test_forest_rejects_more_features_per_split_than_columns():

@@ -1020,11 +1020,22 @@ def test_serializer_raises_the_reference_error(tmp_path, rows):
         ([("a", "r", "b\r")], "entity 'b\\r' contains a tab or newline"),
         ([("a", "r\r", "b")], "relation 'r\\r' contains a tab or newline"),
         ([("\ufeffd", "r", "b")], "entity '\\ufeffd' would be read as a byte-order mark"),
+        ([("a", "r", "b"), ("", "r", "a")], "entity '' is empty"),
+        ([("a", "", "b")], "relation '' is empty"),
+        ([("a", "r", "")], "entity '' is empty"),
+        ([("a", "r", "b"), ("x\ud800", "r", "a")], "entity 'x\\ud800' cannot be encoded as UTF-8"),
+        ([("a", "\udfff", "b")], "relation '\\udfff' cannot be encoded as UTF-8"),
+        ([("a", "r", "\ud800")], "entity '\\ud800' cannot be encoded as UTF-8"),
     ],
-    ids=["cr-in-a-head", "cr-in-a-tail", "cr-in-a-relation", "bom-first-head"],
+    ids=[
+        "cr-in-a-head", "cr-in-a-tail", "cr-in-a-relation", "bom-first-head",
+        "empty-head", "empty-relation", "empty-tail",
+        "surrogate-head", "surrogate-relation", "surrogate-tail",
+    ],
 )
 def test_serializer_refuses_what_the_parser_would_read_back_otherwise(tmp_path, rows, message):
-    """The parser ends a line at a lone CR and skips a byte-order mark that opens the file."""
+    """The parser ends a line at a lone CR, skips a byte-order mark that opens the file,
+    refuses an empty field, and reads UTF-8, which has no lone surrogates."""
     from kgstruct.errors import DataError
 
     path = tmp_path / "out.tsv"
