@@ -84,7 +84,7 @@ class LogisticRegressionClassifier:
                 p = _sigmoid(x @ w + b)
                 err = p - y
                 w -= lr * (x.T @ err / n + lam * w)
-                b -= lr * float(err.mean())
+                b -= lr * (float(err.sum()) / n)  # err.mean()'s bits
         if not (np.isfinite(w).all() and np.isfinite(b)):
             raise TrainingDivergedError(
                 "logistic regression diverged to non-finite weights; lower "

@@ -86,28 +86,36 @@ def _squared_distances(x, y, x_sq, y_sq=None, out=None, work=None) -> np.ndarray
     # Fast (BLAS) but loses ~1e-8 precision; fine for nearest-centroid work.
     # ``x_sq`` is _squared_norms(x), computed once by the caller (``y_sq``
     # likewise); ``out`` and ``work`` are optional len(x) x len(y) buffers.
+    # The factor 2 goes into the operand with fewer rows: doubling is exact
+    # and commutes with every rounding of the product, so the bits are those
+    # of 2.0 * (x @ y.T) without a full-size pass.
     if y_sq is None:
         y_sq = _squared_norms(y)
     out = np.add(x_sq[:, None], y_sq[None, :], out=out)
-    work = np.matmul(x, y.T, out=work)
-    work *= 2.0
+    if len(x) <= len(y):
+        work = np.matmul(2.0 * x, y.T, out=work)
+    else:
+        work = np.matmul(x, (2.0 * y).T, out=work)
     out -= work
     return np.maximum(out, 0.0, out=out)
 
 
 def _cluster_means(
-    values: np.ndarray, label_of: np.ndarray, k: int
+    columns: np.ndarray, label_of: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Member counts (k,) and per-cluster means (k, d) of the rows of ``values``.
+    """Member counts (k,) and per-cluster means (k, d) of n points given by column.
 
-    ``label_of`` holds each row's cluster in [0, k); an empty cluster's mean
-    is 0. One bincount over the (label, column) codes adds each cluster's rows
-    in row order without BLAS, so the bits do not depend on the thread count.
+    ``columns`` is (d, n): row j holds coordinate j of every point, best
+    C-contiguous (a transposed view is copied one column at a time).
+    ``label_of`` holds each point's cluster in [0, k); an empty cluster's
+    mean is 0. One bincount per column adds each cluster's points in point
+    order from 0.0, without BLAS, so the bits do not depend on the thread
+    count.
     """
-    d = values.shape[1]
     counts = np.bincount(label_of, minlength=k)
-    codes = (label_of[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(codes, weights=values.ravel(), minlength=k * d).reshape(k, d)
+    sums = np.empty((k, len(columns)))
+    for j, column in enumerate(columns):
+        sums[:, j] = np.bincount(label_of, weights=column, minlength=k)
     return counts, sums / np.maximum(counts, 1)[:, None]
 
 
@@ -171,12 +179,14 @@ def lloyd_kmeans(
 
     history: list[float] = []
     dists, work = np.empty((n, k)), np.empty((n, k))
+    columns = np.ascontiguousarray(x.T)
+    flat = np.arange(0, n * k, k)  # each row's first entry in the flattened dists
     converged = False
     iteration = 0
     while True:
         _squared_distances(x, centers, x_sq, out=dists, work=work)
         assignments = dists.argmin(axis=1)
-        point_dist = dists[np.arange(n), assignments]
+        point_dist = np.take(dists, flat + assignments)
         inertia = float(point_dist.sum())
         history.append(inertia)
         # the last assignment is against the final centroids
@@ -184,7 +194,7 @@ def lloyd_kmeans(
             break
         iteration += 1
 
-        counts, new_centers = _cluster_means(x, assignments, k)
+        counts, new_centers = _cluster_means(columns, assignments, k)
         empty = counts == 0
         if empty.any():
             # empty clusters in order take the farthest points, ties to the
@@ -283,9 +293,9 @@ def davies_bouldin_index(points, assignments: np.ndarray) -> float:
     k = len(labels)
     if k < 2:
         raise DataError(f"Davies-Bouldin needs >= 2 clusters, got {k}")
-    _, centroids = _cluster_means(x, label_of, k)
+    _, centroids = _cluster_means(x.T, label_of, k)
     spread = np.sqrt(((x - centroids[label_of]) ** 2).sum(axis=1))
-    scatter = _cluster_means(spread[:, None], label_of, k)[1][:, 0]
+    scatter = _cluster_means(spread[None, :], label_of, k)[1][:, 0]
     dist = np.sqrt(((centroids[:, None] - centroids[None]) ** 2).sum(axis=2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (scatter[:, None] + scatter[None, :]) / dist
@@ -301,7 +311,7 @@ def calinski_harabasz_index(points, assignments: np.ndarray) -> float:
     k = len(labels)
     if not 2 <= k < n:
         raise DataError(f"Calinski-Harabasz needs 2 <= clusters < {n}, got {k}")
-    counts, centroids = _cluster_means(x, label_of, k)
+    counts, centroids = _cluster_means(x.T, label_of, k)
     between = float((counts * ((centroids - x.mean(axis=0)) ** 2).sum(axis=1)).sum())
     within = float(((x - centroids[label_of]) ** 2).sum())
     if within == 0.0:
@@ -374,7 +384,7 @@ def cohesion_scores(points, result: ClusteringResult) -> tuple[np.ndarray, np.nd
     label_of = result.assignments[point_ok]
     deltas = unit_points[point_ok] - unit_centroids[label_of]
     distance = np.sqrt((deltas * deltas).sum(axis=1))
-    counts, means = _cluster_means(distance[:, None], label_of, result.k)
+    counts, means = _cluster_means(distance[None, :], label_of, result.k)
     raw = np.where((counts > 0) & centroid_ok, means[:, 0], np.nan)
     return raw, 1.0 - raw
 

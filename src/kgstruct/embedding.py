@@ -466,11 +466,18 @@ def _tail_scores(
 
     That is the squared distance less |q|^2, which does not change a row's
     ranking. The bits equal ``ent_sq[None, :] - 2.0 * (query @ ent.T)``,
-    without its two full-size temporaries.
+    without its two full-size temporaries: doubling the query rows is exact
+    and commutes with every rounding of the product.
     """
-    np.matmul(query, ent.T, out=out)
-    out *= 2.0
+    np.matmul(2.0 * query, ent.T, out=out)
     return np.subtract(ent_sq[None, :], out, out=out)
+
+
+# hits_at_k scores its queries against every entity in chunks of at most
+# this many float64 bytes (but never fewer than 2 rows: numpy sends a 1-row
+# product down its matrix-vector path, whose bits can differ from the same
+# row's in a larger chunk)
+HITS_BUFFER_BYTES = 16 * 2**20
 
 
 def hits_at_k(
@@ -487,6 +494,8 @@ def hits_at_k(
     ACL 2020): the mean of 1 + the entities strictly closer than the true
     tail and the entities no farther, the true tail among them. So a table
     whose entities all coincide ranks each tail (E + 1) / 2, not 1.
+    Queries are scored ``batch_size`` at a time, fewer when that many rows
+    of scores would exceed ``HITS_BUFFER_BYTES``.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -496,17 +505,21 @@ def hits_at_k(
     rows = graph.triples
     ent = table.entity_vectors.astype(np.float64)
     ent_sq = (ent * ent).sum(axis=1)
+    chunk_rows = max(2, min(batch_size, HITS_BUFFER_BYTES // (8 * len(ent))))
+    # a row has at most E - 1 entities strictly closer than its true tail
+    count_type = np.min_scalar_type(len(ent))
     hits = 0
-    buffer = np.empty((min(batch_size, len(rows)), len(ent)))
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start : start + batch_size]
+    buffer = np.empty((min(chunk_rows, len(rows)), len(ent)))
+    for start in range(0, len(rows), chunk_rows):
+        chunk = rows[start : start + chunk_rows]
         query = (
             table.entity_vectors[chunk[:, 0]].astype(np.float64)
             + table.relation_vectors[chunk[:, 1]].astype(np.float64)
         )
         scores = _tail_scores(query, ent, ent_sq, out=buffer[: len(chunk)])
         true_scores = scores[np.arange(len(chunk)), chunk[:, 2]][:, None]
-        closer = (scores < true_scores).sum(axis=1)
+        closer = (scores < true_scores).view(np.uint8).sum(axis=1, dtype=count_type)
+        closer = closer.astype(np.intp)  # 1 + a narrow count would stay narrow
         # the realistic rank is at least the optimistic 1 + closer: only those within k can hit
         near = np.flatnonzero(closer < k)
         no_farther = (scores[near] <= true_scores[near]).sum(axis=1)

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import shutil
@@ -259,7 +260,7 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 
 def _fmt(value, places: int = 6) -> str:
-    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return ""
     return f"{value:.{places}f}"
 
@@ -426,8 +427,10 @@ def stage_cluster(
             rel_dir / "pca2d.csv",
             ["x", "y", "cluster"],
             (
-                [_fmt(x), _fmt(y), int(cluster)]
-                for (x, y), cluster in zip(projection.coordinates, result.assignments)
+                [_fmt(x), _fmt(y), cluster]
+                for (x, y), cluster in zip(
+                    projection.coordinates.tolist(), result.assignments.tolist()
+                )
             ),
         )
         notes[relation] = {

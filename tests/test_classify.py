@@ -11,6 +11,7 @@ from kgstruct.classify import (
     LogisticConfig,
     LogisticRegressionClassifier,
     RandomForestClassifier,
+    _sigmoid,
     cross_validate,
     stratified_folds,
 )
@@ -55,6 +56,32 @@ def test_linear_no_signal_is_chance():
     clf = LogisticRegressionClassifier().fit(x, y)
     accuracy = float((clf.predict(x) == y).mean())
     assert 0.45 <= accuracy <= 0.55
+
+
+def reference_linear_fit(x, y, config):
+    """LogisticRegressionClassifier.fit's loop as it was, with the bias step from err.mean()."""
+    n, d = x.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(config.iterations):
+        p = _sigmoid(x @ w + b)
+        err = p - y
+        w -= config.learning_rate * (x.T @ err / n + config.l2 * w)
+        b -= config.learning_rate * float(err.mean())
+    return w, b
+
+
+@pytest.mark.parametrize("n", [200, 667, 1000])
+def test_linear_fit_has_the_bits_of_the_mean_bias_step(n):
+    # 667 and 1,000 rows: the sum's division by n rounds
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 64))
+    y = (x[:, 0] + rng.normal(size=n) > 0.3).astype(np.int64)
+    config = LogisticConfig(iterations=200)
+    clf = LogisticRegressionClassifier(config).fit(x, y)
+    w, b = reference_linear_fit(x, y.astype(np.float64), config)
+    assert clf.weights_.tobytes() == w.tobytes()
+    assert np.float64(clf.bias_).tobytes() == np.float64(b).tobytes()
 
 
 def test_linear_l2_shrinks_weights():

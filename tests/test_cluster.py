@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,22 @@ def reference_squared_distances(x, centers, x_sq):
     return np.maximum(sq, 0.0)
 
 
+def reference_cluster_means(values, label_of, k):
+    """_cluster_means as it was: one bincount over the (label, column) codes of (n, d) rows."""
+    d = values.shape[1]
+    counts = np.bincount(label_of, minlength=k)
+    codes = (label_of[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(codes, weights=values.ravel(), minlength=k * d).reshape(k, d)
+    return counts, sums / np.maximum(counts, 1)[:, None]
+
+
+# the benchmark's HasContext shape: 4,000 translation vectors of dimension 32
+DESK_POINTS = (
+    np.random.default_rng(30).normal(size=(4000, 32)).astype(np.float32).astype(np.float64)
+    + np.random.default_rng(29).integers(0, 6, size=(4000, 1))
+)
+
+
 def reference_lloyd_kmeans(points, k, seed=0, max_iters=300, tol=1e-4, initial_centroids=None):
     """Lloyd as it was written with a second assignment step after the loop."""
     x = np.asarray(points, dtype=np.float64)
@@ -300,7 +318,7 @@ def reference_lloyd_kmeans(points, k, seed=0, max_iters=300, tol=1e-4, initial_c
         inertia = float(point_dist.sum())
         history.append(inertia)
 
-        counts, new_centers = cluster._cluster_means(x, assignments, k)
+        counts, new_centers = reference_cluster_means(x, assignments, k)
         empty = counts == 0
         if empty.any():
             # empty clusters in order take the farthest points, ties to the
@@ -344,6 +362,7 @@ def _lloyd_cases():
         pytest.param(blobs, 6, None, id="cold"),
         pytest.param(blobs, 6, warm, id="warm"),
         pytest.param(blobs, 6, far, id="empty-reseed"),
+        pytest.param(DESK_POINTS, 20, None, id="4000x32-k20"),
     ]
 
 
@@ -370,6 +389,66 @@ def test_lloyd_raises_the_references_error_on_too_few_distinct_points(max_iters)
     with pytest.raises(DataError) as got:
         lloyd_kmeans(x, 5, seed=2, max_iters=max_iters)
     assert str(got.value) == str(want.value) == "k = 5 exceeds the 3 distinct points"
+
+
+def _column_mean_cases():
+    rng = np.random.default_rng(31)
+    wide = rng.normal(size=(7000, 64)) + rng.integers(0, 6, size=(7000, 1))
+    yield "lloyd-4000x32", DESK_POINTS, lloyd_kmeans(DESK_POINTS, 20, seed=1).assignments, 20
+    yield "7000x64", wide, rng.integers(0, 20, size=7000), 20
+    # labels with gaps: the clusters between them get no members
+    yield "non-contiguous-labels", wide[:500], rng.choice([3, 7, 10, 42], size=500), 43
+    yield "empty-clusters", DESK_POINTS[:300], rng.integers(0, 5, size=300), 9
+    # the Davies-Bouldin scatter and the cohesion distances: one value per point
+    spread = np.sqrt((DESK_POINTS**2).sum(axis=1))
+    yield "one-column", spread[:, None], rng.integers(0, 20, size=4000), 20
+
+
+COLUMN_MEAN_CASES = {name: case for name, *case in _column_mean_cases()}
+
+
+@pytest.mark.parametrize("case", list(COLUMN_MEAN_CASES))
+def test_cluster_means_by_column_have_the_bits_of_the_codes_version(case):
+    x, labels, k = COLUMN_MEAN_CASES[case]
+    want_counts, want_means = reference_cluster_means(x, labels, k)
+    if case in ("non-contiguous-labels", "empty-clusters"):
+        assert (want_counts == 0).any()
+    # Lloyd passes a contiguous (d, n) copy; the scores pass x.T, a view
+    for columns in (np.ascontiguousarray(x.T), x.T):
+        counts, means = cluster._cluster_means(columns, labels, k)
+        assert counts.tobytes() == want_counts.tobytes()
+        assert means.tobytes() == want_means.tobytes()
+        assert means.flags.c_contiguous
+
+
+SQUARED_DISTANCE_BITS = f"""
+import numpy as np
+from kgstruct import cluster
+
+{inspect.getsource(reference_squared_distances)}
+rng = np.random.default_rng(6)
+x = rng.normal(size=(4000, 32)).astype(np.float32).astype(np.float64)
+x += rng.integers(0, 6, size=(4000, 1))
+centers = x[rng.choice(4000, size=20, replace=False)]
+# Lloyd's round, a k-means++ step, one silhouette chunk of 128 rows
+for name, a, b in [("20 centres", x, centers), ("1 centre", x, centers[:1]),
+                   ("128-row chunk", x[256:384], x)]:
+    a_sq = cluster._squared_norms(a)
+    want = reference_squared_distances(a, b, a_sq)
+    out, work = np.empty_like(want), np.empty_like(want)
+    got = cluster._squared_distances(a, b, a_sq, cluster._squared_norms(b), out, work)
+    print(name, got.shape, got.tobytes() == want.tobytes())
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_squared_distances_equal_the_three_temporary_reference_bitwise(threads):
+    """Doubling the operand with fewer rows keeps the bits of 2.0 * (x @ y.T) at 1 and 2 BLAS threads."""
+    assert run_python(["-c", SQUARED_DISTANCE_BITS], threads).splitlines() == [
+        "20 centres (4000, 20) True",
+        "1 centre (4000, 1) True",
+        "128-row chunk (128, 4000) True",
+    ]
 
 
 # -- scores vs brute force -----------------------------------------------------------

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_labeled_triples, make_table
+from conftest import from_labeled_triples, make_table, run_python
+from kgstruct import embedding
 from kgstruct.cluster import relation_point_set
 from kgstruct.embedding import (
     _PAIRWISE_SEQUENTIAL_ROWS,
@@ -438,19 +441,21 @@ def test_hits_maps_table_rows_by_name():
 
 
 def reference_hits_at_k(table, graph, k, batch_size=256):
-    """hits_at_k with the optimistic tie rule: rank counts only the entities strictly closer."""
+    """hits_at_k with the optimistic tie rule: rank counts only the entities strictly closer.
+
+    Scores come from the three-temporary expression that ``_tail_scores`` replaced.
+    """
     rows = graph.triples
     ent = table.entity_vectors.astype(np.float64)
     ent_sq = (ent * ent).sum(axis=1)
     hits = 0
-    buffer = np.empty((min(batch_size, len(rows)), len(ent)))
     for start in range(0, len(rows), batch_size):
         chunk = rows[start : start + batch_size]
         query = (
             table.entity_vectors[chunk[:, 0]].astype(np.float64)
             + table.relation_vectors[chunk[:, 1]].astype(np.float64)
         )
-        scores = _tail_scores(query, ent, ent_sq, out=buffer[: len(chunk)])
+        scores = ent_sq[None, :] - 2.0 * (query @ ent.T)
         true_scores = scores[np.arange(len(chunk)), chunk[:, 2]]
         ranks = (scores < true_scores[:, None]).sum(axis=1) + 1
         hits += int((ranks <= k).sum())
@@ -515,6 +520,52 @@ def test_hits_with_ties_take_the_realistic_rank(seed):
     for k in (1, 2, 5, 10, 25):
         assert hits_at_k(table, graph, k, batch_size=64) == realistic_hits(table, graph, k)
     assert hits_at_k(table, graph, 10) <= reference_hits_at_k(table, graph, 10)
+
+
+@pytest.mark.parametrize("n_entities", [255, 256, 65_536])
+def test_narrow_hit_counts_equal_the_reference_where_the_count_type_steps(n_entities):
+    """The strictly-closer count is uint8 up to E = 255, uint16 from 256, uint32 from 65,536."""
+    # few triples and 16-row reference chunks: the reference's full-size temporaries stay small
+    table, graph = random_fixture(n_entities, 40, 8, seed=n_entities)
+    n = graph.n_triples
+    for k in (1, 10, n_entities // 2, n_entities - 1, n_entities):
+        got = hits_at_k(table, graph, k)
+        assert got * n == reference_hits_at_k(table, graph, k, batch_size=16) * n
+
+
+@pytest.mark.parametrize("rows", [2, 3, 7, 64, 256])
+def test_hits_equal_the_reference_at_every_chunk_size(rows, monkeypatch):
+    table, graph = random_fixture(300, 700, 6, seed=rows)
+    # the budget below one row per entity still leaves 2-row chunks
+    budget = 1 if rows == 2 else rows * 8 * 300
+    monkeypatch.setattr(embedding, "HITS_BUFFER_BYTES", budget)
+    chunks = []
+
+    def recorded(query, *args, **kwargs):
+        chunks.append(len(query))
+        return _tail_scores(query, *args, **kwargs)
+
+    monkeypatch.setattr(embedding, "_tail_scores", recorded)
+    n = graph.n_triples
+    for k in (1, 10, 150, 300):
+        assert hits_at_k(table, graph, k) * n == reference_hits_at_k(table, graph, k) * n
+    assert chunks[: n // rows] == [rows] * (n // rows)
+    assert sum(chunks) == 4 * n
+
+
+def test_hits_scores_within_the_buffer_budget():
+    """65,536 entities: 32 rows of scores fit in the 16 MiB budget, not the 256 asked for."""
+    table, graph = random_fixture(65_536, 100, 8, seed=1)
+    tracemalloc.start()
+    try:
+        hits_at_k(table, graph, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond the buffer: the float64 entity table, its squared norms and
+    # a chunk's comparison mask, each once
+    entity_bytes = table.n_entities * (8 * table.dimension + 8 + 32)
+    assert embedding.HITS_BUFFER_BYTES < peak <= embedding.HITS_BUFFER_BYTES + 2 * entity_bytes
 
 
 # -- persistence -------------------------------------------------------------------
@@ -727,6 +778,27 @@ def test_tail_scores_equal_the_three_temporary_expression_bitwise():
         got = _tail_scores(query, ent, ent_sq, out=buffer[: len(query)])
         assert np.shares_memory(got, buffer)
         assert got.tobytes() == (ent_sq[None, :] - 2.0 * (query @ ent.T)).tobytes()
+
+
+TAIL_SCORE_BITS = """
+import numpy as np
+from kgstruct.embedding import _tail_scores
+
+rng = np.random.default_rng(4)
+vectors = rng.uniform(-1, 1, (6_000, 32)).astype(np.float32)
+ent = vectors.astype(np.float64)
+ent_sq = (ent * ent).sum(axis=1)
+buffer = np.empty((256, len(ent)))
+for rows in (256, 88):  # a full chunk of desk's hits@10 and a last, shorter one
+    query = (vectors[rng.integers(0, 6_000, rows)] + vectors[:1]).astype(np.float64)
+    got = _tail_scores(query, ent, ent_sq, out=buffer[:rows])
+    print(rows, got.tobytes() == (ent_sq[None, :] - 2.0 * (query @ ent.T)).tobytes())
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tail_scores_equal_the_three_temporary_expression_at_each_thread_count(threads):
+    assert run_python(["-c", TAIL_SCORE_BITS], threads).splitlines() == ["256 True", "88 True"]
 
 
 # -- the alignment contract ------------------------------------------------------------

@@ -234,6 +234,23 @@ def read_matrix_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header[1:], np.asarray([[float(v) for v in row[1:]] for row in rows])
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, ""),
+        (float("nan"), ""),
+        (np.float64("-inf"), ""),
+        (np.float64(-0.0), "-0.000000"),
+        (0.1234567, "0.123457"),
+        (np.float64(0.1234567), "0.123457"),
+        (np.float32(0.25), "0.250000"),
+        (7, "7.000000"),
+    ],
+)
+def test_csv_numbers_take_six_places_and_non_finite_ones_are_blank(value, text):
+    assert report._fmt(value) == text
+
+
 def test_matrix_csv_roundtrip_within_tolerance(tmp_path):
     rng = np.random.default_rng(2)
     base = rng.uniform(size=(5, 5))
