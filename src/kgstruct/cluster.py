@@ -148,12 +148,11 @@ def lloyd_kmeans(
     k: int,
     seed: int = 0,
     max_iters: int = 300,
-    tol: float = 1e-4,
     initial_centroids: np.ndarray | None = None,
 ) -> ClusteringResult:
     """Seeded k-means++ initialization followed by Lloyd iteration.
 
-    Converges when the maximum squared centroid shift drops below ``tol``
+    Converges when the maximum squared centroid shift drops below 1e-4
     or after ``max_iters`` rounds. Each round reseeds an empty cluster at the
     point farthest from its assigned centroid. Points with fewer than k
     distinct rows cannot fill k clusters: if the final assignment leaves one
@@ -204,7 +203,7 @@ def lloyd_kmeans(
 
         shift = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
-        converged = shift < tol
+        converged = shift < 1e-4
 
     if np.bincount(assignments, minlength=k).min() == 0:
         distinct = len(np.unique(x, axis=0))
@@ -224,6 +223,15 @@ def lloyd_kmeans(
 # -- k selection scores ------------------------------------------------------
 
 
+def _relabel(assignments, k_max: int, need: str) -> tuple[np.ndarray, np.ndarray]:
+    """Labels renumbered 0..k-1 and the cluster sizes; DataError ``need`` unless 2 <= k <= k_max."""
+    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
+    k = len(labels)
+    if not 2 <= k <= k_max:
+        raise DataError(f"{need}, got {k}")
+    return label_of, np.bincount(label_of, minlength=k)
+
+
 def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float:
     """Mean silhouette over all points, Euclidean distance.
 
@@ -235,26 +243,19 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
     point's distance to itself is set to exactly 0. Each chunk's per-cluster
     distance sums are one product with the n x k cluster indicator matrix.
     """
-    return _silhouette_scores(points, [assignments], chunk)[0]
+    x = np.asarray(points, dtype=np.float64)
+    need = f"silhouette needs 2 <= clusters <= {len(x) - 1}"
+    return _silhouette_scores(x, [_relabel(assignments, len(x) - 1, need)], chunk)[0]
 
 
-def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
-    """``silhouette_score`` of each labeling of the same points, one distance pass for all.
+def _silhouette_scores(x: np.ndarray, labelings, chunk: int = 128) -> list[float]:
+    """``silhouette_score`` of each ``_relabel``-ed labeling of the float64 points ``x``.
 
     Each distance chunk is computed once and multiplied by every labeling's
     indicator matrix, so each score has the bits a single call would give.
     """
-    x = np.asarray(points, dtype=np.float64)
     n = len(x)
-    clusterings = []
-    for assignments in labelings:
-        labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
-        k = len(labels)
-        if not 2 <= k <= n - 1:
-            raise DataError(f"silhouette needs 2 <= clusters <= {n - 1}, got {k}")
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), label_of] = 1.0
-        clusterings.append((label_of, np.bincount(label_of, minlength=k), onehot))
+    onehots = [np.eye(len(counts))[label_of] for label_of, counts in labelings]
 
     # centering keeps every distance and makes the expansion's rounding scale
     # with the points' spread instead of their distance from the origin
@@ -262,7 +263,7 @@ def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
     x_sq = _squared_norms(x)
     buffer = np.empty((min(chunk, n), n))
     gram = np.empty_like(buffer)
-    scores = np.empty((len(clusterings), n), dtype=np.float64)
+    scores = np.empty((len(labelings), n), dtype=np.float64)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         m = rows.stop - start
@@ -270,7 +271,7 @@ def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
         np.sqrt(d, out=d)
         # rounding leaves |x_i - x_i| near 1e-8, which would enter the mean a
         d[np.arange(m), np.arange(start, start + m)] = 0.0
-        for out, (label_of, counts, onehot) in zip(scores, clusterings):
+        for out, (label_of, counts), onehot in zip(scores, labelings, onehots):
             sums = d @ onehot
             own = label_of[rows]
             own_count = counts[own]
@@ -286,37 +287,34 @@ def _silhouette_scores(points, labelings, chunk: int = 128) -> list[float]:
     return [float(row.mean()) for row in scores]
 
 
-def davies_bouldin_index(points, assignments: np.ndarray) -> float:
-    """Mean over clusters of the worst (S_i + S_j) / distance(c_i, c_j)."""
-    x = np.asarray(points, dtype=np.float64)
-    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
-    k = len(labels)
-    if k < 2:
-        raise DataError(f"Davies-Bouldin needs >= 2 clusters, got {k}")
-    _, centroids = _cluster_means(x.T, label_of, k)
-    spread = np.sqrt(((x - centroids[label_of]) ** 2).sum(axis=1))
-    scatter = _cluster_means(spread[None, :], label_of, k)[1][:, 0]
+def _dispersion_scores(x, columns, label_of, counts) -> tuple[float, float]:
+    """Davies-Bouldin and Calinski-Harabasz of one ``_relabel``-ed labeling; ``columns`` is x.T."""
+    n, k = len(x), len(counts)
+    _, centroids = _cluster_means(columns, label_of, k)
+    residual = (x - centroids[label_of]) ** 2
+    scatter = np.bincount(label_of, weights=np.sqrt(residual.sum(axis=1)), minlength=k) / counts
     dist = np.sqrt(((centroids[:, None] - centroids[None]) ** 2).sum(axis=2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (scatter[:, None] + scatter[None, :]) / dist
     np.fill_diagonal(ratio, -np.inf)
-    return float(np.max(ratio, axis=1).mean())
+    between = float((counts * ((centroids - x.mean(axis=0)) ** 2).sum(axis=1)).sum())
+    within = float(residual.sum())
+    ch = (between / (k - 1)) / (within / (n - k)) if within else float("inf")
+    return float(np.max(ratio, axis=1).mean()), ch
+
+
+def davies_bouldin_index(points, assignments: np.ndarray) -> float:
+    """Mean over clusters of the worst (S_i + S_j) / distance(c_i, c_j)."""
+    x = np.asarray(points, dtype=np.float64)
+    need = "Davies-Bouldin needs >= 2 clusters"
+    return _dispersion_scores(x, x.T, *_relabel(assignments, len(x), need))[0]
 
 
 def calinski_harabasz_index(points, assignments: np.ndarray) -> float:
     """Between-cluster over within-cluster dispersion ratio."""
     x = np.asarray(points, dtype=np.float64)
-    n = len(x)
-    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
-    k = len(labels)
-    if not 2 <= k < n:
-        raise DataError(f"Calinski-Harabasz needs 2 <= clusters < {n}, got {k}")
-    counts, centroids = _cluster_means(x.T, label_of, k)
-    between = float((counts * ((centroids - x.mean(axis=0)) ** 2).sum(axis=1)).sum())
-    within = float(((x - centroids[label_of]) ** 2).sum())
-    if within == 0.0:
-        return float("inf")
-    return (between / (k - 1)) / (within / (n - k))
+    need = f"Calinski-Harabasz needs 2 <= clusters < {len(x)}"
+    return _dispersion_scores(x, x.T, *_relabel(assignments, len(x) - 1, need))[1]
 
 
 def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
@@ -326,18 +324,17 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
     two indices are undefined outside it); runs use child seeds derived
     deterministically from ``seed``. Each k also tries a warm start from
     the previous k's centroids plus the point farthest from its centroid,
-    which guarantees the reported inertia never increases with k. The
-    silhouettes of all k come from one distance pass after the last fit.
+    which guarantees the reported inertia never increases with k. Once all
+    k are fitted, each labeling is renumbered once for all three scores,
+    and the silhouettes of all k share one distance pass.
     """
     x = np.asarray(points, dtype=np.float64)
+    n = len(x)
     ks = sorted(int(k) for k in k_range)
     if not ks:
         raise DataError("empty k range")
-    if ks[0] < 2 or ks[-1] > len(x) - 1:
-        raise DataError(
-            f"k range must lie within [2, {len(x) - 1}], got [{ks[0]}, {ks[-1]}]"
-        )
-    curve = KSelectionCurve(ks=ks, inertia=[], silhouette=[], davies_bouldin=[], calinski_harabasz=[])
+    if ks[0] < 2 or ks[-1] > n - 1:
+        raise DataError(f"k range must lie within [2, {n - 1}], got [{ks[0]}, {ks[-1]}]")
     x_sq = _squared_norms(x)
     results: list[ClusteringResult] = []
     for k in ks:
@@ -355,11 +352,12 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
             if warm.inertia < result.inertia:
                 result = warm
         results.append(result)
-        curve.inertia.append(result.inertia)
-        curve.davies_bouldin.append(davies_bouldin_index(x, result.assignments))
-        curve.calinski_harabasz.append(calinski_harabasz_index(x, result.assignments))
-    curve.silhouette = _silhouette_scores(x, [r.assignments for r in results])
-    return curve
+    need = f"silhouette needs 2 <= clusters <= {n - 1}"
+    labelings = [_relabel(r.assignments, n - 1, need) for r in results]
+    silhouette = _silhouette_scores(x, labelings)
+    columns = np.ascontiguousarray(x.T)
+    db, ch = zip(*(_dispersion_scores(x, columns, *labeling) for labeling in labelings))
+    return KSelectionCurve(ks, [r.inertia for r in results], silhouette, list(db), list(ch))
 
 
 # -- cohesion / separation ---------------------------------------------------
@@ -398,12 +396,12 @@ def separation_scores(result: ClusteringResult) -> np.ndarray:
         log.warning(
             "separation: %d zero-norm centroids get NaN", int((~ok).sum())
         )
-    dist = np.sqrt(((unit[:, None] - unit[None]) ** 2).sum(axis=2))
     out = np.full(result.k, np.nan)
-    for j in range(result.k):
-        others = [i for i in range(result.k) if i != j and ok[i]]
-        if ok[j] and others:
-            out[j] = float(dist[j, others].mean())
+    m = int(ok.sum())
+    if m >= 2:
+        # row j of the off-diagonal block: the other centroids in index order
+        dist = np.sqrt(((unit[:, None] - unit[None]) ** 2).sum(axis=2))[np.ix_(ok, ok)]
+        out[ok] = dist[~np.eye(m, dtype=bool)].reshape(m, m - 1).mean(axis=1)
     return out
 
 

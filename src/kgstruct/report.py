@@ -259,10 +259,10 @@ def write_csv(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _fmt(value, places: int = 6) -> str:
+def _fmt(value) -> str:
     if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return ""
-    return f"{value:.{places}f}"
+    return f"{value:.6f}"
 
 
 def emit_matrix_csv(matrix: SimilarityMatrix, path: str | Path) -> None:

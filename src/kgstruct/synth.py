@@ -112,8 +112,8 @@ def synthetic_graph(plan: GraphPlan) -> KnowledgeGraph:
     return KnowledgeGraph.from_id_triples(entity_names, relation_names, triples)
 
 
-def demo_plan(seed: int = 7) -> GraphPlan:
-    """A 500-triple miniature graph exercising every pipeline stage."""
+def demo_plan() -> GraphPlan:
+    """A 500-triple miniature graph at seed 7 exercising every pipeline stage."""
     return GraphPlan(
         n_entities=160,
         n_blocks=8,
@@ -124,7 +124,7 @@ def demo_plan(seed: int = 7) -> GraphPlan:
             RelationPlan("Desires", 100, 3),
             RelationPlan("NotDesires", 90, 3),
         ),
-        seed=seed,
+        seed=7,
     )
 
 

@@ -145,14 +145,12 @@ def spearman_rho(a, b) -> float | None:
     return min(1.0, max(-1.0, rho))
 
 
-def similarity_histogram(
-    values: np.ndarray, bins: int = DEFAULT_BINS, lo: float = -1.0, hi: float = 1.0
-) -> np.ndarray:
-    """Bin counts over equal-width bins spanning [lo, hi]; values clipped."""
+def similarity_histogram(values: np.ndarray, bins: int = DEFAULT_BINS) -> np.ndarray:
+    """Bin counts over equal-width bins spanning the cosine range [-1, 1]; values clipped."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    clipped = np.clip(np.asarray(values, dtype=np.float64), lo, hi)
-    counts, _ = np.histogram(clipped, bins=bins, range=(lo, hi))
+    clipped = np.clip(np.asarray(values, dtype=np.float64), -1.0, 1.0)
+    counts, _ = np.histogram(clipped, bins=bins, range=(-1.0, 1.0))
     return counts.astype(np.float64)
 
 

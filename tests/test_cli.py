@@ -1067,6 +1067,49 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_every_optional_parameter_is_set_by_some_caller():
+    """A default that no call overrides is a constant: each defaulted parameter of a
+    module-level function in src/kgstruct is set by some call in src, scripts, perfbench
+    or tests.
+
+    A call matches by name, as ``f(...)`` or ``x.f(...)``. It sets the leading positional
+    parameters it fills and the keywords it names; a call with ``*args`` or ``**kwargs``
+    counts as setting every parameter.
+    """
+    sources = [
+        path for top in ("src", "scripts", "perfbench", "tests") for path in (ROOT / top).rglob("*.py")
+    ]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted((ROOT / "src" / "kgstruct").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            set_by_calls = set()
+            for call in calls.get(func.name, []):
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    keyword.arg is None for keyword in call.keywords
+                ):
+                    set_by_calls.update(defaulted)
+                set_by_calls.update(positional[: len(call.args)])
+                set_by_calls.update(keyword.arg for keyword in call.keywords)
+            unset += [
+                f"{path.name} {func.name}({name})" for name in defaulted if name not in set_by_calls
+            ]
+    assert unset == []
+
+
 def test_no_module_imports_a_private_name_from_another():
     """A name that another module of src/kgstruct imports is public: no ``_x`` imports (dunders aside)."""
     private = [

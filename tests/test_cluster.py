@@ -626,9 +626,17 @@ def reference_curve(x, ks, seed):
         previous = result
         curve["inertia"].append(result.inertia)
         curve["silhouette"].append(reference_silhouette(x, result.assignments))
-        curve["davies_bouldin"].append(davies_bouldin_index(x, result.assignments))
-        curve["calinski_harabasz"].append(calinski_harabasz_index(x, result.assignments))
+        curve["davies_bouldin"].append(reference_davies_bouldin_index(x, result.assignments))
+        curve["calinski_harabasz"].append(
+            reference_calinski_harabasz_index(x, result.assignments)
+        )
     return curve
+
+
+def relabelled(x, labelings):
+    """Each labeling as the k sweep hands it to ``_silhouette_scores``."""
+    need = f"silhouette needs 2 <= clusters <= {len(x) - 1}"
+    return [cluster._relabel(labels, len(x) - 1, need) for labels in labelings]
 
 
 @pytest.mark.parametrize("n", [300, 2100], ids=["300-points", "2100-points"])
@@ -639,9 +647,9 @@ def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
     labelings.append(labelings[1] * 7 - 3)  # labels that are not 0..k-1
     labelings.append(np.where(np.arange(n) == 0, 99, labelings[0]))  # with a singleton
     expected = [reference_silhouette(x, labels) for labels in labelings]
-    assert cluster._silhouette_scores(x, labelings) == expected
+    assert cluster._silhouette_scores(x, relabelled(x, labelings)) == expected
     assert [silhouette_score(x, labels) for labels in labelings] == expected
-    assert cluster._silhouette_scores(x, labelings, chunk=50) == [
+    assert cluster._silhouette_scores(x, relabelled(x, labelings), chunk=50) == [
         reference_silhouette(x, labels, chunk=50) for labels in labelings
     ]
 
@@ -656,7 +664,7 @@ def test_k_selection_equals_the_per_k_reference_curve():
 def test_batched_silhouette_rejects_a_one_cluster_labeling():
     x, planted = two_blobs(n=30, seed=2)
     with pytest.raises(DataError, match=r"^silhouette needs 2 <= clusters <= 29, got 1$"):
-        cluster._silhouette_scores(x, [planted, np.full(30, 4)])
+        cluster._silhouette_scores(x, relabelled(x, [planted, np.full(30, 4)]))
     with pytest.raises(DataError, match=r"^silhouette needs 2 <= clusters <= 29, got 1$"):
         silhouette_score(x, np.full(30, 4))
 
@@ -706,6 +714,158 @@ def reference_calinski_harabasz(points, assignments):
     if within == 0.0:
         return float("inf")
     return (between / (k - 1)) / (within / (n - k))
+
+
+def reference_davies_bouldin_index(points, assignments):
+    """davies_bouldin_index before the k sweep shared its relabel and centroids with
+    Calinski-Harabasz, on the frozen codes version of ``_cluster_means``."""
+    x = np.asarray(points, dtype=np.float64)
+    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
+    k = len(labels)
+    if k < 2:
+        raise DataError(f"Davies-Bouldin needs >= 2 clusters, got {k}")
+    _, centroids = reference_cluster_means(x, label_of, k)
+    spread = np.sqrt(((x - centroids[label_of]) ** 2).sum(axis=1))
+    scatter = reference_cluster_means(spread[:, None], label_of, k)[1][:, 0]
+    dist = np.sqrt(((centroids[:, None] - centroids[None]) ** 2).sum(axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (scatter[:, None] + scatter[None, :]) / dist
+    np.fill_diagonal(ratio, -np.inf)
+    return float(np.max(ratio, axis=1).mean())
+
+
+def reference_calinski_harabasz_index(points, assignments):
+    """calinski_harabasz_index with its own relabel, centroids and residuals."""
+    x = np.asarray(points, dtype=np.float64)
+    n = len(x)
+    labels, label_of = np.unique(np.asarray(assignments), return_inverse=True)
+    k = len(labels)
+    if not 2 <= k < n:
+        raise DataError(f"Calinski-Harabasz needs 2 <= clusters < {n}, got {k}")
+    counts, centroids = reference_cluster_means(x, label_of, k)
+    between = float((counts * ((centroids - x.mean(axis=0)) ** 2).sum(axis=1)).sum())
+    within = float(((x - centroids[label_of]) ** 2).sum())
+    if within == 0.0:
+        return float("inf")
+    return (between / (k - 1)) / (within / (n - k))
+
+
+def reference_separation_scores(result):
+    """separation_scores with its per-cluster loop over the other unit centroids."""
+    if result.k < 2:
+        raise DataError("separation needs k >= 2")
+    unit, ok = unit_rows(result.centroids)
+    if not ok.all():
+        cluster.log.warning("separation: %d zero-norm centroids get NaN", int((~ok).sum()))
+    dist = np.sqrt(((unit[:, None] - unit[None]) ** 2).sum(axis=2))
+    out = np.full(result.k, np.nan)
+    for j in range(result.k):
+        others = [i for i in range(result.k) if i != j and ok[i]]
+        if ok[j] and others:
+            out[j] = float(dist[j, others].mean())
+    return out
+
+
+def same_bits(got, want):
+    as_bytes = [np.asarray(value, dtype=np.float64).tobytes() for value in (got, want)]
+    return as_bytes[0] == as_bytes[1]
+
+
+def _labeling_cases():
+    rng = np.random.default_rng(40)
+    wide = rng.normal(size=(7000, 64)) + rng.integers(0, 6, size=(7000, 1))
+    small = rng.normal(size=(300, 8)) + rng.integers(0, 4, size=(300, 1)) * 2.0
+    tiny = rng.normal(size=(40, 3)) + 5.0
+    two = rng.normal(size=(2500, 64)) + rng.integers(0, 2, size=(2500, 1)) * 4.0
+    for name, x, k in [
+        ("4000x32-k20", DESK_POINTS, 20),
+        ("7000x64-k24", wide, 24),
+        ("300x8-k6", small, 6),
+        ("40x3-k4", tiny, 4),
+        ("2500x64-k2", two, 2),
+    ]:
+        labels = lloyd_kmeans(x, k, seed=3).assignments
+        yield name, x, labels
+        yield f"{name}-renumbered", x, 7 * labels - 3
+
+
+LABELING_CASES = {name: case for name, *case in _labeling_cases()}
+
+
+@pytest.mark.parametrize("case", list(LABELING_CASES))
+def test_scores_have_the_bits_of_the_per_index_references(case):
+    x, labels = LABELING_CASES[case]
+    assert same_bits(davies_bouldin_index(x, labels), reference_davies_bouldin_index(x, labels))
+    assert same_bits(
+        calinski_harabasz_index(x, labels), reference_calinski_harabasz_index(x, labels)
+    )
+    assert same_bits(silhouette_score(x, labels), reference_silhouette(x, labels))
+    # the k sweep's path: one contiguous column block and one relabel for every score
+    (label_of, counts), = relabelled(x, [labels])
+    dispersion = cluster._dispersion_scores(x, np.ascontiguousarray(x.T), label_of, counts)
+    assert same_bits(
+        dispersion,
+        [reference_davies_bouldin_index(x, labels), reference_calinski_harabasz_index(x, labels)],
+    )
+
+
+def test_davies_bouldin_of_singletons_has_the_reference_bits():
+    x = np.random.default_rng(41).normal(size=(40, 3))
+    for labels in (np.arange(40), np.arange(40)[::-1] * 5 + 2):
+        assert same_bits(
+            davies_bouldin_index(x, labels), reference_davies_bouldin_index(x, labels)
+        )
+
+
+def test_k_selection_at_the_benchmark_shape_has_the_reference_bits():
+    curve = k_selection_scores(DESK_POINTS, range(18, 23), seed=11)
+    want = reference_curve(DESK_POINTS, range(18, 23), 11)
+    assert curve.ks == list(range(18, 23))
+    for name, values in want.items():
+        assert same_bits(getattr(curve, name), values), name
+
+
+def _centroid_sets():
+    rng = np.random.default_rng(42)
+    for k in (1, 2, 3, 7, 20, 24):
+        for zeros in (0, 1, 2):
+            centroids = rng.normal(size=(k, 16))
+            centroids[rng.choice(k, size=min(zeros, k), replace=False)] = 0.0
+            yield pytest.param(centroids, id=f"k{k}-{zeros}-zero")
+
+
+@pytest.mark.parametrize("centroids", _centroid_sets())
+def test_separation_has_the_bits_of_the_per_cluster_loop(centroids, caplog):
+    k = len(centroids)
+    result = ClusteringResult(k, np.arange(k), centroids, 0.0, [0.0], 1, True)
+    if k < 2:
+        for scores in (separation_scores, reference_separation_scores):
+            with pytest.raises(DataError, match=r"^separation needs k >= 2$"):
+                scores(result)
+        return
+    with caplog.at_level("WARNING", logger=cluster.log.name):
+        want = reference_separation_scores(result)
+        expected_warnings = caplog.messages
+        caplog.clear()
+        got = separation_scores(result)
+    assert caplog.messages == expected_warnings
+    assert got.tobytes() == want.tobytes()
+
+
+def test_each_score_keeps_its_own_error_text():
+    x, planted = two_blobs(n=30, seed=2)
+    with pytest.raises(DataError, match=r"^Davies-Bouldin needs >= 2 clusters, got 1$"):
+        davies_bouldin_index(x, np.full(30, 4))
+    with pytest.raises(DataError, match=r"^Calinski-Harabasz needs 2 <= clusters < 30, got 1$"):
+        calinski_harabasz_index(x, np.full(30, 4))
+    with pytest.raises(DataError, match=r"^Calinski-Harabasz needs 2 <= clusters < 30, got 30$"):
+        calinski_harabasz_index(x, np.arange(30))
+    with pytest.raises(DataError, match=r"^silhouette needs 2 <= clusters <= 29, got 30$"):
+        silhouette_score(x, np.arange(30))
+    with pytest.raises(DataError, match=r"^silhouette needs 2 <= clusters <= 29, got 1$"):
+        silhouette_score(x, np.full(30, 4))
+    # k = n singletons are a Davies-Bouldin labeling, but not a Calinski-Harabasz one
+    assert davies_bouldin_index(x, np.arange(30)) == 0.0
 
 
 def reference_cohesion(points, result):
