@@ -198,14 +198,11 @@ def _grow_trees(columns, codes, y, rngs, config: ForestConfig, per_split: int, b
             break
         opened = np.flatnonzero(is_open)
         k = len(opened)
-        if p < d:
-            counts = np.bincount(tree[opened], minlength=len(rngs))  # open nodes per tree
-            draw = np.concatenate(
-                [rng.random((c, d)).argsort(axis=1)[:, :p] for rng, c in zip(rngs, counts) if c]
-            )
-            picked = np.sort(draw, axis=1)
-        else:
-            picked = np.tile(np.arange(d), (k, 1))
+        counts = np.bincount(tree[opened], minlength=len(rngs))  # open nodes per tree
+        draw = np.concatenate(
+            [rng.random((c, d)).argsort(axis=1)[:, :p] for rng, c in zip(rngs, counts) if c]
+        )
+        picked = np.sort(draw, axis=1)  # at p == d, arange(d) on every row
         kept = is_open[node]
         rows, node = rows[kept], (np.cumsum(is_open) - 1)[node[kept]]  # open node -> 0..k-1
         # each (candidate, row) pair's histogram cell, in (class, bin, candidate, node) order

@@ -9,6 +9,7 @@ and cluster quality is quantified with normalized cohesion and separation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +242,9 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
     row chunks from the BLAS expansion |x|^2 + |y|^2 - 2 x.y of the centered
     points, so rounding scales with their spread, not their offset; each
     point's distance to itself is set to exactly 0. Each chunk's per-cluster
-    distance sums are one product with the n x k cluster indicator matrix.
+    distance sums are one product with the n x k cluster indicator matrix,
+    taken on distances rounded to a grid (step at most n (2 max|x_i| + 1) / 2^51)
+    on which they are exact, so the bits do not depend on the BLAS thread count.
     """
     x = np.asarray(points, dtype=np.float64)
     need = f"silhouette needs 2 <= clusters <= {len(x) - 1}"
@@ -251,16 +254,25 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
 def _silhouette_scores(x: np.ndarray, labelings, chunk: int = 128) -> list[float]:
     """``silhouette_score`` of each ``_relabel``-ed labeling of the float64 points ``x``.
 
-    Each distance chunk is computed once and multiplied by every labeling's
-    indicator matrix, so each score has the bits a single call would give.
+    Each distance chunk is rounded to a power-of-two grid on which every
+    per-cluster sum is exact, then multiplied once by all labelings'
+    indicator columns side by side. So each score has the bits a single call
+    would give, whatever the BLAS thread count, blocking or summation order.
     """
     n = len(x)
-    onehots = [np.eye(len(counts))[label_of] for label_of, counts in labelings]
+    offsets = np.cumsum([0] + [len(counts) for _, counts in labelings])
+    onehot = np.zeros((n, offsets[-1]))  # every labeling's indicator columns, side by side
+    for offset, (label_of, _) in zip(offsets, labelings):
+        onehot[np.arange(n), offset + label_of] = 1.0
 
     # centering keeps every distance and makes the expansion's rounding scale
     # with the points' spread instead of their distance from the origin
     x = x - x.mean(axis=0)
     x_sq = _squared_norms(x)
+    # a distance is below 2 max|x_i| + 1 (the 1 covers the expansion's rounding);
+    # with n of them below 2^e, scaled by 2^(52 - e) and rounded to integers they
+    # sum below 2^52, exactly. A score is a ratio of sums, so the scale cancels
+    scale = 2.0 ** (52 - math.frexp(n * (2.0 * math.sqrt(x_sq.max()) + 1.0))[1])
     buffer = np.empty((min(chunk, n), n))
     gram = np.empty_like(buffer)
     scores = np.empty((len(labelings), n), dtype=np.float64)
@@ -271,8 +283,10 @@ def _silhouette_scores(x: np.ndarray, labelings, chunk: int = 128) -> list[float
         np.sqrt(d, out=d)
         # rounding leaves |x_i - x_i| near 1e-8, which would enter the mean a
         d[np.arange(m), np.arange(start, start + m)] = 0.0
-        for out, (label_of, counts), onehot in zip(scores, labelings, onehots):
-            sums = d @ onehot
+        d *= scale
+        all_sums = np.rint(d, out=d) @ onehot
+        for out, offset, (label_of, counts) in zip(scores, offsets, labelings):
+            sums = all_sums[:, offset : offset + len(counts)]
             own = label_of[rows]
             own_count = counts[own]
             # own-cluster mean excludes the point itself

@@ -354,7 +354,6 @@ def train(
             lr = np.float32(config.learning_rate * (1.0 - epoch / config.epochs))
             perm = rng.permutation(n)
             epoch_loss = 0.0
-            n_pairs = 0
             for start in range(0, n, config.batch_size):
                 batch = triples[perm[start : start + config.batch_size]]
                 b = len(batch)
@@ -389,7 +388,6 @@ def train(
                 active = hinge > 0
 
                 epoch_loss += float(hinge[active].sum())
-                n_pairs += b * n_neg
                 if not active.any():
                     continue
 
@@ -418,7 +416,7 @@ def train(
                 pick[b:] += b
                 _scatter_add(rel, np.concatenate([r, r[act // n_neg]]), grads, pick)
 
-            mean_loss = epoch_loss / max(n_pairs, 1)
+            mean_loss = epoch_loss / (n * n_neg)
             if not np.isfinite(mean_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {mean_loss} at epoch {epoch}; lower "

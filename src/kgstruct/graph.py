@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO
 
@@ -31,8 +32,6 @@ class KnowledgeGraph:
         self.entity_names = list(entity_names)
         self.relation_names = list(relation_names)
         self.triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        self._relation_ids: dict[str, int] | None = None
-        self._relation_index: dict[int, np.ndarray] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -72,24 +71,19 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relation_names)
 
-    @property
+    @cached_property
     def relation_index(self) -> dict[int, np.ndarray]:
-        """relation id -> sorted array of triple row indices (lazy, cached)."""
-        if self._relation_index is None:
-            index: dict[int, np.ndarray] = {}
-            # a key narrower than 16 bits is radix-sorted; stability keeps
-            # each relation's rows ascending
-            rel_col = self.triples[:, 1].astype(np.min_scalar_type(self.n_relations))
-            order = np.argsort(rel_col, kind="stable")
-            boundaries = np.searchsorted(
-                rel_col[order], np.arange(self.n_relations + 1)
-            )
-            for rid in range(self.n_relations):
-                rows = order[boundaries[rid] : boundaries[rid + 1]]
-                if len(rows):
-                    index[rid] = rows
-            self._relation_index = index
-        return self._relation_index
+        """relation id -> sorted array of triple row indices, for each relation with triples."""
+        # a key narrower than 16 bits is radix-sorted; stability keeps each
+        # relation's rows ascending, so each relation's rows are one run
+        rel_col = self.triples[:, 1].astype(np.min_scalar_type(self.n_relations))
+        order = np.argsort(rel_col, kind="stable")
+        runs = np.split(order, np.searchsorted(rel_col[order], np.arange(1, self.n_relations)))
+        return {rid: rows for rid, rows in enumerate(runs) if len(rows)}
+
+    @cached_property
+    def _relation_ids(self) -> dict[str, int]:
+        return {name: rid for rid, name in enumerate(self.relation_names)}
 
     def relation_rows(self, name: str) -> np.ndarray:
         """Ascending triple row indices of the relation called ``name``.
@@ -97,8 +91,6 @@ class KnowledgeGraph:
         A name that no triple of this graph asserts (unknown here, or left
         without triples by ``subset(..., recompact=False)``) is a DataError.
         """
-        if self._relation_ids is None:
-            self._relation_ids = {n: i for i, n in enumerate(self.relation_names)}
         rid = self._relation_ids.get(name)
         rows = None if rid is None else self.relation_index.get(rid)
         if rows is None:

@@ -231,17 +231,14 @@ def read_config(path: str | Path) -> dict:
 
 
 def _jsonable(obj):
+    """``obj`` with numpy arrays and scalars as Python values, and each non-finite float as None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -260,7 +257,7 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 
 def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+    if value is None or not math.isfinite(value):
         return ""
     return f"{value:.6f}"
 

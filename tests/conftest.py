@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,15 @@ def from_labeled_triples(rows) -> KnowledgeGraph:
     return KnowledgeGraph.from_id_triples(
         list(entity_ids), list(relation_ids), np.array(triples, dtype=np.int64).reshape(-1, 3)
     )
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, which JSON does not have."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_labeled_triples, patch_physical_memory, run_python
+from conftest import from_labeled_triples, patch_physical_memory, run_python, strict_json
 from kgstruct.cli import _load_config, build_parser, main
 from kgstruct.embedding import EmbeddingTable, train
 from kgstruct.graph import SplitSpec, split_indices, write_generic_3col
@@ -918,6 +918,15 @@ def test_demo_run_reproduces_the_golden_files(demo_kg, tmp_path):
     """
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
     assert _demo_run_files(demo_kg, tmp_path) == golden
+
+
+def test_every_json_file_of_the_demo_bundle_is_strict_json(demo_kg, tmp_path):
+    """No NaN or Infinity reaches a JSON artifact or the manifest."""
+    assert main(["run", "--config", str(_demo_config(demo_kg, tmp_path))]) == 0
+    paths = sorted((tmp_path / "report").rglob("*.json"))
+    assert tmp_path / "report" / "manifest.json" in paths
+    for path in paths:
+        strict_json(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -541,16 +542,22 @@ def exact_silhouette(x, labels, chunk=128):
     return float(scores.mean())
 
 
-@pytest.mark.parametrize("n", [300, 2100])
-def test_silhouette_is_exact_far_from_the_origin(n):
-    # tight clusters (spread 0.01) offset by 1e4: |x|^2 + |y|^2 - 2 x.y of the
-    # raw points cancels ~1e8 down to ~1e-4 and keeps only a few digits
+def far_points(n):
+    """Tight clusters (spread 0.01) offset by 1e4, with some points labelled into the wrong one."""
     rng = np.random.default_rng(n)
     centers = rng.normal(size=(6, 4))
     planted = rng.integers(0, 6, size=n)
     x = 1e4 + centers[planted] + 0.01 * rng.normal(size=(n, 4))
     labels = planted.copy()
-    labels[:n // 20] = (labels[:n // 20] + 1) % 6  # some points sit in the wrong cluster
+    labels[:n // 20] = (labels[:n // 20] + 1) % 6
+    return x, labels
+
+
+@pytest.mark.parametrize("n", [300, 2100])
+def test_silhouette_is_exact_far_from_the_origin(n):
+    # |x|^2 + |y|^2 - 2 x.y of the raw points cancels ~1e8 down to ~1e-4 and
+    # keeps only a few digits
+    x, labels = far_points(n)
     assert silhouette_score(x, labels) == pytest.approx(exact_silhouette(x, labels), abs=1e-12)
 
 
@@ -560,25 +567,40 @@ def test_silhouette_rejects_single_cluster():
         silhouette_score(x, np.zeros(5, dtype=int))
 
 
-def reference_silhouette(points, assignments, chunk=128):
-    """The single-k silhouette kernel that the batched one replaced.
+def silhouette_rows(sums, own, counts):
+    """s(i) of each chunk row from its per-cluster distance sums; ``own`` holds each row's cluster."""
+    m = len(own)
+    own_count = counts[own]
+    a = np.where(own_count > 1, sums[np.arange(m), own] / np.maximum(own_count - 1, 1), 0.0)
+    means = sums / counts[None, :]
+    means[np.arange(m), own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    return np.where((own_count > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
 
-    Its distance rows are built as the batched kernel builds them: centered
-    points, the BLAS expansion, and each point's own entry set to 0.
+
+def reference_silhouettes(points, labelings, chunk=128):
+    """The BLAS-sum silhouette kernel that the grid kernel replaced, for each labeling.
+
+    Its distance rows are built as the grid kernel builds them: centered
+    points, the BLAS expansion, and each point's own entry set to 0. Each
+    labeling's per-cluster sums are one product of the raw distances with its
+    own indicator matrix, so each score has the bits of a one-labeling call.
     """
     x = np.asarray(points, dtype=np.float64)
     x = x - x.mean(axis=0)
     n = len(x)
-    labels = np.unique(assignments)
-    k = len(labels)
-    label_of = np.searchsorted(labels, assignments)
-    counts = np.bincount(label_of, minlength=k)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), label_of] = 1.0
+    cases = []
+    for assignments in labelings:
+        labels = np.unique(assignments)
+        label_of = np.searchsorted(labels, assignments)
+        onehot = np.zeros((n, len(labels)))
+        onehot[np.arange(n), label_of] = 1.0
+        cases.append((label_of, np.bincount(label_of, minlength=len(labels)), onehot))
     x_sq = (x * x).sum(axis=1)
     buffer = np.empty((min(chunk, n), n))
     gram = np.empty_like(buffer)
-    scores = np.empty(n, dtype=np.float64)
+    scores = np.empty((len(labelings), n), dtype=np.float64)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         m = rows.stop - start
@@ -590,26 +612,57 @@ def reference_silhouette(points, assignments, chunk=128):
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
         d[np.arange(m), np.arange(start, start + m)] = 0.0
+        for out, (label_of, counts, onehot) in zip(scores, cases):
+            out[rows] = silhouette_rows(d @ onehot, label_of[rows], counts)
+    return [float(row.mean()) for row in scores]
+
+
+def reference_silhouette(points, assignments, chunk=128):
+    """The single-k silhouette of the BLAS-sum kernel."""
+    return reference_silhouettes(points, [assignments], chunk)[0]
+
+
+def grid_distance_chunks(points, chunk=128):
+    """(rows, distances) of each row chunk of the centered points, in steps of the grid kernel.
+
+    Frozen from the grid kernel: the expansion's distances, each point's own
+    entry 0, scaled by 2^(52 - e) with n (2 max|x_i| + 1) < 2^e and rounded
+    to integers.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    x = x - x.mean(axis=0)
+    n = len(x)
+    x_sq = (x * x).sum(axis=1)
+    scale = 2.0 ** (52 - math.frexp(n * (2.0 * math.sqrt(x_sq.max()) + 1.0))[1])
+    for start in range(0, n, chunk):
+        rows = slice(start, min(start + chunk, n))
+        d = np.sqrt(reference_squared_distances(x[rows], x, x_sq[rows]))
+        d[np.arange(rows.stop - start), np.arange(start, rows.stop)] = 0.0
+        yield rows, np.rint(d * scale)
+
+
+def grid_silhouettes(points, labelings, chunk=128):
+    """The grid kernel, frozen: one product per chunk with every labeling's indicators side by side."""
+    n = len(points)
+    cases = [np.unique(labels, return_inverse=True)[1] for labels in labelings]
+    counts = [np.bincount(label_of) for label_of in cases]
+    offsets = np.cumsum([0] + [len(c) for c in counts])
+    onehot = np.zeros((n, offsets[-1]))
+    for offset, label_of in zip(offsets, cases):
+        onehot[np.arange(n), offset + label_of] = 1.0
+    scores = np.empty((len(labelings), n))
+    for rows, d in grid_distance_chunks(points, chunk):
         sums = d @ onehot
-        own = label_of[rows]
-        own_count = counts[own]
-        a = np.where(
-            own_count > 1, sums[np.arange(m), own] / np.maximum(own_count - 1, 1), 0.0
-        )
-        means = sums / counts[None, :]
-        means[np.arange(m), own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        scores[rows] = np.where(
-            (own_count > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0
-        )
-    return float(scores.mean())
+        for out, offset, label_of, count in zip(scores, offsets, cases, counts):
+            out[rows] = silhouette_rows(sums[:, offset : offset + len(count)], label_of[rows], count)
+    return [float(row.mean()) for row in scores]
 
 
 def reference_curve(x, ks, seed):
-    """k_selection_scores as one fit and one silhouette call per k, in k order."""
+    """k_selection_scores as one fit and one call of each score per k, in k order; and the labelings."""
     x_sq = (x * x).sum(axis=1)
     curve = {"inertia": [], "silhouette": [], "davies_bouldin": [], "calinski_harabasz": []}
+    labelings = []
     previous = None
     for k in ks:
         result = lloyd_kmeans(x, k, seed=seed + k)
@@ -624,13 +677,14 @@ def reference_curve(x, ks, seed):
             if warm.inertia < result.inertia:
                 result = warm
         previous = result
+        labelings.append(result.assignments)
         curve["inertia"].append(result.inertia)
-        curve["silhouette"].append(reference_silhouette(x, result.assignments))
+        curve["silhouette"].append(grid_silhouettes(x, [result.assignments])[0])
         curve["davies_bouldin"].append(reference_davies_bouldin_index(x, result.assignments))
         curve["calinski_harabasz"].append(
             reference_calinski_harabasz_index(x, result.assignments)
         )
-    return curve
+    return curve, labelings
 
 
 def relabelled(x, labelings):
@@ -646,19 +700,48 @@ def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
     labelings = [lloyd_kmeans(x, k, seed=k).assignments for k in (2, 5, 9)]
     labelings.append(labelings[1] * 7 - 3)  # labels that are not 0..k-1
     labelings.append(np.where(np.arange(n) == 0, 99, labelings[0]))  # with a singleton
-    expected = [reference_silhouette(x, labels) for labels in labelings]
+    expected = grid_silhouettes(x, labelings)
     assert cluster._silhouette_scores(x, relabelled(x, labelings)) == expected
     assert [silhouette_score(x, labels) for labels in labelings] == expected
-    assert cluster._silhouette_scores(x, relabelled(x, labelings), chunk=50) == [
-        reference_silhouette(x, labels, chunk=50) for labels in labelings
-    ]
+    assert cluster._silhouette_scores(x, relabelled(x, labelings), chunk=50) == grid_silhouettes(
+        x, labelings, chunk=50
+    )
+    assert expected == pytest.approx(reference_silhouettes(x, labelings), rel=1e-12, abs=0)
+
+
+def test_silhouettes_have_the_same_bits_at_every_chunk_size():
+    x, labels = LABELING_CASES["4000x32-k20"]
+    labelings = relabelled(x, [labels, lloyd_kmeans(x, 3, seed=1).assignments])
+    want = cluster._silhouette_scores(x, labelings)
+    for chunk in (7, 50):
+        assert cluster._silhouette_scores(x, labelings, chunk=chunk) == want
+
+
+@pytest.mark.parametrize("case", ["7000x64-k24", "far-from-the-origin"])
+def test_grid_sums_are_exact(case):
+    """On the grid, n distances sum below 2^52, so the BLAS product equals the integer one."""
+    x, labels = LABELING_CASES[case] if case in LABELING_CASES else far_points(2100)
+    onehot = np.eye(labels.max() + 1)[labels]
+    for _, d in grid_distance_chunks(x):
+        assert d.max() * len(x) < 2.0**52
+        assert np.array_equal(d @ onehot, d.astype(np.int64) @ onehot.astype(np.int64))
+
+
+def test_grid_silhouettes_of_a_23_labeling_sweep_are_within_1e_12_of_the_blas_sums():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(7000, 64)) + rng.integers(0, 6, size=(7000, 1))
+    labelings = [lloyd_kmeans(x, k, seed=k, max_iters=5).assignments for k in range(2, 25)]
+    got = cluster._silhouette_scores(x, relabelled(x, labelings))
+    assert got == pytest.approx(reference_silhouettes(x, labelings), rel=1e-12, abs=0)
 
 
 def test_k_selection_equals_the_per_k_reference_curve():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(400, 5)) + rng.integers(0, 5, size=(400, 1)) * 2.5
     curve = k_selection_scores(x, range(2, 8), seed=3)
-    assert vars(curve) == {"ks": list(range(2, 8)), **reference_curve(x, range(2, 8), 3)}
+    want, labelings = reference_curve(x, range(2, 8), 3)
+    assert vars(curve) == {"ks": list(range(2, 8)), **want}
+    assert curve.silhouette == pytest.approx(reference_silhouettes(x, labelings), rel=1e-12, abs=0)
 
 
 def test_batched_silhouette_rejects_a_one_cluster_labeling():
@@ -799,7 +882,10 @@ def test_scores_have_the_bits_of_the_per_index_references(case):
     assert same_bits(
         calinski_harabasz_index(x, labels), reference_calinski_harabasz_index(x, labels)
     )
-    assert same_bits(silhouette_score(x, labels), reference_silhouette(x, labels))
+    assert same_bits(silhouette_score(x, labels), grid_silhouettes(x, [labels])[0])
+    assert silhouette_score(x, labels) == pytest.approx(
+        reference_silhouette(x, labels), rel=1e-12, abs=0
+    )
     # the k sweep's path: one contiguous column block and one relabel for every score
     (label_of, counts), = relabelled(x, [labels])
     dispersion = cluster._dispersion_scores(x, np.ascontiguousarray(x.T), label_of, counts)
@@ -819,10 +905,12 @@ def test_davies_bouldin_of_singletons_has_the_reference_bits():
 
 def test_k_selection_at_the_benchmark_shape_has_the_reference_bits():
     curve = k_selection_scores(DESK_POINTS, range(18, 23), seed=11)
-    want = reference_curve(DESK_POINTS, range(18, 23), 11)
+    want, labelings = reference_curve(DESK_POINTS, range(18, 23), 11)
     assert curve.ks == list(range(18, 23))
     for name, values in want.items():
         assert same_bits(getattr(curve, name), values), name
+    old = reference_silhouettes(DESK_POINTS, labelings)
+    assert curve.silhouette == pytest.approx(old, rel=1e-12, abs=0)
 
 
 def _centroid_sets():
@@ -948,16 +1036,14 @@ rng = np.random.default_rng(5)
 x = rng.normal(size=(7000, 64)) + rng.integers(0, 6, size=(7000, 1))
 fit = lloyd_kmeans(x, 20, seed=1)
 curve = k_selection_scores(x, [2, 12, 24], seed=1)
-for part in (fit.centroids, fit.assignments, curve.inertia, curve.davies_bouldin,
-             curve.calinski_harabasz):
+for part in (fit.centroids, fit.assignments, curve.inertia, curve.silhouette,
+             curve.davies_bouldin, curve.calinski_harabasz):
     print(hashlib.sha256(np.asarray(part).tobytes()).hexdigest())
 """
 
 
 def test_kmeans_bits_do_not_depend_on_the_blas_thread_count():
-    # FormOf's size on full desk. The silhouettes are left out: their
-    # distance-chunk @ indicator sums run through BLAS, whose bits can vary
-    # with the thread count.
+    # FormOf's size on full desk
     assert run_python(["-c", KMEANS_HASHES], 1) == run_python(["-c", KMEANS_HASHES], 2)
 
 

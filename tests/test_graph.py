@@ -931,6 +931,17 @@ def test_relation_rows_are_the_relation_index_rows(edge_case_graphs):
                     graph.relation_rows(name)
 
 
+@pytest.mark.parametrize("relations", [[], ["r", "s"]])
+def test_a_graph_without_triples_has_an_empty_relation_index(relations):
+    from kgstruct.errors import DataError
+
+    graph = KnowledgeGraph.from_id_triples(["a"], relations, np.empty((0, 3), dtype=np.int64))
+    assert graph.relation_index == {}
+    for name in [*relations, "nope"]:
+        with pytest.raises(DataError, match=repr(name)):
+            graph.relation_rows(name)
+
+
 def test_relation_rows_of_a_relation_without_triples_raise(tiny_graph):
     from kgstruct.errors import DataError
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import from_labeled_triples, patch_physical_memory
+from conftest import from_labeled_triples, patch_physical_memory, strict_json
 from kgstruct import report, validation
 from kgstruct.cli import _load_config, build_parser
 from kgstruct.embedding import EmbeddingTable, TrainConfig, train_working_set_bytes
@@ -244,11 +244,25 @@ def read_matrix_csv(path: Path) -> tuple[list[str], np.ndarray]:
         (0.1234567, "0.123457"),
         (np.float64(0.1234567), "0.123457"),
         (np.float32(0.25), "0.250000"),
+        (np.float32("nan"), ""),
+        (np.float32("-inf"), ""),
         (7, "7.000000"),
     ],
 )
 def test_csv_numbers_take_six_places_and_non_finite_ones_are_blank(value, text):
     assert report._fmt(value) == text
+
+
+@pytest.mark.parametrize(
+    "value, parsed",
+    [(np.float64("nan"), None), (np.float32("inf"), None), (np.float64("-inf"), None),
+     (np.bool_(True), True), (np.float32(0.5), 0.5), (np.int16(-3), -3)],
+)
+def test_numpy_scalars_are_written_as_strict_json(value, parsed, tmp_path):
+    report.write_json(tmp_path / "v.json", {"one": value, "list": [value], "array": np.array([value])})
+    assert strict_json((tmp_path / "v.json").read_text(encoding="utf-8")) == {
+        "one": parsed, "list": [parsed], "array": [parsed]
+    }
 
 
 def test_matrix_csv_roundtrip_within_tolerance(tmp_path):
