@@ -43,10 +43,13 @@ class KnowledgeGraph:
 
         Row codes are sorted by ``_sorted_runs``, as ``_group``'s keys are; the
         least row index of a run is its first occurrence. No inverse is built.
+        The rows may be of any integer type (the parser's are int32); the
+        codes are int64 and the graph's triples int64.
         """
-        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        triples = np.asarray(triples).reshape(-1, 3)
         n_ent, n_rel = max(len(entity_names), 1), max(len(relation_names), 1)
-        codes = triples[:, 0] * n_rel
+        codes = triples[:, 0].astype(np.int64)
+        codes *= n_rel
         codes += triples[:, 1]
         codes *= n_ent
         codes += triples[:, 2]
@@ -55,7 +58,9 @@ class KnowledgeGraph:
         first = np.minimum.reduceat(order, np.flatnonzero(starts))
         del order, starts
         first.sort()
-        return cls(entity_names, relation_names, triples[first])
+        kept = triples[first]
+        del first
+        return cls(entity_names, relation_names, kept)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -140,10 +145,10 @@ def _compact_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- parsing ---------------------------------------------------------------
 
 # Bytes read per block. A block is parsed up to its last line end, of any
-# style, and the partial line after it opens the next block. Beyond the graph,
-# the parser holds one block's bytes and spans plus the distinct names and
-# their keys, whatever the file's length.
-_BLOCK_BYTES = 1 << 17
+# style, and the partial line after it opens the next block. Beyond the rows
+# read so far and the distinct names and their keys, the parser holds one
+# block's working set, whatever the file's length.
+_BLOCK_BYTES = 1 << 20
 
 
 def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGraph:
@@ -183,7 +188,7 @@ def parse_edge_file(path: str | Path, format: str = GENERIC_3COL) -> KnowledgeGr
             rows, n_lines = _parse_block(data, format, entities, relations, path, lines_before)
             blocks.append(rows)
             lines_before += n_lines
-    triples = np.concatenate(blocks, dtype=np.int64) if blocks else np.empty((0, 3), np.int64)
+    triples = np.concatenate(blocks) if blocks else np.empty((0, 3), np.int32)
     del blocks
     return KnowledgeGraph.from_id_triples(entities.names, relations.names, triples)
 
@@ -200,8 +205,10 @@ def _line_blocks(handle: BinaryIO) -> Iterator[bytes]:
     while read := handle.read(_BLOCK_BYTES):
         cut = max(read.rfind(b"\n"), read.rfind(b"\r", 0, -1)) + 1
         if cut or pending and pending[-1].endswith(b"\r"):
-            yield b"".join([*pending, read[:cut]])
+            block = b"".join([*pending, memoryview(read)[:cut]])
             pending = [read[cut:]]
+            del read  # one read less held while the block is parsed
+            yield block
         else:
             pending.append(read)
     if rest := b"".join(pending):
@@ -216,47 +223,62 @@ def _parse_block(
     path: Path,
     lines_before: int,
 ) -> tuple[np.ndarray, int]:
-    """Checked (head, relation, tail) id rows of a block of whole lines, and its line count.
-
-    Lines end at byte 10 and fields at byte 9; both are ASCII, so no
-    multi-byte character of valid UTF-8 holds them.
-    """
+    """Checked (head, relation, tail) id rows of a block of whole lines, and its line count."""
     try:
-        data.decode("utf-8")
+        data.isascii() or data.decode("utf-8")  # ASCII needs no decoding
     except UnicodeDecodeError as exc:
         line = lines_before + data.count(b"\n", 0, exc.start) + 1
         raise ParseError(path, line, f"not valid UTF-8 ({exc.reason})") from exc
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = np.frombuffer(data + bytes(8), dtype=np.uint8)  # key words may overrun a span
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    tabs = np.flatnonzero(buf == ord("\t"))
-    tabs_to_end = np.searchsorted(tabs, ends)
-    first_tab = np.concatenate(([0], tabs_to_end[:-1]))
-    n_tabs = tabs_to_end - first_tab
-    data_line = (ends > starts) & (buf[starts] != ord("#"))
+    ent_lo, ent_hi, rel_lo, rel_hi, n_lines = _field_spans(buf, format, path, lines_before)
+    out = np.empty((len(rel_lo), 3), dtype=np.int32)
+    out[:, ::2] = entities.intern(buf, ent_lo, ent_hi).reshape(-1, 2)
+    out[:, 1] = relations.intern(buf, rel_lo, rel_hi)
+    return out, n_lines
+
+
+def _field_spans(
+    buf: np.ndarray, format: str, path: Path, lines_before: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Byte spans [lo, hi) of the names on a block's data lines, and its line count.
+
+    Entity spans come first, each line's head before its tail, so that
+    entities are interned in line order; then one relation span per line.
+    Positions are int32, as a block is far below 2 GiB; bytes are gathered
+    at them with ``np.take``, which fancy indexing by int32 trails. Lines end
+    at byte 10 and fields at byte 9; both are ASCII, so no multi-byte
+    character of valid UTF-8 holds them.
+    """
+    # tabs and line ends in one scan, with the rarer bytes below the tab left
+    # out after it; each line's separators then follow each other
+    seps = np.flatnonzero(buf <= ord("\n")).astype(np.int32)
+    seps = seps[np.take(buf, seps) >= ord("\t")]
+    line_end = np.flatnonzero(np.take(buf, seps) == ord("\n"))  # index in seps of each line's end
+    first_sep = np.concatenate(([0], line_end[:-1] + 1))
+    n_tabs = line_end - first_sep
+    starts = np.concatenate(([0], seps[line_end[:-1]] + 1), dtype=np.int32)
+    data_line = (seps[line_end] > starts) & (np.take(buf, starts) != ord("#"))
     generic = format == GENERIC_3COL
     bad_count = data_line & ((n_tabs != 2) if generic else (n_tabs < 3))
     rows = np.flatnonzero(data_line & ~bad_count)
+    base = first_sep[rows]
 
     def field(j):
-        # byte span [lo, hi) of column j on each of ``rows``
-        k = first_tab[rows] + j
-        lo = starts[rows] if j == 0 else tabs[k - 1] + 1
-        last = np.minimum(k, len(tabs) - 1)
-        return lo, np.where(n_tabs[rows] > j, tabs[last], ends[rows])
+        # a good row has a separator after each column read here: seps[base + j]
+        return (starts[rows] if j == 0 else seps[base + (j - 1)] + 1), seps[base + j]
 
     if generic:
         head, relation, tail = field(0), field(1), field(2)
     else:
-        slashes = np.flatnonzero(buf == ord("/"))
+        slashes = np.flatnonzero(buf == ord("/")).astype(np.int32)
         head, tail = (_concept_term(buf, slashes, *field(j)) for j in (2, 3))
         relation = _relation_name(buf, *field(1))
     empty = (head[0] == head[1]) | (relation[0] == relation[1]) | (tail[0] == tail[1])
 
     bad = np.flatnonzero(bad_count)
-    first_empty = rows[np.argmax(empty)] if empty.any() else len(ends)
+    first_empty = rows[np.argmax(empty)] if empty.any() else len(line_end)
     if len(bad) and bad[0] < first_empty:
         expected = "3" if generic else "at least 4"
         raise ParseError(
@@ -264,19 +286,11 @@ def _parse_block(
             lines_before + int(bad[0]) + 1,
             f"expected {expected} tab-separated columns, got {int(n_tabs[bad[0]]) + 1}",
         )
-    if first_empty < len(ends):
+    if first_empty < len(line_end):
         raise ParseError(path, lines_before + int(first_empty) + 1, "empty head, relation, or tail")
-
-    # heads and tails interleaved, so that entities are interned in line order
-    ent = entities.intern(
-        buf,
-        np.column_stack((head[0], tail[0])).ravel(),
-        np.column_stack((head[1], tail[1])).ravel(),
-    ).reshape(-1, 2)
-    out = np.empty((len(rows), 3), dtype=np.int32)
-    out[:, 0], out[:, 2] = ent[:, 0], ent[:, 1]
-    out[:, 1] = relations.intern(buf, *relation)
-    return out, len(ends)
+    ent_lo = np.column_stack((head[0], tail[0])).ravel()
+    ent_hi = np.column_stack((head[1], tail[1])).ravel()
+    return ent_lo, ent_hi, *relation, len(line_end)
 
 
 def _concept_term(
@@ -337,43 +351,60 @@ class _SpanInterner:
 
     def intern(self, buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Ids of the spans ``buf[lo:hi]``, interning new names in span order."""
-        ids = np.empty(len(lo), dtype=np.int64)
-        if not len(lo):
-            return ids
         length = hi - lo
-        n_words = length // 8 + 1
-        narrow = n_words.astype(np.min_scalar_type(int(n_words.max())))
+        ids, new_keys, new_spans = self._lookup(buf, lo, length)
+        if not new_spans:
+            return ids
+        # names never seen before get ids in the order of their first span
+        first_spans = np.concatenate(new_spans)
+        order = np.argsort(first_spans)
+        new_ids = np.empty(len(order), dtype=np.int32)
+        new_ids[order] = np.arange(len(self.names), len(self.names) + len(order))
+        provisional = np.flatnonzero(ids < 0)
+        ids[provisional] = new_ids[-1 - ids[provisional]]
+        offset = 0
+        for size, keys in new_keys:
+            self._add_run(size, keys, new_ids[offset : offset + len(keys)])
+            offset += len(keys)
+        first_spans = first_spans[order]
+        self.names += _decode_spans(buf, lo[first_spans], length[first_spans])
+        return ids
+
+    def _lookup(
+        self, buf: np.ndarray, lo: np.ndarray, length: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[np.ndarray]]:
+        """The id of each span's name, or -1 - k for the k-th name new to the runs.
+
+        Also the new names' keys, as (word count, sorted keys) pairs, and the
+        first span of each, in the same order. A block's spans are grouped by
+        word count, and each group's arrays die with its turn.
+        """
+        ids = np.empty(len(lo), dtype=np.int32)
+        new_keys, new_spans = [], []
+        if not len(lo):
+            return ids, new_keys, new_spans
+        narrow = (length // 8 + 1).astype(np.min_scalar_type(int(length.max()) // 8 + 1))
         by_words = np.argsort(narrow, kind="stable")  # radix below 16 bits
         sizes = narrow[by_words]
         bounds = np.flatnonzero(np.concatenate(([True], sizes[1:] != sizes[:-1], [True])))
-        groups = []
+        n_new = 0
         for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             at = by_words[a:b]
             size = int(sizes[a])
             keys, first, inverse = _group(_pack(buf, lo[at], length[at], size))
             key_ids = self._find(size, keys)
-            new = key_ids < 0
-            groups.append((size, at, keys, key_ids, inverse, new, at[first[new]]))
-        # names never seen before get ids in the order of their first span
-        first_spans = np.concatenate([group[-1] for group in groups])
-        order = np.argsort(first_spans)
-        new_ids = np.empty(len(order), dtype=np.int64)
-        new_ids[order] = np.arange(len(self.names), len(self.names) + len(order))
-        offset = 0
-        for size, at, keys, key_ids, inverse, new, spans in groups:
-            added = new_ids[offset : offset + len(spans)]
-            offset += len(spans)
-            if len(added):
-                key_ids[new] = added
-                self._add_run(size, keys[new], added)
+            new = np.flatnonzero(key_ids < 0)
+            if len(new):
+                key_ids[new] = np.arange(-1 - n_new, -1 - n_new - len(new), -1)
+                n_new += len(new)
+                new_keys.append((size, keys[new]))
+                new_spans.append(at[first[new]])
             ids[at] = key_ids[inverse]
-        first_spans = first_spans[order]
-        self.names += _decode_spans(buf, lo[first_spans], length[first_spans])
-        return ids
+        return ids, new_keys, new_spans
 
     def _find(self, size: int, keys: np.ndarray) -> np.ndarray:
         """Id of each sorted distinct key of ``size`` words, or -1 for a key never seen."""
-        ids = np.full(len(keys), -1, dtype=np.int64)
+        ids = np.full(len(keys), -1, dtype=np.int32)
         for run_keys, run_ids in self._runs.get(size, ()):
             pos = np.minimum(np.searchsorted(run_keys, keys), len(run_keys) - 1)
             hit = run_keys[pos] == keys
@@ -389,19 +420,20 @@ class _SpanInterner:
             runs[-2:] = [(np.insert(old_keys, pos, keys), np.insert(old_ids, pos, ids))]
 
 
+# a word's low t bytes, and the byte count t in a word's top byte, for t = 0..7
+_LOW_BYTES = np.array([(1 << 8 * t) - 1 for t in range(8)], dtype="<u8")
+_TOP_COUNT = np.arange(8, dtype="<u8") << np.uint64(56)
+
+
 def _pack(buf: np.ndarray, lo: np.ndarray, length: np.ndarray, n_words: int) -> np.ndarray:
     """Keys of the spans ``buf[lo:lo + length]`` of ``n_words`` words each (see ``_SpanInterner``)."""
     word_at = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     packed = np.empty((len(lo), n_words), dtype="<u8")
-    for j in range(n_words - 1):
+    for j in range(n_words):
         packed[:, j] = word_at[lo + 8 * j]
-    tail = (length - 8 * (n_words - 1)).astype("<u8")  # 0 to 7 bytes
-    np.bitwise_and(
-        word_at[lo + 8 * (n_words - 1)],
-        (np.uint64(1) << tail * np.uint64(8)) - np.uint64(1),
-        out=packed[:, -1],
-    )
-    packed[:, -1] |= tail << np.uint64(56)
+    tail = length & 7  # the bytes in the last word
+    packed[:, -1] &= np.take(_LOW_BYTES, tail)
+    packed[:, -1] |= np.take(_TOP_COUNT, tail)
     return packed.ravel() if n_words == 1 else packed.view((np.void, 8 * n_words)).ravel()
 
 
@@ -432,10 +464,14 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
     """
     if not len(lo):
         return []
-    width = length + 1
-    offsets = np.cumsum(width) - width
-    gathered = buf[np.repeat(lo - offsets, width) + np.arange(int(width.sum()))]
-    gathered[offsets + length] = ord("\t")
+    ends = np.cumsum(length + 1)
+    # each gathered place's buffer position, as steps from the place before
+    at = np.ones(int(ends[-1]), dtype=np.int64)
+    at[0] = lo[0]
+    at[ends[:-1]] = lo[1:] - (lo[:-1] + length[:-1])
+    gathered = buf[np.cumsum(at, out=at)]
+    del at
+    gathered[ends - 1] = ord("\t")
     return gathered[:-1].tobytes().decode("utf-8").split("\t")
 
 
@@ -588,15 +624,24 @@ def compute_stats(graph: KnowledgeGraph) -> GraphStats:
     if graph.n_triples == 0:
         return GraphStats(0, 0, 0, 0, 0, None, {})
     mark = np.zeros(graph.n_entities, dtype=bool)
-    heads = len(distinct_ids(mark, graph.triples[:, 0]))
-    tails = len(distinct_ids(mark, graph.triples[:, 2]))
-    used = len(distinct_ids(mark, graph.triples[:, 0], graph.triples[:, 2]))
+
+    def count(*columns):
+        # distinct ids of the columns, counted on the mask, which is then cleared whole
+        for col in columns:
+            mark[col] = True
+        n = int(np.count_nonzero(mark))
+        mark.fill(False)
+        return n
+
+    heads = count(graph.triples[:, 0])
+    tails = count(graph.triples[:, 2])
+    used = count(graph.triples[:, 0], graph.triples[:, 2])
     per_relation: dict[str, RelationStats] = {}
     for rid, rows in graph.relation_index.items():
         h, t = graph.triples[rows, 0], graph.triples[rows, 2]
-        r_heads = len(distinct_ids(mark, h))
-        r_tails = len(distinct_ids(mark, t))
-        n_entities = len(distinct_ids(mark, h, t))
+        r_heads = count(h)
+        r_tails = count(t)
+        n_entities = count(h, t)
         ratio = r_heads / r_tails if r_tails else None
         per_relation[graph.relation_names[rid]] = RelationStats(
             triples=len(rows), entities=n_entities, head_tail_ratio=ratio

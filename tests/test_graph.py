@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -267,7 +268,7 @@ def edge_files(draw, format):
 @pytest.mark.parametrize("format", ["generic-3col", "conceptnet-dump"])
 @given(
     data=st.data(),
-    block=st.sampled_from([1, 2, 3, 7, 64, 1 << 17]),
+    block=st.sampled_from([1, 2, 3, 7, 64, graph_module._BLOCK_BYTES]),
     small_run=st.sampled_from([1, 3, 1 << 16]),
 )
 @settings(max_examples=120, deadline=None)
@@ -435,6 +436,102 @@ def test_bad_line_after_a_block_boundary_is_named_in_every_style(tmp_path, style
             with pytest.raises(ParseError) as err:
                 parse_edge_file(path)
         assert err.value.line_number == 5, block
+
+
+def write_conceptnet_dump(path, lines, seed):
+    """ConceptNet-shaped assertion lines: sense suffixes, relation URIs with a
+    slash inside, non-ASCII terms, repeated assertions and JSON metadata whose
+    values hold slashes."""
+    rng = np.random.default_rng(seed)
+    terms = [f"w{i}" for i in range(3_000)] + ["café", "über_alles", "北京", "a_b/c"]
+    relations = ["/r/IsA", "/r/RelatedTo", "/r/dbpedia/genre", "/r/HasContext"]
+    senses = ["", "/n", "/v", "/n/wn/food", "/a/wn"]
+    langs = ["en", "fr", "zh", "de"]
+    rows = []
+    for i in range(lines):
+        if rows and i % 50 == 0:
+            rows.append(rows[int(rng.integers(0, len(rows)))])  # a repeated assertion
+            continue
+        h, t = (terms[int(rng.integers(0, len(terms)))] for _ in range(2))
+        rel = relations[int(rng.integers(0, len(relations)))]
+        start = f"/c/{langs[i % 4]}/{h}{senses[int(rng.integers(0, 5))]}"
+        end = f"/c/{langs[(i // 4) % 4]}/{t}{senses[int(rng.integers(0, 5))]}"
+        meta = json.dumps(
+            {
+                "dataset": "/d/conceptnet/4/en",
+                "license": "cc:by/4.0",
+                "sources": [{"contributor": f"/s/contributor/omcs/user{i % 97}"}],
+                "surfaceText": f"[[{h}]] is related to [[{t}]]",
+                "weight": 1.0,
+            },
+            ensure_ascii=False,
+        )
+        rows.append(f"/a/[{rel}/,{start}/,{end}/]\t{rel}\t{start}\t{end}\t{meta}\n")
+    path.write_text("".join(rows), encoding="utf-8")
+
+
+def test_conceptnet_dump_of_several_blocks_equals_the_line_reference(tmp_path):
+    """A dump of at least 3 default-size blocks parses to the reference's graph."""
+    path = tmp_path / "dump.csv"
+    write_conceptnet_dump(path, 14_000, seed=3)
+    assert path.stat().st_size >= 3 * graph_module._BLOCK_BYTES
+    blocks = []
+    real = graph_module._parse_block
+
+    def counting(data, *args):
+        blocks.append(len(data))
+        return real(data, *args)
+
+    with mock.patch.object(graph_module, "_parse_block", counting):
+        got = outcome(parse_edge_file, path, "conceptnet-dump")
+    assert len(blocks) >= 3
+    assert got[0] == "graph" and "dbpedia/genre" in got[2]
+    assert got == outcome(reference_parse, path, "conceptnet-dump")
+
+
+# Measured with tracemalloc on short generic lines (about 13.5 bytes, so
+# 78,000 lines a 1 MiB block): reading peaked 12.1 and 11.6 blocks above what
+# it held at its end, on files of 4 and of 8 blocks, and the whole parse 1.4
+# and 0.8 blocks above twice the triple array. The bound leaves a quarter of
+# the larger reading figure as headroom.
+READ_WORKING_SET_BLOCKS = 16
+
+
+@pytest.mark.parametrize("n_blocks", [4, 8])
+def test_parse_memory_is_one_block_beyond_the_rows_and_names(tmp_path, n_blocks):
+    """Reading holds the rows read so far, the names with their keys, and one
+    block's working set, whatever the file's length; deduplicating the rows
+    then holds at most twice the graph's triple array beyond that bound."""
+    rng = np.random.default_rng(n_blocks)
+    n = n_blocks * graph_module._BLOCK_BYTES // 13
+    heads, tails = rng.integers(0, 1_000, (2, n)).tolist()
+    path = tmp_path / "edges.tsv"
+    path.write_text(
+        "".join(f"e{h}\tr{i % 40}\te{t}\n" for i, (h, t) in enumerate(zip(heads, tails))),
+        encoding="utf-8",
+    )
+    assert path.stat().st_size >= n_blocks * graph_module._BLOCK_BYTES
+    reading = {}
+    real = KnowledgeGraph.from_id_triples.__func__
+
+    def deduplicate(cls, *args):
+        reading["held"], reading["peak"] = tracemalloc.get_traced_memory()
+        return real(cls, *args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(KnowledgeGraph, "from_id_triples", classmethod(deduplicate)):
+            graph = parse_edge_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = READ_WORKING_SET_BLOCKS * graph_module._BLOCK_BYTES
+    assert graph.n_triples > 0.99 * n
+    # the rows take 12 bytes a line; the last block's bytes and rows are still
+    # referenced, and 1,000 names with their keys take far less than a block
+    assert reading["held"] <= 12 * n + 2 * graph_module._BLOCK_BYTES
+    assert reading["peak"] - reading["held"] <= bound
+    assert peak <= 2 * graph.triples.nbytes + bound
 
 
 # -- filtering ----------------------------------------------------------------
