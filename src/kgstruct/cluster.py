@@ -419,10 +419,19 @@ def separation_scores(result: ClusteringResult) -> np.ndarray:
     return out
 
 
+def _nan_mean_std(values: np.ndarray) -> tuple[float, float]:
+    """nanmean and nanstd of ``values``, without numpy's warnings: NaN twice if all are NaN."""
+    if np.isnan(values).all():
+        return math.nan, math.nan
+    return float(np.nanmean(values)), float(np.nanstd(values))
+
+
 def quality_report(points, result: ClusteringResult, relation: str = "") -> ClusterQualityReport:
     raw, _cohesion = cohesion_scores(points, result)
     separation = separation_scores(result) if result.k >= 2 else np.full(result.k, np.nan)
     sizes = np.bincount(result.assignments, minlength=result.k)
+    cohesion_raw_mean, cohesion_raw_std = _nan_mean_std(raw)
+    separation_mean, separation_std = _nan_mean_std(separation)
     return ClusterQualityReport(
         relation=relation,
         k=result.k,
@@ -430,10 +439,10 @@ def quality_report(points, result: ClusteringResult, relation: str = "") -> Clus
         cohesion_raw=raw,
         cohesion=_cohesion,
         separation=separation,
-        cohesion_raw_mean=float(np.nanmean(raw)),
-        cohesion_raw_std=float(np.nanstd(raw)),
-        separation_mean=float(np.nanmean(separation)) if result.k >= 2 else float("nan"),
-        separation_std=float(np.nanstd(separation)) if result.k >= 2 else float("nan"),
+        cohesion_raw_mean=cohesion_raw_mean,
+        cohesion_raw_std=cohesion_raw_std,
+        separation_mean=separation_mean,
+        separation_std=separation_std,
     )
 
 

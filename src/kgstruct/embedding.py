@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import reprlib
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +80,7 @@ class EmbeddingTable:
         ):
             raise ValueError("entity and relation dimensions differ")
         self.config = config
-        self.epoch_losses = epoch_losses
+        self.epoch_losses = None if epoch_losses is None else list(epoch_losses)
 
     @property
     def dimension(self) -> int:
@@ -131,16 +130,13 @@ class EmbeddingTable:
         Layout: magic, uint32 header length, UTF-8 JSON header, then entity
         rows and relation rows in interning order.
         """
-        header = {
-            "dimension": self.dimension,
-            "entity_count": self.n_entities,
-            "relation_count": self.n_relations,
-            "entity_names": self.entity_names,
-            "relation_names": self.relation_names,
-            "config": asdict(self.config) if self.config else None,
-            "epoch_losses": self.epoch_losses,
-        }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        losses = None if self.epoch_losses is None else tuple(self.epoch_losses)
+        header = _TableHeader(
+            self.dimension, self.n_entities, self.n_relations, tuple(self.entity_names),
+            tuple(self.relation_names), self.config, losses,
+        )
+        # vars, not asdict: asdict deep-copies every name on its way to JSON
+        blob = json.dumps(header, default=vars, sort_keys=True).encode("utf-8")
         with open(path, "wb") as out:
             out.write(_MAGIC)
             out.write(struct.pack("<I", len(blob)))
@@ -153,8 +149,8 @@ class EmbeddingTable:
         """Read a table written by :meth:`save`.
 
         A damaged file, including one whose matrix holds a NaN or infinity
-        or whose header holds a mistyped size, name list, config or epoch
-        losses, is a DataError naming the path and the field.
+        or whose header does not load as :class:`_TableHeader`, is a
+        DataError naming the path and the field.
         """
         try:
             with open(path, "rb") as handle:
@@ -164,60 +160,44 @@ class EmbeddingTable:
                 blob = handle.read(length)
                 if len(blob) != length:
                     raise DataError(f"{path}: truncated embedding table header")
-                header = {"config": None, "epoch_losses": None, **json.loads(blob.decode("utf-8"))}
-                dim, n_ent, n_rel = (
-                    _header_field(path, header, key, _is_count, "a non-negative int")
-                    for key in ("dimension", "entity_count", "relation_count")
-                )
-                for key in ("entity_names", "relation_names"):
-                    _header_field(path, header, key, _is_names, "a list of strings")
+                header = load_dataclass(_TableHeader, json.loads(blob.decode("utf-8")), "header")
                 raw = handle.read()
+            dim, n_ent, n_rel = header.dimension, header.entity_count, header.relation_count
             if len(raw) != 4 * (n_ent + n_rel) * dim:
                 raise DataError(f"{path}: truncated embedding matrix")
             data = np.frombuffer(raw, dtype="<f4")
             if not np.isfinite(data).all():
                 raise DataError(f"{path}: non-finite value in embedding matrix")
-            config = header["config"]
-            if config is not None:
-                config = load_dataclass(TrainConfig, config, "config")
             return cls(
-                header["entity_names"],
-                header["relation_names"],
+                header.entity_names,
+                header.relation_names,
                 data[: n_ent * dim].reshape(n_ent, dim).copy(),
                 data[n_ent * dim :].reshape(n_rel, dim).copy(),
-                config=config,
-                epoch_losses=_header_field(
-                    path, header, "epoch_losses", _is_losses, "null or a list of numbers"
-                ),
+                config=header.config,
+                epoch_losses=header.epoch_losses,
             )
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-        except (struct.error, ValueError, KeyError, TypeError, ConfigError) as exc:
-            # ConfigError: the header's train config is mistyped or fails its checks
-            raise DataError(f"{path}: malformed embedding table: {exc!r}") from exc
+        except (struct.error, ValueError, ConfigError) as exc:
+            # ConfigError: a header field is mistyped or fails its checks
+            raise DataError(f"{path}: malformed embedding table: {exc}") from exc
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+@dataclass(frozen=True)
+class _TableHeader:
+    """The JSON header of a ``.kgt`` file, loaded as a config file is, under ``header.``."""
 
+    dimension: int
+    entity_count: int
+    relation_count: int
+    entity_names: tuple[str, ...]
+    relation_names: tuple[str, ...]
+    config: TrainConfig | None = None
+    epoch_losses: tuple[float, ...] | None = None
 
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(type(x) is str for x in value)
-
-
-def _is_losses(value) -> bool:
-    return value is None or (
-        isinstance(value, list) and all(type(x) in (int, float) for x in value)
-    )
-
-
-def _header_field(path: str | Path, header: dict, key: str, valid, expected: str):
-    """``header[key]``, or a DataError naming ``path`` and ``key`` if ``valid`` refuses it."""
-    value = header[key]
-    if not valid(value):
-        got = reprlib.repr(value)
-        raise DataError(f"{path}: malformed embedding table: {key} must be {expected}, got {got}")
-    return value
+    def __post_init__(self):
+        for name in ("dimension", "entity_count", "relation_count"):
+            check_at_least(f"header.{name}", getattr(self, name), 0)
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ classifier included), DataError -> 2, anything else -> 3.
 """
 
 import json
+import reprlib
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -64,7 +65,7 @@ def load_dataclass(cls, data, path: str = ""):
     """
     label = path or "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"{label}: expected an object, got {type(data).__name__} {data!r}")
+        raise ConfigError(f"{label}: expected an object, got {_got(data)}")
     declared = {f.name: f for f in fields(cls)}
     unknown = sorted(set(data) - set(declared))
     if unknown:
@@ -109,4 +110,9 @@ def _check(hint, value, path: str):
     elif isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
         return value
     expected = str(hint) if origin else hint.__name__
-    raise ConfigError(f"{path}: expected {expected}, got {type(value).__name__} {value!r}")
+    raise ConfigError(f"{path}: expected {expected}, got {_got(value)}")
+
+
+def _got(value) -> str:
+    """The type and abbreviated repr of ``value``: a mistyped name list stays one short line."""
+    return f"{type(value).__name__} {reprlib.repr(value)}"

@@ -158,6 +158,10 @@ class NegationStage:
             )
 
 
+# an omitted seed is the master seed plus its field's offset
+_SEED_OFFSETS = {"sample_seed": 1, "split": 2, "train": 3, "cluster": 4, "negation": 5}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a reproducible run needs; all randomness is seeded here."""
@@ -187,15 +191,15 @@ class PipelineConfig:
         """
         s, fill = self.seed, object.__setattr__  # the dataclass is frozen
         if self.sample_seed is None:
-            fill(self, "sample_seed", s + 1)
+            fill(self, "sample_seed", s + _SEED_OFFSETS["sample_seed"])
         if self.split is None:
-            fill(self, "split", SplitSpec(seed=s + 2))
+            fill(self, "split", SplitSpec(seed=s + _SEED_OFFSETS["split"]))
         if self.train is None and any(getattr(self, st).enabled for st in ANALYSIS_STAGES):
-            fill(self, "train", TrainConfig(seed=s + 3))
+            fill(self, "train", TrainConfig(seed=s + _SEED_OFFSETS["train"]))
         if self.cluster.seed is None:
-            fill(self, "cluster", replace(self.cluster, seed=s + 4))
+            fill(self, "cluster", replace(self.cluster, seed=s + _SEED_OFFSETS["cluster"]))
         if self.negation.seed is None:
-            fill(self, "negation", replace(self.negation, seed=s + 5))
+            fill(self, "negation", replace(self.negation, seed=s + _SEED_OFFSETS["negation"]))
 
         if self.format not in FORMATS:
             raise ConfigError(f"format: must be one of {list(FORMATS)}, got {self.format!r}")
@@ -215,8 +219,8 @@ class PipelineConfig:
         # a split or train block that leaves out its seed derives it from the
         # master seed, as an omitted block does; only the raw JSON shows which
         derived = {
-            name: replace(getattr(config, name), seed=config.seed + offset)
-            for name, offset in (("split", 2), ("train", 3))
+            name: replace(getattr(config, name), seed=config.seed + _SEED_OFFSETS[name])
+            for name in ("split", "train")
             if data.get(name) is not None and "seed" not in data[name]
         }
         return replace(config, **derived)

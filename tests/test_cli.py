@@ -297,13 +297,12 @@ def _nan_in_table(tmp_path, demo_kg, table):
     return ["validate", "--input", str(demo_kg), "--table", str(path)]
 
 
-def _edited_table(name, edit):
-    """A validate run on ``name``.kgt, a copy of the table whose parsed header ``edit`` changes."""
+def _table_with_header(name, rewrite):
+    """A validate run on ``name``.kgt, a copy of the table whose header is ``rewrite(header)``."""
     def argv(tmp_path, demo_kg, table):
         raw = table.read_bytes()
         (length,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8 : 8 + length])
-        edit(header)
+        header = rewrite(json.loads(raw[8 : 8 + length]))
         blob = json.dumps(header).encode("utf-8")
         path = tmp_path / f"{name}.kgt"
         path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length :])
@@ -311,9 +310,16 @@ def _edited_table(name, edit):
     return argv
 
 
+def _edited_table(name, **fields):
+    """A validate run on ``name``.kgt, a table whose header sets ``fields``."""
+    return _table_with_header(name, lambda header: {**header, **fields})
+
+
 def _table_with_train_config(name, **fields):
     """A validate run on ``name``.kgt, a table whose header's train config sets ``fields``."""
-    return _edited_table(name, lambda header: header["config"].update(fields))
+    return _table_with_header(
+        name, lambda header: {**header, "config": {**header["config"], **fields}}
+    )
 
 
 def _non_utf8_config(tmp_path, demo_kg, table):
@@ -509,34 +515,49 @@ def _definitions(text):
         (_config("validate", validate={"bins": 1}), 1, "validate.bins: must be >= 2, got 1"),
         (_non_utf8_config, 1, "latin1.json is not valid UTF-8 JSON: 'utf-8' codec can't decode"),
         (_table_with_train_config("bool", margin=True), 2,
-         "bool.kgt: malformed embedding table: ConfigError('config.margin: expected float, got bool True')"),
+         "bool.kgt: malformed embedding table: header.config.margin: expected float, got bool True"),
         (_table_with_train_config("fraction", seed=1.5), 2,
-         "fraction.kgt: malformed embedding table: ConfigError('config.seed: expected int, got float 1.5')"),
+         "fraction.kgt: malformed embedding table: header.config.seed: expected int, got float 1.5"),
         (_table_with_train_config("real", epochs=2.0), 2,
-         "real.kgt: malformed embedding table: ConfigError('config.epochs: expected int, got float 2.0')"),
-        (_edited_table("list", lambda header: header.update(config=[])), 2,
-         "list.kgt: malformed embedding table: ConfigError('config: expected an object, got list []')"),
-        (_edited_table("zero", lambda header: header.update(config=0)), 2,
-         "zero.kgt: malformed embedding table: ConfigError('config: expected an object, got int 0')"),
-        (_edited_table("losses", lambda header: header.update(epoch_losses="abc")), 2,
-         "losses.kgt: malformed embedding table: epoch_losses must be null or a list of numbers, "
-         "got 'abc'"),
+         "real.kgt: malformed embedding table: header.config.epochs: expected int, got float 2.0"),
+        (_edited_table("list", config=[]), 2,
+         "list.kgt: malformed embedding table: header.config: expected an object, got list []"),
+        (_edited_table("zero", config=0), 2,
+         "zero.kgt: malformed embedding table: header.config: expected an object, got int 0"),
+        (_edited_table("losses", epoch_losses="abc"), 2,
+         "losses.kgt: malformed embedding table: header.epoch_losses: expected tuple[float, ...], "
+         "got str 'abc'"),
         (_config("validate", validate={"bins": 10**12}), 2,
          "validation would hold about 59604.64 GiB of arrays at once"),
         (_huge_bins_with_table, 2,
          "validation would hold about 59604.64 GiB of arrays at once"),
-        (_edited_table("chars", lambda header: header.update(entity_names="ab")), 2,
-         "chars.kgt: malformed embedding table: entity_names must be a list of strings, got 'ab'"),
-        (_edited_table("ints", lambda header: header.update(entity_names=[1, 2])), 2,
-         "ints.kgt: malformed embedding table: entity_names must be a list of strings, got [1, 2]"),
-        (_edited_table("nulls", lambda header: header.update(relation_names=None)), 2,
-         "nulls.kgt: malformed embedding table: relation_names must be a list of strings, got None"),
-        (_edited_table("bool", lambda header: header.update(dimension=True)), 2,
-         "bool.kgt: malformed embedding table: dimension must be a non-negative int, got True"),
-        (_edited_table("negative", lambda header: header.update(entity_count=-1)), 2,
-         "negative.kgt: malformed embedding table: entity_count must be a non-negative int, got -1"),
-        (_edited_table("real", lambda header: header.update(relation_count=6.0)), 2,
-         "real.kgt: malformed embedding table: relation_count must be a non-negative int, got 6.0"),
+        (_edited_table("chars", entity_names="ab"), 2,
+         "chars.kgt: malformed embedding table: header.entity_names: expected tuple[str, ...], "
+         "got str 'ab'"),
+        (_edited_table("ints", entity_names=[1, 2]), 2,
+         "ints.kgt: malformed embedding table: header.entity_names[0]: expected str, got int 1"),
+        (_edited_table("nulls", relation_names=None), 2,
+         "nulls.kgt: malformed embedding table: header.relation_names: expected tuple[str, ...], "
+         "got NoneType None"),
+        (_edited_table("bool", dimension=True), 2,
+         "bool.kgt: malformed embedding table: header.dimension: expected int, got bool True"),
+        (_edited_table("negative", entity_count=-1), 2,
+         "negative.kgt: malformed embedding table: header.entity_count: must be >= 0, got -1"),
+        (_edited_table("real", relation_count=6.0), 2,
+         "real.kgt: malformed embedding table: header.relation_count: expected int, got float 6.0"),
+        (_edited_table("extra", note="hand-edited"), 2,
+         "extra.kgt: malformed embedding table: header: unknown keys ['note']"),
+        (_table_with_header("array", list), 2,
+         "array.kgt: malformed embedding table: header: expected an object, got list ['config', "),
+        (_table_with_header(
+            "undimensioned", lambda header: {k: v for k, v in header.items() if k != "dimension"}
+        ), 2, "undimensioned.kgt: malformed embedding table: header: missing required field "
+              "'dimension'"),
+        (_edited_table("mixed", entity_names=["e00000", 2]), 2,
+         "mixed.kgt: malformed embedding table: header.entity_names[1]: expected str, got int 2"),
+        (_edited_table("long", relation_names="r" * 100_000), 2,
+         "long.kgt: malformed embedding table: header.relation_names: expected tuple[str, ...], "
+         "got str 'rrrrrrrrrrrr...rrrrrrrrrrrrr'\n"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -557,7 +578,8 @@ def _definitions(text):
          "table-config-zero", "table-epoch-losses-string", "huge-validate-bins",
          "huge-validate-bins-with-table", "table-names-string", "table-names-ints",
          "table-names-null", "table-dimension-bool", "table-count-negative",
-         "table-count-real"],
+         "table-count-real", "table-header-unknown-key", "table-header-list",
+         "table-header-without-dimension", "table-names-mixed", "table-names-abbreviated"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -1076,14 +1098,30 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def _callables(tree: ast.Module):
+    """(name, called as, definition, leading parameters a call does not fill) of each
+    module-level function and each method of a module-level class: ``Cls(...)`` calls
+    ``Cls.__init__`` and ``x.m(...)`` calls ``m``, each filling the parameters after
+    ``self`` or ``cls``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    called_as = node.name if method.name == "__init__" else method.name
+                    yield f"{node.name}.{method.name}", called_as, method, 1
+
+
 def test_every_optional_parameter_is_set_by_some_caller():
     """A default that no call overrides is a constant: each defaulted parameter of a
-    module-level function in src/kgstruct is set by some call in src, scripts, perfbench
-    or tests.
+    module-level function or method in src/kgstruct is set by some call in src, scripts,
+    perfbench or tests.
 
-    A call matches by name, as ``f(...)`` or ``x.f(...)``. It sets the leading positional
-    parameters it fills and the keywords it names; a call with ``*args`` or ``**kwargs``
-    counts as setting every parameter.
+    A call matches by name, as ``f(...)`` or ``x.f(...)``; a class's ``__init__`` is
+    called by the class's name. It sets the leading positional parameters it fills and
+    the keywords it names; a call with ``*args`` or ``**kwargs`` counts as setting every
+    parameter.
     """
     sources = [
         path for top in ("src", "scripts", "perfbench", "tests") for path in (ROOT / top).rglob("*.py")
@@ -1095,28 +1133,33 @@ def test_every_optional_parameter_is_set_by_some_caller():
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
     unset = []
+    checked = []
     for path in sorted((ROOT / "src" / "kgstruct").glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for func in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, called_as, func, implicit in _callables(tree):
             args = func.args
             positional = [a.arg for a in args.posonlyargs + args.args]
             defaulted = positional[len(positional) - len(args.defaults):]
             defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            positional = positional[implicit:]
             set_by_calls = set()
-            for call in calls.get(func.name, []):
+            for call in calls.get(called_as, []):
                 if any(isinstance(a, ast.Starred) for a in call.args) or any(
                     keyword.arg is None for keyword in call.keywords
                 ):
                     set_by_calls.update(defaulted)
                 set_by_calls.update(positional[: len(call.args)])
                 set_by_calls.update(keyword.arg for keyword in call.keywords)
-            unset += [
-                f"{path.name} {func.name}({name})" for name in defaulted if name not in set_by_calls
-            ]
+            checked += [f"{name}({arg})" for arg in defaulted]
+            unset += [f"{path.name} {name}({arg})" for arg in defaulted if arg not in set_by_calls]
     assert unset == []
+    # the scan reaches methods: these four have defaults, each set by some caller
+    assert {
+        "LogisticRegressionClassifier.__init__(config)", "RandomForestClassifier.__init__(seed)",
+        "EmbeddingTable.__init__(epoch_losses)", "KnowledgeGraph.subset(recompact)",
+    } <= set(checked)
 
 
 def test_no_module_imports_a_private_name_from_another():

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1205,6 +1206,21 @@ def test_quality_report_row_count():
     assert len(report.separation) == 3
     assert report.sizes.sum() == 24
     assert np.isfinite(report.cohesion_raw_mean)
+
+
+@pytest.mark.parametrize(
+    "centroids", [np.zeros((1, 2)), np.zeros((2, 2))], ids=["k1-zero", "k2-both-zero"]
+)
+def test_quality_report_without_a_number_is_nan_without_warnings(centroids):
+    """No finite cohesion or separation: every summary is NaN, and numpy writes nothing."""
+    k = len(centroids)
+    result = ClusteringResult(k, np.arange(4) % k, centroids, 0.0, [0.0], 1, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = quality_report(np.ones((4, 2)), result)
+    summaries = [report.cohesion_raw_mean, report.cohesion_raw_std,
+                 report.separation_mean, report.separation_std]
+    assert all(math.isnan(value) for value in summaries)
 
 
 # -- point sets, exemplars, projection -------------------------------------------------
