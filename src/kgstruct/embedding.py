@@ -37,6 +37,10 @@ class TrainConfig:
     batch_size: int = 1024
     seed: int = 0
 
+    # the checks below name fields as a config file places them; a table
+    # header's copy is loaded under ``header.config`` (see load_dataclass)
+    config_path = "train"
+
     def __post_init__(self):
         check_at_least("train.dimension", self.dimension, 1)
         check_at_least("train.epochs", self.epochs, 0)
@@ -198,6 +202,13 @@ class _TableHeader:
     def __post_init__(self):
         for name in ("dimension", "entity_count", "relation_count"):
             check_at_least(f"header.{name}", getattr(self, name), 0)
+        for kind in ("entity", "relation"):
+            names, count = getattr(self, f"{kind}_names"), getattr(self, f"{kind}_count")
+            if len(names) != count:
+                raise ConfigError(
+                    f"header.{kind}_names: must hold header.{kind}_count = {count} names, "
+                    f"got {len(names)}"
+                )
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,8 +43,10 @@ class KnowledgeGraph:
 
         Row codes are sorted by ``_sorted_runs``, as ``_group``'s keys are; the
         least row index of a run is its first occurrence. No inverse is built.
-        The rows may be of any integer type (the parser's are int32); the
-        codes are int64 and the graph's triples int64.
+        When no row repeats, the rows are kept as given, in one int64 copy, so
+        the graph never shares a caller's array. The rows may be of any integer
+        type (the parser's are int32); the codes are int64 and the graph's
+        triples int64.
         """
         triples = np.asarray(triples).reshape(-1, 3)
         n_ent, n_rel = max(len(entity_names), 1), max(len(relation_names), 1)
@@ -55,6 +57,9 @@ class KnowledgeGraph:
         codes += triples[:, 2]
         order, starts = _sorted_runs(codes)
         del codes
+        if starts.all():
+            del order, starts
+            return cls(entity_names, relation_names, np.array(triples, dtype=np.int64))
         first = np.minimum.reduceat(order, np.flatnonzero(starts))
         del order, starts
         first.sort()

@@ -558,6 +558,16 @@ def _definitions(text):
         (_edited_table("long", relation_names="r" * 100_000), 2,
          "long.kgt: malformed embedding table: header.relation_names: expected tuple[str, ...], "
          "got str 'rrrrrrrrrrrr...rrrrrrrrrrrrr'\n"),
+        (_table_with_train_config("zero-margin", margin=0.0), 2,
+         "zero-margin.kgt: malformed embedding table: header.config.margin: must be finite and > 0, "
+         "got 0.0"),
+        (_train_flags("--margin", "0"), 1, "train.margin: must be finite and > 0, got 0.0"),
+        (_edited_table("one-name", entity_names=["a"]), 2,
+         "one-name.kgt: malformed embedding table: header.entity_names: must hold "
+         "header.entity_count = "),
+        (_edited_table("one-relation", relation_names=["r"]), 2,
+         "one-relation.kgt: malformed embedding table: header.relation_names: must hold "
+         "header.relation_count = "),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -579,7 +589,9 @@ def _definitions(text):
          "huge-validate-bins-with-table", "table-names-string", "table-names-ints",
          "table-names-null", "table-dimension-bool", "table-count-negative",
          "table-count-real", "table-header-unknown-key", "table-header-list",
-         "table-header-without-dimension", "table-names-mixed", "table-names-abbreviated"],
+         "table-header-without-dimension", "table-names-mixed", "table-names-abbreviated",
+         "table-config-margin-zero", "margin-flag-zero", "table-fewer-entity-names",
+         "table-fewer-relation-names"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
