@@ -150,8 +150,6 @@ def lloyd_kmeans(
     seed: int = 0,
     max_iters: int = 300,
     initial_centroids: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
-    x_sq: np.ndarray | None = None,
 ) -> ClusteringResult:
     """Seeded k-means++ initialization followed by Lloyd iteration.
 
@@ -162,16 +160,13 @@ def lloyd_kmeans(
     empty there, that is a DataError. The recorded inertia (after each
     assignment step) never increases.
     ``initial_centroids`` bypasses the k-means++ step (used for warm starts).
-    A caller that fits the same points again passes their (d, n)
-    C-contiguous ``columns`` and squared row norms ``x_sq``, built once.
     """
     x = np.asarray(points, dtype=np.float64)
     n = len(x)
     if not 1 <= k <= n:
         raise DataError(f"k must satisfy 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
-    if x_sq is None:
-        x_sq = _squared_norms(x)
+    x_sq = _squared_norms(x)
     if initial_centroids is not None:
         centers = np.array(initial_centroids, dtype=np.float64)
         if centers.shape != (k, x.shape[1]):
@@ -184,8 +179,7 @@ def lloyd_kmeans(
 
     history: list[float] = []
     dists, work = np.empty((n, k)), np.empty((n, k))
-    if columns is None:
-        columns = np.ascontiguousarray(x.T)
+    columns = np.ascontiguousarray(x.T)
     flat = np.arange(0, n * k, k)  # each row's first entry in the flattened dists
     converged = False
     iteration = 0
@@ -356,10 +350,9 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
     if ks[0] < 2 or ks[-1] > n - 1:
         raise DataError(f"k range must lie within [2, {n - 1}], got [{ks[0]}, {ks[-1]}]")
     x_sq = _squared_norms(x)
-    columns = np.ascontiguousarray(x.T)
     results: list[ClusteringResult] = []
     for k in ks:
-        result = lloyd_kmeans(x, k, seed=seed + k, columns=columns, x_sq=x_sq)
+        result = lloyd_kmeans(x, k, seed=seed + k)
         if results and k > results[-1].k:
             centers = results[-1].centroids
             closest = _squared_distances(x, centers, x_sq).min(axis=1)
@@ -369,17 +362,15 @@ def k_selection_scores(points, k_range, seed: int = 0) -> KSelectionCurve:
                 closest = np.minimum(
                     closest, _squared_distances(x, centers[-1:], x_sq)[:, 0]
                 )
-            warm = lloyd_kmeans(
-                x, k, seed=seed + k, initial_centroids=centers, columns=columns, x_sq=x_sq
-            )
+            warm = lloyd_kmeans(x, k, seed=seed + k, initial_centroids=centers)
             if warm.inertia < result.inertia:
                 result = warm
         results.append(result)
     need = f"silhouette needs 2 <= clusters <= {n - 1}"
     labelings = [_relabel(r.assignments, n - 1, need) for r in results]
-    db, ch = zip(*(_dispersion_scores(x, columns, *labeling) for labeling in labelings))
-    del columns  # the silhouette pass sets the sweep's peak
     silhouette = _silhouette_scores(x, labelings)
+    columns = np.ascontiguousarray(x.T)
+    db, ch = zip(*(_dispersion_scores(x, columns, *labeling) for labeling in labelings))
     return KSelectionCurve(ks, [r.inertia for r in results], silhouette, list(db), list(ch))
 
 

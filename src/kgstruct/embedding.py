@@ -37,10 +37,6 @@ class TrainConfig:
     batch_size: int = 1024
     seed: int = 0
 
-    # the checks below name fields as a config file places them; a table
-    # header's copy is loaded under ``header.config`` (see load_dataclass)
-    config_path = "train"
-
     def __post_init__(self):
         check_at_least("train.dimension", self.dimension, 1)
         check_at_least("train.epochs", self.epochs, 0)
@@ -183,8 +179,13 @@ class EmbeddingTable:
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         except (struct.error, ValueError, ConfigError) as exc:
-            # ConfigError: a header field is mistyped or fails its checks
-            raise DataError(f"{path}: malformed embedding table: {exc}") from exc
+            # ConfigError: a header field is mistyped or fails its checks. The
+            # train config's own checks name a field as a config file places
+            # it, under ``train.``; in a header it sits under ``header.config.``
+            message = str(exc)
+            if message.startswith("train."):
+                message = "header.config." + message.removeprefix("train.")
+            raise DataError(f"{path}: malformed embedding table: {message}") from exc
 
 
 @dataclass(frozen=True)

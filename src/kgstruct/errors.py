@@ -61,9 +61,7 @@ def load_dataclass(cls, data, path: str = ""):
 
     ``path`` is the dotted path of ``data`` in its document ("" at the top).
     An unknown key, a missing required field or a value of the wrong type
-    raises ConfigError naming the dotted field. A class whose own checks name
-    its fields under a fixed ``config_path`` (``train.margin``) has that path
-    replaced by ``path`` in their messages when it is loaded elsewhere.
+    raises ConfigError naming the dotted field.
     """
     label = path or "config"
     if not isinstance(data, dict):
@@ -77,14 +75,7 @@ def load_dataclass(cls, data, path: str = ""):
             raise ConfigError(f"{label}: missing required field {name!r}")
     hints = typing.get_type_hints(cls)
     prefix = f"{path}." if path else ""
-    checked = {name: _check(hints[name], value, prefix + name) for name, value in data.items()}
-    try:
-        return cls(**checked)
-    except ConfigError as exc:
-        home = getattr(cls, "config_path", path)
-        if home == path:
-            raise
-        raise ConfigError(str(exc).replace(f"{home}.", prefix)) from None
+    return cls(**{name: _check(hints[name], value, prefix + name) for name, value in data.items()})
 
 
 def _check(hint, value, path: str):

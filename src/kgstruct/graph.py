@@ -16,6 +16,10 @@ GENERIC_3COL = "generic-3col"
 CONCEPTNET_DUMP = "conceptnet-dump"
 FORMATS = (GENERIC_3COL, CONCEPTNET_DUMP)
 
+# Rows copied at once into a new graph's int64 triples: their narrower
+# gathered copy stays small beside the whole table.
+_KEEP_BLOCK = 1 << 14
+
 
 class KnowledgeGraph:
     """In-memory multi-relational graph with interned entities and relations.
@@ -43,10 +47,12 @@ class KnowledgeGraph:
 
         Row codes are sorted by ``_sorted_runs``, as ``_group``'s keys are; the
         least row index of a run is its first occurrence. No inverse is built.
-        When no row repeats, the rows are kept as given, in one int64 copy, so
-        the graph never shares a caller's array. The rows may be of any integer
-        type (the parser's are int32); the codes are int64 and the graph's
-        triples int64.
+        The first occurrences are marked in a mask over the rows, which puts
+        them in input order without sorting their indices, and are copied
+        block by block into a new int64 array, so the graph never shares a
+        caller's array and holds no second copy of its rows at any width. The
+        rows may be of any integer type (the parser's are int32); the codes
+        are int64 and the graph's triples int64.
         """
         triples = np.asarray(triples).reshape(-1, 3)
         n_ent, n_rel = max(len(entity_names), 1), max(len(relation_names), 1)
@@ -57,14 +63,18 @@ class KnowledgeGraph:
         codes += triples[:, 2]
         order, starts = _sorted_runs(codes)
         del codes
-        if starts.all():
-            del order, starts
-            return cls(entity_names, relation_names, np.array(triples, dtype=np.int64))
         first = np.minimum.reduceat(order, np.flatnonzero(starts))
         del order, starts
-        first.sort()
-        kept = triples[first]
+        keep = np.zeros(len(triples), dtype=bool)
+        keep[first] = True
         del first
+        kept = np.empty((np.count_nonzero(keep), 3), dtype=np.int64)
+        at = 0
+        for lo in range(0, len(triples), _KEEP_BLOCK):
+            block = slice(lo, lo + _KEEP_BLOCK)
+            rows = np.compress(keep[block], triples[block], axis=0)
+            kept[at : at + len(rows)] = rows
+            at += len(rows)
         return cls(entity_names, relation_names, kept)
 
     # -- basic accessors ---------------------------------------------------

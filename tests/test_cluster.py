@@ -1073,23 +1073,6 @@ def test_k_selection_curve_shapes_and_monotone_inertia():
     assert all(ch > 0.0 for ch in curve.calinski_harabasz)
 
 
-def test_k_sweep_hands_every_fit_one_column_block_and_one_norm_vector(monkeypatch):
-    x, _ = two_blobs(n=50, separation=6.0, seed=4)
-    fits = []
-
-    def recording(*args, **kwargs):
-        fits.append(kwargs)
-        return lloyd_kmeans(*args, **kwargs)
-
-    monkeypatch.setattr(cluster, "lloyd_kmeans", recording)
-    k_selection_scores(x, range(2, 5), seed=1)
-    assert len(fits) == 5  # a cold fit per k and a warm one from the second k on
-    columns, x_sq = fits[0]["columns"], fits[0]["x_sq"]
-    assert all(fit["columns"] is columns and fit["x_sq"] is x_sq for fit in fits)
-    assert columns.flags.c_contiguous and np.array_equal(columns, x.T)
-    assert x_sq.tobytes() == (x * x).sum(axis=1).tobytes()
-
-
 def test_k_selection_two_blob_silhouette_peaks_at_two():
     x, _ = two_blobs(n=60, separation=15.0, seed=5)
     curve = k_selection_scores(x, [2, 3], seed=2)

@@ -1001,27 +1001,35 @@ def test_from_id_triples_peaks_no_higher_than_the_reference():
 # The sort's working set, in bytes a row: the int64 codes, their int64 order
 # and the sorted codes, the run-start mask and the comparison it is copied from.
 SORT_BYTES_PER_ROW = 8 + 8 + 8 + 1 + 1
+# The copy's working set, in bytes a block row: one block's int32 rows and
+# their int64 indices, while the block before's rows are still held.
+BLOCK_BYTES_PER_ROW = 12 + 8 + 12
 
 
 @pytest.mark.parametrize(
-    "n_ent, n_rel, distinct", [(1_000, 10, True), (30, 30, False)], ids=["distinct", "87pct-repeats"]
+    "n_ent, n_rel, repeats",
+    [(1_000, 10, 0), (1_000, 10, 1), (30, 30, None)],
+    ids=["distinct", "one-repeat", "87pct-repeats"],
 )
-def test_from_id_triples_holds_the_sort_or_the_output_never_both(n_ent, n_rel, distinct):
+def test_from_id_triples_holds_the_sort_or_the_output_never_both(n_ent, n_rel, repeats):
     """The sort's arrays are freed before the graph's int64 rows are built.
 
-    Rows that never repeat are copied once to int64, with no index sort and
-    no int32 gather: 24 bytes a row, so the sort sets the peak (5.20 MB here,
-    against 7.21 MB when they were gathered as well). 200k rows over 30 x 30
-    ids (87 % repeats) peak in the sort too, at 5.20 MB. 64 KiB covers the
-    name lists and Python's own objects.
+    The kept rows are marked in a mask and copied block by block to int64,
+    with no index sort and no whole int32 gather, so one repeated row costs
+    no more than none. Here the sort peaks at 5.20 MB and the copy at 5.53
+    MB: the mask and the int64 rows (5.00 MB) and one block's gather. They
+    peaked at 7.21 MB when the rows were gathered whole as well. 200k rows
+    over 30 x 30 ids (87 % repeats) peak in the sort, at 5.20 MB. 64 KiB
+    covers the name lists and Python's own objects.
     """
     rng = np.random.default_rng(3)
     n = 200_000
-    if distinct:
-        codes = rng.choice(n_ent * n_rel * n_ent, n, replace=False)
-        rows = np.column_stack([codes // (n_rel * n_ent), codes // n_ent % n_rel, codes % n_ent])
-    else:
+    if repeats is None:
         rows = np.column_stack([rng.integers(0, k, n) for k in (n_ent, n_rel, n_ent)])
+    else:
+        codes = rng.choice(n_ent * n_rel * n_ent, n - repeats, replace=False)
+        codes = np.concatenate([codes, codes[:repeats]])
+        rows = np.column_stack([codes // (n_rel * n_ent), codes // n_ent % n_rel, codes % n_ent])
     rows = rows.astype(np.int32)  # the parser's rows
     names = ([f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)])
     KnowledgeGraph.from_id_triples(*names, rows[:100])  # first calls fill numpy's caches
@@ -1031,8 +1039,10 @@ def test_from_id_triples_holds_the_sort_or_the_output_never_both(n_ent, n_rel, d
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (graph.n_triples == n) == distinct
-    assert peak <= max(SORT_BYTES_PER_ROW * n, graph.triples.nbytes) + 64 * 1024
+    if repeats is not None:
+        assert graph.n_triples == n - repeats
+    copying = n + graph.triples.nbytes + BLOCK_BYTES_PER_ROW * graph_module._KEEP_BLOCK
+    assert peak <= max(SORT_BYTES_PER_ROW * n, copying) + 64 * 1024
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeated"])
