@@ -348,7 +348,8 @@ def cross_validate(
 
     Each fold is held out once; the classifier is refit on the rest. Fold
     ``i`` seeds its forest with ``seed * 1000 + i``, keeping the whole run
-    deterministic.
+    deterministic. A class that some fold's fit would see fewer than 2 rows
+    of is a DataError, raised before the first fit.
     """
     if kind not in ("linear", "forest"):
         raise ConfigError(f"unknown classifier kind: {kind!r}")
@@ -359,6 +360,13 @@ def cross_validate(
     if len(y) < folds:
         raise DataError(f"dataset of {len(y)} rows cannot fill {folds} folds")
     _check_binary(y)
+    for cls, count in enumerate(np.bincount(y).tolist()):
+        held_out = -(-count // folds)  # the most rows of the class that one fold holds out
+        if count - held_out < 2:
+            raise DataError(
+                f"class {cls} has {count} rows, too few for {folds} folds: a fold holds out "
+                f"{held_out} of them and each fit needs at least 2"
+            )
     rng = np.random.default_rng(seed)
     fold_indices = stratified_folds(y, folds, rng)
     accuracies = []

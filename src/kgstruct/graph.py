@@ -477,8 +477,6 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
     Each span is gathered with the byte after it, every such byte is made a
     tab, and the text is split there; a name holds no tab.
     """
-    if not len(lo):
-        return []
     ends = np.cumsum(length + 1)
     # each gathered place's buffer position, as steps from the place before
     at = np.ones(int(ends[-1]), dtype=np.int64)
@@ -490,6 +488,19 @@ def _decode_spans(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> list[s
     return gathered[:-1].tobytes().decode("utf-8").split("\t")
 
 
+def _unwritable(name: str) -> str:
+    """Why ``name`` cannot be a field of a generic-3col line, or "" if it can."""
+    if "\t" in name or "\n" in name or "\r" in name:
+        return "contains a tab or newline"
+    if name.isascii():
+        return "" if name else "is empty"
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return "cannot be encoded as UTF-8"
+    return ""
+
+
 def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     """Serialize as tab-separated head/relation/tail lines, one per triple.
 
@@ -498,51 +509,24 @@ def write_generic_3col(graph: KnowledgeGraph, path: str | Path) -> None:
     starting with the ``#`` comment marker, or a first head starting with
     U+FEFF, which would read as a byte-order mark) are rejected rather than
     written unparseably: the error names the first such symbol in triple
-    order, and nothing is written. Each distinct name is checked once.
+    order, and nothing is written.
     """
     ent, rel = graph.entity_names, graph.relation_names
     triples = graph.triples
-
-    def failing(names, test, *columns):
-        flags = np.zeros(len(names), dtype=bool)
-        used = distinct_ids(flags, *columns)
-        flags[used] = [bool(test(names[i])) for i in used.tolist()]
-        return flags
-
-    def unsafe(name):
-        """Why ``name`` cannot be a field, or "" if it can."""
-        if "\t" in name or "\n" in name or "\r" in name:
-            return "contains a tab or newline"
-        if name.isascii():
-            return "" if name else "is empty"
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            return "cannot be encoded as UTF-8"
-        return ""
-
     if len(triples) and ent[triples[0, 0]].startswith("\ufeff"):
         raise DataError(f"entity {ent[triples[0, 0]]!r} would be read as a byte-order mark")
-    bad_ent = failing(ent, unsafe, triples[:, 0], triples[:, 2])
-    problems = np.column_stack(
-        [
-            bad_ent[triples[:, 0]],
-            failing(ent, lambda name: name.startswith("#"), triples[:, 0])[triples[:, 0]],
-            failing(rel, unsafe, triples[:, 1])[triples[:, 1]],
-            bad_ent[triples[:, 2]],
-        ]
-    )
-    if problems.any():
-        row, check = divmod(int(np.argmax(problems)), 4)
-        h, r, t = triples[row].tolist()
-        raise DataError(
-            (
-                f"entity {ent[h]!r} {unsafe(ent[h])}",
-                f"entity {ent[h]!r} would serialize as a comment line",
-                f"relation {rel[r]!r} {unsafe(rel[r])}",
-                f"entity {ent[t]!r} {unsafe(ent[t])}",
-            )[check]
-        )
+    # one reason per name and column, "" where the name can fill the column
+    tail = [_unwritable(name) for name in ent]
+    comment = "would serialize as a comment line"
+    head = [why or (comment if name.startswith("#") else "") for name, why in zip(ent, tail)]
+    reasons = (head, [_unwritable(name) for name in rel], tail)
+    flags = [np.fromiter(map(bool, why), bool, len(why)) for why in reasons]
+    bad = np.column_stack([flag[triples[:, j]] for j, flag in enumerate(flags)])
+    if bad.any():
+        row, j = divmod(int(np.argmax(bad)), 3)
+        i = triples[row, j]
+        kind, names = ("relation", rel) if j == 1 else ("entity", ent)
+        raise DataError(f"{kind} {names[i]!r} {reasons[j][i]}")
     with open(path, "w", encoding="utf-8") as out:
         out.writelines(f"{ent[h]}\t{rel[r]}\t{ent[t]}\n" for h, r, t in triples.tolist())
 
@@ -636,8 +620,6 @@ def compute_stats(graph: KnowledgeGraph) -> GraphStats:
     holds on every graph whose entity table is compacted. Ratios with a zero
     denominator are reported as None.
     """
-    if graph.n_triples == 0:
-        return GraphStats(0, 0, 0, 0, 0, None, {})
     mark = np.zeros(graph.n_entities, dtype=bool)
 
     def count(*columns):
@@ -667,7 +649,7 @@ def compute_stats(graph: KnowledgeGraph) -> GraphStats:
         heads=heads,
         tails=tails,
         head_tail_overlap=heads + tails - used,
-        entity_triple_ratio=used / graph.n_triples,
+        entity_triple_ratio=used / graph.n_triples if graph.n_triples else None,
         per_relation=per_relation,
     )
 

@@ -221,15 +221,13 @@ def embedding_similarity_matrix(
 
 def nearest_relations(matrix: SimilarityMatrix) -> NearestRelationTable:
     """Row-wise argmax excluding the diagonal; ties go to the lowest index."""
-    n = len(matrix.relations)
-    if n < 2:
+    if len(matrix.relations) < 2:
         raise DataError("nearest relations need a matrix over >= 2 relations")
-    rows = []
-    for i in range(n):
-        scores = matrix.values[i].copy()
-        scores[i] = -np.inf
-        j = int(np.argmax(scores))  # argmax returns the first (lowest) index on ties
-        rows.append((matrix.relations[i], matrix.relations[j], float(scores[j])))
+    scores = matrix.values.copy()
+    np.fill_diagonal(scores, -np.inf)
+    nearest = np.argmax(scores, axis=1).tolist()  # the first (lowest) index on ties
+    names = matrix.relations
+    rows = [(names[i], names[j], float(scores[i, j])) for i, j in enumerate(nearest)]
     return NearestRelationTable(matrix.kind, rows)
 
 

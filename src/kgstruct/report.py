@@ -563,23 +563,32 @@ _WORKING_SETS = {
 
 
 def preflight(
-    graph: KnowledgeGraph, config: PipelineConfig, table: EmbeddingTable | None, n_train: int
+    graph: KnowledgeGraph,
+    config: PipelineConfig,
+    table: EmbeddingTable | None,
+    n_train: int,
+    n_triples: int,
 ) -> dict[str, int]:
     """Check the enabled stages against ``graph``, the graph the analyses read.
 
     Returns the bytes each stage with an estimate holds at once, by stage:
-    training on ``n_train`` triples of ``graph``'s entities when there is no
-    ``table``, and validation when it is enabled. The largest estimate must
-    fit in physical memory. Every configured relation needs triples in
-    ``graph``. A cluster relation's n triples must support the 2-D
-    projection (n >= 2), ``cluster.k`` (at most n) and ``cluster.k_range``
-    (within [2, n - 1]). The embedding dimension,
-    ``table``'s or else ``train.dimension``, must be at least 2 for clustering
-    and at least a forest's features per split. Each failure is a DataError,
-    raised before training.
+    training on ``n_train`` (at least 1) of the ``n_triples`` triples split,
+    over ``graph``'s entities, when there is no ``table``, and validation
+    when it is enabled. The largest estimate must fit in physical memory.
+    Every configured relation needs triples in ``graph``. A cluster
+    relation's n triples must support the 2-D projection (n >= 2),
+    ``cluster.k`` (at most n) and ``cluster.k_range`` (within [2, n - 1]).
+    The embedding dimension, ``table``'s or else ``train.dimension``, must be
+    at least 2 for clustering and at least a forest's features per split.
+    Each failure is a DataError, raised before training.
     """
     estimates = {}
     if table is None:
+        if n_train == 0:
+            raise DataError(
+                f"split.train = {config.split.train} selects 0 of the {n_triples} triples; "
+                "training needs at least 1"
+            )
         estimates["train"] = train_working_set_bytes(
             n_train, graph.n_entities, graph.n_relations, config.train
         )
@@ -679,7 +688,7 @@ def run_pipeline(
                 # analyses see only the train split; interning is kept so
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
-            estimates = preflight(analysis_graph, config, table, len(train_idx))
+            estimates = preflight(analysis_graph, config, table, len(train_idx), graph.n_triples)
             if table is not None:
                 notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)

@@ -95,6 +95,8 @@ def test_linear_rejects_single_class():
     x = np.zeros((10, 2))
     with pytest.raises(DataError):
         LogisticRegressionClassifier().fit(x, np.zeros(10, dtype=int))
+    with pytest.raises(DataError, match=r"^need at least 2 examples per class$"):
+        LogisticRegressionClassifier().fit(x, np.asarray([0] + [1] * 9))
 
 
 def test_linear_large_learning_rate_raises_no_overflow_warning():
@@ -733,6 +735,8 @@ def test_forest_label_validation():
         RandomForestClassifier().fit(x, np.full(10, 1, dtype=int))
     with pytest.raises(DataError):
         RandomForestClassifier().fit(x, np.asarray([0, 1, 2] * 3 + [0]))
+    with pytest.raises(DataError, match=r"^need at least 2 examples per class$"):
+        RandomForestClassifier().fit(x, np.asarray([0] + [1] * 9))
 
 
 def test_forest_unfitted_predict():
@@ -823,6 +827,39 @@ def test_cross_validate_validation():
         cross_validate(x[:4], y[:4], "linear", folds=10, seed=0)
     with pytest.raises(ConfigError):
         cross_validate(x, y, "svm", folds=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "count, folds, held_out",
+    [(2, 3, 1), (3, 2, 2)],
+    ids=["two-rows-three-folds", "three-rows-two-folds"],
+)
+@pytest.mark.parametrize("kind", ["linear", "forest"])
+def test_cross_validate_refuses_a_class_too_small_for_its_folds(
+    count, folds, held_out, kind, monkeypatch
+):
+    # a fold holds out up to ceil(count / folds) rows of a class, leaving fewer than 2 to fit
+    x, y = separable_blobs(n=40, seed=12)
+    keep = np.concatenate([np.flatnonzero(y == 0)[:count], np.flatnonzero(y == 1)])
+    fits = []
+    for cls in (LogisticRegressionClassifier, RandomForestClassifier):
+        monkeypatch.setattr(cls, "fit", lambda self, *args: fits.append(args))
+    with pytest.raises(DataError) as err:
+        cross_validate(x[keep], y[keep], kind, folds=folds, seed=0)
+    assert str(err.value) == (
+        f"class 0 has {count} rows, too few for {folds} folds: a fold holds out "
+        f"{held_out} of them and each fit needs at least 2"
+    )
+    assert fits == []  # refused before the first fit
+
+
+@pytest.mark.parametrize("kind", ["linear", "forest"])
+def test_cross_validate_accepts_a_class_that_leaves_two_rows_in_every_fit(kind):
+    x, y = separable_blobs(n=40, seed=12)
+    keep = np.concatenate([np.flatnonzero(y == 0)[:3], np.flatnonzero(y == 1)])
+    config = ForestConfig(n_trees=3) if kind == "forest" else None
+    report = cross_validate(x[keep], y[keep], kind, folds=3, seed=0, config=config)
+    assert len(report.accuracies) == 3
 
 
 def test_cv_report_records_hyperparams():

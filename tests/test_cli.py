@@ -406,6 +406,17 @@ def _conceptnet_head_read_as_a_comment(tmp_path, demo_kg, table):
     return config(tmp_path, demo_kg, table)
 
 
+def _two_negative_pairs(tmp_path, demo_kg, table):
+    """A 3-fold negation run on the demo graph cut to its first 2 NotDesires triples."""
+    lines = demo_kg.read_text(encoding="utf-8").splitlines(keepends=True)
+    negatives = [line for line in lines if line.split("\t")[1] == "NotDesires"]
+    path = tmp_path / "two-negatives.tsv"
+    path.write_text("".join(line for line in lines if line not in negatives[2:]), encoding="utf-8")
+    config = _config("negation", input=str(path), train={"dimension": 4, "epochs": 1},
+                     negation={"folds": 3, "classifier": "linear"})
+    return config(tmp_path, demo_kg, table)
+
+
 def _config(command, **fields):
     def argv(tmp_path, demo_kg, table):
         path = tmp_path / "config.json"
@@ -568,6 +579,12 @@ def _definitions(text):
         (_edited_table("one-relation", relation_names=["r"]), 2,
          "one-relation.kgt: malformed embedding table: header.relation_names: must hold "
          "header.relation_count = "),
+        (_two_negative_pairs, 2,
+         "class 0 has 2 rows, too few for 3 folds: a fold holds out 1 of them and each fit "
+         "needs at least 2"),
+        (_config("run", train={"dimension": 4, "epochs": 1},
+                 split={"train": 0.0, "validation": 0.5, "test": 0.5}), 2,
+         "split.train = 0.0 selects 0 of the 500 triples; training needs at least 1"),
     ],
     ids=["non-utf8-edges", "truncated-table", "garbled-table", "nan-in-table", "k-as-string",
          "enabled-as-string", "n-trees-as-string", "zero-trees", "zero-depth",
@@ -591,7 +608,7 @@ def _definitions(text):
          "table-count-real", "table-header-unknown-key", "table-header-list",
          "table-header-without-dimension", "table-names-mixed", "table-names-abbreviated",
          "table-config-margin-zero", "margin-flag-zero", "table-fewer-entity-names",
-         "table-fewer-relation-names"],
+         "table-fewer-relation-names", "two-negative-pairs-three-folds", "empty-train-split"],
 )
 def test_bad_input_exit_codes(make_argv, code, named, demo_kg, shuffled_table, tmp_path, capsys):
     argv = make_argv(tmp_path, demo_kg, shuffled_table)
@@ -634,9 +651,13 @@ def _rare_relation_outside_the_train_split(tmp_path, demo_kg, table):
         (_one_triple_relation, 2, "the 2-D projection of relation 'rare' needs 2 points, got 1"),
         (_config("cluster", train={"dimension": 1}, cluster={"relations": ["HasContext"]}), 2,
          "the cluster stage's 2-D projection needs train.dimension >= 2, got 1"),
+        (_config("run", train={"dimension": 4},
+                 split={"train": 0.0, "validation": 0.5, "test": 0.5}), 2,
+         "split.train = 0.0 selects 0 of the 500 triples; training needs at least 1"),
     ],
     ids=["k-above-n", "k-range-above-n", "absent-from-train-split", "same-relation-negation",
-         "max-features-above-dimension", "one-triple-cluster-relation", "cluster-at-dimension-1"],
+         "max-features-above-dimension", "one-triple-cluster-relation", "cluster-at-dimension-1",
+         "empty-train-split"],
 )
 def test_graph_checks_run_before_training(
     make_argv, code, named, demo_kg, tmp_path, monkeypatch, capsys
@@ -1032,6 +1053,35 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, str(readme), "exec"), {})
     spearman_abs, kl = map(float, capsys.readouterr().out.split())
     assert 0.0 <= spearman_abs <= 1.0 and kl >= 0.0
+
+
+def test_readme_config_reference_lists_every_config_field():
+    """The "Pipeline config reference" block loads, gives every field of every config
+    block, and gives each stage seed the value the master seed derives."""
+    from dataclasses import fields, is_dataclass
+
+    from kgstruct.report import PipelineConfig
+
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "### Pipeline config reference", 1
+    )[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    data = json.loads(re.sub(r"//[^\n]*", "", block))
+    config = PipelineConfig.from_json_dict(data)
+
+    def missing(obj, given, path):
+        for field in fields(obj):
+            name = f"{path}{field.name}"
+            if field.name not in given:
+                yield name
+            elif is_dataclass(value := getattr(obj, field.name)):
+                yield from missing(value, given[field.name], name + ".")
+
+    assert list(missing(config, data, "")) == []
+    unseeded = {key: value for key, value in data.items() if key != "sample_seed"}
+    for stage in ("split", "train", "cluster", "negation"):
+        unseeded[stage] = {key: value for key, value in data[stage].items() if key != "seed"}
+    assert PipelineConfig.from_json_dict(unseeded) == config
 
 
 def test_run_prints_the_study_summary(demo_kg, tmp_path, capsys):

@@ -678,11 +678,13 @@ def test_stats_inclusion_exclusion_from_published_counts():
 
 
 def test_stats_empty_graph():
-    graph = from_labeled_triples([])
-    stats = compute_stats(graph)
-    assert stats.triples == stats.entities == stats.heads == stats.tails == 0
-    assert stats.entity_triple_ratio is None
-    assert stats.per_relation == {}
+    named = KnowledgeGraph.from_id_triples(["a"], ["r"], np.empty((0, 3), dtype=np.int64))
+    for graph in [from_labeled_triples([]), named]:
+        stats = compute_stats(graph)
+        assert stats.triples == stats.entities == stats.heads == stats.tails == 0
+        assert stats.entity_triple_ratio is None
+        assert stats.per_relation == {}
+        assert stats == GraphStats(0, 0, 0, 0, 0, None, {})
 
 
 def test_stats_tiny_fixture_hand_counts(tiny_graph):
@@ -1157,10 +1159,13 @@ def test_serializer_rejects_unserializable_names(tmp_path):
 
 
 def test_serializer_writes_the_reference_bytes(edge_case_graphs, tiny_graph, tmp_path):
-    for graph in [tiny_graph, *edge_case_graphs]:
+    # a graph without triples writes an empty file, whatever names its tables hold
+    empty = KnowledgeGraph(["#a\t", ""], ["r\n"], np.empty((0, 3), dtype=np.int64))
+    for graph in [tiny_graph, *edge_case_graphs, empty]:
         got = write_outcome(write_generic_3col, graph, tmp_path / "new.tsv")
         assert got[0] == "bytes"
         assert got == write_outcome(reference_write_generic_3col, graph, tmp_path / "old.tsv")
+    assert got == ("bytes", b"")
 
 
 @pytest.mark.parametrize(

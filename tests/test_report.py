@@ -164,10 +164,10 @@ def test_preflight_bounds_the_trainers_working_set(monkeypatch):
     need = train_working_set_bytes(400, graph.n_entities, graph.n_relations, config.train)
     assert need == 4 * 16 * (6 * (400 + 400 * 100_000) + 3 * (160 + 5)) + 96 * 400 * 100_000
     patch_physical_memory(monkeypatch, need)
-    report.preflight(graph, config, None, 400)
+    report.preflight(graph, config, None, 400, graph.n_triples)
     patch_physical_memory(monkeypatch, need - 1)
     with pytest.raises(DataError, match=r"about 17\.88 GiB of arrays") as err:
-        report.preflight(graph, config, None, 400)
+        report.preflight(graph, config, None, 400, graph.n_triples)
     for field in ("train.negatives", "train.batch_size", "train.dimension"):
         assert field in str(err.value)
     # a given table replaces training, so its settings are not estimated
@@ -175,7 +175,7 @@ def test_preflight_bounds_the_trainers_working_set(monkeypatch):
         graph.entity_names, graph.relation_names,
         np.ones((graph.n_entities, 4), np.float32), np.ones((graph.n_relations, 4), np.float32),
     )
-    report.preflight(graph, config, table, 400)
+    report.preflight(graph, config, table, 400, graph.n_triples)
 
 
 def test_preflight_checks_the_larger_working_set_and_returns_both(monkeypatch):
@@ -187,25 +187,27 @@ def test_preflight_checks_the_larger_working_set_and_returns_both(monkeypatch):
     bins_need = validation.validate_working_set_bytes(10**8)
     assert bins_need == 64 * 10**8 > train_need
     patch_physical_memory(monkeypatch, bins_need)
-    assert report.preflight(graph, config, None, 400) == {"train": train_need, "validate": bins_need}
+    assert report.preflight(graph, config, None, 400, graph.n_triples) == {
+        "train": train_need, "validate": bins_need
+    }
     table = EmbeddingTable(
         graph.entity_names, graph.relation_names,
         np.ones((graph.n_entities, 4), np.float32), np.ones((graph.n_relations, 4), np.float32),
     )
-    assert report.preflight(graph, config, table, 400) == {"validate": bins_need}
+    assert report.preflight(graph, config, table, 400, graph.n_triples) == {"validate": bins_need}
     # one byte short: refused before training, with or without a table
     patch_physical_memory(monkeypatch, bins_need - 1)
     for given in (None, table):
         with pytest.raises(DataError, match=r"validation would hold about 5\.96 GiB") as err:
-            report.preflight(graph, config, given, 400)
+            report.preflight(graph, config, given, 400, graph.n_triples)
         assert str(err.value).endswith("; lower validate.bins")
     # the default bins stay far below the trainer's estimate, which is the one checked
     default = replace(config, validate=replace(config.validate, bins=100))
     patch_physical_memory(monkeypatch, train_need)
-    assert report.preflight(graph, default, None, 400)["validate"] == 6_400
+    assert report.preflight(graph, default, None, 400, graph.n_triples)["validate"] == 6_400
     patch_physical_memory(monkeypatch, train_need - 1)
     with pytest.raises(DataError, match="lower train.negatives"):
-        report.preflight(graph, default, None, 400)
+        report.preflight(graph, default, None, 400, graph.n_triples)
 
 
 def test_batch_rows_are_the_smaller_of_batch_size_and_train_triples():
