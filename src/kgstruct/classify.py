@@ -336,6 +336,20 @@ def stratified_folds(
     return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
+def check_fold_sizes(labels: np.ndarray, folds: int) -> None:
+    """DataError unless 0/1 ``labels`` fill ``folds`` folds and leave every fit 2 rows per class."""
+    if len(labels) < folds:
+        raise DataError(f"dataset of {len(labels)} rows cannot fill {folds} folds")
+    _check_binary(labels)
+    for cls, count in enumerate(np.bincount(labels).tolist()):
+        held_out = -(-count // folds)  # the most rows of the class that one fold holds out
+        if count - held_out < 2:
+            raise DataError(
+                f"class {cls} has {count} rows, too few for {folds} folds: a fold holds out "
+                f"{held_out} of them and each fit needs at least 2"
+            )
+
+
 def cross_validate(
     features: np.ndarray,
     labels: np.ndarray,
@@ -348,8 +362,8 @@ def cross_validate(
 
     Each fold is held out once; the classifier is refit on the rest. Fold
     ``i`` seeds its forest with ``seed * 1000 + i``, keeping the whole run
-    deterministic. A class that some fold's fit would see fewer than 2 rows
-    of is a DataError, raised before the first fit.
+    deterministic. ``check_fold_sizes`` refuses the labels before the first
+    fit.
     """
     if kind not in ("linear", "forest"):
         raise ConfigError(f"unknown classifier kind: {kind!r}")
@@ -357,16 +371,7 @@ def cross_validate(
     y = np.asarray(labels, dtype=np.int64)
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
-    if len(y) < folds:
-        raise DataError(f"dataset of {len(y)} rows cannot fill {folds} folds")
-    _check_binary(y)
-    for cls, count in enumerate(np.bincount(y).tolist()):
-        held_out = -(-count // folds)  # the most rows of the class that one fold holds out
-        if count - held_out < 2:
-            raise DataError(
-                f"class {cls} has {count} rows, too few for {folds} folds: a fold holds out "
-                f"{held_out} of them and each fit needs at least 2"
-            )
+    check_fold_sizes(y, folds)
     rng = np.random.default_rng(seed)
     fold_indices = stratified_folds(y, folds, rng)
     accuracies = []

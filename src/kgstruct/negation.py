@@ -44,6 +44,10 @@ class PairUniverse:
         return len(self.positive_pairs) + len(self.negative_pairs)
 
     @property
+    def labels(self) -> np.ndarray:  # 1 per positive pair, then 0 per negative pair
+        return np.repeat([1, 0], [len(self.positive_pairs), len(self.negative_pairs)])
+
+    @property
     def unknown_pair_count(self) -> int:
         return len(self.heads) * len(self.tails) - self.known_pair_count
 
@@ -146,9 +150,7 @@ def assemble_dataset(
     """Tail-minus-head feature rows and 1/0 labels: positive pairs, then negative pairs."""
     check_aligned(table, universe.graph)
     pairs = np.vstack([universe.positive_pairs, universe.negative_pairs])
-    labels = np.zeros(len(pairs), dtype=np.int64)
-    labels[: len(universe.positive_pairs)] = 1
-    return translation_matrix(table, pairs[:, 0], pairs[:, 1]), labels
+    return translation_matrix(table, pairs[:, 0], pairs[:, 1]), universe.labels
 
 
 @dataclass

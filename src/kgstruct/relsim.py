@@ -105,10 +105,8 @@ def tfidf_vectors(corpus: DefinitionCorpus) -> tuple[list[str], np.ndarray]:
     """Raw-count TF weighted by idf = ln(N / df); one row per definition."""
     names = corpus.relations
     docs = [tokenize(corpus.definitions[name]) for name in names]
-    vocab: dict[str, int] = {}
-    for doc in docs:
-        for token in doc:
-            vocab.setdefault(token, len(vocab))
+    # every token, numbered in first-seen order
+    vocab = {token: j for j, token in enumerate(dict.fromkeys(t for doc in docs for t in doc))}
     n_docs = len(docs)
     tf = np.zeros((n_docs, len(vocab)), dtype=np.float64)
     for i, doc in enumerate(docs):
@@ -143,14 +141,9 @@ def tfidf_reference_check(matrix: SimilarityMatrix) -> dict:
     return note
 
 
-def _cosine_matrix(vectors: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    unit, ok = unit_rows(vectors)
-    if not ok.all():
-        bad = [labels[i] for i in np.flatnonzero(~ok)]
-        log.warning("zero-norm vectors get similarity 0 to everything: %s", bad)
-    sims = unit @ unit.T
-    sims = 0.5 * (sims + sims.T)  # enforce exact symmetry
-    return np.clip(sims, -1.0, 1.0)
+def _cosine_matrix(unit: np.ndarray) -> np.ndarray:
+    # exact products and numpy's pairwise sum, not BLAS: symmetric, the same bits on every CPU
+    return np.clip((unit[:, None, :] * unit[None, :, :]).sum(axis=2), -1.0, 1.0)
 
 
 def tfidf_similarity_matrix(corpus: DefinitionCorpus) -> SimilarityMatrix:
@@ -163,7 +156,11 @@ def tfidf_similarity_matrix(corpus: DefinitionCorpus) -> SimilarityMatrix:
     if len(corpus) < 2:
         raise DataError("need at least 2 definitions for a similarity matrix")
     names, vectors = tfidf_vectors(corpus)
-    sims = _cosine_matrix(vectors, names)
+    unit, ok = unit_rows(vectors)
+    if not ok.all():
+        bad = [names[i] for i in np.flatnonzero(~ok)]
+        log.warning("zero-norm vectors get similarity 0 to everything: %s", bad)
+    sims = _cosine_matrix(unit)
     np.fill_diagonal(sims, 1.0)
     return SimilarityMatrix(names, sims, "tfidf")
 
@@ -201,22 +198,17 @@ def embedding_similarity_matrix(
     """
     if kind not in ("centroid", "direct"):
         raise DataError(f"kind must be 'centroid' or 'direct', got {kind!r}")
-    chosen = [
-        (p.relation, p.centroid if kind == "centroid" else p.direct)
-        for p in profiles
-    ]
-    kept = [(name, vec) for name, vec in chosen if np.linalg.norm(vec) > 0.0]
-    dropped = [name for name, vec in chosen if np.linalg.norm(vec) == 0.0]
-    if dropped:
-        log.warning("excluding zero-norm %s vectors: %s", kind, dropped)
-    if len(kept) < 2:
-        raise DataError("need at least 2 nonzero relation vectors")
-    dims = {len(vec) for _, vec in kept}
-    if len(dims) != 1:
+    names = np.array([p.relation for p in profiles], dtype=object)
+    chosen = [p.centroid if kind == "centroid" else p.direct for p in profiles]
+    dims = {len(vec) for vec in chosen}
+    if len(dims) > 1:
         raise DataError(f"profiles mix dimensions: {sorted(dims)}")
-    names = [name for name, _ in kept]
-    vectors = np.vstack([vec for _, vec in kept])
-    return SimilarityMatrix(names, _cosine_matrix(vectors, names), f"cosine-{kind}")
+    unit, ok = unit_rows(np.reshape(chosen, (len(chosen), max(dims, default=0))))  # (0, 0) if none
+    if not ok.all():
+        log.warning("excluding zero-norm %s vectors: %s", kind, names[~ok].tolist())
+    if ok.sum() < 2:
+        raise DataError("need at least 2 nonzero relation vectors")
+    return SimilarityMatrix(names[ok].tolist(), _cosine_matrix(unit[ok]), f"cosine-{kind}")
 
 
 def nearest_relations(matrix: SimilarityMatrix) -> NearestRelationTable:
@@ -234,8 +226,4 @@ def nearest_relations(matrix: SimilarityMatrix) -> NearestRelationTable:
 def mutual_nearest_pairs(table: NearestRelationTable) -> list[tuple[str, str, float]]:
     """Pairs (a, b) where each is the other's closest relation."""
     closest = {name: other for name, other, _ in table.rows}
-    pairs = []
-    for name, other, score in table.rows:
-        if closest.get(other) == name and name < other:
-            pairs.append((name, other, score))
-    return pairs
+    return [(a, b, score) for a, b, score in table.rows if closest.get(b) == a and a < b]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import ForestConfig, LogisticConfig
+from .classify import ForestConfig, LogisticConfig, check_fold_sizes
 from .cluster import (
     k_selection_scores,
     lloyd_kmeans,
@@ -46,7 +46,7 @@ from .graph import (
     split_indices,
     write_generic_3col,
 )
-from .negation import run_negation_study
+from .negation import build_pair_universe, run_negation_study
 from .relsim import (
     DefinitionCorpus,
     SimilarityMatrix,
@@ -332,11 +332,8 @@ def stage_relsim(
     profiles: Profiles,
 ) -> dict:
     usable = [p for p in profiles.values() if isinstance(p, RelationProfile)]
-    corpus = (
-        DefinitionCorpus.from_json(cfg.definitions_path)
-        if cfg.definitions_path
-        else DefinitionCorpus.bundled()
-    )
+    path = cfg.definitions_path
+    corpus = DefinitionCorpus.from_json(path) if path else DefinitionCorpus.bundled()
     matrices = {"tfidf": tfidf_similarity_matrix(corpus)}
     matrices["jaccard_head"] = jaccard_overlap_matrix(graph, "head")
     matrices["jaccard_tail"] = jaccard_overlap_matrix(graph, "tail")
@@ -484,7 +481,8 @@ def stage_negation(
         ),
     )
     unknown = KnowledgeGraph(graph.entity_names, ["Unknown"], np.insert(sample.pairs, 1, 0, axis=1))
-    write_generic_3col(unknown, out_dir / "unknown_pairs.tsv")
+    # recompacted to the entities the pairs use, so the writer checks only their names
+    write_generic_3col(unknown.subset(np.arange(unknown.n_triples)), out_dir / "unknown_pairs.tsv")
     return payload
 
 
@@ -538,10 +536,10 @@ def ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, dict]:
 def environment() -> dict:
     """What the run's numbers may depend on beyond its config, for the manifest.
 
-    The Python, numpy and BLAS versions, ``OPENBLAS_NUM_THREADS`` (None when
-    unset) and the cores this process may run on. The BLAS name and version
-    are None where numpy's build record has no BLAS entry (numpy before 1.26
-    has no build record).
+    The Python, numpy and BLAS versions, ``OPENBLAS_NUM_THREADS`` and
+    ``OPENBLAS_CORETYPE`` (None when unset) and the cores this process may
+    run on. The BLAS name and version are None where numpy's build record
+    has no BLAS entry (numpy before 1.26 has no build record).
     """
     build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     blas = build.get("blas", {})
@@ -551,6 +549,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "cores": cores,
     }
 
@@ -580,6 +579,7 @@ def preflight(
     ``cluster.k`` (at most n) and ``cluster.k_range`` (within [2, n - 1]).
     The embedding dimension, ``table``'s or else ``train.dimension``, must be
     at least 2 for clustering and at least a forest's features per split.
+    The negation classes, without contradictions, must pass ``check_fold_sizes``.
     Each failure is a DataError, raised before training.
     """
     estimates = {}
@@ -622,6 +622,10 @@ def preflight(
     if missing:
         analysed = "graph" if config.analysis_scope == "full" else "train split"
         raise DataError(f"configured relations are absent from the {analysed}: {missing}")
+    if config.negation.enabled:
+        neg = config.negation
+        universe = build_pair_universe(graph, neg.relation, neg.negation_relation)
+        check_fold_sizes(universe.labels, neg.folds)
     if not config.cluster.enabled:
         return estimates
     k, k_range = config.cluster.k, config.cluster.k_range

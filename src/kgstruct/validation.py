@@ -75,7 +75,8 @@ def similarity_lists(
     vecs = translation_matrix(table, rows[:, 0], rows[:, 2])
     centroid = vecs.mean(axis=0)
 
-    # divide by norms, not unit vectors: those round differently (checksummed rho, KL)
+    # divide by norms, not unit vectors: those round differently (checksummed rho, KL);
+    # products and sums in numpy, not BLAS, so the bits are the same on every CPU
     norms = np.linalg.norm(vecs, axis=1)
     nonzero = norms > 0.0
     skipped = int(len(vecs) - nonzero.sum())
@@ -83,14 +84,13 @@ def similarity_lists(
         log.warning(
             "relation %s: skipped %d zero translation vectors", relation, skipped
         )
-    vecs = vecs[nonzero]
-    norms = norms[nonzero]
+    vecs, norms = vecs[nonzero], norms[nonzero]
     if len(vecs) == 0:
         raise DataError(f"relation {relation!r}: all translation vectors are zero")
-    direct_norm = np.linalg.norm(direct)
+    direct_norm = np.sqrt((direct * direct).sum())
     if direct_norm == 0.0:
         raise DataError(f"relation {relation!r}: direct vector has zero norm")
-    centroid_norm = np.linalg.norm(centroid)
+    centroid_norm = np.sqrt((centroid * centroid).sum())
     if centroid_norm == 0.0:
         raise DataError(f"relation {relation!r}: centroid vector has zero norm")
 
@@ -98,8 +98,8 @@ def similarity_lists(
         relation=relation,
         centroid=centroid,
         direct=direct,
-        direct_sims=(vecs @ direct) / (norms * direct_norm),
-        centroid_sims=(vecs @ centroid) / (norms * centroid_norm),
+        direct_sims=(vecs * direct).sum(axis=1) / (norms * direct_norm),
+        centroid_sims=(vecs * centroid).sum(axis=1) / (norms * centroid_norm),
         triple_count=len(rows),
         skipped=skipped,
     )

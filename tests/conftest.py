@@ -94,11 +94,12 @@ def make_table(entity_positions: dict[str, list[float]], relation_vectors: dict[
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(args: list[str], blas_threads: int) -> str:
+def run_python(args: list[str], blas_threads: int, **variables: str) -> str:
     """Standard output of ``python *args`` in a fresh process with this tree's
-    kgstruct first on the path and OpenBLAS at ``blas_threads`` threads."""
+    kgstruct first on the path, OpenBLAS at ``blas_threads`` threads and the
+    environment ``variables`` set."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    env = {**os.environ, **variables, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(blas_threads)}
     done = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )

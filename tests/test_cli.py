@@ -654,10 +654,13 @@ def _rare_relation_outside_the_train_split(tmp_path, demo_kg, table):
         (_config("run", train={"dimension": 4},
                  split={"train": 0.0, "validation": 0.5, "test": 0.5}), 2,
          "split.train = 0.0 selects 0 of the 500 triples; training needs at least 1"),
+        (_two_negative_pairs, 2,
+         "class 0 has 2 rows, too few for 3 folds: a fold holds out 1 of them and each fit "
+         "needs at least 2"),
     ],
     ids=["k-above-n", "k-range-above-n", "absent-from-train-split", "same-relation-negation",
          "max-features-above-dimension", "one-triple-cluster-relation", "cluster-at-dimension-1",
-         "empty-train-split"],
+         "empty-train-split", "two-negative-pairs-three-folds"],
 )
 def test_graph_checks_run_before_training(
     make_argv, code, named, demo_kg, tmp_path, monkeypatch, capsys
@@ -984,14 +987,28 @@ def test_every_json_file_of_the_demo_bundle_is_strict_json(demo_kg, tmp_path):
         strict_json(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_demo_run_files_do_not_depend_on_the_blas_thread_count(demo_kg, tmp_path, threads):
-    run_python(["-m", "kgstruct", "run", "--config", str(_demo_config(demo_kg, tmp_path))], threads)
+def _child_demo_run(demo_kg: Path, tmp_path: Path, threads: int, **variables: str) -> dict:
+    """The environment block of a demo run in a child process, once its files match the golden map."""
+    config = _demo_config(demo_kg, tmp_path)
+    run_python(["-m", "kgstruct", "run", "--config", str(config)], threads, **variables)
     manifest = json.loads((tmp_path / "report" / "manifest.json").read_text())
     golden = json.loads(GOLDEN_FILES.read_text(encoding="utf-8"))
     assert {name: entry["sha256"] for name, entry in manifest["files"].items()} == golden
-    # the environment block records the setting; it lies outside the checksummed files
-    assert manifest["environment"]["openblas_num_threads"] == str(threads)
+    # the environment block records the settings; it lies outside the checksummed files
+    return manifest["environment"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_demo_run_files_do_not_depend_on_the_blas_thread_count(demo_kg, tmp_path, threads):
+    assert _child_demo_run(demo_kg, tmp_path, threads)["openblas_num_threads"] == str(threads)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_demo_run_files_do_not_depend_on_the_blas_kernel(demo_kg, tmp_path, coretype):
+    """OpenBLAS runs the named CPU's kernel (AVX2, AVX); a BLAS that ignores the
+    variable runs its own, and the golden map is still checked."""
+    environment = _child_demo_run(demo_kg, tmp_path, 2, OPENBLAS_CORETYPE=coretype)
+    assert environment["openblas_coretype"] == coretype
 
 
 def test_demo_run_files_do_not_depend_on_line_ends_repeats_or_comments(demo_kg, tmp_path):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import from_labeled_triples, make_table
 from kgstruct.errors import DataError
-from kgstruct.graph import parse_edge_file
+from kgstruct import graph as graph_module
+from kgstruct.embedding import EmbeddingTable
+from kgstruct.graph import KnowledgeGraph, parse_edge_file
 from kgstruct.negation import (
     PairUniverse,
     assemble_dataset,
@@ -349,3 +351,35 @@ def test_unknown_pairs_export_roundtrip(tmp_path):
     assert parsed.n_triples == len(sample.pairs)
     names = parsed.entity_names
     assert {(names[h], names[t]) for h, _, t in parsed.triples} == named_pairs(universe, sample.pairs)
+
+
+def test_unknown_pairs_writer_checks_only_the_names_the_pairs_use(tmp_path, monkeypatch):
+    """Entity names no pair uses, an unwritable one among them, cost the writer no check."""
+    graph, _, table = universe_with_table()
+    stage = NegationStage(enabled=True, folds=2, classifier="linear", seed=2)
+    (tmp_path / "plain").mkdir()
+    stage_negation(table, graph, stage, tmp_path / "plain")
+
+    padding = [f"unused{i}" for i in range(5000)] + ["un\tused"]
+    padded = KnowledgeGraph([*graph.entity_names, *padding], graph.relation_names, graph.triples)
+    padded_table = EmbeddingTable(
+        padded.entity_names,
+        table.relation_names,
+        np.vstack([table.entity_vectors, np.zeros((len(padding), table.dimension))]),
+        table.relation_vectors,
+    )
+    calls = []
+    original = graph_module._unwritable
+
+    def counted(name):
+        calls.append(name)
+        return original(name)
+
+    monkeypatch.setattr(graph_module, "_unwritable", counted)
+    (tmp_path / "padded").mkdir()
+    stage_negation(padded_table, padded, stage, tmp_path / "padded")
+    written = (tmp_path / "padded" / "unknown_pairs.tsv").read_bytes()
+    assert written == (tmp_path / "plain" / "unknown_pairs.tsv").read_bytes()
+    pairs = written.count(b"\n")
+    assert 0 < len(calls) <= 2 * pairs + 1  # the pairs' entities and the one relation
+    assert not set(calls) & set(padding)

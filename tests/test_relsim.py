@@ -252,6 +252,12 @@ def test_matrix_symmetry_and_diagonal_invariants():
         assert np.array_equal(matrix.values, matrix.values.T)
         assert np.all(np.diag(matrix.values) == 1.0)
         assert matrix.values.min() >= 0.0 and matrix.values.max() <= 1.0
+    # symmetric by construction, with no symmetrising pass
+    vectors = np.random.default_rng(5).normal(size=(9, 37))
+    cosine = embedding_similarity_matrix(
+        [profile(f"r{i}", v, v) for i, v in enumerate(vectors)], "direct"
+    )
+    assert np.array_equal(cosine.values, cosine.values.T)
 
 
 # -- nearest relations ----------------------------------------------------------------

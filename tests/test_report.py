@@ -12,6 +12,7 @@ import pytest
 
 from conftest import from_labeled_triples, patch_physical_memory, strict_json
 from kgstruct import report, validation
+from kgstruct.classify import cross_validate
 from kgstruct.cli import _load_config, build_parser
 from kgstruct.embedding import EmbeddingTable, TrainConfig, train_working_set_bytes
 from kgstruct.errors import ConfigError, DataError
@@ -210,6 +211,35 @@ def test_preflight_checks_the_larger_working_set_and_returns_both(monkeypatch):
         report.preflight(graph, default, None, 400, graph.n_triples)
 
 
+@pytest.mark.parametrize(
+    "positives, negatives, contradictions, folds",
+    [(5, 2, 0, 3), (2, 3, 2, 2), (3, 3, 0, 10), (4, 1, 0, 2), (3, 0, 1, 2), (3, 3, 0, 3)],
+    ids=["class-below-its-folds", "class-below-after-contradictions", "rows-below-folds",
+         "one-row-of-a-class", "one-class-after-contradictions", "enough"],
+)
+def test_preflight_refuses_the_negation_classes_as_cross_validate_does(
+    positives, negatives, contradictions, folds
+):
+    """The classes are counted after contradictions go, and refused with cross_validate's message."""
+    rows = [(f"h{i}", "Desires", f"t{i}") for i in range(positives)]
+    rows += [(f"h{i}", "NotDesires", f"u{i}") for i in range(negatives)]
+    rows += [(f"c{i}", rel, f"c{i}") for i in range(contradictions) for rel in ("Desires", "NotDesires")]
+    graph = from_labeled_triples(rows)
+    config = PipelineConfig.from_json_dict({
+        "input": "x", "train": {"dimension": 4},
+        "negation": {"enabled": True, "folds": folds, "classifier": "linear"},
+    })
+    labels = np.repeat([1, 0], [positives, negatives])
+    try:
+        cross_validate(np.zeros((len(labels), 4)), labels, "linear", folds=folds)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            report.preflight(graph, config, None, graph.n_triples, graph.n_triples)
+        assert str(err.value) == str(exc)
+    else:
+        report.preflight(graph, config, None, graph.n_triples, graph.n_triples)
+
+
 def test_batch_rows_are_the_smaller_of_batch_size_and_train_triples():
     config = TrainConfig(dimension=8, negatives=3, batch_size=100)
     assert train_working_set_bytes(1_000, 50, 2, config) == 4 * 8 * (6 * (100 + 300) + 3 * 52) + 96 * 300
@@ -333,17 +363,24 @@ def test_manifest_lists_exactly_the_emitted_files(full_bundle):
 
 def test_manifest_records_the_environment(full_bundle, monkeypatch):
     env = full_bundle.manifest["environment"]
-    assert set(env) == {"python", "numpy", "blas", "openblas_num_threads", "cores"}
+    assert set(env) == {
+        "python", "numpy", "blas", "openblas_num_threads", "openblas_coretype", "cores"
+    }
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__
     assert set(env["blas"]) == {"name", "version"}
     assert all(isinstance(value, (str, type(None))) for value in env["blas"].values())
-    assert env["openblas_num_threads"] is None or isinstance(env["openblas_num_threads"], str)
+    for variable in ("openblas_num_threads", "openblas_coretype"):
+        assert env[variable] is None or isinstance(env[variable], str)
     assert isinstance(env["cores"], int) and env["cores"] >= 1
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     assert report.environment()["openblas_num_threads"] is None
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     assert report.environment()["openblas_num_threads"] == "3"
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    assert report.environment()["openblas_coretype"] is None
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert report.environment()["openblas_coretype"] == "Haswell"
 
 
 @pytest.mark.parametrize(
