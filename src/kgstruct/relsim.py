@@ -25,10 +25,11 @@ log = logging.getLogger(__name__)
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-TFIDF_VARIANT = "raw term counts, idf = ln(N/df), cosine similarity"
+TFIDF_VARIANT = "raw term counts, smoothed idf = ln((1 + N)/(1 + df)) + 1, cosine similarity"
 TFIDF_REFERENCE_PAIR = ("HasContext", "PartOf")
 TFIDF_REFERENCE_SCORE = 0.178
 TFIDF_REFERENCE_BAND = 0.05
+COSINE_BUFFER_BYTES = 16 * 2**20  # the products one block of rows of a cosine matrix holds
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,10 @@ def tokenize(text: str) -> list[str]:
 
 
 def tfidf_vectors(corpus: DefinitionCorpus) -> tuple[list[str], np.ndarray]:
-    """Raw-count TF weighted by idf = ln(N / df); one row per definition."""
+    """Raw-count TF weighted by idf = ln((1 + N) / (1 + df)) + 1; one row per definition.
+
+    This smoothed idf is scikit-learn's default: a token every definition uses weighs 1, not 0.
+    """
     names = corpus.relations
     docs = [tokenize(corpus.definitions[name]) for name in names]
     # every token, numbered in first-seen order
@@ -113,7 +117,7 @@ def tfidf_vectors(corpus: DefinitionCorpus) -> tuple[list[str], np.ndarray]:
         for token in doc:
             tf[i, vocab[token]] += 1.0
     df = (tf > 0).sum(axis=0)
-    idf = np.log(n_docs / df)
+    idf = np.log((1 + n_docs) / (1 + df)) + 1
     return names, tf * idf[None, :]
 
 
@@ -142,8 +146,14 @@ def tfidf_reference_check(matrix: SimilarityMatrix) -> dict:
 
 
 def _cosine_matrix(unit: np.ndarray) -> np.ndarray:
-    # exact products and numpy's pairwise sum, not BLAS: symmetric, the same bits on every CPU
-    return np.clip((unit[:, None, :] * unit[None, :, :]).sum(axis=2), -1.0, 1.0)
+    # exact products and numpy's pairwise sum, not BLAS: symmetric, the same bits on every CPU;
+    # rows in blocks within COSINE_BUFFER_BYTES, each entry summing only its own products
+    n, d = unit.shape
+    rows = max(1, COSINE_BUFFER_BYTES // (unit.itemsize * n * max(d, 1)))
+    sims = np.empty((n, n), dtype=unit.dtype)
+    for lo in range(0, n, rows):
+        np.sum(unit[lo:lo + rows, None, :] * unit[None, :, :], axis=2, out=sims[lo:lo + rows])
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def tfidf_similarity_matrix(corpus: DefinitionCorpus) -> SimilarityMatrix:

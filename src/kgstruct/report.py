@@ -282,7 +282,7 @@ def emit_matrix_csv(matrix: SimilarityMatrix, path: str | Path) -> None:
 # -- stage runners ------------------------------------------------------------
 
 
-def stage_stats(graph: KnowledgeGraph, out_dir: Path) -> dict:
+def stage_stats(graph: KnowledgeGraph, out_dir: Path) -> None:
     stats = asdict(compute_stats(graph))
     write_json(out_dir / "stats.json", stats)
     write_csv(
@@ -293,12 +293,11 @@ def stage_stats(graph: KnowledgeGraph, out_dir: Path) -> dict:
             for name, rs in stats["per_relation"].items()
         ),
     )
-    return stats
 
 
 def stage_validate(
     graph: KnowledgeGraph, profiles: Profiles, cfg: ValidateStage, out_dir: Path
-) -> list[dict]:
+) -> None:
     records = []
     for rid, profile in profiles.items():
         if len(graph.relation_index[rid]) < cfg.min_triples:
@@ -322,14 +321,10 @@ def stage_validate(
             if "error" not in rec
         ),
     )
-    return records
 
 
 def stage_relsim(
-    graph: KnowledgeGraph,
-    cfg: RelsimStage,
-    out_dir: Path,
-    profiles: Profiles,
+    graph: KnowledgeGraph, profiles: Profiles, cfg: RelsimStage, out_dir: Path
 ) -> dict:
     usable = [p for p in profiles.values() if isinstance(p, RelationProfile)]
     path = cfg.definitions_path
@@ -693,6 +688,8 @@ def run_pipeline(
                 # the graph stays aligned with the table's rows
                 analysis_graph = graph.subset(train_idx, recompact=False)
             estimates = preflight(analysis_graph, config, table, len(train_idx), graph.n_triples)
+            # the estimates preflight held to physical memory, each under its stage
+            notes.update({name: {"working_set_bytes": need} for name, need in estimates.items()})
             if table is not None:
                 notes["table"] = asdict(table.config) if table.config else None
                 table = table.aligned_to(graph)
@@ -701,43 +698,34 @@ def run_pipeline(
                     "train", lambda: train(graph, config.train, triple_indices=train_idx)
                 )
                 losses = table.epoch_losses or []
-                notes["train"] = {
+                notes["train"].update({
                     "triples": int(len(train_idx)),
                     "first_epoch_loss": losses[0] if losses else None,
                     "final_epoch_loss": losses[-1] if losses else None,
                     "epoch_losses": losses,
-                    # the estimates preflight held to physical memory
-                    "working_set_bytes": estimates["train"],
-                }
+                })
                 if len(test_idx):
                     notes["train"]["test_hits_at_10"] = timed(
                         "hits",
                         lambda: hits_at_k(table, graph.subset(test_idx, recompact=False), k=10),
                     )
             table.save(tmp_dir / "embeddings.kgt")
+        profiles = None
         if config.validate.enabled or config.relsim.enabled:
             profiles = timed("profiles", lambda: relation_profiles(table, analysis_graph))
-        if config.validate.enabled:
-            notes["validate"] = {"working_set_bytes": estimates["validate"]}
-            timed(
-                "validate",
-                lambda: stage_validate(analysis_graph, profiles, config.validate, tmp_dir),
-            )
-        if config.relsim.enabled:
-            notes["relsim"] = timed(
-                "relsim",
-                lambda: stage_relsim(analysis_graph, config.relsim, tmp_dir, profiles),
-            )
-        if config.cluster.enabled:
-            notes["cluster"] = timed(
-                "cluster",
-                lambda: stage_cluster(table, analysis_graph, config.cluster, tmp_dir),
-            )
-        if config.negation.enabled:
-            notes["negation"] = timed(
-                "negation",
-                lambda: stage_negation(table, analysis_graph, config.negation, tmp_dir),
-            )
+        # stage -> its runner, looked up at each run, and what it reads before (cfg, out_dir)
+        runners = {
+            "validate": (stage_validate, analysis_graph, profiles),
+            "relsim": (stage_relsim, analysis_graph, profiles),
+            "cluster": (stage_cluster, table, analysis_graph),
+            "negation": (stage_negation, table, analysis_graph),
+        }
+        for name in ANALYSIS_STAGES:
+            cfg = getattr(config, name)
+            if cfg.enabled:
+                runner, *inputs = runners[name]
+                stage_notes = timed(name, lambda: runner(*inputs, cfg, tmp_dir))
+                notes.setdefault(name, {}).update(stage_notes or {})
 
         files = {}
         for path in sorted(tmp_dir.rglob("*")):

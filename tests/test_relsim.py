@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_labeled_triples
+from kgstruct import relsim
+from kgstruct.embedding import unit_rows
 from kgstruct.errors import DataError
 from kgstruct.relsim import (
     DefinitionCorpus,
@@ -52,6 +57,20 @@ def test_tfidf_disjoint_definitions_orthogonal():
     corpus = DefinitionCorpus({"R1": "alpha beta", "R2": "gamma delta"})
     matrix = tfidf_similarity_matrix(corpus)
     assert matrix.score("R1", "R2") == 0.0
+
+
+def test_tfidf_weighs_a_token_every_definition_uses():
+    """Smoothed idf: "x" is in both definitions and keeps weight 1, so the pair is not 0."""
+    matrix = tfidf_similarity_matrix(DefinitionCorpus({"A": "x y", "B": "x z"}))
+    rare = math.log(1.5) + 1  # ln((1 + 2) / (1 + 1)) + 1
+    assert matrix.score("A", "B") == pytest.approx(1 / (1 + rare**2), abs=1e-15)
+    assert matrix.score("A", "B") == pytest.approx(0.336097, abs=1e-6)
+
+
+def test_tfidf_reference_pair_falls_inside_the_band():
+    note = tfidf_reference_check(tfidf_similarity_matrix(DefinitionCorpus.bundled()))
+    assert note["within_band"] and "discrepancy" not in note
+    assert note["score"] == pytest.approx(0.1500, abs=1e-4)
 
 
 def test_tfidf_bundled_corpus_mutual_nearest_subevents():
@@ -211,6 +230,25 @@ def test_embedding_matrix_diagonal_and_orthogonal():
     matrix = embedding_similarity_matrix(profiles, "centroid")
     assert matrix.score("r1", "r1") == pytest.approx(1.0, abs=1e-9)
     assert matrix.score("r1", "r2") == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cosine_blocks_keep_the_bits_and_the_buffer_budget(monkeypatch):
+    """64 rows in blocks of 20: the one-shot product's bits, within the budget plus the output."""
+    n, d = 64, 40
+    unit, _ = unit_rows(np.random.default_rng(5).standard_normal((n, d)))
+    one_shot = np.clip((unit[:, None, :] * unit[None, :, :]).sum(axis=2), -1.0, 1.0)
+    budget = 20 * 8 * n * d
+    assert one_shot.size * d * 8 > 3 * budget  # the one-shot product fills more than 3 blocks
+    monkeypatch.setattr(relsim, "COSINE_BUFFER_BYTES", budget)
+    tracemalloc.start()
+    try:
+        blocked = relsim._cosine_matrix(unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocked.tobytes() == one_shot.tobytes()
+    # beyond the budget and the output: at most two of numpy's 8192-element iterator buffers
+    assert budget < peak <= budget + blocked.nbytes + 2 * 8192 * 8
 
 
 def test_embedding_matrix_hand_cosines():

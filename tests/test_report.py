@@ -634,7 +634,8 @@ def test_stage_validate_records_degenerate_relations(tmp_path):
     graph = from_labeled_triples(rows)
     table = train(graph, TrainConfig(dimension=4, epochs=2, seed=0))
     profiles = relation_profiles(table, graph)
-    records = stage_validate(graph, profiles, ValidateStage(enabled=True), tmp_path)
+    stage_validate(graph, profiles, ValidateStage(enabled=True), tmp_path)
+    records = json.loads((tmp_path / "validation.json").read_text(encoding="utf-8"))
     by_relation = {r["relation"]: r for r in records}
     assert "error" in by_relation["self"]  # all-zero translation vectors
     assert "kl" in by_relation["ok"]
@@ -791,6 +792,51 @@ def test_manifest_records_the_validation_working_set(full_bundle):
     assert manifest["notes"]["validate"] == {
         "working_set_bytes": validation.validate_working_set_bytes(bins)
     }
+
+
+def _count_stage_calls(monkeypatch) -> tuple[dict, dict]:
+    """Wrap every ``report.stage_<name>``; return its call counts and last notes, by name."""
+    calls, returned = {}, {}
+    for name in ("stats", *report.ANALYSIS_STAGES):
+
+        def counted(*args, name=name, runner=getattr(report, f"stage_{name}")):
+            calls[name] = calls.get(name, 0) + 1
+            returned[name] = runner(*args)
+            return returned[name]
+
+        monkeypatch.setattr(report, f"stage_{name}", counted)
+    return calls, returned
+
+
+def test_run_pipeline_calls_each_enabled_stage_once(demo_kg, tmp_path, monkeypatch):
+    """The stage loop calls the runner bound in ``report`` when it runs, once per enabled stage."""
+    calls, returned = _count_stage_calls(monkeypatch)
+    config = PipelineConfig.from_json_dict(full_config(demo_kg, tmp_path / "o"))
+    manifest = run_pipeline(config).manifest
+    assert calls == {name: 1 for name in ("stats", *report.ANALYSIS_STAGES)}
+    assert returned["stats"] is None and returned["validate"] is None
+    notes = manifest["notes"]
+    for name in ("relsim", "cluster", "negation"):
+        assert {key: notes[name][key] for key in returned[name]} == report._jsonable(returned[name])
+    # each stage's notes hold its own keys and, for a stage with an estimate, nothing else
+    assert set(notes["validate"]) == {"working_set_bytes"}
+    assert set(notes["relsim"]) == set(returned["relsim"])
+    assert set(manifest["timings_seconds"]) == {
+        "ingest", "stats", "train", "hits", "profiles", "validate", "relsim", "cluster", "negation"
+    }
+
+
+def test_run_pipeline_skips_the_disabled_stages(demo_kg, tmp_path, monkeypatch):
+    calls, _ = _count_stage_calls(monkeypatch)
+    config = replace(
+        PipelineConfig.from_json_dict(full_config(demo_kg, tmp_path / "o")),
+        validate=report.ValidateStage(),
+        negation=report.NegationStage(),
+    )
+    manifest = run_pipeline(config).manifest
+    assert calls == {"stats": 1, "relsim": 1, "cluster": 1}
+    assert {"validate", "negation"}.isdisjoint(manifest["notes"])
+    assert {"validate", "negation"}.isdisjoint(manifest["timings_seconds"])
 
 
 def test_manifest_lists_every_epoch_loss(full_bundle):
