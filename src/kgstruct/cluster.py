@@ -20,6 +20,9 @@ from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
 
+LLOYD_MAX_ROUNDS = 300  # Lloyd stops after this many rounds if it has not converged
+SILHOUETTE_ROWS = 128  # the silhouette pass's distance chunks; a multiple of 4 keeps its bits
+
 
 @dataclass
 class ClusteringResult:
@@ -148,16 +151,15 @@ def lloyd_kmeans(
     points,
     k: int,
     seed: int = 0,
-    max_iters: int = 300,
     initial_centroids: np.ndarray | None = None,
 ) -> ClusteringResult:
     """Seeded k-means++ initialization followed by Lloyd iteration.
 
     Converges when the maximum squared centroid shift drops below 1e-4
-    or after ``max_iters`` rounds. Each round reseeds an empty cluster at the
-    point farthest from its assigned centroid. Points with fewer than k
-    distinct rows cannot fill k clusters: if the final assignment leaves one
-    empty there, that is a DataError. The recorded inertia (after each
+    or after ``LLOYD_MAX_ROUNDS`` rounds. Each round reseeds an empty cluster
+    at the point farthest from its assigned centroid. Points with fewer than
+    k distinct rows cannot fill k clusters: if the final assignment leaves
+    one empty there, that is a DataError. The recorded inertia (after each
     assignment step) never increases.
     ``initial_centroids`` bypasses the k-means++ step (used for warm starts).
     """
@@ -190,7 +192,7 @@ def lloyd_kmeans(
         inertia = float(point_dist.sum())
         history.append(inertia)
         # the last assignment is against the final centroids
-        if converged or iteration >= max_iters:
+        if converged or iteration >= LLOYD_MAX_ROUNDS:
             break
         iteration += 1
 
@@ -233,7 +235,7 @@ def _relabel(assignments, k_max: int, need: str) -> tuple[np.ndarray, np.ndarray
     return label_of, np.bincount(label_of, minlength=k)
 
 
-def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float:
+def silhouette_score(points, assignments: np.ndarray) -> float:
     """Mean silhouette over all points, Euclidean distance.
 
     s(i) = (b - a) / max(a, b) with a the mean distance to the point's own
@@ -248,10 +250,10 @@ def silhouette_score(points, assignments: np.ndarray, chunk: int = 128) -> float
     """
     x = np.asarray(points, dtype=np.float64)
     need = f"silhouette needs 2 <= clusters <= {len(x) - 1}"
-    return _silhouette_scores(x, [_relabel(assignments, len(x) - 1, need)], chunk)[0]
+    return _silhouette_scores(x, [_relabel(assignments, len(x) - 1, need)])[0]
 
 
-def _silhouette_scores(x: np.ndarray, labelings, chunk: int = 128) -> list[float]:
+def _silhouette_scores(x: np.ndarray, labelings) -> list[float]:
     """``silhouette_score`` of each ``_relabel``-ed labeling of the float64 points ``x``.
 
     Each distance chunk is rounded to a power-of-two grid on which every
@@ -273,11 +275,11 @@ def _silhouette_scores(x: np.ndarray, labelings, chunk: int = 128) -> list[float
     # with n of them below 2^e, scaled by 2^(52 - e) and rounded to integers they
     # sum below 2^52, exactly. A score is a ratio of sums, so the scale cancels
     scale = 2.0 ** (52 - math.frexp(n * (2.0 * math.sqrt(x_sq.max()) + 1.0))[1])
-    buffer = np.empty((min(chunk, n), n))
+    buffer = np.empty((min(SILHOUETTE_ROWS, n), n))
     gram = np.empty_like(buffer)
     scores = np.empty((len(labelings), n), dtype=np.float64)
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
+    for start in range(0, n, SILHOUETTE_ROWS):
+        rows = slice(start, min(start + SILHOUETTE_ROWS, n))
         m = rows.stop - start
         d = _squared_distances(x[rows], x, x_sq[rows], x_sq, buffer[:m], gram[:m])
         np.sqrt(d, out=d)

@@ -463,18 +463,15 @@ def _tail_scores(
     return np.subtract(ent_sq[None, :], out, out=out)
 
 
-# hits_at_k scores its queries against every entity in chunks of at most
-# this many float64 bytes (but never fewer than 2 rows: numpy sends a 1-row
-# product down its matrix-vector path, whose bits can differ from the same
-# row's in a larger chunk)
-HITS_BUFFER_BYTES = 16 * 2**20
+# the bytes one block of rows may hold: hits_at_k's scores, relsim's cosine products
+BLOCK_BYTES = 16 * 2**20
+HITS_QUERY_ROWS = 256  # hits_at_k's queries per block, fewer where BLOCK_BYTES asks
 
 
 def hits_at_k(
     table: EmbeddingTable,
     graph: KnowledgeGraph,
     k: int,
-    batch_size: int = 256,
 ) -> float:
     """Fraction of triples whose true tail is ranked in the top k.
 
@@ -484,8 +481,10 @@ def hits_at_k(
     ACL 2020): the mean of 1 + the entities strictly closer than the true
     tail and the entities no farther, the true tail among them. So a table
     whose entities all coincide ranks each tail (E + 1) / 2, not 1.
-    Queries are scored ``batch_size`` at a time, fewer when that many rows
-    of scores would exceed ``HITS_BUFFER_BYTES``.
+    Queries are scored ``HITS_QUERY_ROWS`` at a time, fewer when that many
+    rows of scores would exceed ``BLOCK_BYTES``, but never fewer than 2: numpy
+    sends a 1-row product down its matrix-vector path, whose bits can differ
+    from the same row's in a larger block.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -495,7 +494,7 @@ def hits_at_k(
     rows = graph.triples
     ent = table.entity_vectors.astype(np.float64)
     ent_sq = (ent * ent).sum(axis=1)
-    chunk_rows = max(2, min(batch_size, HITS_BUFFER_BYTES // (8 * len(ent))))
+    chunk_rows = max(2, min(HITS_QUERY_ROWS, BLOCK_BYTES // (8 * len(ent))))
     # a row has at most E - 1 entities strictly closer than its true tail
     count_type = np.min_scalar_type(len(ent))
     hits = 0

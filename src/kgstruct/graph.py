@@ -621,24 +621,15 @@ def compute_stats(graph: KnowledgeGraph) -> GraphStats:
     denominator are reported as None.
     """
     mark = np.zeros(graph.n_entities, dtype=bool)
-
-    def count(*columns):
-        # distinct ids of the columns, counted on the mask, which is then cleared whole
-        for col in columns:
-            mark[col] = True
-        n = int(np.count_nonzero(mark))
-        mark.fill(False)
-        return n
-
-    heads = count(graph.triples[:, 0])
-    tails = count(graph.triples[:, 2])
-    used = count(graph.triples[:, 0], graph.triples[:, 2])
+    heads = len(distinct_ids(mark, graph.triples[:, 0]))
+    tails = len(distinct_ids(mark, graph.triples[:, 2]))
+    used = len(distinct_ids(mark, graph.triples[:, 0], graph.triples[:, 2]))
     per_relation: dict[str, RelationStats] = {}
     for rid, rows in graph.relation_index.items():
         h, t = graph.triples[rows, 0], graph.triples[rows, 2]
-        r_heads = count(h)
-        r_tails = count(t)
-        n_entities = count(h, t)
+        r_heads = len(distinct_ids(mark, h))
+        r_tails = len(distinct_ids(mark, t))
+        n_entities = len(distinct_ids(mark, h, t))
         ratio = r_heads / r_tails if r_tails else None
         per_relation[graph.relation_names[rid]] = RelationStats(
             triples=len(rows), entities=n_entities, head_tail_ratio=ratio

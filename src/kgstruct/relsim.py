@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .definitions import CONCEPTNET_RELATION_DEFINITIONS
-from .embedding import unit_rows
+from .embedding import BLOCK_BYTES, unit_rows
 from .errors import DataError, read_json_object
 from .graph import KnowledgeGraph, distinct_ids
 from .validation import RelationProfile
@@ -29,7 +29,6 @@ TFIDF_VARIANT = "raw term counts, smoothed idf = ln((1 + N)/(1 + df)) + 1, cosin
 TFIDF_REFERENCE_PAIR = ("HasContext", "PartOf")
 TFIDF_REFERENCE_SCORE = 0.178
 TFIDF_REFERENCE_BAND = 0.05
-COSINE_BUFFER_BYTES = 16 * 2**20  # the products one block of rows of a cosine matrix holds
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,9 @@ def tfidf_reference_check(matrix: SimilarityMatrix) -> dict:
 
 def _cosine_matrix(unit: np.ndarray) -> np.ndarray:
     # exact products and numpy's pairwise sum, not BLAS: symmetric, the same bits on every CPU;
-    # rows in blocks within COSINE_BUFFER_BYTES, each entry summing only its own products
+    # rows in blocks within BLOCK_BYTES, each entry summing only its own products
     n, d = unit.shape
-    rows = max(1, COSINE_BUFFER_BYTES // (unit.itemsize * n * max(d, 1)))
+    rows = max(1, BLOCK_BYTES // (unit.itemsize * n * max(d, 1)))
     sims = np.empty((n, n), dtype=unit.dtype)
     for lo in range(0, n, rows):
         np.sum(unit[lo:lo + rows, None, :] * unit[None, :, :], axis=2, out=sims[lo:lo + rows])

@@ -154,11 +154,11 @@ def similarity_histogram(values: np.ndarray, bins: int = DEFAULT_BINS) -> np.nda
     return counts.astype(np.float64)
 
 
-def kl_divergence(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
+def kl_divergence(p, q) -> float:
     """D(p || q) over two histograms on the same support.
 
-    Both inputs are epsilon-smoothed and renormalized before evaluating
-    sum(p * (log p - log q)), so zero bins stay finite. The measure is
+    Both inputs are smoothed by ``DEFAULT_EPSILON`` and renormalized before
+    evaluating sum(p * (log p - log q)), so zero bins stay finite. The measure is
     asymmetric and nonnegative.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -167,8 +167,8 @@ def kl_divergence(p, q, epsilon: float = DEFAULT_EPSILON) -> float:
         raise ValueError(f"histogram bin counts differ: {p.shape} vs {q.shape}")
     if (p < 0).any() or (q < 0).any():
         raise ValueError("histograms must be nonnegative")
-    p = p + epsilon
-    q = q + epsilon
+    p = p + DEFAULT_EPSILON
+    q = q + DEFAULT_EPSILON
     if p.sum() == 0.0 or q.sum() == 0.0:
         raise ValueError("histograms must have positive mass after smoothing")
     p = p / p.sum()

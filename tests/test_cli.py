@@ -1112,23 +1112,33 @@ def test_run_prints_the_study_summary(demo_kg, tmp_path, capsys):
 
 # -- the public surface ----------------------------------------------------------
 
+# the package's modules; __init__.py only re-exports them
+PACKAGE_MODULES = [
+    path for path in sorted((ROOT / "src" / "kgstruct").glob("*.py")) if path.name != "__init__.py"
+]
+# the program's own sources, the callers both scans below count: the package,
+# scripts/ and perfbench/ without its test_*.py. Tests do not count
+PROGRAM_SOURCES = PACKAGE_MODULES + [
+    path for top in ("scripts", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))
+    if not path.name.startswith("test_")
+]
+
 
 def test_every_definition_has_a_caller_outside_the_tests():
     """Each def and class in src/kgstruct is named somewhere the program reads it.
 
     A name counts as used when it appears as a word in src/kgstruct outside
     its own definition and the ``__init__`` re-exports, or in scripts/,
-    perfbench/ or pyproject.toml. A method counts only as ``.name``, since its
-    bare name may be an unrelated local. Dunder methods are skipped.
+    perfbench/ (its tests aside) or pyproject.toml. A method counts only as
+    ``.name``, since its bare name may be an unrelated local. Dunder methods
+    are skipped.
 
     A module-level assignment counts as used when its own module reads the
     name, or when a package module, script or perfbench file imports it.
     """
-    package = sorted((ROOT / "src" / "kgstruct").glob("*.py"))
-    package = [path for path in package if path.name != "__init__.py"]
+    package = PACKAGE_MODULES
     lines = {path: path.read_text(encoding="utf-8").splitlines() for path in package}
-    outside = [ROOT / "pyproject.toml"]
-    outside += [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    outside = [ROOT / "pyproject.toml"] + PROGRAM_SOURCES[len(package):]
     elsewhere = "\n".join(path.read_text(encoding="utf-8") for path in outside)
     imported = {
         alias.name
@@ -1193,29 +1203,24 @@ def _callables(tree: ast.Module):
 
 
 def test_every_optional_parameter_is_set_by_some_caller():
-    """A default that no call overrides is a constant: each defaulted parameter of a
-    module-level function or method in src/kgstruct is set by some call in src, scripts,
-    perfbench or tests.
+    """A default that no program call overrides is a constant: each defaulted parameter
+    of a module-level function or method in src/kgstruct is set by some call in src,
+    scripts or perfbench. Tests do not count: a test that varies a constant patches it.
 
     A call matches by name, as ``f(...)`` or ``x.f(...)``; a class's ``__init__`` is
     called by the class's name. It sets the leading positional parameters it fills and
     the keywords it names; a call with ``*args`` or ``**kwargs`` counts as setting every
     parameter.
     """
-    sources = [
-        path for top in ("src", "scripts", "perfbench", "tests") for path in (ROOT / top).rglob("*.py")
-    ]
     calls: dict[str, list[ast.Call]] = {}
-    for path in sources:
+    for path in PROGRAM_SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
     unset = []
     checked = []
-    for path in sorted((ROOT / "src" / "kgstruct").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in PACKAGE_MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, called_as, func, implicit in _callables(tree):
             args = func.args

@@ -208,13 +208,14 @@ def test_kmeans_warm_start_initial_centroids():
         lloyd_kmeans(x, 2, seed=0, initial_centroids=np.zeros((3, 2)))
 
 
-def test_kmeans_centroid_sums_match_add_at_reference():
+def test_kmeans_centroid_sums_match_add_at_reference(monkeypatch):
     # the benchmark's HasContext size: 4,000 points, d = 32, k = 20
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4000, 32)) + rng.integers(0, 6, size=(4000, 1))
     start = x[rng.choice(len(x), size=20, replace=False)]
     start[-1] = 1e6  # far from every point: this cluster stays empty
-    result = lloyd_kmeans(x, 20, initial_centroids=start, max_iters=1)
+    monkeypatch.setattr(cluster, "LLOYD_MAX_ROUNDS", 1)
+    result = lloyd_kmeans(x, 20, initial_centroids=start)
 
     assigned = ((x[:, None, :] - start[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
     sums = np.zeros_like(start)
@@ -265,8 +266,9 @@ def _round_cases():
 
 
 @pytest.mark.parametrize("x, start", _round_cases())
-def test_kmeans_round_equals_the_add_at_and_argmax_reference(x, start):
-    result = lloyd_kmeans(x, len(start), initial_centroids=start, max_iters=1)
+def test_kmeans_round_equals_the_add_at_and_argmax_reference(x, start, monkeypatch):
+    monkeypatch.setattr(cluster, "LLOYD_MAX_ROUNDS", 1)
+    result = lloyd_kmeans(x, len(start), initial_centroids=start)
     np.testing.assert_array_equal(result.centroids, reference_lloyd_round(x, start))
 
 
@@ -370,8 +372,9 @@ def _lloyd_cases():
 
 @pytest.mark.parametrize("max_iters", [0, 1, 2, 300])
 @pytest.mark.parametrize("x, k, start", _lloyd_cases())
-def test_lloyd_equals_the_two_assignment_reference(x, k, start, max_iters):
-    got = lloyd_kmeans(x, k, seed=5, max_iters=max_iters, initial_centroids=start)
+def test_lloyd_equals_the_two_assignment_reference(x, k, start, max_iters, monkeypatch):
+    monkeypatch.setattr(cluster, "LLOYD_MAX_ROUNDS", max_iters)
+    got = lloyd_kmeans(x, k, seed=5, initial_centroids=start)
     want = reference_lloyd_kmeans(x, k, seed=5, max_iters=max_iters, initial_centroids=start)
     assert got.centroids.tobytes() == want.centroids.tobytes()
     assert got.assignments.tobytes() == want.assignments.tobytes()
@@ -384,12 +387,13 @@ def test_lloyd_equals_the_two_assignment_reference(x, k, start, max_iters):
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 2, 300])
-def test_lloyd_raises_the_references_error_on_too_few_distinct_points(max_iters):
+def test_lloyd_raises_the_references_error_on_too_few_distinct_points(max_iters, monkeypatch):
     x = np.asarray([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5 + [[2.0, 0.0]])
     with pytest.raises(DataError) as want:
         reference_lloyd_kmeans(x, 5, seed=2, max_iters=max_iters)
+    monkeypatch.setattr(cluster, "LLOYD_MAX_ROUNDS", max_iters)
     with pytest.raises(DataError) as got:
-        lloyd_kmeans(x, 5, seed=2, max_iters=max_iters)
+        lloyd_kmeans(x, 5, seed=2)
     assert str(got.value) == str(want.value) == "k = 5 exceeds the 3 distinct points"
 
 
@@ -483,15 +487,16 @@ def test_silhouette_five_point_hand_fixture():
     assert silhouette_score(x, labels) == pytest.approx(brute_silhouette(x, labels), abs=1e-12)
 
 
-def test_silhouette_blas_path_matches_bruteforce():
+def test_silhouette_blas_path_matches_bruteforce(monkeypatch):
     # the BLAS distance path at a size the O(n^2) Python oracle can afford;
-    # chunk=7 leaves a partial last chunk
+    # 7-row chunks leave a partial last chunk
     rng = np.random.default_rng(5)
     x = rng.normal(size=(150, 4)) + rng.integers(0, 3, size=(150, 1)) * 4.0
     labels = lloyd_kmeans(x, 5, seed=1).assignments
     labels[0] = 7  # a singleton cluster scores 0
     for chunk in (7, 128, 1000):
-        assert silhouette_score(x, labels, chunk=chunk) == pytest.approx(
+        monkeypatch.setattr(cluster, "SILHOUETTE_ROWS", chunk)
+        assert silhouette_score(x, labels) == pytest.approx(
             brute_silhouette(x, labels), abs=1e-9
         )
 
@@ -695,7 +700,7 @@ def relabelled(x, labelings):
 
 
 @pytest.mark.parametrize("n", [300, 2100], ids=["300-points", "2100-points"])
-def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
+def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n, monkeypatch):
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 6)) + rng.integers(0, 4, size=(n, 1)) * 3.0
     labelings = [lloyd_kmeans(x, k, seed=k).assignments for k in (2, 5, 9)]
@@ -704,18 +709,20 @@ def test_batched_silhouette_has_the_bits_of_one_call_per_labeling(n):
     expected = grid_silhouettes(x, labelings)
     assert cluster._silhouette_scores(x, relabelled(x, labelings)) == expected
     assert [silhouette_score(x, labels) for labels in labelings] == expected
-    assert cluster._silhouette_scores(x, relabelled(x, labelings), chunk=50) == grid_silhouettes(
+    monkeypatch.setattr(cluster, "SILHOUETTE_ROWS", 50)
+    assert cluster._silhouette_scores(x, relabelled(x, labelings)) == grid_silhouettes(
         x, labelings, chunk=50
     )
     assert expected == pytest.approx(reference_silhouettes(x, labelings), rel=1e-12, abs=0)
 
 
-def test_silhouettes_have_the_same_bits_at_every_chunk_size():
+def test_silhouettes_have_the_same_bits_at_every_chunk_size(monkeypatch):
     x, labels = LABELING_CASES["4000x32-k20"]
     labelings = relabelled(x, [labels, lloyd_kmeans(x, 3, seed=1).assignments])
     want = cluster._silhouette_scores(x, labelings)
     for chunk in (7, 50):
-        assert cluster._silhouette_scores(x, labelings, chunk=chunk) == want
+        monkeypatch.setattr(cluster, "SILHOUETTE_ROWS", chunk)
+        assert cluster._silhouette_scores(x, labelings) == want
 
 
 @pytest.mark.parametrize("case", ["7000x64-k24", "far-from-the-origin"])
@@ -728,10 +735,11 @@ def test_grid_sums_are_exact(case):
         assert np.array_equal(d @ onehot, d.astype(np.int64) @ onehot.astype(np.int64))
 
 
-def test_grid_silhouettes_of_a_23_labeling_sweep_are_within_1e_12_of_the_blas_sums():
+def test_grid_silhouettes_of_a_23_labeling_sweep_are_within_1e_12_of_the_blas_sums(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7000, 64)) + rng.integers(0, 6, size=(7000, 1))
-    labelings = [lloyd_kmeans(x, k, seed=k, max_iters=5).assignments for k in range(2, 25)]
+    monkeypatch.setattr(cluster, "LLOYD_MAX_ROUNDS", 5)
+    labelings = [lloyd_kmeans(x, k, seed=k).assignments for k in range(2, 25)]
     got = cluster._silhouette_scores(x, relabelled(x, labelings))
     assert got == pytest.approx(reference_silhouettes(x, labelings), rel=1e-12, abs=0)
 
@@ -995,7 +1003,7 @@ def _cluster_mean_cases():
     yield "singletons", small, _result_of(small, rng.permutation(labels), 5)
     # duplicate start centroids: argmin leaves the second one empty
     start = np.vstack([small[0], small[0], small[1]])
-    yield "empty cluster left by Lloyd", small, lloyd_kmeans(
+    yield "empty cluster left by Lloyd", small, reference_lloyd_kmeans(
         small, 3, initial_centroids=start, max_iters=0
     )
     # cluster 1's members cancel to a zero-norm centroid; three points are zero

@@ -501,24 +501,27 @@ def test_a_table_of_one_entity_vector_ranks_every_tail_in_the_middle(n_entities,
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_hits_without_ties_equal_the_optimistic_reference(seed):
+def test_hits_without_ties_equal_the_optimistic_reference(seed, monkeypatch):
     n_entities = [12, 40, 300][seed % 3]
     table, graph = random_fixture(n_entities, 700, 4 + seed, seed)
     ent = table.entity_vectors.astype(np.float64)
     for h, r, t in graph.triples[:50].tolist():  # the fixture is tie-free
         query = table.entity_vectors[h].astype(np.float64) + table.relation_vectors[r]
         assert len(np.unique(((ent - query) ** 2).sum(axis=1))) == n_entities
+    monkeypatch.setattr(embedding, "HITS_QUERY_ROWS", 97)
     for k in (1, 3, 10, n_entities):
-        got = hits_at_k(table, graph, k, batch_size=97)
+        got = hits_at_k(table, graph, k)
         assert got * graph.n_triples == reference_hits_at_k(table, graph, k) * graph.n_triples
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_hits_with_ties_take_the_realistic_rank(seed):
+def test_hits_with_ties_take_the_realistic_rank(seed, monkeypatch):
     # vectors of a few small integers: many entities tie at each distance
     table, graph = random_fixture(30 + 20 * seed, 400, 2, seed, values=[-1.0, 0.0, 1.0])
-    for k in (1, 2, 5, 10, 25):
-        assert hits_at_k(table, graph, k, batch_size=64) == realistic_hits(table, graph, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "HITS_QUERY_ROWS", 64)
+        for k in (1, 2, 5, 10, 25):
+            assert hits_at_k(table, graph, k) == realistic_hits(table, graph, k)
     assert hits_at_k(table, graph, 10) <= reference_hits_at_k(table, graph, 10)
 
 
@@ -538,7 +541,7 @@ def test_hits_equal_the_reference_at_every_chunk_size(rows, monkeypatch):
     table, graph = random_fixture(300, 700, 6, seed=rows)
     # the budget below one row per entity still leaves 2-row chunks
     budget = 1 if rows == 2 else rows * 8 * 300
-    monkeypatch.setattr(embedding, "HITS_BUFFER_BYTES", budget)
+    monkeypatch.setattr(embedding, "BLOCK_BYTES", budget)
     chunks = []
 
     def recorded(query, *args, **kwargs):
@@ -565,7 +568,7 @@ def test_hits_scores_within_the_buffer_budget():
     # beyond the buffer: the float64 entity table, its squared norms and
     # a chunk's comparison mask, each once
     entity_bytes = table.n_entities * (8 * table.dimension + 8 + 32)
-    assert embedding.HITS_BUFFER_BYTES < peak <= embedding.HITS_BUFFER_BYTES + 2 * entity_bytes
+    assert embedding.BLOCK_BYTES < peak <= embedding.BLOCK_BYTES + 2 * entity_bytes
 
 
 # -- persistence -------------------------------------------------------------------

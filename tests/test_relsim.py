@@ -239,7 +239,7 @@ def test_cosine_blocks_keep_the_bits_and_the_buffer_budget(monkeypatch):
     one_shot = np.clip((unit[:, None, :] * unit[None, :, :]).sum(axis=2), -1.0, 1.0)
     budget = 20 * 8 * n * d
     assert one_shot.size * d * 8 > 3 * budget  # the one-shot product fills more than 3 blocks
-    monkeypatch.setattr(relsim, "COSINE_BUFFER_BYTES", budget)
+    monkeypatch.setattr(relsim, "BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
         blocked = relsim._cosine_matrix(unit)

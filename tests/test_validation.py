@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_labeled_triples, make_table
+from kgstruct import validation
 from kgstruct.errors import DataError
 from kgstruct.validation import (
     RelationProfile,
@@ -151,10 +152,12 @@ def test_kl_asymmetric():
     assert kl_divergence(p, q) != pytest.approx(kl_divergence(q, p), abs=1e-6)
 
 
-def test_kl_zero_bin_finite_and_monotone_in_epsilon():
+def test_kl_zero_bin_finite_and_monotone_in_epsilon(monkeypatch):
     p, q = [0.7, 0.3], [1.0, 0.0]
-    tight = kl_divergence(p, q, epsilon=1e-9)
-    loose = kl_divergence(p, q, epsilon=1e-6)
+    monkeypatch.setattr(validation, "DEFAULT_EPSILON", 1e-9)
+    tight = kl_divergence(p, q)
+    monkeypatch.setattr(validation, "DEFAULT_EPSILON", 1e-6)
+    loose = kl_divergence(p, q)
     assert np.isfinite(tight) and np.isfinite(loose)
     assert loose < tight  # more smoothing, less divergence
 
